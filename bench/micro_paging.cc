@@ -1,20 +1,14 @@
 /**
  * @file
  * Demand-paging event-path microbench: host cost of the fault fast
- * path and the per-device service lanes (BENCH_paging_path.json).
+ * path (BENCH_paging_path.json).
  *
- * Two scenarios, both to completion on hwdp machines:
- *
- *  - Fault storm (serial): FIO random reads over a dataset 32x memory,
- *    so nearly every op walks the full walker-miss -> SMU -> PMSHR ->
- *    NVMe chain. Run with the fast path on and off at simThreads=1;
- *    the stats dumps must match byte for byte before any timing is
- *    quoted, and the CPU-seconds ratio is the serial win.
- *
- *  - Steady-state lanes: a 2-socket machine (one SMU/NVMe/SSD complex
- *    per socket) at simThreads {1, 2, 4}; per-device SSD service
- *    batches fan out as CAS-claimed lane tasks. State must hash
- *    identically at every point — the lanes are host-side only.
+ * Fault storm: FIO random reads over a dataset 32x memory on an hwdp
+ * machine, run to completion, so nearly every op walks the full
+ * walker-miss -> SMU -> PMSHR -> NVMe chain. Run with the fast path
+ * on and off; the stats dumps must match byte for byte before any
+ * timing is quoted, and the CPU-seconds ratio is the fast path's win.
+ * Exits 1 when the dumps differ.
  *
  * Timing is the BENCH_*.json protocol (host_timing.hh): median of N
  * repeats, steal-immune process CPU seconds from getrusage beside the
@@ -26,7 +20,6 @@
 #include <sstream>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "bench/bench_common.hh"
 #include "bench/host_timing.hh"
@@ -74,35 +67,6 @@ runFaultStorm(bool fast)
     return o;
 }
 
-Out
-runLanes(unsigned sim_threads)
-{
-    auto cfg = bench::paperConfig(system::PagingMode::hwdp);
-    cfg.nLogical = 4;
-    cfg.nPhysical = 2;
-    cfg.memFrames = 32 * 1024;
-    cfg.sockets = 2;
-    cfg.simThreads = sim_threads;
-    system::System sys(cfg);
-    for (unsigned s = 0; s < cfg.sockets; ++s) {
-        auto mf = sys.mapDataset("lanes" + std::to_string(s),
-                                 16 * 1024, nullptr, s);
-        auto *wl =
-            sys.makeWorkload<workloads::FioWorkload>(mf.vma, 4000);
-        sys.addThread(*wl, s * cfg.coresPerSocket(), *mf.as);
-    }
-    sys.runUntilThreadsDone(seconds(120.0));
-    testing::quiesce(sys);
-
-    Out o;
-    auto snap = testing::snapshot(sys, "micro_paging_lanes");
-    o.stateHash = snap.stateHash;
-    o.finalTick = sys.now();
-    if (sim_threads > 1)
-        o.pagingTable = metrics::pagingPathTable(sys).toString();
-    return o;
-}
-
 } // namespace
 
 int
@@ -115,12 +79,11 @@ main(int argc, char **argv)
         repeats = 1;
 
     unsigned host = std::thread::hardware_concurrency();
-    metrics::banner("Paging-path microbench: fault fast path + lanes",
+    metrics::banner("Paging-path microbench: fault fast path",
                     "stats must be byte-identical before timing counts");
     std::printf("host hardware concurrency: %u, repeats: %u\n\n", host,
                 repeats);
 
-    // ---- Scenario 1: serial fault storm, fast on vs off ----------------
     Out fastOut, legacyOut;
     bench::TimedRun fastT = bench::medianOfRuns(
         repeats, [&] { fastOut = runFaultStorm(true); });
@@ -146,50 +109,11 @@ main(int argc, char **argv)
                 speedup, stats_identical ? "yes" : "NO");
     std::fputs(fastOut.pagingTable.c_str(), stdout);
 
-    // ---- Scenario 2: lanes, simThreads sweep on 2 sockets --------------
-    const unsigned points[] = {1, 2, 4};
-    std::vector<bench::TimedRun> laneT(std::size(points));
-    std::vector<Out> laneOut(std::size(points));
-    for (std::size_t p = 0; p < std::size(points); ++p) {
-        laneT[p] = bench::medianOfRuns(
-            repeats, [&] { laneOut[p] = runLanes(points[p]); });
-    }
-    bool lanes_identical = true;
-    for (std::size_t p = 1; p < std::size(points); ++p) {
-        if (laneOut[p].stateHash != laneOut[0].stateHash ||
-            laneOut[p].finalTick != laneOut[0].finalTick)
-            lanes_identical = false;
-    }
-
-    std::printf("\n");
-    metrics::Table lt({"simThreads", "cpu s (median)", "wall s (median)",
-                       "wall speedup"});
-    for (std::size_t p = 0; p < std::size(points); ++p) {
-        lt.addRow({std::to_string(points[p]),
-                   metrics::Table::num(laneT[p].cpuSec, 3),
-                   metrics::Table::num(laneT[p].wallSec, 3),
-                   metrics::Table::num(laneT[0].wallSec /
-                                       laneT[p].wallSec) +
-                       "x"});
-    }
-    lt.print();
-    std::printf("\nbit-identical state across simThreads: %s\n\n",
-                lanes_identical ? "yes" : "NO — DETERMINISM VIOLATION");
-    std::fputs(laneOut.back().pagingTable.c_str(), stdout);
-
     std::printf("\n{\"bench\": \"micro_paging\", \"host_cores\": %u, "
                 "\"repeats\": %u, \"storm_fast_cpu_s\": %.3f, "
                 "\"storm_legacy_cpu_s\": %.3f, \"fast_speedup\": %.2f, "
-                "\"stats_identical\": %s",
+                "\"stats_identical\": %s}\n",
                 host, repeats, fastT.cpuSec, legacyT.cpuSec, speedup,
                 stats_identical ? "true" : "false");
-    for (std::size_t p = 0; p < std::size(points); ++p) {
-        std::printf(", \"lanes_t%u_wall_s\": %.3f, "
-                    "\"lanes_t%u_cpu_s\": %.3f",
-                    points[p], laneT[p].wallSec, points[p],
-                    laneT[p].cpuSec);
-    }
-    std::printf(", \"lanes_identical\": %s}\n",
-                lanes_identical ? "true" : "false");
-    return stats_identical && lanes_identical ? 0 : 1;
+    return stats_identical ? 0 : 1;
 }

@@ -152,7 +152,7 @@ class Smu : public sim::SimObject, public cpu::PageMissHandlerIface
      * the tier's global block-layer indices (global = dev_base +
      * local). A miss probes the buffer after the free-frame fetch and
      * a hit completes through the zero-fill-shaped path: buffer load,
-     * PTE update, broadcast — no NVMe command, no SSD lane work.
+     * PTE update, broadcast — no NVMe command, no SSD channel work.
      */
     void setTier(tier::CxlBuffer *t, unsigned dev_base)
     {

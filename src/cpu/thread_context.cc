@@ -4,7 +4,6 @@
 
 #include "sim/logging.hh"
 #include "sim/serialize.hh"
-#include "sim/shard_pool.hh"
 
 namespace hwdp::cpu {
 
@@ -318,20 +317,6 @@ ThreadContext::computeBurst(const workloads::ComputeSpec &spec)
             static_cast<std::uint8_t>(rng.chance(spec.branchBias));
     }
 
-    // Heavy bursts overlap the predictor batch with the cache passes
-    // on the pool's side lane: predictor state is disjoint from every
-    // tag array and the outcomes are pre-drawn, so the overlap cannot
-    // change simulated results; mispred is read only after the join.
-    constexpr std::uint64_t asyncMinBranches = 512;
-    std::uint64_t mispred = 0;
-    auto bp_update = [&] {
-        mispred = bp.updateBatch(burstPcs.data(), n_br, burstTaken.data(),
-                                 n_br, ExecMode::user);
-    };
-    bool bp_async = prm.pool && n_br >= asyncMinBranches;
-    if (bp_async)
-        prm.pool->launchAsync(bp_update);
-
     Cycles data_stall = 0;
     if (n_refs > 0) {
         auto r = caches.accessBatch(physCore, burstAddrs.data(), n_refs,
@@ -374,10 +359,10 @@ ThreadContext::computeBurst(const workloads::ComputeSpec &spec)
 
     // Predictor batch (n_pcs == n, so the ring never wraps and pcs[i]
     // pairs with taken[i] like the per-line loop).
-    if (bp_async)
-        prm.pool->joinAsync();
-    else if (n_br > 0)
-        bp_update();
+    std::uint64_t mispred = 0;
+    if (n_br > 0)
+        mispred = bp.updateBatch(burstPcs.data(), n_br, burstTaken.data(),
+                                 n_br, ExecMode::user);
 
     auto base = static_cast<Cycles>(
         static_cast<double>(spec.instructions) * prm.baseCpi);

@@ -35,10 +35,6 @@
 #include "sim/rng.hh"
 #include "workloads/workload.hh"
 
-namespace hwdp::sim {
-class ShardPool;
-}
-
 namespace hwdp::cpu {
 
 struct CoreParams
@@ -64,16 +60,6 @@ struct CoreParams
      * MachineConfig::pollutionBatch.
      */
     bool batch = true;
-
-    /**
-     * Parallel-mode worker pool (MachineConfig::simThreads > 1), or
-     * nullptr for fully serial execution. With a pool, heavy compute
-     * bursts overlap their branch-predictor batch with their cache
-     * passes on the pool's side lane; results are bit-identical
-     * either way (disjoint state, pre-drawn outcomes, joined before
-     * the burst's duration is computed).
-     */
-    sim::ShardPool *pool = nullptr;
 };
 
 class ThreadContext : public os::Thread, public AccessSink

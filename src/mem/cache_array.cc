@@ -109,72 +109,6 @@ CacheArray::accessBatch(const std::uint64_t *addrs, std::size_t n,
     return n - nmiss;
 }
 
-CacheArray::ShardResult
-CacheArray::accessBatchShard(const std::uint64_t *addrs, std::size_t n,
-                             std::uint8_t *hit_flags, unsigned shard,
-                             unsigned n_shards)
-{
-    ShardResult res;
-    if (n == 0)
-        return res;
-
-    const bool wide = ways > 8;
-    constexpr std::size_t lookahead = 12;
-    const std::uint64_t set_mask = sets - 1;
-
-    // Walk the same renormalisation segments the serial batch walks,
-    // derived from the shared clock read-only (every shard computes
-    // the identical plan; finishShardedBatch() advances the clock
-    // once, afterwards).
-    std::uint64_t clock = useClock;
-    std::size_t i = 0;
-    while (i < n) {
-        if (clock == stampMask) {
-            renormalizeShard(shard, n_shards);
-            clock = ways;
-        }
-        std::size_t chunk = static_cast<std::size_t>(
-            std::min<std::uint64_t>(n - i, stampMask - clock));
-        for (std::size_t j = i; j < i + chunk; ++j) {
-            std::uint64_t addr = addrs[j];
-            if ((addr >> lineShiftBits & set_mask) % n_shards != shard)
-                continue;
-            if (wide && j + lookahead < n) {
-                std::uint64_t pa = addrs[j + lookahead];
-                if ((pa >> lineShiftBits & set_mask) % n_shards == shard)
-                    prefetch(pa);
-            }
-            bool hit =
-                accessOneInto(addr, clock + (j - i) + 1, res.fills);
-            res.hits += hit;
-            hit_flags[j] = static_cast<std::uint8_t>(hit);
-        }
-        clock += chunk;
-        i += chunk;
-    }
-    return res;
-}
-
-void
-CacheArray::finishShardedBatch(std::size_t n, std::uint64_t total_hits,
-                               std::uint64_t total_fills)
-{
-    // Replay the serial batch's clock evolution (the shards already
-    // renormalised their sets at the matching access indices).
-    std::size_t i = 0;
-    while (i < n) {
-        if (useClock == stampMask)
-            useClock = ways;
-        std::size_t chunk = static_cast<std::size_t>(
-            std::min<std::uint64_t>(n - i, stampMask - useClock));
-        useClock += chunk;
-        i += chunk;
-    }
-    hits += total_hits;
-    misses += n - total_hits;
-    nValid += total_fills;
-}
-
 bool
 CacheArray::invalidate(std::uint64_t addr)
 {
@@ -200,45 +134,32 @@ CacheArray::flush()
 }
 
 void
-CacheArray::renormalizeSet(unsigned s)
-{
-    // Insertion-sort the valid ways of the set by stamp, then rewrite
-    // each stamp as its 1-based rank. ways <= 64 keeps the scratch on
-    // the stack.
-    std::uint64_t *row = &meta[static_cast<std::size_t>(s) * ways];
-    unsigned order[64];
-    unsigned n = 0;
-    for (unsigned w = 0; w < ways; ++w) {
-        if (row[w] == 0)
-            continue;
-        unsigned pos = n++;
-        while (pos > 0 &&
-               (row[order[pos - 1]] & stampMask) > (row[w] & stampMask)) {
-            order[pos] = order[pos - 1];
-            --pos;
-        }
-        order[pos] = w;
-    }
-    for (unsigned r = 0; r < n; ++r) {
-        std::uint64_t m = row[order[r]];
-        row[order[r]] = (m & ~stampMask) | (r + 1);
-    }
-}
-
-void
 CacheArray::renormalize()
 {
-    // The clock restarts above the largest assigned rank.
-    for (unsigned s = 0; s < sets; ++s)
-        renormalizeSet(s);
+    // Per set: insertion-sort the valid ways by stamp, then rewrite
+    // each stamp as its 1-based rank. ways <= 64 keeps the scratch on
+    // the stack. The clock restarts above the largest assigned rank.
+    for (unsigned s = 0; s < sets; ++s) {
+        std::uint64_t *row = &meta[static_cast<std::size_t>(s) * ways];
+        unsigned order[64];
+        unsigned n = 0;
+        for (unsigned w = 0; w < ways; ++w) {
+            if (row[w] == 0)
+                continue;
+            unsigned pos = n++;
+            while (pos > 0 && (row[order[pos - 1]] & stampMask) >
+                                  (row[w] & stampMask)) {
+                order[pos] = order[pos - 1];
+                --pos;
+            }
+            order[pos] = w;
+        }
+        for (unsigned r = 0; r < n; ++r) {
+            std::uint64_t m = row[order[r]];
+            row[order[r]] = (m & ~stampMask) | (r + 1);
+        }
+    }
     useClock = ways;
-}
-
-void
-CacheArray::renormalizeShard(unsigned shard, unsigned n_shards)
-{
-    for (unsigned s = shard; s < sets; s += n_shards)
-        renormalizeSet(s);
 }
 
 } // namespace hwdp::mem

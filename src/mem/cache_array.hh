@@ -103,51 +103,6 @@ class CacheArray
                             std::uint64_t *miss_out,
                             std::uint64_t *hit_bitmap = nullptr);
 
-    /** Per-shard outcome of one accessBatchShard() pass. */
-    struct ShardResult
-    {
-        std::uint64_t hits = 0;
-        std::uint64_t fills = 0; ///< Misses that filled an invalid way.
-    };
-
-    /**
-     * One shard's pass of a set-sharded batch: process exactly the
-     * lines of the run whose set index satisfies
-     * set % n_shards == shard, in run order, and record each one's
-     * outcome in hit_flags[line index]. The sharded protocol —
-     * accessBatchShard() once per shard in [0, n_shards) over the
-     * same run, then finishShardedBatch() once — leaves simulated
-     * state, counters and per-line outcomes bit-identical to one
-     * accessBatch() call, for any n_shards: an access's outcome and
-     * its victim choice depend only on its set's prior contents, sets
-     * are partitioned across shards, the LRU stamp of line j is
-     * position-determined (clock base + offset within the
-     * renormalisation segment, independent of other lines' hit/miss
-     * outcomes), and segment boundaries depend only on the shared
-     * clock and run length — so every shard derives the identical
-     * segment plan from the unmodified clock and renormalises its own
-     * sets at the identical access indices.
-     *
-     * Thread-safe against concurrent calls on the *same* run with the
-     * same n_shards and distinct shard ids: each call writes only its
-     * own sets' metadata and its own lines' hit_flags bytes, and
-     * reads only shared scalars that finishShardedBatch() alone
-     * updates afterwards.
-     */
-    ShardResult accessBatchShard(const std::uint64_t *addrs, std::size_t n,
-                                 std::uint8_t *hit_flags, unsigned shard,
-                                 unsigned n_shards);
-
-    /**
-     * Complete a sharded batch: advance the LRU clock across the
-     * run's renormalisation segments exactly as accessBatch() would
-     * have, and fold the shards' summed hit/fill totals into the
-     * hit/miss/occupancy counters. Call exactly once, after every
-     * shard's accessBatchShard() returned.
-     */
-    void finishShardedBatch(std::size_t n, std::uint64_t total_hits,
-                            std::uint64_t total_fills);
-
     /** Look up without allocating or updating recency. */
     bool
     probe(std::uint64_t addr) const
@@ -545,18 +500,6 @@ class CacheArray
     [[gnu::always_inline]] inline bool
     accessOne(std::uint64_t addr, std::uint64_t clock)
     {
-        return accessOneInto(addr, clock, nValid);
-    }
-
-    /**
-     * accessOne with the fill count routed to @p fills instead of the
-     * shared occupancy counter, so a shard pass can accumulate its
-     * fills privately and fold them in at finishShardedBatch().
-     */
-    [[gnu::always_inline]] inline bool
-    accessOneInto(std::uint64_t addr, std::uint64_t clock,
-                  std::uint64_t &fills)
-    {
         std::size_t base = (addr >> lineShiftBits & (sets - 1)) *
                            static_cast<std::size_t>(ways);
         std::uint64_t want = tagWord(addr);
@@ -571,9 +514,10 @@ class CacheArray
                     : ways == 20 ? scanSetWide<20>(base, want)
                                  : scanSet(base, want);
         meta[s.slot] = want | clock;
-        fills += s.fill;
+        nValid += s.fill;
         return s.hit;
     }
+
     std::string label;
     std::uint64_t bytes;
     unsigned ways;
@@ -619,17 +563,6 @@ class CacheArray
      * bit-identical; runs once every ~2^stampBits accesses.
      */
     void renormalize();
-
-    /** renormalize() for one set; shared by both renormalisers. */
-    void renormalizeSet(unsigned s);
-
-    /**
-     * renormalize() restricted to the sets of one shard, without
-     * touching the shared clock (finishShardedBatch() advances it).
-     * Renormalisation is per-set independent, so per-shard application
-     * at the same access index is exact.
-     */
-    void renormalizeShard(unsigned shard, unsigned n_shards);
 };
 
 } // namespace hwdp::mem

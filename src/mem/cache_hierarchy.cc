@@ -2,7 +2,6 @@
 
 #include "sim/logging.hh"
 #include "sim/serialize.hh"
-#include "sim/shard_pool.hh"
 
 namespace hwdp::mem {
 
@@ -56,8 +55,6 @@ CacheHierarchy::accessBatch(unsigned core, const std::uint64_t *addrs,
     CacheBatchResult r;
     if (n == 0)
         return r;
-    if (shardPool && n >= parallelMin)
-        return accessBatchParallel(core, addrs, n, is_inst, mode);
     ModeCounters &mc = modeCtrs[static_cast<unsigned>(mode)];
 
     if (batchMiss1.size() < n) {
@@ -92,94 +89,6 @@ CacheHierarchy::accessBatch(unsigned core, const std::uint64_t *addrs,
     }
     if (m2 > 0) {
         h3 = llc.accessBatch(batchMiss2.data(), m2, batchMiss3.data());
-        r.llcMisses = m2 - h3;
-        mc.llcMisses += r.llcMisses;
-    }
-
-    r.totalLatency = static_cast<Cycles>(h1) * prm.l1Latency +
-                     static_cast<Cycles>(h2) * prm.l2Latency +
-                     static_cast<Cycles>(h3) * prm.llcLatency +
-                     static_cast<Cycles>(m2 - h3) * prm.dramLatency;
-    return r;
-}
-
-std::size_t
-CacheHierarchy::runLevelSharded(CacheArray &arr, const std::uint64_t *addrs,
-                                std::size_t n, std::uint64_t *miss_out)
-{
-    if (hitFlags.size() < n)
-        hitFlags.resize(n);
-    const unsigned ns = shardPool->lanes();
-    CacheArray::ShardResult part[sim::ShardPool::maxLanes];
-    shardPool->parallelFor(ns, [&](unsigned s) {
-        part[s] = arr.accessBatchShard(addrs, n, hitFlags.data(), s, ns);
-    });
-
-    std::uint64_t total_hits = 0, total_fills = 0;
-    for (unsigned s = 0; s < ns; ++s) {
-        total_hits += part[s].hits;
-        total_fills += part[s].fills;
-    }
-    arr.finishShardedBatch(n, total_hits, total_fills);
-
-    // Canonical merge: the shards recorded per-line outcomes; the miss
-    // list compacts in run order on the simulation thread, so the next
-    // level sees exactly the sequence the serial descent would feed it.
-    std::size_t nmiss = 0;
-    for (std::size_t j = 0; j < n; ++j) {
-        miss_out[nmiss] = addrs[j];
-        nmiss += !hitFlags[j];
-    }
-    return n - nmiss;
-}
-
-CacheBatchResult
-CacheHierarchy::accessBatchParallel(unsigned core,
-                                    const std::uint64_t *addrs,
-                                    std::size_t n, bool is_inst,
-                                    ExecMode mode)
-{
-    CacheBatchResult r;
-    ModeCounters &mc = modeCtrs[static_cast<unsigned>(mode)];
-
-    if (batchMiss1.size() < n) {
-        batchMiss1.resize(n);
-        batchMiss2.resize(n);
-        batchMiss3.resize(n);
-    }
-
-    // Same level-major walk as the serial batch; each level goes
-    // sharded when its run is still long enough to pay for a region
-    // wake-up, serial otherwise (the paths are interchangeable).
-    CacheArray &first = is_inst ? l1i[core] : l1d[core];
-    std::size_t h1 = runLevelSharded(first, addrs, n, batchMiss1.data());
-    std::size_t m1 = n - h1;
-    r.l1Misses = m1;
-    if (is_inst) {
-        mc.l1iAccesses += n;
-        mc.l1iMisses += m1;
-    } else {
-        mc.l1dAccesses += n;
-        mc.l1dMisses += m1;
-    }
-
-    std::size_t h2 = 0, h3 = 0, m2 = 0;
-    if (m1 > 0) {
-        h2 = m1 >= parallelMin
-                 ? runLevelSharded(l2[core], batchMiss1.data(), m1,
-                                   batchMiss2.data())
-                 : l2[core].accessBatch(batchMiss1.data(), m1,
-                                        batchMiss2.data());
-        m2 = m1 - h2;
-        r.l2Misses = m2;
-        mc.l2Misses += m2;
-    }
-    if (m2 > 0) {
-        h3 = m2 >= parallelMin
-                 ? runLevelSharded(llc, batchMiss2.data(), m2,
-                                   batchMiss3.data())
-                 : llc.accessBatch(batchMiss2.data(), m2,
-                                   batchMiss3.data());
         r.llcMisses = m2 - h3;
         mc.llcMisses += r.llcMisses;
     }

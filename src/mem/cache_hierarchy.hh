@@ -17,10 +17,6 @@
 #include "mem/cache_array.hh"
 #include "sim/types.hh"
 
-namespace hwdp::sim {
-class ShardPool;
-}
-
 namespace hwdp::mem {
 
 /** Tunable geometry and latency parameters. */
@@ -167,29 +163,6 @@ class CacheHierarchy
     /** Checkpoint every array and the per-mode miss counters. */
     void serialize(sim::Serializer &s);
 
-    /**
-     * Attach a host worker pool: from here on, accessBatch() runs
-     * whose length reaches the parallel threshold execute set-sharded
-     * across the pool's lanes (one simulation domain per
-     * set-index-residue class), with a barrier per level and the miss
-     * list compacted on the simulation thread in canonical run order.
-     * Simulated state and every statistic stay bit-identical to the
-     * serial path for any lane count — the sharded protocol's
-     * exactness argument lives on CacheArray::accessBatchShard() and
-     * in DESIGN.md section 6g. nullptr detaches (fully serial).
-     */
-    void setShardPool(sim::ShardPool *pool) { shardPool = pool; }
-    sim::ShardPool *pool() const { return shardPool; }
-
-    /**
-     * Runs shorter than this stay serial even with a pool attached
-     * (region wake-up costs more than the scan). Pure host policy —
-     * both paths are bit-identical — exposed so tests can force tiny
-     * runs through the sharded path.
-     */
-    void setParallelMinLines(std::size_t n) { parallelMin = n; }
-    std::size_t parallelMinLines() const { return parallelMin; }
-
   private:
     CacheParams prm;
     std::vector<CacheArray> l1i;
@@ -203,26 +176,6 @@ class CacheHierarchy
     std::vector<std::uint64_t> batchMiss1;
     std::vector<std::uint64_t> batchMiss2;
     std::vector<std::uint64_t> batchMiss3;
-
-    sim::ShardPool *shardPool = nullptr;
-    std::size_t parallelMin = 1024;
-
-    /** Per-line outcomes of one sharded level pass (host scratch). */
-    std::vector<std::uint8_t> hitFlags;
-
-    /**
-     * One level of a sharded batch: fan accessBatchShard() out over
-     * the pool, fold the shard totals, compact the miss list in run
-     * order. Returns the hit count (mirrors CacheArray::accessBatch).
-     */
-    std::size_t runLevelSharded(CacheArray &arr,
-                                const std::uint64_t *addrs, std::size_t n,
-                                std::uint64_t *miss_out);
-
-    CacheBatchResult accessBatchParallel(unsigned core,
-                                         const std::uint64_t *addrs,
-                                         std::size_t n, bool is_inst,
-                                         ExecMode mode);
 
     [[noreturn]] void badCore(unsigned core) const;
 };

@@ -11,7 +11,6 @@
 #include "os/kernel.hh"
 #include "os/kernel_phases.hh"
 #include "sim/logging.hh"
-#include "sim/shard_pool.hh"
 #include "system/system.hh"
 
 namespace hwdp::metrics {
@@ -105,17 +104,6 @@ pollutionProbeTable(const os::KernelExec &kexec)
 }
 
 Table
-shardPoolTable(const sim::ShardPool &pool)
-{
-    Table t({"lanes", "regions", "region tasks", "async tasks"});
-    t.addRow({std::to_string(pool.lanes()),
-              std::to_string(pool.regionsRun()),
-              std::to_string(pool.regionTasksRun()),
-              std::to_string(pool.asyncTasksRun())});
-    return t;
-}
-
-Table
 checkpointTable(const std::vector<CheckpointRow> &ops)
 {
     Table t({"checkpoint", "op", "blob bytes", "ticks skipped"});
@@ -152,7 +140,7 @@ pagingPathTable(system::System &sys)
     }
 
     std::uint64_t rings = 0, coalesced = 0, fetches = 0;
-    std::uint64_t nodes = 0, high_water = 0, deferred = 0;
+    std::uint64_t nodes = 0, high_water = 0;
     for (unsigned d = 0; d < sys.numSsds(); ++d) {
         const ssd::SsdDevice &dev = sys.ssdAt(d);
         rings += dev.doorbellRings();
@@ -160,7 +148,6 @@ pagingPathTable(system::System &sys)
         fetches += dev.inlineFetches();
         nodes += dev.pooledNodesCreated();
         high_water = std::max(high_water, dev.pooledPendingHighWater());
-        deferred += dev.serviceBatchesDeferred();
     }
 
     Table t({"paging path", "count"});
@@ -177,21 +164,6 @@ pagingPathTable(system::System &sys)
     t.addRow({"inline device fetches", std::to_string(fetches)});
     t.addRow({"pooled completion nodes", std::to_string(nodes)});
     t.addRow({"  occupancy high-water", std::to_string(high_water)});
-    t.addRow({"service batches on lanes", std::to_string(deferred)});
-    if (const sim::ShardPool *pool = sys.shardPool()) {
-        for (unsigned s = 1; s < sim::ShardPool::maxAsyncSlots; ++s) {
-            std::uint64_t posted = pool->asyncPosted(s);
-            if (posted == 0)
-                continue;
-            std::uint64_t runs = pool->asyncWorkerRuns(s);
-            t.addRow({"lane " + std::to_string(s) + " batches",
-                      std::to_string(posted)});
-            t.addRow({"  overlapped on a worker",
-                      std::to_string(runs) + " (" +
-                          Table::pct(double(runs) / double(posted)) +
-                          ")"});
-        }
-    }
     return t;
 }
 

@@ -17,10 +17,6 @@ namespace hwdp::os {
 class KernelExec;
 }
 
-namespace hwdp::sim {
-class ShardPool;
-}
-
 namespace hwdp::system {
 class System;
 }
@@ -64,14 +60,6 @@ void banner(const std::string &title, const std::string &subtitle = "");
 Table pollutionProbeTable(const os::KernelExec &kexec);
 
 /**
- * Parallel-mode host observability: lanes, sharded regions and region
- * tasks executed, async side tasks run. Pure host-side counters —
- * deliberately not part of dumpMachineStats, which must stay
- * byte-identical across simThreads values.
- */
-Table shardPoolTable(const sim::ShardPool &pool);
-
-/**
  * One checkpoint operation as seen by a bench: a save or restore of a
  * warmed machine. ticksSkipped is the simulated time the blob
  * carries — the warmup a forked run does not re-simulate.
@@ -87,17 +75,16 @@ struct CheckpointRow
 /**
  * Checkpoint observability for the warm-fork benches: one row per
  * save/restore with the blob size and the warmed simulated time each
- * fork skips, plus a total row. Host-side only, like shardPoolTable —
- * never part of dumpMachineStats.
+ * fork skips, plus a total row. Host-side only — never part of
+ * dumpMachineStats.
  */
 Table checkpointTable(const std::vector<CheckpointRow> &ops);
 
 /**
  * Demand-paging fast-path observability: inline-fault hits (SMU
  * lookups, controller doorbells/completions, device fetches that
- * skipped their event hop), pooled-command occupancy, doorbell
- * coalescing, and per-lane service-batch utilization when a shard
- * pool is active. All host-side counters, never part of
+ * skipped their event hop), pooled-command occupancy and doorbell
+ * coalescing. All host-side counters, never part of
  * dumpMachineStats — simulated results are identical whether every
  * row is zero (fast path off) or not.
  */

@@ -4,7 +4,6 @@
 
 #include "sim/logging.hh"
 #include "sim/serialize.hh"
-#include "sim/shard_pool.hh"
 
 namespace hwdp::os {
 
@@ -286,8 +285,7 @@ KernelExec::applyPollutionBatch(unsigned phys_core,
 
     // Draw the branch outcomes up front: the cache passes consume no
     // randomness, so hoisting the bulk draw leaves the generator
-    // stream identical — and lets the predictor update overlap the
-    // cache passes on the pool's side lane below.
+    // stream identical.
     if (br > 0) {
         if (takenScratch.size() < br)
             takenScratch.resize(br);
@@ -295,22 +293,6 @@ KernelExec::applyPollutionBatch(unsigned phys_core,
         // generator state) as one chance(0.5) per branch.
         rng.fill(0.5, takenScratch.data(), br);
     }
-
-    // Side-lane the predictor batch when it is heavy enough to pay
-    // for the handoff. Predictor state is disjoint from every tag
-    // array and the outcomes are pre-drawn, so concurrency with the
-    // cache passes cannot change any simulated result (the update is
-    // joined before this function returns).
-    constexpr std::size_t asyncMinBranches = 512;
-    auto bp_update = [&] {
-        bps[phys_core].updateBatch(fp.branchPcs.data(),
-                                   fp.branchPcs.size(),
-                                   takenScratch.data(), br,
-                                   ExecMode::kernel);
-    };
-    bool bp_async = pool && br >= asyncMinBranches;
-    if (bp_async)
-        pool->launchAsync(bp_update);
 
     std::uint64_t probes = 0;
     if (ic > 0) {
@@ -336,10 +318,11 @@ KernelExec::applyPollutionBatch(unsigned phys_core,
     }
     probesByCat[c] += probes;
     branchesByCat[c] += br;
-    if (bp_async)
-        pool->joinAsync();
-    else if (br > 0)
-        bp_update();
+    if (br > 0)
+        bps[phys_core].updateBatch(fp.branchPcs.data(),
+                                   fp.branchPcs.size(),
+                                   takenScratch.data(), br,
+                                   ExecMode::kernel);
 }
 
 std::uint64_t

@@ -32,7 +32,6 @@
 
 namespace hwdp::sim {
 class Serializer;
-class ShardPool;
 }
 
 namespace hwdp::os {
@@ -156,16 +155,6 @@ class KernelExec
     bool batchEnabled() const { return batch; }
 
     /**
-     * Attach the parallel-mode worker pool: large pollution batches
-     * then run their branch-predictor update on the pool's side lane,
-     * overlapped with the cache passes of the same phase (the
-     * predictor and the tag arrays share no state, and the outcome
-     * stream is pre-drawn, so the overlap cannot change simulated
-     * results). nullptr restores fully serial execution.
-     */
-    void setShardPool(sim::ShardPool *p) { pool = p; }
-
-    /**
      * Cache tag-array probes (across all three levels) issued by
      * pollution on behalf of @p cat — the simulator-hot-path cost the
      * batch path exists to cut, surfaced so benches can report where
@@ -192,7 +181,6 @@ class KernelExec
     sim::Rng rng;
     bool pollute = true;
     bool batch = true;
-    sim::ShardPool *pool = nullptr;
 
     std::uint64_t instrByCat[static_cast<unsigned>(KernelCostCat::numCats)] =
         {};

@@ -4,14 +4,12 @@
 
 #include "sim/logging.hh"
 #include "sim/serialize.hh"
-#include "sim/shard_pool.hh"
 
 namespace hwdp::ssd {
 
 void
 SsdDevice::serialize(sim::Serializer &s)
 {
-    joinService();
     s.section("ssddevice");
     if (s.saving()) {
         if (nInflight != 0 || fetchScheduled)
@@ -20,7 +18,7 @@ SsdDevice::serialize(sim::Serializer &s)
                 "' has commands in flight; quiesce the machine first");
         // Pooled completions count as in flight too: a live pending
         // node is a command between service and its CQ write.
-        if (!livePending.empty() || !staged.empty() || drainEv)
+        if (!livePending.empty() || drainEv)
             throw sim::SerializeError(
                 "checkpoint: ssd '" + name() +
                 "' has pooled completions pending; quiesce the "
@@ -49,7 +47,6 @@ SsdDevice::serialize(sim::Serializer &s)
         fetchScheduled = false;
         for (auto &qs : queues)
             qs.doorbellPending = false;
-        staged.clear();
         livePending.clear();
         cmdFree.clear();
         cmdPool.clear();
@@ -59,30 +56,6 @@ SsdDevice::serialize(sim::Serializer &s)
         }
     }
     stats().serialize(s);
-}
-
-SsdDevice::~SsdDevice()
-{
-    // A deferred service batch must never outlive the device (the
-    // shard pool would fault on an unjoined task at teardown).
-    joinService();
-}
-
-void
-SsdDevice::setServiceLane(sim::ShardPool *pool, unsigned slot)
-{
-    joinService();
-    lanePool = pool;
-    laneSlot = slot;
-}
-
-void
-SsdDevice::joinService()
-{
-    if (!laneBusy)
-        return;
-    laneBusy = false;
-    lanePool->joinAsyncSlot(laneSlot);
 }
 
 SsdDevice::SsdDevice(std::string name, sim::EventQueue &eq,
@@ -207,31 +180,9 @@ SsdDevice::fetchCommands()
     fetchCommandsAt(now());
 }
 
-namespace {
-
-/** Pre-jitter media time for one opcode (shared with the due bound). */
-inline Tick
-mediaTimeOf(const SsdProfile &prof, nvme::Opcode op, const char *dev)
-{
-    switch (op) {
-      case nvme::Opcode::read:
-        return prof.readMedia;
-      case nvme::Opcode::write:
-        return prof.writeMedia;
-      case nvme::Opcode::flush:
-        return prof.cqeWrite; // effectively immediate in the model
-      default:
-        panic("ssd '", dev, "': unknown opcode");
-    }
-}
-
-} // namespace
-
 void
 SsdDevice::fetchCommandsAt(Tick at)
 {
-    joinService();
-
     // Urgent-priority queues are drained first (NVMe arbitration;
     // Section V notes SMU queues can use this to dodge queueing
     // behind bulk OS traffic).
@@ -244,11 +195,6 @@ SsdDevice::fetchCommandsAt(Tick at)
                                 static_cast<unsigned>(queues[b].qp->priority());
                      });
 
-    // Stage the whole batch first: bookkeeping and fault-injector
-    // queries stay on the simulation thread in canonical fetch order,
-    // whatever thread later runs the service arithmetic.
-    staged.clear();
-    bool lane_ok = fastPath && lanePool != nullptr;
     for (std::size_t qi : order) {
         QueueState &qs = queues[qi];
         if (!qs.doorbellPending)
@@ -257,53 +203,14 @@ SsdDevice::fetchCommandsAt(Tick at)
         while (!qs.qp->sqEmpty()) {
             ++nInflight;
             ++qs.inflight;
-            Staged s;
-            s.sqe = qs.qp->popSqe();
-            s.qidx = static_cast<std::uint32_t>(qi);
-            s.at = at;
+            nvme::SubmissionEntry sqe = qs.qp->popSqe();
+            IoFaultDecision fault;
             if (injector)
-                s.fault = injector->onCommand(s.sqe, qs.qp->qid());
-            // Interrupt-queue commands post their own completion
-            // events, which only the simulation thread may do.
-            if (qs.interrupts)
-                lane_ok = false;
-            staged.push_back(s);
+                fault = injector->onCommand(sqe, qs.qp->qid());
+            serviceOne(sqe, qi, fault, at);
         }
     }
-    if (staged.empty())
-        return;
 
-    if (lane_ok) {
-        // Defer the batch to the device's lane. The drain placeholder
-        // is a lower bound on the earliest CQ write (jitter floors at
-        // 0.5x, stalls and backlog only push dues later), so the
-        // hidden pending work is always preceded by a scheduled event
-        // — which keeps every inline-execution gate conservative.
-        Tick bound = maxTick;
-        for (const Staged &s : staged) {
-            Tick media =
-                mediaTimeOf(prof, s.sqe.opcode, name().c_str());
-            if (media > 0 && prof.mediaCv > 0.0)
-                media /= 2;
-            unsigned ch =
-                static_cast<unsigned>(s.sqe.slba % prof.channels);
-            Tick start = std::max(s.at, channelFreeAt[ch]);
-            bound = std::min(
-                bound, start + media + prof.xfer4k + prof.cqeWrite);
-        }
-        scheduleDrain(bound);
-        ++nDeferredBatches;
-        laneBusy = true;
-        lanePool->launchAsyncSlot(
-            laneSlot,
-            [](void *c, unsigned) {
-                static_cast<SsdDevice *>(c)->serviceStaged();
-            },
-            this);
-        return;
-    }
-
-    serviceStaged();
     // Snooped-queue completions landed in the pending pool: keep the
     // drain scheduled for the earliest due.
     Tick min_due = maxTick;
@@ -314,37 +221,43 @@ SsdDevice::fetchCommandsAt(Tick at)
 }
 
 void
-SsdDevice::serviceStaged()
+SsdDevice::serviceOne(const nvme::SubmissionEntry &sqe, std::size_t qidx,
+                      const IoFaultDecision &fault, Tick at)
 {
-    for (const Staged &s : staged)
-        serviceOne(s);
-    staged.clear();
-}
-
-void
-SsdDevice::serviceOne(const Staged &s)
-{
-    Tick media = mediaTimeOf(prof, s.sqe.opcode, name().c_str());
+    Tick media = 0;
+    switch (sqe.opcode) {
+      case nvme::Opcode::read:
+        media = prof.readMedia;
+        break;
+      case nvme::Opcode::write:
+        media = prof.writeMedia;
+        break;
+      case nvme::Opcode::flush:
+        media = prof.cqeWrite; // effectively immediate in the model
+        break;
+      default:
+        panic("ssd '", name(), "': unknown opcode");
+    }
     if (media > 0 && prof.mediaCv > 0.0) {
         double jitter = rng.normal(1.0, prof.mediaCv);
         jitter = std::max(jitter, 0.5);
         media = static_cast<Tick>(static_cast<double>(media) * jitter);
     }
 
-    unsigned ch = static_cast<unsigned>(s.sqe.slba % prof.channels);
-    if (s.fault.channelStall > 0) {
+    unsigned ch = static_cast<unsigned>(sqe.slba % prof.channels);
+    if (fault.channelStall > 0) {
         channelFreeAt[ch] =
-            std::max(s.at, channelFreeAt[ch]) + s.fault.channelStall;
+            std::max(at, channelFreeAt[ch]) + fault.channelStall;
     }
-    Tick start = std::max(s.at, channelFreeAt[ch]);
+    Tick start = std::max(at, channelFreeAt[ch]);
     Tick media_done = start + media;
     channelFreeAt[ch] = media_done;
 
     Tick cqe_written =
-        media_done + prof.xfer4k + prof.cqeWrite + s.fault.extraLatency;
-    Tick issued = s.at >= prof.cmdFetch ? s.at - prof.cmdFetch : 0;
+        media_done + prof.xfer4k + prof.cqeWrite + fault.extraLatency;
+    Tick issued = at >= prof.cmdFetch ? at - prof.cmdFetch : 0;
 
-    if (fastPath && !queues[s.qidx].interrupts) {
+    if (fastPath && !queues[qidx].interrupts) {
         // Snooped queue: pool the completion; the drain event writes
         // the CQE at the due tick. Steady state allocates nothing.
         std::uint32_t n;
@@ -355,8 +268,8 @@ SsdDevice::serviceOne(const Staged &s)
             n = static_cast<std::uint32_t>(cmdPool.size());
             cmdPool.emplace_back();
         }
-        cmdPool[n] =
-            PendingCmd{s.sqe, s.qidx, s.fault.status, issued, cqe_written};
+        cmdPool[n] = PendingCmd{sqe, static_cast<std::uint32_t>(qidx),
+                                fault.status, issued, cqe_written};
         livePending.push_back(n);
         pendingHighWater =
             std::max<std::uint64_t>(pendingHighWater, livePending.size());
@@ -365,10 +278,11 @@ SsdDevice::serviceOne(const Staged &s)
 
     // Interrupt-driven queue or reference path: one completion event
     // per command.
-    auto status = s.fault.status;
+    auto status = fault.status;
     eq.post(cqe_written,
-            [this, qidx = static_cast<std::size_t>(s.qidx), sqe = s.sqe,
-             issued, status] { complete(qidx, sqe, issued, status); },
+            [this, qidx, sqe, issued, status] {
+                complete(qidx, sqe, issued, status);
+            },
             "ssd.complete");
 }
 
@@ -395,21 +309,14 @@ SsdDevice::scheduleDrain(Tick t)
 void
 SsdDevice::drainFired()
 {
-    joinService();
     if (livePending.empty())
         return;
     Tick d = maxTick;
     for (std::uint32_t n : livePending)
         d = std::min(d, cmdPool[n].due);
-    if (d > now()) {
-        // Placeholder fired at the lower bound; the exact due is now
-        // known, move there.
-        scheduleDrain(d);
-        return;
-    }
-    if (d < now())
-        panic("ssd '", name(), "': pooled completion due ", d,
-              " passed (drain at ", now(), ")");
+    if (d != now())
+        panic("ssd '", name(), "': earliest pooled completion due ", d,
+              " but the drain fired at ", now());
 
     // Pop every command due now, preserving service order (the order
     // the reference path would have posted their events in), and

@@ -23,10 +23,6 @@
 #include "sim/sim_object.hh"
 #include "ssd/ssd_profile.hh"
 
-namespace hwdp::sim {
-class ShardPool;
-}
-
 namespace hwdp::ssd {
 
 /** Per-command fault decision returned by an IoFaultInjector. */
@@ -140,18 +136,6 @@ class SsdDevice : public sim::SimObject
     void setFastPath(bool on) { fastPath = on; }
     bool fastPathEnabled() const { return fastPath; }
 
-    /**
-     * Defer service computation (media jitter, channel serialisation,
-     * completion dues) of pure snooped-queue fetch batches to shard
-     * pool slot @p slot. Joined before any dependent state is touched;
-     * the deferral never changes simulated results, only which host
-     * thread runs the arithmetic. Requires fast-path mode.
-     */
-    void setServiceLane(sim::ShardPool *pool, unsigned slot);
-
-    /** Join an outstanding deferred service batch (no-op when idle). */
-    void joinService();
-
     // ---- Host-side observability (never part of simulated state) ----
     std::uint64_t doorbellRings() const { return nDoorbellRings; }
     std::uint64_t doorbellsCoalesced() const
@@ -164,11 +148,6 @@ class SsdDevice : public sim::SimObject
         return pendingHighWater;
     }
     std::uint64_t pooledNodesCreated() const { return cmdPool.size(); }
-    std::uint64_t serviceBatchesDeferred() const
-    {
-        return nDeferredBatches;
-    }
-    unsigned serviceLaneSlot() const { return laneSlot; }
 
     /**
      * Checkpoint the device: RNG, channel busy horizon, queue rings
@@ -176,8 +155,6 @@ class SsdDevice : public sim::SimObject
      * no pending doorbells or pooled completions, no scheduled fetch).
      */
     void serialize(sim::Serializer &s);
-
-    ~SsdDevice();
 
   private:
     struct QueueState
@@ -203,19 +180,6 @@ class SsdDevice : public sim::SimObject
     // ---- Fast-path machinery (host-side; simulated results are
     // bit-identical to the reference path) --------------------------
     bool fastPath = false;
-    sim::ShardPool *lanePool = nullptr;
-    unsigned laneSlot = 0;
-    bool laneBusy = false;
-
-    /** One fetched command awaiting service computation. */
-    struct Staged
-    {
-        nvme::SubmissionEntry sqe;
-        std::uint32_t qidx = 0;
-        IoFaultDecision fault;
-        Tick at = 0;
-    };
-    std::vector<Staged> staged; ///< Reused fetch-batch buffer.
 
     /** One serviced snooped-queue command awaiting its CQ write. */
     struct PendingCmd
@@ -237,7 +201,6 @@ class SsdDevice : public sim::SimObject
     std::uint64_t nDoorbellsCoalesced = 0;
     std::uint64_t nInlineFetches = 0;
     std::uint64_t pendingHighWater = 0;
-    std::uint64_t nDeferredBatches = 0;
 
     sim::Counter &statReads;
     sim::Counter &statWrites;
@@ -250,11 +213,14 @@ class SsdDevice : public sim::SimObject
     /** Fetch running at logical time @p at (== now() off fast path). */
     void fetchCommandsAt(Tick at);
 
-    /** Service every staged command, in fetch order. */
-    void serviceStaged();
-
-    /** Service one staged command: jitter, channel, route completion. */
-    void serviceOne(const Staged &s);
+    /**
+     * Service one fetched command of queue index @p qidx at logical
+     * time @p at: media jitter, channel serialisation, then route the
+     * completion (pooled for snooped queues on the fast path, an
+     * event otherwise).
+     */
+    void serviceOne(const nvme::SubmissionEntry &sqe, std::size_t qidx,
+                    const IoFaultDecision &fault, Tick at);
 
     /** Keep the drain event scheduled no later than @p t. */
     void scheduleDrain(Tick t);

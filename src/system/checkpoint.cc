@@ -28,29 +28,26 @@ std::uint64_t
 Checkpoint::configHash(const MachineConfig &cfg)
 {
     // describe() covers mode, topology, caches, memory, storage and
-    // SMU geometry. Neutralise the host-only simThreads line (the
-    // parallel mode is bit-identical, blobs are interchangeable) and
-    // fold in the knobs describe() omits but a restore depends on.
-    MachineConfig shape = cfg;
-    shape.simThreads = 1;
-    std::string d = shape.describe();
+    // SMU geometry; fold in the knobs it omits but a restore depends
+    // on.
+    std::string d = cfg.describe();
     std::uint64_t h = fnv1a(d.data(), d.size(), 14695981039346656037ULL);
-    h = fnv1a(&shape.seed, sizeof(shape.seed), h);
-    h = fnv1a(&shape.reservedFrames, sizeof(shape.reservedFrames), h);
-    h = fnv1a(&shape.pwcEntries, sizeof(shape.pwcEntries), h);
-    h = fnv1a(&shape.hwStallTimeout, sizeof(shape.hwStallTimeout), h);
-    h = fnv1a(&shape.kpooldBatch, sizeof(shape.kpooldBatch), h);
+    h = fnv1a(&cfg.seed, sizeof(cfg.seed), h);
+    h = fnv1a(&cfg.reservedFrames, sizeof(cfg.reservedFrames), h);
+    h = fnv1a(&cfg.pwcEntries, sizeof(cfg.pwcEntries), h);
+    h = fnv1a(&cfg.hwStallTimeout, sizeof(cfg.hwStallTimeout), h);
+    h = fnv1a(&cfg.kpooldBatch, sizeof(cfg.kpooldBatch), h);
     // describe() prints the device count only on multi-socket
     // machines; a single-socket multi-device machine must not share
     // blobs with the single-device shape. Same for the free-queue
     // split and the SMU prefetch flag, which restore validates.
-    h = fnv1a(&shape.nDevices, sizeof(shape.nDevices), h);
-    std::uint8_t per_core = shape.smu.perCoreFreeQueues ? 1 : 0;
+    h = fnv1a(&cfg.nDevices, sizeof(cfg.nDevices), h);
+    std::uint8_t per_core = cfg.smu.perCoreFreeQueues ? 1 : 0;
     h = fnv1a(&per_core, sizeof(per_core), h);
-    h = fnv1a(&shape.smu.nFreeQueues, sizeof(shape.smu.nFreeQueues), h);
-    std::uint8_t seq_pf = shape.smu.sequentialPrefetch ? 1 : 0;
+    h = fnv1a(&cfg.smu.nFreeQueues, sizeof(cfg.smu.nFreeQueues), h);
+    std::uint8_t seq_pf = cfg.smu.sequentialPrefetch ? 1 : 0;
     h = fnv1a(&seq_pf, sizeof(seq_pf), h);
-    std::uint8_t pollution = shape.pollutionEnabled ? 1 : 0;
+    std::uint8_t pollution = cfg.pollutionEnabled ? 1 : 0;
     h = fnv1a(&pollution, sizeof(pollution), h);
     return h;
 }

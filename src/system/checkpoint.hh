@@ -13,9 +13,7 @@
  * from (paging mode, topology, memory, device profile, SMU geometry,
  * seed) — restoring onto a differently configured machine is rejected
  * up front with a readable error instead of failing somewhere deep in
- * a section check. simThreads is deliberately excluded: the parallel
- * simulation mode is bit-identical, so a blob saved at simThreads=1
- * restores under simThreads=4 and vice versa.
+ * a section check.
  *
  * The trailing logical-state hash is the same FNV fold the
  * MachineDiffer computes (testing/logical_state.hh). restore()
@@ -104,7 +102,7 @@ class Checkpoint
     static bool restoreFile(System &sys, const std::string &path,
                             CheckpointStats *st = nullptr);
 
-    /** The shape hash bound into every blob (simThreads excluded). */
+    /** The shape hash bound into every blob. */
     static std::uint64_t configHash(const MachineConfig &cfg);
 };
 

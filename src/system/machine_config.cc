@@ -109,11 +109,6 @@ MachineConfig::describe() const
            << ktierdBatch << " frames/pass, watermarks "
            << tierLowWatermarkFrac << "/" << tierHighWatermarkFrac
            << '\n';
-    // Host-only knob: shown only when engaged, so the default dump
-    // stays a pure Table II reproduction.
-    if (simThreads > 1)
-        os << "host sim threads : " << simThreads
-           << " (parallel simulation mode, bit-identical)\n";
     // Host-only knob: shown only when the reference path is selected,
     // so the default dump (and the checkpoint config hash) keeps the
     // Table II text while fast-on and fast-off blobs never collide

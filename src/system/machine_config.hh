@@ -216,20 +216,6 @@ struct MachineConfig
     bool faultFastPath = true;
 
     /**
-     * Host execution lanes for one simulated machine (the parallel
-     * simulation mode). 1 runs the engine exactly as before — no pool
-     * is built and no parallel code path is reachable. Values > 1
-     * spawn simThreads - 1 host workers that execute set-sharded
-     * cache batches and the branch-predictor side lane under the
-     * unchanged sequential event loop. Simulated state and every
-     * statistic are bit-identical for any value (the parallel
-     * differential suite enforces it); only host wall time changes.
-     * Independent of SweepRunner's across-machine parallelism
-     * (HWDP_BENCH_JOBS) — see EXPERIMENTS.md for guidance.
-     */
-    unsigned simThreads = 1;
-
-    /**
      * Last logical cores host the kernel threads by default; small
      * machines share core 0 with the workload.
      */

@@ -13,8 +13,6 @@ System::System(const MachineConfig &cfg_in) : cfg(cfg_in), rng(cfg.seed)
 {
     setQuiet(cfg.quiet);
 
-    if (cfg.simThreads == 0)
-        fatal("system: simThreads must be >= 1");
     // The PTE socket-id field is 3 bits (Section V's LBA encoding),
     // so at most 8 sockets can be addressed by hardware-handled PTEs.
     if (cfg.sockets == 0 || cfg.sockets > 8)
@@ -25,15 +23,12 @@ System::System(const MachineConfig &cfg_in) : cfg(cfg_in), rng(cfg.seed)
     if (cfg.sockets > 1 && cfg.nPhysical % cfg.sockets != 0)
         fatal("system: nPhysical (", cfg.nPhysical,
               ") must divide evenly across ", cfg.sockets, " sockets");
-    if (cfg.simThreads > 1)
-        pool = std::make_unique<sim::ShardPool>(cfg.simThreads);
 
     pm = std::make_unique<mem::PhysMem>(eq,
                                         cfg.memFrames + cfg.reservedFrames,
                                         cfg.reservedFrames, cfg.sockets);
     hierarchy = std::make_unique<mem::CacheHierarchy>(cfg.nPhysical,
                                                       cfg.cache);
-    hierarchy->setShardPool(pool.get());
     bps.reserve(cfg.nPhysical);
     for (unsigned i = 0; i < cfg.nPhysical; ++i)
         bps.emplace_back();
@@ -50,7 +45,6 @@ System::System(const MachineConfig &cfg_in) : cfg(cfg_in), rng(cfg.seed)
                                         rng.fork());
     kern->kexec().setPollutionEnabled(cfg.pollutionEnabled);
     kern->kexec().setBatchEnabled(cfg.pollutionBatch);
-    kern->kexec().setShardPool(pool.get());
 
     // Block devices (the paper's machine has one; the PTE device-id
     // field supports up to 8 per socket).
@@ -68,15 +62,6 @@ System::System(const MachineConfig &cfg_in) : cfg(cfg_in), rng(cfg.seed)
             ssds.push_back(std::make_unique<ssd::SsdDevice>(
                 "ssd" + std::to_string(idx), eq, prof, rng.fork()));
             ssds.back()->setFastPath(cfg.faultFastPath);
-            // Parallel service lanes: each device gets a shard-pool
-            // async slot (slot 0 stays the branch-predictor side
-            // lane). Pure snooped-queue fetch batches then run their
-            // channel arithmetic off the simulation thread —
-            // bit-identical results, the lane only moves host work.
-            if (pool && cfg.faultFastPath)
-                ssds.back()->setServiceLane(
-                    pool.get(),
-                    1 + idx % (sim::ShardPool::maxAsyncSlots - 1));
             kern->attachDevice(ssds.back().get(),
                                os::BlockDeviceId{s, d});
         }
@@ -502,7 +487,6 @@ System::addThread(workloads::Workload &wl, unsigned core_idx,
     // engine and user-side burst streams switch together.
     cpu::CoreParams core_prm = cfg.core;
     core_prm.batch = cfg.pollutionBatch;
-    core_prm.pool = pool.get();
     auto tc = std::make_unique<cpu::ThreadContext>(
         std::string(wl.label()) + "#" + std::to_string(tcs.size()),
         core_idx, *kern, cores.at(core_idx)->mmu(), *hierarchy,

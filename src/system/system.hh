@@ -23,7 +23,6 @@
 #include "core/software_smu.hh"
 #include "cpu/core.hh"
 #include "cpu/thread_context.hh"
-#include "sim/shard_pool.hh"
 #include "system/machine_config.hh"
 #include "system/socket.hh"
 #include "tier/cxl_buffer.hh"
@@ -49,9 +48,6 @@ class System
     std::vector<mem::BranchPredictor> &branchPredictors() { return bps; }
     ssd::SsdDevice &ssd() { return *ssds.front(); }
     cpu::Core &core(unsigned i) { return *cores.at(i); }
-
-    /** Parallel-mode worker pool; nullptr when simThreads == 1. */
-    sim::ShardPool *shardPool() { return pool.get(); }
 
     core::Smu *smu()
     {
@@ -266,9 +262,6 @@ class System
     MachineConfig cfg;
     sim::EventQueue eq;
     sim::Rng rng;
-
-    /** Declared before its users so it outlives them at teardown. */
-    std::unique_ptr<sim::ShardPool> pool;
 
     std::unique_ptr<mem::PhysMem> pm;
     std::unique_ptr<mem::CacheHierarchy> hierarchy;

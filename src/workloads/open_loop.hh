@@ -15,9 +15,9 @@
  * OpenLoopSource pre-generates the whole arrival schedule from its
  * own forked rng (exponential gaps at the aggregate rate) and deals
  * arrivals round-robin to the server threads, so the schedule is a
- * pure function of the seed — independent of simThreads, socket
- * count and completion order. Each OpenLoopServer is a Workload
- * pulled by one ThreadContext: it idles until its next arrival is
+ * pure function of the seed — independent of socket count and
+ * completion order. Each OpenLoopServer is a Workload pulled by one
+ * ThreadContext: it idles until its next arrival is
  * due, then emits the request's op sequence through the shared
  * KvStore recipes (zipfian or latest key choice, read/update mix),
  * and records completion-minus-arrival latency into its reservoir at

@@ -3,10 +3,11 @@
  * Machine checkpointing: a warmed machine saved, restored onto an
  * identically booted twin and continued must be indistinguishable —
  * byte-identical stats dumps and equal logical-state hashes versus
- * the straight run — for every paging mode, workload, host lane
- * count, clean and under an injected fault plan. Plus unit blob
- * round-trips for the leaf serializers and rejection of foreign,
- * stale-version and wrong-config blobs.
+ * the straight run — for every paging mode and workload, clean and
+ * under an injected fault plan. Plus unit blob round-trips for the
+ * leaf serializers, rejection of foreign, stale-version and
+ * wrong-config blobs, and config hashes pinned to the values v3 blobs
+ * were saved with.
  */
 
 #include <gtest/gtest.h>
@@ -41,7 +42,6 @@ struct Scenario
 {
     system::PagingMode mode;
     char wl; // 'I' = FIO, 'A' = YCSB-A
-    unsigned simThreads;
     double faultRate;
 };
 
@@ -49,8 +49,8 @@ std::string
 scenarioName(const Scenario &sc)
 {
     std::ostringstream os;
-    os << pagingModeName(sc.mode) << "/" << sc.wl << "/lanes"
-       << sc.simThreads << "/rate" << sc.faultRate;
+    os << pagingModeName(sc.mode) << "/" << sc.wl << "/rate"
+       << sc.faultRate;
     return os.str();
 }
 
@@ -65,7 +65,6 @@ smallConfig(const Scenario &sc)
     cfg.smu.freeQueueCapacity = 512;
     cfg.kpooldPeriod = milliseconds(1.0);
     cfg.kptedPeriod = milliseconds(4.0);
-    cfg.simThreads = sc.simThreads;
     return cfg;
 }
 
@@ -187,15 +186,12 @@ expectRoundTripIdentity(const Scenario &sc)
 
 } // namespace
 
-TEST(Checkpoint, RoundTripIdentityAcrossModesWorkloadsAndLanes)
+TEST(Checkpoint, RoundTripIdentityAcrossModesAndWorkloads)
 {
     for (auto mode : {system::PagingMode::osdp, system::PagingMode::hwdp,
                       system::PagingMode::swsmu}) {
-        for (char wl : {'I', 'A'}) {
-            for (unsigned lanes : {1u, 4u}) {
-                expectRoundTripIdentity({mode, wl, lanes, 0.0});
-            }
-        }
+        for (char wl : {'I', 'A'})
+            expectRoundTripIdentity({mode, wl, 0.0});
     }
 }
 
@@ -203,43 +199,14 @@ TEST(Checkpoint, RoundTripIdentityUnderOnePercentFaultPlan)
 {
     for (auto mode : {system::PagingMode::osdp, system::PagingMode::hwdp,
                       system::PagingMode::swsmu}) {
-        for (char wl : {'I', 'A'}) {
-            for (unsigned lanes : {1u, 4u}) {
-                expectRoundTripIdentity({mode, wl, lanes, 0.01});
-            }
-        }
+        for (char wl : {'I', 'A'})
+            expectRoundTripIdentity({mode, wl, 0.01});
     }
-}
-
-TEST(Checkpoint, BlobPortsAcrossSimThreadCounts)
-{
-    // Parallel mode is bit-identical, so a blob saved at one lane
-    // count restores under another. Save at 1 lane, restore at 4.
-    Scenario one{system::PagingMode::hwdp, 'I', 1, 0.0};
-    Scenario four{system::PagingMode::hwdp, 'I', 4, 0.0};
-
-    Machine a = boot(one);
-    ASSERT_TRUE(a.sys->runUntilThreadsDone(seconds(30.0)));
-    auto blob = system::Checkpoint::save(*a.sys);
-    a.sys->resumeKthreads();
-    std::string statsA;
-    std::uint64_t hashA = 0;
-    finish(a, one, statsA, hashA);
-
-    Machine b = boot(four);
-    system::Checkpoint::restore(*b.sys, blob);
-    b.sys->resumeKthreads();
-    std::string statsB;
-    std::uint64_t hashB = 0;
-    finish(b, four, statsB, hashB);
-
-    EXPECT_EQ(hashA, hashB);
-    EXPECT_EQ(statsA, statsB);
 }
 
 TEST(Checkpoint, SaveRefusesARunningMachine)
 {
-    Scenario sc{system::PagingMode::hwdp, 'I', 1, 0.0};
+    Scenario sc{system::PagingMode::hwdp, 'I', 0.0};
     Machine m = boot(sc);
     m.sys->runFor(microseconds(50.0));
     EXPECT_THROW(system::Checkpoint::save(*m.sys), sim::SerializeError);
@@ -247,14 +214,14 @@ TEST(Checkpoint, SaveRefusesARunningMachine)
 
 TEST(Checkpoint, SaveRefusesANeverStartedMachine)
 {
-    Scenario sc{system::PagingMode::hwdp, 'I', 1, 0.0};
+    Scenario sc{system::PagingMode::hwdp, 'I', 0.0};
     Machine m = boot(sc);
     EXPECT_THROW(system::Checkpoint::save(*m.sys), sim::SerializeError);
 }
 
 TEST(Checkpoint, RejectsForeignStaleAndMisconfiguredBlobs)
 {
-    Scenario sc{system::PagingMode::hwdp, 'I', 1, 0.0};
+    Scenario sc{system::PagingMode::hwdp, 'I', 0.0};
     Machine a = boot(sc);
     ASSERT_TRUE(a.sys->runUntilThreadsDone(seconds(30.0)));
     auto blob = system::Checkpoint::save(*a.sys);
@@ -299,15 +266,35 @@ TEST(Checkpoint, RejectsForeignStaleAndMisconfiguredBlobs)
     }
 }
 
-TEST(Checkpoint, ConfigHashIgnoresSimThreadsOnly)
+TEST(Checkpoint, ConfigHashGoldenValues)
 {
-    system::MachineConfig base = smallConfig(
-        {system::PagingMode::hwdp, 'I', 1, 0.0});
-    system::MachineConfig lanes = base;
-    lanes.simThreads = 4;
-    EXPECT_EQ(system::Checkpoint::configHash(base),
-              system::Checkpoint::configHash(lanes));
+    // The hashes v3 blobs carry. A change here orphans every saved
+    // blob of that shape: bump Checkpoint::formatVersion instead of
+    // updating a value.
+    system::MachineConfig def;
+    EXPECT_EQ(system::Checkpoint::configHash(def), 0x28e3e14aa8b956d7ULL);
 
+    system::MachineConfig two_socket = def;
+    two_socket.sockets = 2;
+    EXPECT_EQ(system::Checkpoint::configHash(two_socket),
+              0xa1dee7122c530319ULL);
+
+    system::MachineConfig cxl = def;
+    cxl.tierMode = system::TierMode::cxl;
+    EXPECT_EQ(system::Checkpoint::configHash(cxl), 0x6bbbbeeae3b712c5ULL);
+
+    system::MachineConfig thp = def;
+    thp.pageMode = PageMode::thp;
+    EXPECT_EQ(system::Checkpoint::configHash(thp), 0x2645849fadcb26baULL);
+
+    system::MachineConfig reference_path = def;
+    reference_path.faultFastPath = false;
+    EXPECT_EQ(system::Checkpoint::configHash(reference_path),
+              0xf37275cc06a692e7ULL);
+
+    // Shape knobs outside the pinned set still separate blobs.
+    system::MachineConfig base =
+        smallConfig({system::PagingMode::hwdp, 'I', 0.0});
     system::MachineConfig seeded = base;
     seeded.seed += 1;
     EXPECT_NE(system::Checkpoint::configHash(base),
@@ -321,7 +308,7 @@ TEST(Checkpoint, ConfigHashIgnoresSimThreadsOnly)
 
 TEST(Checkpoint, FileRoundTripAndMissingFileFallback)
 {
-    Scenario sc{system::PagingMode::osdp, 'I', 1, 0.0};
+    Scenario sc{system::PagingMode::osdp, 'I', 0.0};
     Machine a = boot(sc);
     ASSERT_TRUE(a.sys->runUntilThreadsDone(seconds(30.0)));
 
@@ -342,7 +329,7 @@ TEST(Checkpoint, FileRoundTripAndMissingFileFallback)
 
 TEST(Checkpoint, DescribeCarriesProvenance)
 {
-    Scenario sc{system::PagingMode::hwdp, 'I', 1, 0.0};
+    Scenario sc{system::PagingMode::hwdp, 'I', 0.0};
     Machine a = boot(sc);
     EXPECT_NE(a.sys->describe().find("cold boot"), std::string::npos);
     ASSERT_TRUE(a.sys->runUntilThreadsDone(seconds(30.0)));

@@ -7,7 +7,7 @@
  * inert at sockets=1 (byte-identical dumps whatever its value) — the
  * differential gate standing in for "byte-identical to the pre-NUMA
  * simulator". Multi-socket machines must be deterministic: bit-equal
- * across host lane counts, stable under checkpoint save -> restore ->
+ * across repeated runs, stable under checkpoint save -> restore ->
  * continue, and consistent under the socket invariants (home-socket
  * queues, shootdown epoch agreement) mid-run, at completion and
  * immediately after a restore. The open-loop serving stack rides the
@@ -38,8 +38,7 @@ namespace ht = hwdp::testing;
 namespace {
 
 system::MachineConfig
-baseConfig(system::PagingMode mode, unsigned sockets,
-           unsigned sim_threads = 1)
+baseConfig(system::PagingMode mode, unsigned sockets)
 {
     system::MachineConfig cfg;
     cfg.mode = mode;
@@ -50,7 +49,6 @@ baseConfig(system::PagingMode mode, unsigned sockets,
     cfg.kpooldPeriod = milliseconds(1.0);
     cfg.kptedPeriod = milliseconds(4.0);
     cfg.sockets = sockets;
-    cfg.simThreads = sim_threads;
     return cfg;
 }
 
@@ -137,33 +135,19 @@ TEST(NumaServing, NumaKnobsAreInertAtOneSocket)
     }
 }
 
-TEST(NumaServing, SingleSocketBitIdenticalAcrossSimThreads)
-{
-    for (auto mode : {system::PagingMode::osdp, system::PagingMode::hwdp,
-                      system::PagingMode::swsmu}) {
-        for (char wl : {'I', 'A'}) {
-            SCOPED_TRACE(std::string(pagingModeName(mode)) + "/" + wl);
-            auto serial = runWorkload(baseConfig(mode, 1, 1), wl);
-            auto par = runWorkload(baseConfig(mode, 1, 4), wl);
-            EXPECT_EQ(serial.stats, par.stats);
-            EXPECT_EQ(serial.hash, par.hash);
-        }
-    }
-}
-
 // ---- Multi-socket determinism ----------------------------------------------
 
-TEST(NumaServing, TwoSocketBitIdenticalAcrossSimThreads)
+TEST(NumaServing, TwoSocketRunsAreDeterministic)
 {
     for (auto mode : {system::PagingMode::osdp, system::PagingMode::hwdp,
                       system::PagingMode::swsmu}) {
         for (char wl : {'I', 'A'}) {
             SCOPED_TRACE(std::string(pagingModeName(mode)) + "/" + wl);
-            auto serial = runWorkload(baseConfig(mode, 2, 1), wl);
-            auto par = runWorkload(baseConfig(mode, 2, 4), wl);
-            ASSERT_FALSE(serial.stats.empty());
-            EXPECT_EQ(serial.stats, par.stats);
-            EXPECT_EQ(serial.hash, par.hash);
+            auto a = runWorkload(baseConfig(mode, 2), wl);
+            auto b = runWorkload(baseConfig(mode, 2), wl);
+            ASSERT_FALSE(a.stats.empty());
+            EXPECT_EQ(a.stats, b.stats);
+            EXPECT_EQ(a.hash, b.hash);
         }
     }
 }
@@ -213,11 +197,10 @@ struct NumaMachine
 };
 
 NumaMachine
-bootNuma(system::PagingMode mode, unsigned sim_threads)
+bootNuma(system::PagingMode mode)
 {
     NumaMachine m;
-    m.sys = std::make_unique<system::System>(
-        baseConfig(mode, 2, sim_threads));
+    m.sys = std::make_unique<system::System>(baseConfig(mode, 2));
     for (unsigned s = 0; s < 2; ++s)
         m.mfs.push_back(m.sys->mapDataset("f" + std::to_string(s),
                                           8 * 1024, nullptr, s));
@@ -245,38 +228,35 @@ TEST(NumaServing, TwoSocketCheckpointRoundTripIdentity)
 {
     for (auto mode : {system::PagingMode::osdp, system::PagingMode::hwdp,
                       system::PagingMode::swsmu}) {
-        for (unsigned lanes : {1u, 4u}) {
-            SCOPED_TRACE(std::string(pagingModeName(mode)) + "/lanes" +
-                         std::to_string(lanes));
+        SCOPED_TRACE(pagingModeName(mode));
 
-            NumaMachine a = bootNuma(mode, lanes);
-            ASSERT_TRUE(a.sys->runUntilThreadsDone(seconds(30.0)));
-            auto blob = system::Checkpoint::save(*a.sys);
-            a.sys->resumeKthreads();
-            std::string statsA;
-            std::uint64_t hashA = 0;
-            finishNuma(a, statsA, hashA);
+        NumaMachine a = bootNuma(mode);
+        ASSERT_TRUE(a.sys->runUntilThreadsDone(seconds(30.0)));
+        auto blob = system::Checkpoint::save(*a.sys);
+        a.sys->resumeKthreads();
+        std::string statsA;
+        std::uint64_t hashA = 0;
+        finishNuma(a, statsA, hashA);
 
-            NumaMachine b = bootNuma(mode, lanes);
-            system::Checkpoint::restore(*b.sys, blob);
-            // Socket audits must pass on the freshly restored machine
-            // before it runs a single further event.
-            auto inv0 = ht::checkInvariants(*b.sys);
-            EXPECT_TRUE(inv0.empty()) << inv0.front();
-            b.sys->resumeKthreads();
-            std::string statsB;
-            std::uint64_t hashB = 0;
-            finishNuma(b, statsB, hashB);
+        NumaMachine b = bootNuma(mode);
+        system::Checkpoint::restore(*b.sys, blob);
+        // Socket audits must pass on the freshly restored machine
+        // before it runs a single further event.
+        auto inv0 = ht::checkInvariants(*b.sys);
+        EXPECT_TRUE(inv0.empty()) << inv0.front();
+        b.sys->resumeKthreads();
+        std::string statsB;
+        std::uint64_t hashB = 0;
+        finishNuma(b, statsB, hashB);
 
-            EXPECT_EQ(hashA, hashB);
-            EXPECT_EQ(statsA, statsB);
-        }
+        EXPECT_EQ(hashA, hashB);
+        EXPECT_EQ(statsA, statsB);
     }
 }
 
 TEST(NumaServing, TwoSocketBlobRejectsSingleSocketTarget)
 {
-    NumaMachine a = bootNuma(system::PagingMode::hwdp, 1);
+    NumaMachine a = bootNuma(system::PagingMode::hwdp);
     ASSERT_TRUE(a.sys->runUntilThreadsDone(seconds(30.0)));
     auto blob = system::Checkpoint::save(*a.sys);
 
@@ -291,10 +271,10 @@ TEST(NumaServing, TwoSocketBlobRejectsSingleSocketTarget)
 
 // ---- Open-loop serving on a two-socket machine -----------------------------
 
-TEST(NumaServing, OpenLoopServingDeterministicAcrossSimThreads)
+TEST(NumaServing, OpenLoopServingDeterministicOnTwoSockets)
 {
-    auto runServing = [](unsigned sim_threads) {
-        auto cfg = baseConfig(system::PagingMode::hwdp, 2, sim_threads);
+    auto runServing = [] {
+        auto cfg = baseConfig(system::PagingMode::hwdp, 2);
         system::System sys(cfg);
         auto mf = sys.mapDataset("kv", 8 * 1024);
         auto *wal = sys.createFile("wal", 4 * 1024);
@@ -337,8 +317,8 @@ TEST(NumaServing, OpenLoopServingDeterministicAcrossSimThreads)
         return r;
     };
 
-    auto serial = runServing(1);
-    auto par = runServing(4);
-    EXPECT_EQ(serial.stats, par.stats);
-    EXPECT_EQ(serial.hash, par.hash);
+    auto a = runServing();
+    auto b = runServing();
+    EXPECT_EQ(a.stats, b.stats);
+    EXPECT_EQ(a.hash, b.hash);
 }

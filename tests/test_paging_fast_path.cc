@@ -1,6 +1,6 @@
 /**
  * @file
- * The demand-paging fault fast path and its parallel service lanes.
+ * The demand-paging fault fast path.
  *
  * Device level: directed tests for the pooled NVMe command/completion
  * nodes (exhaustion, recycling, zero steady-state growth), doorbell
@@ -11,10 +11,8 @@
  *
  * Machine level: whole-machine differential fast==legacy across
  * osdp/hwdp/swsmu for FIO and YCSB-A, clean and under a 1% fault
- * plan — byte-identical stats dumps and equal logical-state hashes.
- *
- * Lane level: per-device service lanes on 2- and 4-socket machines
- * must be bit-identical for simThreads {1, 2, 4}, clean and faulted.
+ * plan, plus 2- and 4-socket hwdp machines clean and faulted —
+ * byte-identical stats dumps and equal logical-state hashes.
  *
  * Checkpoint level: a device holding live pooled completions must
  * refuse to serialize; after draining, the blob round-trips.
@@ -182,8 +180,7 @@ runStorm(const SsdProfile &prof, bool fast, ScriptedInjector *inj)
 // ---- Machine-level harness -------------------------------------------------
 
 system::MachineConfig
-machineConfig(system::PagingMode mode, bool fast, unsigned sockets = 1,
-              unsigned sim_threads = 1)
+machineConfig(system::PagingMode mode, bool fast, unsigned sockets = 1)
 {
     system::MachineConfig cfg;
     cfg.mode = mode;
@@ -194,7 +191,6 @@ machineConfig(system::PagingMode mode, bool fast, unsigned sockets = 1,
     cfg.kpooldPeriod = milliseconds(1.0);
     cfg.kptedPeriod = milliseconds(4.0);
     cfg.sockets = sockets;
-    cfg.simThreads = sim_threads;
     cfg.faultFastPath = fast;
     return cfg;
 }
@@ -205,14 +201,12 @@ struct MachineResult
     std::string stats;
     std::uint64_t inlineMisses = 0;
     std::uint64_t inlineFetches = 0;
-    std::uint64_t deferredBatches = 0;
 };
 
 MachineResult
 runMachine(system::MachineConfig cfg, char wl, double fault_rate)
 {
     system::System sys(cfg);
-    sys.caches().setParallelMinLines(1);
     ht::FaultPlan plan("plan", sys.eventQueue(), wl == 'I' ? 97 : 101);
     std::vector<std::unique_ptr<workloads::KvStore>> stores;
     for (unsigned s = 0; s < cfg.sockets; ++s) {
@@ -248,10 +242,8 @@ runMachine(system::MachineConfig cfg, char wl, double fault_rate)
     for (unsigned s = 0; s < sys.numSockets(); ++s)
         if (core::Smu *smu = sys.smuAt(s))
             r.inlineMisses += smu->inlineMisses();
-    for (unsigned d = 0; d < sys.numSsds(); ++d) {
+    for (unsigned d = 0; d < sys.numSsds(); ++d)
         r.inlineFetches += sys.ssdAt(d).inlineFetches();
-        r.deferredBatches += sys.ssdAt(d).serviceBatchesDeferred();
-    }
     return r;
 }
 
@@ -439,6 +431,17 @@ TEST(PagingFastPath, FastVsLegacyFioAllModes)
             EXPECT_EQ(legacy.inlineMisses, 0u);
         }
     }
+    // One SMU/NVMe/SSD complex per socket: per-device drains and
+    // doorbell coalescing must stay exact with several devices live.
+    for (unsigned sockets : {2u, 4u}) {
+        auto fast = runMachine(
+            machineConfig(system::PagingMode::hwdp, true, sockets), 'I', 0.0);
+        auto legacy = runMachine(
+            machineConfig(system::PagingMode::hwdp, false, sockets), 'I',
+            0.0);
+        expectIdentical(fast, legacy,
+                        "fio/hwdp/sockets" + std::to_string(sockets));
+    }
 }
 
 TEST(PagingFastPath, FastVsLegacyYcsbAllModes)
@@ -454,50 +457,20 @@ TEST(PagingFastPath, FastVsLegacyYcsbAllModes)
 
 TEST(PagingFastPath, FastVsLegacyUnderFaultPlan)
 {
-    auto fast = runMachine(machineConfig(system::PagingMode::hwdp, true),
-                           'I', 0.01);
-    auto legacy = runMachine(
-        machineConfig(system::PagingMode::hwdp, false), 'I', 0.01);
-    expectIdentical(fast, legacy, "fio+faults/hwdp");
+    for (unsigned sockets : {1u, 2u, 4u}) {
+        auto fast = runMachine(
+            machineConfig(system::PagingMode::hwdp, true, sockets), 'I',
+            0.01);
+        auto legacy = runMachine(
+            machineConfig(system::PagingMode::hwdp, false, sockets), 'I',
+            0.01);
+        expectIdentical(fast, legacy,
+                        "fio+faults/hwdp/sockets" + std::to_string(sockets));
+    }
 
     auto fa = runMachine(machineConfig(system::PagingMode::swsmu, true),
                          'A', 0.01);
     auto la = runMachine(machineConfig(system::PagingMode::swsmu, false),
                          'A', 0.01);
     expectIdentical(fa, la, "ycsb+faults/swsmu");
-}
-
-// ---- Parallel service lanes ------------------------------------------------
-
-TEST(PagingFastPath, LaneIdentityMultiSocketCleanAndFaulted)
-{
-    for (unsigned sockets : {2u, 4u}) {
-        for (double rate : {0.0, 0.01}) {
-            auto serial = runMachine(
-                machineConfig(system::PagingMode::hwdp, true, sockets, 1),
-                'I', rate);
-            for (unsigned threads : {2u, 4u}) {
-                auto par = runMachine(
-                    machineConfig(system::PagingMode::hwdp, true,
-                                  sockets, threads),
-                    'I', rate);
-                std::ostringstream what;
-                what << "sockets=" << sockets << " rate=" << rate
-                     << " simThreads=" << threads;
-                expectIdentical(serial, par, what.str());
-                // Lanes exist only when a pool does; the serial run
-                // must service everything synchronously.
-                EXPECT_EQ(serial.deferredBatches, 0u) << what.str();
-            }
-        }
-    }
-}
-
-TEST(PagingFastPath, LanesActuallyDeferOnParallelHwdpMachines)
-{
-    auto par = runMachine(
-        machineConfig(system::PagingMode::hwdp, true, 2, 4), 'I', 0.0);
-    EXPECT_GT(par.deferredBatches, 0u)
-        << "no fetch batch took a service lane; the lane wiring is "
-           "dead";
 }

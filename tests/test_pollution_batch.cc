@@ -129,6 +129,13 @@ TEST(PollutionBatch, ForcedSingleSetCollisionRuns)
     for (int i = 0; i < 20; ++i)
         run.push_back(static_cast<std::uint64_t>(19 - i) * set_stride);
     expectBatchMatchesPerLine(batch, ref, run);
+
+    // Eleven tags cycling through the 8-way set: each line comes back
+    // after it was evicted earlier in the same call.
+    run.clear();
+    for (int i = 0; i < 20; ++i)
+        run.push_back(static_cast<std::uint64_t>(i % 11) * set_stride);
+    expectBatchMatchesPerLine(batch, ref, run);
 }
 
 TEST(PollutionBatch, RenormalizationBoundariesPreserved)
@@ -152,6 +159,24 @@ TEST(PollutionBatch, RenormalizationBoundariesPreserved)
             run.push_back(rng.range(80) * 64);
         expectBatchMatchesPerLine(batch, ref, run);
     }
+
+    // 2 sets x 2 ways: stamps saturate every 127 accesses. Warm to just
+    // below the boundary, walk across it with single-line batches (one
+    // opens exactly on the boundary), then span several wraps in one
+    // call. An empty batch must leave everything untouched.
+    CacheArray tiny("b", 2 * 2 * 64, 2);
+    CacheArray tiny_ref("r", 2 * 2 * 64, 2);
+    run.clear();
+    for (int i = 0; i < 120; ++i)
+        run.push_back(rng.range(16) * 64);
+    expectBatchMatchesPerLine(tiny, tiny_ref, run);
+    for (int i = 0; i < 20; ++i)
+        expectBatchMatchesPerLine(tiny, tiny_ref, {rng.range(16) * 64});
+    run.clear();
+    for (int i = 0; i < 400; ++i)
+        run.push_back(rng.range(16) * 64);
+    expectBatchMatchesPerLine(tiny, tiny_ref, run);
+    expectBatchMatchesPerLine(tiny, tiny_ref, {});
 }
 
 TEST(PollutionBatch, HierarchyLevelMajorMatchesPerLine)

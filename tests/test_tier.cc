@@ -5,9 +5,9 @@
  * errors), per-socket isolation on a NUMA machine, and the
  * whole-machine gates — tier-on and tier-off runs must end with
  * equivalent user data in every paging mode, clean and under an
- * injected fault plan; parallel lanes must stay byte-identical; a
- * checkpoint of a machine with a populated tier must round-trip; and
- * stale-format blobs must be rejected with a readable error.
+ * injected fault plan; a checkpoint of a machine with a populated
+ * tier must round-trip; and stale-format blobs must be rejected with a
+ * readable error.
  */
 
 #include <gtest/gtest.h>
@@ -183,8 +183,7 @@ namespace {
  * buffer that holds the evicted half.
  */
 system::MachineConfig
-tierConfig(system::PagingMode mode, bool tier_on,
-           unsigned sim_threads = 1, unsigned sockets = 1)
+tierConfig(system::PagingMode mode, bool tier_on, unsigned sockets = 1)
 {
     system::MachineConfig cfg;
     cfg.mode = mode;
@@ -194,7 +193,6 @@ tierConfig(system::PagingMode mode, bool tier_on,
     cfg.smu.freeQueueCapacity = 512;
     cfg.kpooldPeriod = milliseconds(1.0);
     cfg.kptedPeriod = milliseconds(4.0);
-    cfg.simThreads = sim_threads;
     cfg.sockets = sockets;
     if (tier_on) {
         cfg.tierMode = system::TierMode::cxl;
@@ -206,8 +204,6 @@ tierConfig(system::PagingMode mode, bool tier_on,
 struct RunResult
 {
     ht::MachineState state;
-    std::string stats;
-    std::uint64_t hash = 0;
     std::uint64_t tierHits = 0;
     std::uint64_t tierAdmits = 0;
 };
@@ -216,7 +212,6 @@ RunResult
 runMachine(system::MachineConfig cfg, char wl, double fault_rate = 0.0)
 {
     system::System sys(cfg);
-    sys.caches().setParallelMinLines(1);
     ht::FaultPlan plan("plan", sys.eventQueue(), 97);
     std::unique_ptr<workloads::KvStore> store;
     system::System::MappedFile mf;
@@ -247,10 +242,6 @@ runMachine(system::MachineConfig cfg, char wl, double fault_rate = 0.0)
 
     RunResult r;
     r.state = ht::snapshot(sys, pagingModeName(cfg.mode));
-    std::ostringstream os;
-    ht::dumpMachineStats(sys, os);
-    r.stats = os.str();
-    r.hash = ht::logicalStateHash(sys);
     if (auto *t = sys.tierAt(0)) {
         r.tierHits = t->hits();
         r.tierAdmits = t->admits();
@@ -319,7 +310,7 @@ TEST(TierMachine, PerSocketBuffersAreIsolated)
     // One thread faulting through socket 0's device must leave socket
     // 1's buffer untouched: residency is keyed per socket, never
     // shared across the interconnect.
-    auto cfg = tierConfig(system::PagingMode::hwdp, true, 1, 2);
+    auto cfg = tierConfig(system::PagingMode::hwdp, true, 2);
     system::System sys(cfg);
     auto mf = sys.mapDataset("f0", 16 * 1024, nullptr, 0);
     auto *w = sys.makeWorkload<workloads::FioWorkload>(mf.vma, 2000);
@@ -337,17 +328,6 @@ TEST(TierMachine, PerSocketBuffersAreIsolated)
     EXPECT_GT(t0->hits(), 0u);
     EXPECT_EQ(t1->occupancy(), 0u);
     EXPECT_EQ(t1->hits() + t1->misses() + t1->admits(), 0u);
-}
-
-TEST(TierParallel, LanesAreByteIdenticalWithTierOn)
-{
-    for (auto mode : allModes) {
-        SCOPED_TRACE(pagingModeName(mode));
-        auto one = runMachine(tierConfig(mode, true, 1), 'I');
-        auto four = runMachine(tierConfig(mode, true, 4), 'I');
-        EXPECT_EQ(one.hash, four.hash);
-        EXPECT_EQ(one.stats, four.stats);
-    }
 }
 
 // ---- Checkpointing a populated tier ----------------------------------------
