@@ -263,7 +263,11 @@ ThreadContext::finishOp(Tick logical_now)
 Tick
 ThreadContext::computeBurst(const workloads::ComputeSpec &spec)
 {
-    if (!prm.batch)
+    // The bulk mapping below does not catch range(0), which panics
+    // mid-burst on the per-line draws; a spec with an empty hot region
+    // or no branch sites keeps that behaviour through the per-line
+    // path, whose results the batched path matches exactly.
+    if (!prm.batch || spec.hotBytes == 0 || spec.staticBranches == 0)
         return computeBurstPerLine(spec);
 
     // Batched burst. Identical simulated state and statistics to the
@@ -289,32 +293,78 @@ ThreadContext::computeBurst(const workloads::ComputeSpec &spec)
 
     Cycles extra = 0;
 
-    // Data references: draw the addresses with the exact per-line RNG
-    // sequence, then stream them through the hierarchy level-major.
+    // All of the burst's randomness, drawn up front in the per-line
+    // order: per data reference an optional cold/hot chance() and one
+    // range(), then per branch one range() for the site and an
+    // optional chance() for the outcome. (The cache streams consume
+    // no randomness, so drawing the branches here leaves the generator
+    // stream identical to drawing them after the cache passes — which
+    // is where the per-line path draws them.) Whether a chance() draws
+    // depends only on its probability, so every draw's position is
+    // known in advance: vectorised bulk draws fill a stack buffer a
+    // chunk at a time, and the loops below map them in order with the
+    // exact integer forms of chance() and range(). The loops read the
+    // spec through locals: their stores are uint64_t stores, which may
+    // alias the spec's uint64_t fields, so spec.x in a loop would be
+    // reloaded on every iteration.
     auto n_refs = static_cast<std::uint64_t>(
         static_cast<double>(spec.instructions) * spec.memRefFrac);
+    auto n_br = static_cast<std::uint64_t>(
+        static_cast<double>(spec.instructions) * spec.branchFrac);
+    constexpr std::uint64_t chunk = 256;
+    std::uint64_t raw[chunk];
+
+    // Data references, streamed through the hierarchy level-major.
+    // The cold/hot choice is a mask, not a branch, which would
+    // mispredict on every cold draw.
+    const bool cold_drawn =
+        spec.coldBytes > 0 && sim::Rng::chanceDraws(spec.coldFrac);
+    const std::uint64_t cold_always =
+        spec.coldBytes > 0 && spec.coldFrac >= 1.0;
+    const std::uint64_t cold_t = sim::Rng::chanceThreshold(spec.coldFrac);
+    const std::uint64_t ref_draws = 1 + cold_drawn;
+    const std::uint64_t hot_base = spec.hotBase;
+    const std::uint64_t hot_bytes = spec.hotBytes;
+    const std::uint64_t cold_bytes = spec.coldBytes;
     burstAddrs.resize(n_refs);
-    for (std::uint64_t i = 0; i < n_refs; ++i) {
-        if (spec.coldBytes > 0 && rng.chance(spec.coldFrac)) {
-            burstAddrs[i] = spec.hotBase + spec.hotBytes +
-                            (rng.range(spec.coldBytes) & ~7ULL);
-        } else {
-            burstAddrs[i] = spec.hotBase + (rng.range(spec.hotBytes) & ~7ULL);
+    std::uint64_t *addrs = burstAddrs.data();
+    for (std::uint64_t i = 0; i < n_refs;) {
+        std::uint64_t end = std::min(n_refs, i + chunk / ref_draws);
+        rng.fillRaw(raw, (end - i) * ref_draws);
+        const std::uint64_t *z = raw;
+        for (; i < end; ++i) {
+            std::uint64_t cold = cold_drawn
+                                     ? sim::Rng::chanceOf(*z++, cold_t)
+                                     : cold_always;
+            std::uint64_t sel = 0 - cold;
+            std::uint64_t bound =
+                hot_bytes ^ ((hot_bytes ^ cold_bytes) & sel);
+            addrs[i] = hot_base + (hot_bytes & sel) +
+                       (sim::Rng::rangeOf(*z++, bound) & ~7ULL);
         }
     }
 
-    // Branches: draw site and outcome in the original interleaved
-    // order (the cache streams consume no randomness, so drawing them
-    // here leaves the generator stream identical to drawing them after
-    // the cache passes — which is where the per-line path draws them).
-    auto n_br = static_cast<std::uint64_t>(
-        static_cast<double>(spec.instructions) * spec.branchFrac);
+    // Branch sites and outcomes, for the predictor batch.
+    const bool taken_drawn = sim::Rng::chanceDraws(spec.branchBias);
+    const std::uint8_t taken_always = spec.branchBias >= 1.0;
+    const std::uint64_t taken_t =
+        sim::Rng::chanceThreshold(spec.branchBias);
+    const std::uint64_t br_draws = 1 + taken_drawn;
+    const std::uint64_t text_base = spec.textBase;
+    const std::uint64_t sites = spec.staticBranches;
     burstPcs.resize(n_br);
     burstTaken.resize(n_br);
-    for (std::uint64_t i = 0; i < n_br; ++i) {
-        burstPcs[i] = spec.textBase + rng.range(spec.staticBranches) * 16;
-        burstTaken[i] =
-            static_cast<std::uint8_t>(rng.chance(spec.branchBias));
+    std::uint64_t *pcs = burstPcs.data();
+    std::uint8_t *taken = burstTaken.data();
+    for (std::uint64_t i = 0; i < n_br;) {
+        std::uint64_t end = std::min(n_br, i + chunk / br_draws);
+        rng.fillRaw(raw, (end - i) * br_draws);
+        const std::uint64_t *z = raw;
+        for (; i < end; ++i) {
+            pcs[i] = text_base + sim::Rng::rangeOf(*z++, sites) * 16;
+            taken[i] = taken_drawn ? sim::Rng::chanceOf(*z++, taken_t)
+                                   : taken_always;
+        }
     }
 
     Cycles data_stall = 0;

@@ -17,7 +17,13 @@
  * simulator's wall clock on the LLC (whose metadata exceeds the host
  * L2). The stamp field is narrow, so stamps are renormalised to their
  * per-set LRU rank when the clock saturates; order — the only thing
- * LRU consults — is preserved exactly.
+ * LRU consults — is preserved exactly. Renormalisation ranks by
+ * counting, not sorting, so it is branch-free and vectorises.
+ *
+ * Runs of lookups (accessBatch, the pollution model's entry point)
+ * go through one loop body specialised on the way count, with the
+ * geometry, LRU clock and counters held in registers for the whole
+ * run; the per-line access() shares its set scans.
  *
  * Victim selection (the way with the smallest stamp; invalid ways
  * carry stamp 0 and therefore win) rides along with the hit scan so a
@@ -71,10 +77,19 @@ class CacheArray
     {
         if (useClock == stampMask) [[unlikely]]
             renormalize();
-        bool hit = accessOne(addr, ++useClock);
-        hits += hit;
-        misses += !hit;
-        return hit;
+        std::uint64_t *row = &meta[setBase(addr)];
+        std::uint64_t want = tagWord(addr, stampMask);
+        // The 8- and 20-way arms cover every array the default
+        // CacheParams builds (L1/L2 and the LLC respectively); other
+        // geometries take the generic runtime-width scan.
+        SetScan s = ways == 8    ? scanSetFixed<8>(row, want, stampMask)
+                    : ways == 20 ? scanSetWide<20>(row, want, stampMask)
+                                 : scanSet(row, want, stampMask, ways);
+        row[s.way] = want | ++useClock;
+        nValid += s.fill;
+        hits += s.hit;
+        misses += !s.hit;
+        return s.hit;
     }
 
     /**
@@ -85,12 +100,13 @@ class CacheArray
      * sees every earlier line's installation, so set collisions and
      * aliasing within the run need no special handling), and
      * renormalisation fires at exactly the same access indices. The
-     * wins are on the host: one call replaces n, the hit/miss
-     * counters fold up once, misses compact directly into the next
-     * level's input run, and on wide arrays (whose metadata exceeds
-     * the host cache) every upcoming set is prefetched a window
-     * ahead of its scan, overlapping the latency the per-line path
-     * serialises.
+     * wins are on the host: one call replaces n, the loop body is
+     * specialised once per call on the way count (accessRun), the
+     * geometry, clock and counters stay in registers and are written
+     * back once, misses compact directly into the next level's input
+     * run, and on wide arrays (whose metadata exceeds the host cache)
+     * every upcoming set is prefetched a window ahead of its scan,
+     * overlapping the latency the per-line path serialises.
      *
      * @param miss_out   Receives the missing addresses, in run order,
      *                   compacted; must hold @p n words. This is the
@@ -107,32 +123,13 @@ class CacheArray
     bool
     probe(std::uint64_t addr) const
     {
-        std::size_t base = (addr >> lineShiftBits & (sets - 1)) *
-                           static_cast<std::size_t>(ways);
-        std::uint64_t want = tagWord(addr);
+        std::size_t base = setBase(addr);
+        std::uint64_t want = tagWord(addr, stampMask);
         for (unsigned w = 0; w < ways; ++w) {
             if ((meta[base + w] & ~stampMask) == want)
                 return true;
         }
         return false;
-    }
-
-    /**
-     * Hint the host to start fetching the set @p addr maps to. The
-     * hierarchy issues this for the next level while it still scans
-     * the current one, overlapping the model's serial level walk with
-     * the host's memory latency. No simulated effect.
-     */
-    void
-    prefetch(std::uint64_t addr) const
-    {
-        std::size_t base = (addr >> lineShiftBits & (sets - 1)) *
-                           static_cast<std::size_t>(ways);
-        __builtin_prefetch(&meta[base]);
-        if (ways > 8)
-            __builtin_prefetch(&meta[base + 8]);
-        if (ways > 16)
-            __builtin_prefetch(&meta[base + 16]);
     }
 
     /** Invalidate a single line if present; returns true if it was. */
@@ -170,7 +167,7 @@ class CacheArray
     /** Outcome of one set scan: where to install, and what happened. */
     struct SetScan
     {
-        std::size_t slot; ///< meta[] index the line lands in.
+        unsigned way; ///< Way the line lands in.
         bool hit;
         bool fill; ///< Miss that fills an invalid way.
     };
@@ -185,12 +182,12 @@ class CacheArray
      * Semantically identical to the generic narrow path below.
      */
     template <unsigned W>
-    [[gnu::always_inline]] inline SetScan
-    scanSetFixed(std::size_t base, std::uint64_t want) const
+    [[gnu::always_inline]] static inline SetScan
+    scanSetFixed(const std::uint64_t *row, std::uint64_t want,
+                 std::uint64_t stamp_mask)
     {
         static_assert(W <= 8, "fixed scan covers narrow sets only");
-        const std::uint64_t tag_mask = ~stampMask;
-        const std::uint64_t *row = &meta[base];
+        const std::uint64_t tag_mask = ~stamp_mask;
 
 #if defined(__AVX512F__)
         // One 512-bit register holds the whole 8-way set: a single
@@ -208,16 +205,16 @@ class CacheArray
             __mmask8 m = _mm512_cmpeq_epi64_mask(
                 _mm512_and_epi64(r, vmask), vwant);
             if (m)
-                return {base + static_cast<unsigned>(__builtin_ctz(m)),
-                        true, false};
+                return {static_cast<unsigned>(__builtin_ctz(m)), true,
+                        false};
 
             __m512i vstamp =
-                _mm512_set1_epi64(static_cast<long long>(stampMask));
+                _mm512_set1_epi64(static_cast<long long>(stamp_mask));
             __m512i keys = _mm512_or_epi64(
                 _mm512_slli_epi64(_mm512_and_epi64(r, vstamp), 6),
                 _mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7));
             std::uint64_t best = _mm512_reduce_min_epu64(keys);
-            return {base + (best & 63), false, best >> 6 == 0};
+            return {static_cast<unsigned>(best & 63), false, best >> 6 == 0};
         }
 #elif defined(__AVX2__)
         // Vector scan: eight tag compares in two 256-bit ops with no
@@ -226,11 +223,11 @@ class CacheArray
         // (stamp << 6 | way) key into a 32-bit lane and min-reduces;
         // keys are unique (the way bits break stamp ties exactly like
         // the scalar strict-min), so the reduction picks the identical
-        // way. Keys need stampMask < 2^26 to fit a lane — true for
+        // way. Keys need stamp_mask < 2^26 to fit a lane — true for
         // any 8-way array up to 512 MB; larger falls to the scalar
         // path below (the branch is loop-invariant and predicted).
         if constexpr (W == 8) {
-            if (!(stampMask >> 26)) [[likely]] {
+            if (!(stamp_mask >> 26)) [[likely]] {
                 __m256i r0 = _mm256_loadu_si256(
                     reinterpret_cast<const __m256i *>(row));
                 __m256i r1 = _mm256_loadu_si256(
@@ -250,15 +247,14 @@ class CacheArray
                         _mm256_movemask_pd(_mm256_castsi256_pd(e1)))
                         << 4;
                 if (m)
-                    return {base + static_cast<unsigned>(
-                                       __builtin_ctz(m)),
-                            true, false};
+                    return {static_cast<unsigned>(__builtin_ctz(m)), true,
+                            false};
 
                 // Miss: dword-interleave the two stamp vectors (even
                 // lanes = ways 0..3, odd lanes = ways 4..7), build the
                 // keys, min-reduce.
                 __m256i vstamp = _mm256_set1_epi64x(
-                    static_cast<long long>(stampMask));
+                    static_cast<long long>(stamp_mask));
                 __m256i s0 = _mm256_and_si256(r0, vstamp);
                 __m256i s1 = _mm256_and_si256(r1, vstamp);
                 __m256i inter = _mm256_blend_epi32(
@@ -273,7 +269,8 @@ class CacheArray
                 k = _mm_min_epu32(k, _mm_shuffle_epi32(k, 0xb1));
                 std::uint32_t best = static_cast<std::uint32_t>(
                     _mm_cvtsi128_si32(k));
-                return {base + (best & 63), false, best >> 6 == 0};
+                return {static_cast<unsigned>(best & 63), false,
+                        best >> 6 == 0};
             }
         }
 #endif
@@ -286,23 +283,23 @@ class CacheArray
             hit_way = eq ? w : hit_way;
         }
         if (found)
-            return {base + hit_way, true, false};
+            return {hit_way, true, false};
 
         std::uint64_t best = ~std::uint64_t(0);
         std::uint64_t alt = ~std::uint64_t(0);
         unsigned w = 0;
         for (; w + 1 < W; w += 2) {
-            std::uint64_t a = (row[w] & stampMask) << 6 | w;
-            std::uint64_t b = (row[w + 1] & stampMask) << 6 | (w + 1);
+            std::uint64_t a = (row[w] & stamp_mask) << 6 | w;
+            std::uint64_t b = (row[w + 1] & stamp_mask) << 6 | (w + 1);
             best = best < a ? best : a;
             alt = alt < b ? alt : b;
         }
         if (w < W) {
-            std::uint64_t a = (row[w] & stampMask) << 6 | w;
+            std::uint64_t a = (row[w] & stamp_mask) << 6 | w;
             best = best < a ? best : a;
         }
         best = best < alt ? best : alt;
-        return {base + (best & 63), false, best >> 6 == 0};
+        return {static_cast<unsigned>(best & 63), false, best >> 6 == 0};
     }
 
     /**
@@ -318,13 +315,13 @@ class CacheArray
      * AVX-512 just take the generic scan.
      */
     template <unsigned W>
-    [[gnu::always_inline]] inline SetScan
-    scanSetWide(std::size_t base, std::uint64_t want) const
+    [[gnu::always_inline]] static inline SetScan
+    scanSetWide(const std::uint64_t *row, std::uint64_t want,
+                std::uint64_t stamp_mask)
     {
         static_assert(W > 8 && W <= 64, "wide scan covers 9..64 ways");
 #if defined(__AVX512F__)
-        const std::uint64_t tag_mask = ~stampMask;
-        const std::uint64_t *row = &meta[base];
+        const std::uint64_t tag_mask = ~stamp_mask;
         __builtin_prefetch(row + 8);
         if constexpr (W > 16)
             __builtin_prefetch(row + 16);
@@ -341,24 +338,22 @@ class CacheArray
             __mmask8 m = _mm512_cmpeq_epi64_mask(
                 _mm512_and_epi64(r, vmask), vwant);
             if (m)
-                return {base + w +
-                            static_cast<unsigned>(__builtin_ctz(m)),
-                        true, false};
+                return {w + static_cast<unsigned>(__builtin_ctz(m)), true,
+                        false};
         }
         if constexpr (W % 8) {
             __m512i r = _mm512_maskz_loadu_epi64(tail, row + full);
             __mmask8 m = tail & _mm512_cmpeq_epi64_mask(
                                     _mm512_and_epi64(r, vmask), vwant);
             if (m)
-                return {base + full +
-                            static_cast<unsigned>(__builtin_ctz(m)),
+                return {full + static_cast<unsigned>(__builtin_ctz(m)),
                         true, false};
         }
 
         // Miss: re-walk the set (now host-resident) building keys and
         // min-reducing; tail lanes are padded with ~0 so they lose.
         const __m512i vstamp =
-            _mm512_set1_epi64(static_cast<long long>(stampMask));
+            _mm512_set1_epi64(static_cast<long long>(stamp_mask));
         const __m512i lane = _mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7);
         __m512i best512 = _mm512_set1_epi64(-1);
         for (unsigned w = 0; w < full; w += 8) {
@@ -378,26 +373,28 @@ class CacheArray
             best512 = _mm512_min_epu64(best512, keys);
         }
         std::uint64_t best = _mm512_reduce_min_epu64(best512);
-        return {base + (best & 63), false, best >> 6 == 0};
+        return {static_cast<unsigned>(best & 63), false, best >> 6 == 0};
 #else
-        return scanSet(base, want);
+        return scanSet(row, want, stamp_mask, W);
 #endif
     }
 
     /**
-     * Scan the set at @p base for @p want: hit way on a hit, LRU
-     * victim on a miss. Read-only — the caller installs want | stamp
-     * into meta[slot]. Both access() and accessBatch() funnel every
-     * lookup through this one scan, which is what keeps the two paths
-     * bit-identical by construction.
+     * Scan the @p ways-wide set @p row for @p want: hit way on a hit,
+     * LRU victim on a miss. Read-only — the caller installs
+     * want | stamp into row[way]. Both access() and accessBatch()
+     * funnel every lookup through this scan (or its fixed-width
+     * forms above), which is what keeps the two paths bit-identical
+     * by construction.
      */
-    SetScan
-    scanSet(std::size_t base, std::uint64_t want) const
+    static SetScan
+    scanSet(const std::uint64_t *row, std::uint64_t want,
+            std::uint64_t stamp_mask, unsigned ways)
     {
         // Hit scan first, with no victim bookkeeping: a min-reduction
         // carried through the loop serialises it on the host, and the
         // common case (a hit) never needs one.
-        const std::uint64_t tag_mask = ~stampMask;
+        const std::uint64_t tag_mask = ~stamp_mask;
         if (ways <= 8) {
             // Narrow set (one host line): scan branchless. An
             // early-exit loop mispredicts once per access because the
@@ -406,19 +403,19 @@ class CacheArray
             std::uint64_t found = 0;
             unsigned hit_way = 0;
             for (unsigned w = 0; w < ways; ++w) {
-                bool eq = (meta[base + w] & tag_mask) == want;
+                bool eq = (row[w] & tag_mask) == want;
                 found |= eq;
                 hit_way = eq ? w : hit_way;
             }
             if (found)
-                return {base + hit_way, true, false};
+                return {hit_way, true, false};
         } else {
             // Wide set (several host lines, large array): the scan is
             // memory-latency-bound, so start the trailing lines'
             // fetches before walking the set in order.
-            __builtin_prefetch(&meta[base + 8]);
+            __builtin_prefetch(&row[8]);
             if (ways > 16)
-                __builtin_prefetch(&meta[base + 16]);
+                __builtin_prefetch(&row[16]);
             unsigned w = 0;
 #if defined(__AVX512F__)
             // Eight tag compares per step; the first matching group
@@ -429,13 +426,11 @@ class CacheArray
             __m512i vwant512 =
                 _mm512_set1_epi64(static_cast<long long>(want));
             for (; w + 8 <= ways; w += 8) {
-                __m512i r = _mm512_loadu_si512(&meta[base + w]);
+                __m512i r = _mm512_loadu_si512(&row[w]);
                 __mmask8 m = _mm512_cmpeq_epi64_mask(
                     _mm512_and_epi64(r, vmask512), vwant512);
                 if (m)
-                    return {base + w +
-                                static_cast<unsigned>(
-                                    __builtin_ctz(m)),
+                    return {w + static_cast<unsigned>(__builtin_ctz(m)),
                             true, false};
             }
 #endif
@@ -449,20 +444,19 @@ class CacheArray
                 _mm256_set1_epi64x(static_cast<long long>(want));
             for (; w + 4 <= ways; w += 4) {
                 __m256i r = _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i *>(&meta[base + w]));
+                    reinterpret_cast<const __m256i *>(&row[w]));
                 __m256i e = _mm256_cmpeq_epi64(
                     _mm256_and_si256(r, vmask), vwant);
                 int m = _mm256_movemask_pd(_mm256_castsi256_pd(e));
                 if (m)
-                    return {base + w +
-                                static_cast<unsigned>(__builtin_ctz(
-                                    static_cast<unsigned>(m))),
+                    return {w + static_cast<unsigned>(
+                                    __builtin_ctz(static_cast<unsigned>(m))),
                             true, false};
             }
 #endif
             for (; w < ways; ++w) {
-                if ((meta[base + w] & tag_mask) == want)
-                    return {base + w, true, false};
+                if ((row[w] & tag_mask) == want)
+                    return {w, true, false};
             }
         }
 
@@ -477,46 +471,35 @@ class CacheArray
         std::uint64_t alt = ~std::uint64_t(0);
         unsigned w = 0;
         for (; w + 1 < ways; w += 2) {
-            std::uint64_t a = (meta[base + w] & stampMask) << 6 | w;
-            std::uint64_t b =
-                (meta[base + w + 1] & stampMask) << 6 | (w + 1);
+            std::uint64_t a = (row[w] & stamp_mask) << 6 | w;
+            std::uint64_t b = (row[w + 1] & stamp_mask) << 6 | (w + 1);
             best = best < a ? best : a;
             alt = alt < b ? alt : b;
         }
         if (w < ways) {
-            std::uint64_t a = (meta[base + w] & stampMask) << 6 | w;
+            std::uint64_t a = (row[w] & stamp_mask) << 6 | w;
             best = best < a ? best : a;
         }
         best = best < alt ? best : alt;
-        return {base + (best & 63), false, best >> 6 == 0};
+        return {static_cast<unsigned>(best & 63), false, best >> 6 == 0};
     }
 
     /**
-     * One lookup at a pre-assigned LRU stamp. No renormalisation
-     * check, no clock advance, no hit/miss counters — the wrappers
-     * own those so batch and per-line paths stay bit-identical by
-     * construction.
+     * The accessBatch loop, specialised on the way count (W = 8 and 20
+     * select the inlined fixed-width scans, 0 the runtime-width one)
+     * and on whether to record the test-only hit bitmap. The scans are
+     * static and take the row and stamp mask by value because a
+     * meta[] store is a uint64_t store that may alias this object's
+     * uint64_t fields: reading useClock or stampMask through `this`
+     * inside the loop would reload them after every install. So the
+     * loop keeps geometry, clock, fill count and miss cursor in
+     * locals and writes the members back once per call (and around
+     * renormalize()).
      */
-    [[gnu::always_inline]] inline bool
-    accessOne(std::uint64_t addr, std::uint64_t clock)
-    {
-        std::size_t base = (addr >> lineShiftBits & (sets - 1)) *
-                           static_cast<std::size_t>(ways);
-        std::uint64_t want = tagWord(addr);
-        // The 8- and 20-way arms cover every array the default
-        // CacheParams builds (L1/L2 and the LLC respectively); other
-        // geometries take the generic runtime-width scan.
-        // Dispatch here, not inside scanSet: the fixed-width scan must
-        // inline into the access loops (its whole point is killing
-        // per-probe call overhead), while the generic scan stays a
-        // call — it is cold by comparison and big.
-        SetScan s = ways == 8    ? scanSetFixed<8>(base, want)
-                    : ways == 20 ? scanSetWide<20>(base, want)
-                                 : scanSet(base, want);
-        meta[s.slot] = want | clock;
-        nValid += s.fill;
-        return s.hit;
-    }
+    template <unsigned W, bool Bitmap>
+    std::size_t accessRun(const std::uint64_t *addrs, std::size_t n,
+                          std::uint64_t *miss_out,
+                          std::uint64_t *hit_bitmap);
 
     std::string label;
     std::uint64_t bytes;
@@ -530,9 +513,9 @@ class CacheArray
      * Stamp field width = line-offset bits + set-index bits: exactly
      * the address bits the tag does not need, so tag | stamp always
      * fits one word with the tag exact. Stamps of valid ways are in
-     * [1, stampMask); 0 is reserved for invalid ways (and makes the
-     * all-zero word the invalid encoding), stampMask triggers
-     * renormalisation before it is ever stored.
+     * [1, stampMask]; 0 is reserved for invalid ways (and makes the
+     * all-zero word the invalid encoding). Once the clock reaches
+     * stampMask, the next access renormalises before it installs.
      */
     std::uint64_t stampMask;
 
@@ -550,17 +533,32 @@ class CacheArray
      * modelled address (it would need the top line of the 64-bit
      * space, which nothing maps).
      */
-    std::uint64_t
-    tagWord(std::uint64_t addr) const
+    static std::uint64_t
+    tagWord(std::uint64_t addr, std::uint64_t stamp_mask)
     {
-        return ((addr >> (lineShiftBits + setBits)) + 1)
-               << (lineShiftBits + setBits);
+        // ((addr >> k) + 1) << k with k the stamp width, without the
+        // variable shifts.
+        return (addr & ~stamp_mask) + stamp_mask + 1;
+    }
+
+    /** meta[] index of way 0 of the set @p addr maps to. */
+    std::size_t
+    setBase(std::uint64_t addr) const
+    {
+        return (addr >> lineShiftBits & (sets - 1)) *
+               static_cast<std::size_t>(ways);
     }
 
     /**
      * Rewrite every stamp as its per-set LRU rank (1..ways), resetting
-     * the clock. Order-preserving, so replacement behaviour is
-     * bit-identical; runs once every ~2^stampBits accesses.
+     * the clock to ways. Order-preserving, so replacement behaviour is
+     * bit-identical; runs once every stampMask accesses (4,095 on a
+     * 32 KB L1, 32,767 on a 256 KB L2). The rank is a count, not a
+     * sort: a valid way's new stamp is 1 plus the number of valid
+     * ways in its set with a smaller stamp, which equals its sorted
+     * position because valid stamps within a set are unique (each
+     * install takes a fresh clock value, and the clock restarts above
+     * the largest rank). Branch-free, and vectorised over the ways.
      */
     void renormalize();
 };

@@ -11,6 +11,7 @@
 #ifndef HWDP_SIM_RNG_HH
 #define HWDP_SIM_RNG_HH
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 
@@ -22,17 +23,13 @@ class Serializer;
 class Rng
 {
   public:
-    explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL) : state(seed) {}
+    /** SplitMix64's state increment (the golden-ratio constant). */
+    static constexpr std::uint64_t goldenGamma = 0x9e3779b97f4a7c15ULL;
+
+    explicit Rng(std::uint64_t seed = goldenGamma) : state(seed) {}
 
     /** Next raw 64-bit value. */
-    std::uint64_t
-    next()
-    {
-        std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
-        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-        z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-        return z ^ (z >> 31);
-    }
+    std::uint64_t next() { return mix(state += goldenGamma); }
 
     // The uniform distributions are defined inline: workload compute
     // bursts draw two of them per simulated data reference, so the
@@ -44,24 +41,14 @@ class Rng
     {
         if (bound == 0) [[unlikely]]
             rangePanic();
-        // Multiply-shift rejection-free mapping (Lemire); bias is
-        // below 2^-64 * bound which is negligible for simulation
-        // purposes.
-        unsigned __int128 m =
-            static_cast<unsigned __int128>(next()) * bound;
-        return static_cast<std::uint64_t>(m >> 64);
+        return rangeOf(next(), bound);
     }
 
     /** Uniform integer in [lo, hi] inclusive. */
     std::uint64_t between(std::uint64_t lo, std::uint64_t hi);
 
     /** Uniform double in [0, 1). */
-    double
-    uniform()
-    {
-        // 53-bit mantissa from the top bits.
-        return static_cast<double>(next() >> 11) * 0x1.0p-53;
-    }
+    double uniform() { return unitOf(next()); }
 
     /** Bernoulli trial with probability @p p of returning true. */
     bool
@@ -74,55 +61,96 @@ class Rng
         return uniform() < p;
     }
 
+    // Bulk draws. SplitMix64 is counter-based: draw k (k = 1, 2, ...)
+    // returns mix(state + k * goldenGamma), so a run of draws has no
+    // loop-carried dependency and can be generated as one vector loop.
+    // The mappings below turn raw draws into the values range(),
+    // uniform() and chance() would have produced from them, exactly.
+
+    /** Store the next @p n raw draws in @p out (bulk next()). */
+    void
+    fillRaw(std::uint64_t *out, std::size_t n)
+    {
+        bulk(n, [out](std::size_t i, std::uint64_t z) { out[i] = z; });
+    }
+
     /**
-     * Fill @p out with @p n Bernoulli draws, 1 with probability @p p.
-     * Produces the exact decision sequence (and final generator state)
-     * of n sequential chance(p) calls — the batched kernel-pollution
-     * path depends on that stream equivalence. Unlike the sequential
-     * form, the i-th draw's state is computed directly as
-     * state + (i+1) * gamma, so the mixes carry no loop dependency and
-     * the host can overlap them.
+     * Fill @p out with @p n Bernoulli draws, 1 with probability @p p:
+     * the exact decision sequence and final generator state of n
+     * sequential chance(p) calls, through the bulk draw and the
+     * integer form of chance().
      */
     void
     fill(double p, std::uint8_t *out, std::size_t n)
     {
-        // chance() consumes no state for the degenerate probabilities.
-        if (p <= 0.0) {
+        if (!chanceDraws(p)) {
+            // chance() consumes no state for the degenerate
+            // probabilities.
+            const std::uint8_t v = p >= 1.0;
             for (std::size_t i = 0; i < n; ++i)
-                out[i] = 0;
+                out[i] = v;
             return;
         }
-        if (p >= 1.0) {
-            for (std::size_t i = 0; i < n; ++i)
-                out[i] = 1;
-            return;
-        }
-        const std::uint64_t s = state;
-        if (p == 0.5) {
-            // The dominant caller (kernel-pollution branch streams)
-            // draws fair coins. (z >> 11) * 2^-53 < 0.5 is exactly
-            // "bit 63 of z is clear" — both sides of the comparison
-            // are exact in double — so the draw reduces to pure
-            // integer ops the compiler can vectorise.
-            for (std::size_t i = 0; i < n; ++i) {
-                std::uint64_t z = s + (i + 1) * 0x9e3779b97f4a7c15ULL;
-                z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-                z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-                z ^= z >> 31;
-                out[i] = static_cast<std::uint8_t>(z >> 63 ^ 1);
-            }
-            state = s + n * 0x9e3779b97f4a7c15ULL;
-            return;
-        }
-        for (std::size_t i = 0; i < n; ++i) {
-            std::uint64_t z = s + (i + 1) * 0x9e3779b97f4a7c15ULL;
-            z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-            z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-            z ^= z >> 31;
-            double u = static_cast<double>(z >> 11) * 0x1.0p-53;
-            out[i] = u < p ? 1 : 0;
-        }
-        state = s + n * 0x9e3779b97f4a7c15ULL;
+        const std::uint64_t t = chanceThreshold(p);
+        bulk(n, [out, t](std::size_t i, std::uint64_t z) {
+            out[i] = chanceOf(z, t);
+        });
+    }
+
+    /** SplitMix64's output function of an incremented state. */
+    static std::uint64_t
+    mix(std::uint64_t z)
+    {
+        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+        z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+        return z ^ (z >> 31);
+    }
+
+    /**
+     * range(bound) of raw draw @p z: multiply-shift (Lemire), with
+     * bias below 2^-64 * bound, negligible for simulation purposes.
+     * Unlike range(), a zero bound is not caught.
+     */
+    static std::uint64_t
+    rangeOf(std::uint64_t z, std::uint64_t bound)
+    {
+        return static_cast<std::uint64_t>(
+            static_cast<unsigned __int128>(z) * bound >> 64);
+    }
+
+    /** uniform() of raw draw @p z: the top 53 bits, scaled. */
+    static double
+    unitOf(std::uint64_t z)
+    {
+        return static_cast<double>(z >> 11) * 0x1.0p-53;
+    }
+
+    /** Whether chance(p) consumes a draw (not for p <= 0 or p >= 1). */
+    static bool chanceDraws(double p) { return !(p <= 0.0) && !(p >= 1.0); }
+
+    /**
+     * Integer threshold t with chanceOf(z, t) == (unitOf(z) < p) for
+     * every raw draw z. unitOf(z) is (z >> 11) * 2^-53 with both
+     * factors exact, so unitOf(z) < p is (z >> 11) < p * 2^53, where
+     * p * 2^53 is exact too (a power-of-two scale); for the integer
+     * z >> 11 that is (z >> 11) < ceil(p * 2^53). p <= 0 and NaN give
+     * 0 (never), p >= 1 gives 2^53 (always).
+     */
+    static std::uint64_t
+    chanceThreshold(double p)
+    {
+        if (!(p > 0.0))
+            return 0;
+        if (p >= 1.0)
+            return std::uint64_t(1) << 53;
+        return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
+    }
+
+    /** chance() of raw draw @p z, given chanceThreshold(p). */
+    static bool
+    chanceOf(std::uint64_t z, std::uint64_t threshold)
+    {
+        return (z >> 11) < threshold;
     }
 
     /** Exponentially distributed value with the given mean. */
@@ -141,6 +169,26 @@ class Rng
     std::uint64_t state;
     bool haveSpare = false;
     double spare = 0.0;
+
+    /**
+     * Pass the next @p n raw draws to f(i, z), i = 0..n-1, then
+     * advance the state past them: the same values and final state as
+     * n next() calls. The loop is `omp simd` (the build passes
+     * -fopenmp-simd; GCC's -O2 cost model leaves it scalar otherwise),
+     * so f must not depend on earlier iterations.
+     */
+    template <class F>
+    void
+    bulk(std::size_t n, F &&f)
+    {
+        std::uint64_t x = state;
+#pragma omp simd
+        for (std::size_t i = 0; i < n; ++i) {
+            x += goldenGamma;
+            f(i, mix(x));
+        }
+        state = x;
+    }
 
     /** Out-of-line so the inline fast path stays branch + mul. */
     [[noreturn]] void rangePanic() const;

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "mem/cache_array.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
@@ -181,6 +184,157 @@ TEST(CacheArray, HighAddressBitsDistinguishTags)
     EXPECT_TRUE(c.probe(1ull << 62));
     CacheArray d("d", 4096, 4);
     EXPECT_FALSE(d.probe(0));
+}
+
+namespace {
+
+/**
+ * Stamp-free true-LRU model: per set, the resident lines in recency
+ * order (front = least recently used). It shares nothing with
+ * CacheArray — no packed stamps, no renormalisation, no scans — so it
+ * checks the rank renormalisation and the batch loop independently of
+ * the batch-vs-per-line differentials, which share both.
+ */
+class LruOracle
+{
+  public:
+    LruOracle(unsigned n_sets, unsigned ways)
+        : ways(ways), order(n_sets)
+    {
+    }
+
+    bool
+    access(std::uint64_t addr)
+    {
+        std::vector<std::uint64_t> &set = setOf(addr);
+        auto it = std::find(set.begin(), set.end(), addr / 64);
+        bool hit = it != set.end();
+        if (hit)
+            set.erase(it);
+        else if (set.size() == ways)
+            set.erase(set.begin());
+        set.push_back(addr / 64);
+        return hit;
+    }
+
+    bool
+    invalidate(std::uint64_t addr)
+    {
+        std::vector<std::uint64_t> &set = setOf(addr);
+        auto it = std::find(set.begin(), set.end(), addr / 64);
+        if (it == set.end())
+            return false;
+        set.erase(it);
+        return true;
+    }
+
+    bool
+    probe(std::uint64_t addr)
+    {
+        const std::vector<std::uint64_t> &set = setOf(addr);
+        return std::find(set.begin(), set.end(), addr / 64) != set.end();
+    }
+
+    void
+    flush()
+    {
+        for (auto &set : order)
+            set.clear();
+    }
+
+    std::uint64_t
+    occupancy() const
+    {
+        std::uint64_t n = 0;
+        for (const auto &set : order)
+            n += set.size();
+        return n;
+    }
+
+  private:
+    std::vector<std::uint64_t> &
+    setOf(std::uint64_t addr)
+    {
+        return order[addr / 64 % order.size()];
+    }
+
+    unsigned ways;
+    std::vector<std::vector<std::uint64_t>> order;
+};
+
+} // namespace
+
+TEST(CacheArray, MatchesStampFreeLruOracle)
+{
+    struct Geo
+    {
+        unsigned ways;
+        unsigned sets;
+    };
+    // Few sets keep the stamp field narrow (6 line bits + the set
+    // bits), so each run wraps the LRU clock dozens to hundreds of
+    // times. 8 and 20 ways take the fixed-width batch loops, the rest
+    // the runtime-width one.
+    const Geo geos[] = {{1, 2}, {2, 2}, {4, 4}, {8, 2}, {16, 4}, {20, 2}};
+    for (const Geo &g : geos) {
+        SCOPED_TRACE(std::to_string(g.ways) + "-way, " +
+                     std::to_string(g.sets) + " sets");
+        CacheArray c("c", std::uint64_t(g.ways) * g.sets * 64, g.ways);
+        LruOracle ref(g.sets, g.ways);
+        sim::Rng rng(0x5eed + g.ways);
+        // Twice the capacity in distinct lines: hits, conflict misses
+        // and refills all stay common.
+        const std::uint64_t n_lines = 2ull * g.ways * g.sets;
+        auto draw = [&] { return rng.range(n_lines) * 64 + rng.range(64); };
+
+        for (int op = 0; op < 6000; ++op) {
+            std::uint64_t kind = rng.range(1000);
+            if (kind < 600) {
+                std::uint64_t a = draw();
+                ASSERT_EQ(c.access(a), ref.access(a)) << "op " << op;
+            } else if (kind < 900) {
+                // A run through the production batch loop (no hit
+                // bitmap) or the bitmap instantiation of the same body.
+                std::size_t n = 1 + rng.range(3 * g.ways * g.sets);
+                std::vector<std::uint64_t> run(n);
+                for (auto &a : run)
+                    a = draw();
+                std::vector<std::uint64_t> miss(n);
+                std::vector<std::uint64_t> bitmap((n + 63) / 64);
+                bool with_bitmap = rng.chance(0.5);
+                std::size_t hits = c.accessBatch(
+                    run.data(), n, miss.data(),
+                    with_bitmap ? bitmap.data() : nullptr);
+                std::size_t ref_hits = 0, nmiss = 0;
+                for (std::size_t i = 0; i < n; ++i) {
+                    bool hit = ref.access(run[i]);
+                    ref_hits += hit;
+                    if (!hit)
+                        ASSERT_EQ(miss[nmiss++], run[i])
+                            << "op " << op << " line " << i;
+                    if (with_bitmap)
+                        ASSERT_EQ(bitmap[i / 64] >> (i % 64) & 1,
+                                  std::uint64_t(hit))
+                            << "op " << op << " line " << i;
+                }
+                ASSERT_EQ(hits, ref_hits) << "op " << op;
+            } else if (kind < 999) {
+                std::uint64_t a = draw();
+                ASSERT_EQ(c.invalidate(a), ref.invalidate(a))
+                    << "op " << op;
+            } else {
+                c.flush();
+                ref.flush();
+            }
+            ASSERT_EQ(c.occupancy(), ref.occupancy()) << "op " << op;
+            for (std::uint64_t l = 0; l < n_lines; ++l)
+                ASSERT_EQ(c.probe(l * 64), ref.probe(l * 64))
+                    << "op " << op << " line " << l;
+        }
+        // Enough accesses for dozens of clock periods (stampMask is
+        // 2^(6 + set bits) - 1; the rare flushes restart the clock).
+        EXPECT_GT(c.hitCount() + c.missCount(), 20u * 64 * g.sets);
+    }
 }
 
 struct CacheGeom

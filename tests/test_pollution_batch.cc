@@ -402,3 +402,25 @@ TEST(PollutionBatch, YcsbStatsDumpIdenticalBatchOnOff)
         runYcsbStats(system::PagingMode::swsmu, false, 0.01);
     EXPECT_EQ(on_f, off_f);
 }
+
+TEST(PollutionBatch, GoldenStatsDumpHashes)
+{
+    // The on/off differentials above run both sides through the
+    // shared scans, renormalisation and RNG mapping, so a change to
+    // those moves both sides alike. These pins do not: FNV-1a of the
+    // batched dumps as the per-line engine first produced them. A
+    // host-speed change must leave them alone; a deliberate model
+    // change updates them and says so.
+    auto fnv1a = [](const std::string &s) {
+        std::uint64_t h = 14695981039346656037ULL;
+        for (unsigned char c : s)
+            h = (h ^ c) * 1099511628211ULL;
+        return h;
+    };
+    EXPECT_EQ(fnv1a(runFioStats(system::PagingMode::osdp, true)),
+              0xda962dbdbe5d71eeULL);
+    EXPECT_EQ(fnv1a(runFioStats(system::PagingMode::hwdp, true)),
+              0x7685c0199b0b089bULL);
+    EXPECT_EQ(fnv1a(runYcsbStats(system::PagingMode::hwdp, true)),
+              0xb0c9c2dad745a47eULL);
+}
