@@ -95,7 +95,7 @@ NvmeHostController::issueReadAt(unsigned dev_id, Lba lba, PAddr dma_addr,
     // execute in between, so running it inline here is byte-identical
     // to the posted event firing there.
     Tick t_db = at + tm.cmdWrite + tm.doorbell;
-    if (fastPath && t_db < eq.nextEventTick()) {
+    if (t_db < eq.nextEventTick()) {
         ++nInlineDoorbells;
         d.dev->ringSqDoorbellAt(d.qid, t_db);
         if (issued)
@@ -133,8 +133,7 @@ NvmeHostController::onCqWrite(unsigned dev_id,
     // Successful completions may percolate inline under the timing
     // gate; error completions always take the event (the handler's
     // bounce path runs kernel code that needs real event time).
-    if (fastPath && status == 0 && onComplete &&
-        t_c < eq.nextEventTick()) {
+    if (status == 0 && onComplete && t_c < eq.nextEventTick()) {
         ++nInlineCompletions;
         onComplete(tag, status, t_c);
         return;

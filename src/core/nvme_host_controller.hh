@@ -64,17 +64,22 @@ class NvmeHostController : public sim::SimObject
 
     /**
      * Issue a 4 KB read of @p lba on @p dev_id into @p dma_addr,
-     * tagged with @p tag (the PMSHR index). @p issued fires once the
-     * doorbell write completes (device time starts there); the
-     * controller-wide completion callback fires with the tag when the
-     * CQ write is snooped and the completion protocol has run.
+     * tagged with @p tag (the PMSHR index). The doorbell write lands
+     * cmdWrite + doorbell after the command is generated, and device
+     * time starts there. @p issued runs when the doorbell rings: with
+     * nothing scheduled before the doorbell tick it rings inline, so
+     * @p issued runs before issueRead returns, with now() still at
+     * the issue time; otherwise an "nvme.doorbell" event rings it at
+     * the doorbell tick. The controller-wide completion callback
+     * fires with the tag when the CQ write is snooped and the
+     * completion protocol has run.
      */
     void issueRead(unsigned dev_id, Lba lba, PAddr dma_addr,
                    std::uint16_t tag, std::function<void()> issued);
 
     /**
      * issueRead() with the command generated at logical time @p at
-     * (>= now()): the inline fault fast path issues from within an
+     * (>= now()): the inline fault chain issues from within an
      * earlier event. issueRead() is issueReadAt(..., now()).
      */
     void issueReadAt(unsigned dev_id, Lba lba, PAddr dma_addr,
@@ -85,8 +90,11 @@ class NvmeHostController : public sim::SimObject
      * Completion delivery to the page miss handler. @p status is the
      * NVMe completion status (0 = success); the handler owns the
      * retry/bounce policy for errors. @p at is the logical time the
-     * completion protocol finished — now() on the reference path, and
-     * possibly ahead of now() when the fast path delivered inline.
+     * completion protocol finished. A successful completion with
+     * nothing scheduled before @p at is delivered inline from the CQ
+     * snoop, so @p at may be ahead of now(); error completions, and
+     * any completion the gate declines, arrive through an
+     * "nvme.complete" event with @p at == now().
      */
     void setCompletionCallback(
         std::function<void(std::uint16_t tag, std::uint16_t status,
@@ -95,15 +103,6 @@ class NvmeHostController : public sim::SimObject
     {
         onComplete = std::move(fn);
     }
-
-    /**
-     * Fast-path mode: doorbell writes and successful completions run
-     * inline on the logical clock when the timing gate allows, instead
-     * of via "nvme.doorbell"/"nvme.complete" events. Simulated results
-     * are bit-identical either way.
-     */
-    void setFastPath(bool on) { fastPath = on; }
-    bool fastPathEnabled() const { return fastPath; }
 
     const Timing &timing() const { return tm; }
 
@@ -130,7 +129,6 @@ class NvmeHostController : public sim::SimObject
     Timing tm;
     std::array<Descriptor, maxDevices> descs;
     std::function<void(std::uint16_t, std::uint16_t, Tick)> onComplete;
-    bool fastPath = false;
 
     std::uint64_t nInlineDoorbells = 0;
     std::uint64_t nEventDoorbells = 0;

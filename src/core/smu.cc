@@ -75,7 +75,6 @@ Smu::Smu(std::string name, sim::EventQueue &eq, unsigned sid,
         [this](std::uint16_t tag, std::uint16_t status, Tick at) {
             onIoCompleteAt(tag, status, at);
         });
-    nvme.setFastPath(prm.fastPath);
 }
 
 FreePageQueue &
@@ -128,10 +127,13 @@ Smu::handleMiss(cpu::PageMissRequest req)
 bool
 Smu::handleMissAt(cpu::PageMissRequest &req, Tick at)
 {
-    // The prefetcher spawns from inside the lookup and its SQE push
-    // order against the demand miss depends on event sequencing: keep
-    // the reference path.
-    if (!prm.fastPath || prm.sequentialPrefetch)
+    // The miss chain runs inline on the logical clock whenever it
+    // finishes before the next scheduled event, skipping the
+    // mmu.smureq/smu.lookup/smu.issue/nvme.doorbell event hops. Not
+    // with sequentialPrefetch: the prefetch spawns from inside the
+    // lookup, and its SQE push order against the demand miss depends
+    // on event sequencing, so the miss takes the event path.
+    if (prm.sequentialPrefetch)
         return false;
 
     Tick delay =
@@ -254,14 +256,14 @@ Smu::lookupStep(cpu::PageMissRequest req, Tick started)
 void
 Smu::lookupStepAt(cpu::PageMissRequest req, Tick started, Tick at)
 {
-    // Mirrors lookupStep() at logical time `at` under the fast-path
+    // Mirrors lookupStep() at logical time `at` under the inline-chain
     // guarantee that no event fires before `at`: PMSHR and free-queue
     // mutations run immediately (the SMU is the sole actor until
     // `at`), while done()/onQueueEmpty()/checkBarrier() — which
     // re-enter walker and kernel code expecting now() — go through a
     // posted event at `at`. That event is next in line (the gate
     // checked `at` against nextEventTick), so the relative execution
-    // order matches the reference path exactly.
+    // order matches lookupStep()'s event path exactly.
     int idx = pmshrUnit.lookup(req.refs.pte.addr);
     if (idx >= 0) {
         pmshrUnit.noteCoalesced();
@@ -323,8 +325,8 @@ Smu::lookupStepAt(cpu::PageMissRequest req, Tick started, Tick at)
         return;
     }
 
-    // CXL tier probe, mirroring lookupStep() under the fast-path
-    // inline/event dual the zero-fill branch established.
+    // CXL tier probe, mirroring lookupStep() under the inline/event
+    // dual the zero-fill branch established.
     if (tierBuf) {
         auto tl = tierBuf->tryLoad(tierDevBase + dev, lba);
         if (tl.hit) {
@@ -415,7 +417,7 @@ Smu::onIoCompleteAt(std::uint16_t tag, std::uint16_t status, Tick at)
         // Error completions are never delivered ahead of the clock
         // (the completion unit only inlines successes): at == now()
         // on this branch, so the direct calls below see the event
-        // time the reference path gave them.
+        // time.
         if (!e.retried) {
             // Media errors are frequently transient: retry once on
             // the same isolated queue. The PMSHR entry stays live so

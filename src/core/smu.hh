@@ -99,18 +99,6 @@ class Smu : public sim::SimObject, public cpu::PageMissHandlerIface
         /** Cross-socket request round-trip premium. */
         Tick remoteRequestLatency = nanoseconds(120.0);
 
-        /**
-         * Inline fault fast path (MachineConfig::faultFastPath): the
-         * miss-handling chain executes inline on the logical clock
-         * whenever it finishes before the next scheduled event,
-         * skipping the smu.lookup/smu.issue/nvme.doorbell event hops.
-         * Simulated results are bit-identical either way. Disabled
-         * automatically when sequentialPrefetch is on (the prefetch
-         * spawns from inside the lookup, which must stay on the event
-         * path to preserve demand-vs-prefetch SQE push order).
-         */
-        bool fastPath = true;
-
         NvmeHostController::Timing nvme{};
         Tick cyclePeriod = 357;
     };
@@ -226,7 +214,7 @@ class Smu : public sim::SimObject, public cpu::PageMissHandlerIface
      */
     std::uint64_t nRemoteRequests = 0;
 
-    /** Host-side fast-path hit count; never serialized. */
+    /** Host-side inline-chain hit count; never serialized. */
     std::uint64_t nInlineMisses = 0;
 
     /** CXL tier (nullptr at tierMode=off — zero behavior change). */

@@ -263,22 +263,19 @@ ThreadContext::finishOp(Tick logical_now)
 Tick
 ThreadContext::computeBurst(const workloads::ComputeSpec &spec)
 {
-    // The bulk mapping below does not catch range(0), which panics
-    // mid-burst on the per-line draws; a spec with an empty hot region
-    // or no branch sites keeps that behaviour through the per-line
-    // path, whose results the batched path matches exactly.
-    if (!prm.batch || spec.hotBytes == 0 || spec.staticBranches == 0)
-        return computeBurstPerLine(spec);
+    // rangeOf(z, 0) maps every draw to 0 instead of failing.
+    if (spec.hotBytes == 0 || spec.staticBranches == 0)
+        panic("thread '", name(), "': compute burst needs hotBytes and "
+              "staticBranches > 0 (got ", spec.hotBytes, ", ",
+              spec.staticBranches, ")");
 
-    // Batched burst. Identical simulated state and statistics to the
-    // per-line path below: the RNG draws happen in the original loop
-    // order (address/outcome generation is hoisted, not reordered),
-    // each loop's stream goes through accessBatch as one run (so each
-    // cache array sees the same addresses in the same order as the
-    // sequential descents), and the stall sum is reconstructed exactly
-    // from the per-level hit counts — every line that hits level k
-    // contributes the same max(latency_k, l1HitLatency) - l1HitLatency
-    // term the per-line loop adds one at a time.
+    // Per data reference one cache descent, per 16 instructions one
+    // instruction fetch, per branch one predictor update, run in bulk:
+    // the RNG draws keep that loop order (generation is hoisted, not
+    // reordered), each stream goes through accessBatch as one run, and
+    // the stall sum is rebuilt from per-level hit counts — every line
+    // that hits level k adds max(latency_k, l1HitLatency) -
+    // l1HitLatency. The issue-slot share is sampled at burst start.
     double share = kernel.scheduler().widthShare(core());
     const mem::CacheParams &cp = caches.params();
     auto stallSum = [&](const mem::CacheBatchResult &r, std::uint64_t n) {
@@ -293,13 +290,13 @@ ThreadContext::computeBurst(const workloads::ComputeSpec &spec)
 
     Cycles extra = 0;
 
-    // All of the burst's randomness, drawn up front in the per-line
+    // All of the burst's randomness, drawn up front in the loop
     // order: per data reference an optional cold/hot chance() and one
     // range(), then per branch one range() for the site and an
     // optional chance() for the outcome. (The cache streams consume
     // no randomness, so drawing the branches here leaves the generator
     // stream identical to drawing them after the cache passes — which
-    // is where the per-line path draws them.) Whether a chance() draws
+    // is where the loop order puts them.) Whether a chance() draws
     // depends only on its probability, so every draw's position is
     // known in advance: vectorised bulk draws fill a stack buffer a
     // chunk at a time, and the loops below map them in order with the
@@ -314,9 +311,9 @@ ThreadContext::computeBurst(const workloads::ComputeSpec &spec)
     constexpr std::uint64_t chunk = 256;
     std::uint64_t raw[chunk];
 
-    // Data references, streamed through the hierarchy level-major.
-    // The cold/hot choice is a mask, not a branch, which would
-    // mispredict on every cold draw.
+    // Data references: coldFrac of them roam the cold region. The
+    // cold/hot choice is a mask, not a branch, which would mispredict
+    // on every cold draw.
     const bool cold_drawn =
         spec.coldBytes > 0 && sim::Rng::chanceDraws(spec.coldFrac);
     const std::uint64_t cold_always =
@@ -344,7 +341,8 @@ ThreadContext::computeBurst(const workloads::ComputeSpec &spec)
         }
     }
 
-    // Branch sites and outcomes, for the predictor batch.
+    // Branch sites and outcomes (branchBias = taken probability), for
+    // the predictor batch.
     const bool taken_drawn = sim::Rng::chanceDraws(spec.branchBias);
     const std::uint8_t taken_always = spec.branchBias >= 1.0;
     const std::uint64_t taken_t =
@@ -373,11 +371,12 @@ ThreadContext::computeBurst(const workloads::ComputeSpec &spec)
                                     false, ExecMode::user);
         data_stall = stallSum(r, n_refs);
     }
+    // Overlapped misses (memory-level parallelism) hide stall cycles.
     extra += static_cast<Cycles>(static_cast<double>(data_stall) /
                                  std::max(spec.mlp, 1.0));
 
-    // Instruction fetch: the text stream wraps incrementally exactly
-    // like the reference loop, then goes through the L1I as one run.
+    // Instruction fetch streams over the text footprint, wrapping
+    // incrementally, then goes through the L1I as one run.
     std::uint64_t n_lines = spec.instructions / 16 + 1;
     std::uint64_t text_lines =
         std::max<std::uint64_t>(spec.textBytes / lineSize, 1);
@@ -394,7 +393,7 @@ ThreadContext::computeBurst(const workloads::ComputeSpec &spec)
         extra += stallSum(r, n_lines);
     }
 
-    // Cold-path fetches.
+    // Cold-path fetches: the workload's intrinsic L1I miss floor.
     if (spec.icacheColdLines > 0) {
         burstAddrs.resize(spec.icacheColdLines);
         for (std::uint32_t i = 0; i < spec.icacheColdLines; ++i)
@@ -408,7 +407,7 @@ ThreadContext::computeBurst(const workloads::ComputeSpec &spec)
     fetchSeq += n_lines;
 
     // Predictor batch (n_pcs == n, so the ring never wraps and pcs[i]
-    // pairs with taken[i] like the per-line loop).
+    // pairs with taken[i]).
     std::uint64_t mispred = 0;
     if (n_br > 0)
         mispred = bp.updateBatch(burstPcs.data(), n_br, burstTaken.data(),
@@ -422,94 +421,6 @@ ThreadContext::computeBurst(const workloads::ComputeSpec &spec)
 
     uInstr += spec.instructions;
     uCycles += duration / prm.cyclePeriod;
-    cCycles += duration / prm.cyclePeriod;
-
-    return duration;
-}
-
-Tick
-ThreadContext::computeBurstPerLine(const workloads::ComputeSpec &spec)
-{
-    // Issue-slot share depends on what the SMT sibling is doing right
-    // now (sampled at burst start; bursts are short).
-    double share = kernel.scheduler().widthShare(core());
-
-    Cycles extra = 0;
-    Cycles data_stall = 0;
-
-    // Data references: mostly the hot set, occasionally the cold
-    // region (two-level working-set model).
-    auto n_refs = static_cast<std::uint64_t>(
-        static_cast<double>(spec.instructions) * spec.memRefFrac);
-    for (std::uint64_t i = 0; i < n_refs; ++i) {
-        VAddr a;
-        if (spec.coldBytes > 0 && rng.chance(spec.coldFrac)) {
-            a = spec.hotBase + spec.hotBytes +
-                (rng.range(spec.coldBytes) & ~7ULL);
-        } else {
-            a = spec.hotBase + (rng.range(spec.hotBytes) & ~7ULL);
-        }
-        auto r = caches.access(physCore, a, false, ExecMode::user);
-        // max() instead of a conditional: hit/miss is random here, so
-        // a host branch on it mispredicts constantly; cmov is free.
-        data_stall +=
-            std::max(r.latency, prm.l1HitLatency) - prm.l1HitLatency;
-    }
-    // Overlapped misses (memory-level parallelism) hide part of the
-    // data-stall cycles.
-    extra += static_cast<Cycles>(static_cast<double>(data_stall) /
-                                 std::max(spec.mlp, 1.0));
-
-    // Instruction fetch: one line per 16 instructions, streaming over
-    // the text footprint.
-    std::uint64_t n_lines = spec.instructions / 16 + 1;
-    std::uint64_t text_lines = std::max<std::uint64_t>(
-        spec.textBytes / lineSize, 1);
-    // One modulo per burst; the loop wraps incrementally (a 64-bit
-    // divide per fetched line is measurable host-side).
-    std::uint64_t pos = fetchSeq % text_lines;
-    for (std::uint64_t i = 0; i < n_lines; ++i) {
-        VAddr a = spec.textBase + pos * lineSize;
-        if (++pos == text_lines)
-            pos = 0;
-        auto r = caches.access(physCore, a, true, ExecMode::user);
-        extra += std::max(r.latency, prm.l1HitLatency) - prm.l1HitLatency;
-    }
-    // Cold-path fetches (rare branches, library calls) from a 1 MB
-    // region: the workload's intrinsic L1I miss floor.
-    for (std::uint32_t i = 0; i < spec.icacheColdLines; ++i) {
-        VAddr a = spec.textBase + 0x100'0000 +
-                  ((fetchSeq * 13 + i * 67) % 16384) * lineSize;
-        auto r = caches.access(physCore, a, true, ExecMode::user);
-        extra += std::max(r.latency, prm.l1HitLatency) - prm.l1HitLatency;
-    }
-    fetchSeq += n_lines;
-
-    // Branches through the shared predictor. Per-site outcomes are
-    // strongly biased (branchBias = taken probability), so the
-    // baseline misprediction rate is ~(1 - bias) and kernel pollution
-    // of the history register / pattern table shows up as extra
-    // mispredictions after each OS entry.
-    auto n_br = static_cast<std::uint64_t>(
-        static_cast<double>(spec.instructions) * spec.branchFrac);
-    std::uint64_t mispred = 0;
-    for (std::uint64_t i = 0; i < n_br; ++i) {
-        std::uint64_t site = rng.range(spec.staticBranches);
-        std::uint64_t pc = spec.textBase + site * 16;
-        bool taken = rng.chance(spec.branchBias);
-        // Count without branching on the (data-dependent) outcome.
-        mispred += static_cast<std::uint64_t>(
-            !bp.predictAndUpdate(pc, taken, ExecMode::user));
-    }
-
-    auto base = static_cast<Cycles>(
-        static_cast<double>(spec.instructions) * prm.baseCpi);
-    Cycles cycles = base + extra + mispred * prm.mispredPenalty;
-    auto duration = static_cast<Tick>(
-        static_cast<double>(cycles * prm.cyclePeriod) / share);
-
-    uInstr += spec.instructions;
-    uCycles += duration / prm.cyclePeriod; // wall cycles in user mode
     cCycles += duration / prm.cyclePeriod;
 
     return duration;

@@ -51,15 +51,6 @@ struct CoreParams
      * can run ahead of the event queue within a quantum.
      */
     unsigned memQuantum = 4096;
-
-    /**
-     * Route computeBurst's cache/branch streams through the batched
-     * APIs (level-major accessBatch, updateBatch). Off restores the
-     * per-line reference loops; both produce bit-identical simulated
-     * state, so the flag exists for differential testing and follows
-     * MachineConfig::pollutionBatch.
-     */
-    bool batch = true;
 };
 
 class ThreadContext : public os::Thread, public AccessSink
@@ -187,7 +178,6 @@ class ThreadContext : public os::Thread, public AccessSink
     void opLoop();
     void finishOp(Tick logical_now);
     Tick computeBurst(const workloads::ComputeSpec &spec);
-    Tick computeBurstPerLine(const workloads::ComputeSpec &spec);
 };
 
 } // namespace hwdp::cpu

@@ -146,19 +146,10 @@ class KernelExec
     void setPollutionEnabled(bool on) { pollute = on; }
 
     /**
-     * Select the batched pollution path (the default) or the per-line
-     * reference path. Both produce bit-identical simulated state and
-     * statistics; the reference path exists so the differential suite
-     * can prove that, and for bisecting host-perf regressions.
-     */
-    void setBatchEnabled(bool on) { batch = on; }
-    bool batchEnabled() const { return batch; }
-
-    /**
      * Cache tag-array probes (across all three levels) issued by
-     * pollution on behalf of @p cat — the simulator-hot-path cost the
-     * batch path exists to cut, surfaced so benches can report where
-     * the probes come from. Counted identically by both paths.
+     * pollution on behalf of @p cat — the simulator's hottest host
+     * cost, surfaced so benches can report where the probes come
+     * from.
      */
     std::uint64_t pollutionProbes(KernelCostCat cat) const;
     std::uint64_t totalPollutionProbes() const;
@@ -180,7 +171,6 @@ class KernelExec
     Tick period;
     sim::Rng rng;
     bool pollute = true;
-    bool batch = true;
 
     std::uint64_t instrByCat[static_cast<unsigned>(KernelCostCat::numCats)] =
         {};
@@ -198,8 +188,8 @@ class KernelExec
      * pollution that does not vary per invocation. The FNV name hash
      * and the derived text/data bases are computed once; the
      * instruction-line run, the stable (even-index) data lines and
-     * the branch-PC cycle are flattened into address vectors the
-     * batch path streams directly. Odd data slots are per-invocation
+     * the branch-PC cycle are flattened into address vectors that
+     * applyPollution streams directly. Odd data slots are per-invocation
      * and rewritten in bulk before each use. Vectors grow on demand
      * because runBatch scales dcLines/branches per call.
      */
@@ -226,8 +216,6 @@ class KernelExec
     Footprint &footprint(const KernelPhase &phase);
 
     void applyPollution(unsigned phys_core, const KernelPhase &phase);
-    void applyPollutionBatch(unsigned phys_core, const KernelPhase &phase,
-                             Footprint &fp);
 };
 
 } // namespace hwdp::os

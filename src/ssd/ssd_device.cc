@@ -148,7 +148,7 @@ SsdDevice::ringSqDoorbellAt(std::uint16_t qid, Tick at)
         return;
     }
     Tick fetch_at = at + prof.cmdFetch + drop;
-    if (fastPath && at > now() && fetch_at < eq.nextEventTick()) {
+    if (at > now() && fetch_at < eq.nextEventTick()) {
         // Nothing can run before fetch_at, so fetching inline here is
         // indistinguishable from the posted "ssd.fetch" event — but
         // only for rings arriving ahead of the clock (the inline fault
@@ -257,7 +257,7 @@ SsdDevice::serviceOne(const nvme::SubmissionEntry &sqe, std::size_t qidx,
         media_done + prof.xfer4k + prof.cqeWrite + fault.extraLatency;
     Tick issued = at >= prof.cmdFetch ? at - prof.cmdFetch : 0;
 
-    if (fastPath && !queues[qidx].interrupts) {
+    if (!queues[qidx].interrupts) {
         // Snooped queue: pool the completion; the drain event writes
         // the CQE at the due tick. Steady state allocates nothing.
         std::uint32_t n;
@@ -276,8 +276,7 @@ SsdDevice::serviceOne(const nvme::SubmissionEntry &sqe, std::size_t qidx,
         return;
     }
 
-    // Interrupt-driven queue or reference path: one completion event
-    // per command.
+    // Interrupt-driven queue: one completion event per command.
     auto status = fault.status;
     eq.post(cqe_written,
             [this, qidx, sqe, issued, status] {
@@ -319,7 +318,7 @@ SsdDevice::drainFired()
               " but the drain fired at ", now());
 
     // Pop every command due now, preserving service order (the order
-    // the reference path would have posted their events in), and
+    // per-command completion events would have been posted in), and
     // reschedule for the remainder BEFORE completing anything: the
     // inline-completion gate downstream must see the next pending due
     // as a scheduled event.

@@ -101,10 +101,11 @@ class SsdDevice : public sim::SimObject
 
     /**
      * Doorbell write landing at logical time @p at (>= now()). The
-     * inline fault fast path rings doorbells from within an earlier
-     * event; when the device-side fetch would complete before the next
-     * scheduled event it runs inline too, saving the "ssd.fetch" hop.
-     * ringSqDoorbell(qid) is exactly ringSqDoorbellAt(qid, now()).
+     * inline fault chain rings doorbells from within an earlier
+     * event; when @p at is ahead of now() and the device-side fetch
+     * would complete before the next scheduled event, the fetch runs
+     * inline too, saving the "ssd.fetch" hop. ringSqDoorbell(qid) is
+     * exactly ringSqDoorbellAt(qid, now()).
      */
     void ringSqDoorbellAt(std::uint16_t qid, Tick at);
 
@@ -125,16 +126,6 @@ class SsdDevice : public sim::SimObject
 
     /** Attach (or clear, with nullptr) the fault injector. */
     void setFaultInjector(IoFaultInjector *inj) { injector = inj; }
-
-    /**
-     * Fast-path mode: inline fetch after a doorbell when the timing
-     * gate allows, and batched snooped-queue completions through the
-     * pooled pending list + single drain event. Off (the default)
-     * keeps the event-per-hop reference behaviour; simulated results
-     * are bit-identical either way.
-     */
-    void setFastPath(bool on) { fastPath = on; }
-    bool fastPathEnabled() const { return fastPath; }
 
     // ---- Host-side observability (never part of simulated state) ----
     std::uint64_t doorbellRings() const { return nDoorbellRings; }
@@ -177,9 +168,7 @@ class SsdDevice : public sim::SimObject
     bool fetchScheduled = false;
     IoFaultInjector *injector = nullptr;
 
-    // ---- Fast-path machinery (host-side; simulated results are
-    // bit-identical to the reference path) --------------------------
-    bool fastPath = false;
+    // ---- Snooped-queue completion pool (host-side) -----------------
 
     /** One serviced snooped-queue command awaiting its CQ write. */
     struct PendingCmd
@@ -210,14 +199,14 @@ class SsdDevice : public sim::SimObject
     /** Fetch pending commands from all doorbelled queues. */
     void fetchCommands();
 
-    /** Fetch running at logical time @p at (== now() off fast path). */
+    /** Fetch running at logical time @p at (== now() unless inline). */
     void fetchCommandsAt(Tick at);
 
     /**
      * Service one fetched command of queue index @p qidx at logical
      * time @p at: media jitter, channel serialisation, then route the
-     * completion (pooled for snooped queues on the fast path, an
-     * event otherwise).
+     * completion (pooled for snooped queues, an "ssd.complete" event
+     * for interrupt queues).
      */
     void serviceOne(const nvme::SubmissionEntry &sqe, std::size_t qidx,
                     const IoFaultDecision &fault, Tick at);

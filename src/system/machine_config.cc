@@ -109,12 +109,6 @@ MachineConfig::describe() const
            << ktierdBatch << " frames/pass, watermarks "
            << tierLowWatermarkFrac << "/" << tierHighWatermarkFrac
            << '\n';
-    // Host-only knob: shown only when the reference path is selected,
-    // so the default dump (and the checkpoint config hash) keeps the
-    // Table II text while fast-on and fast-off blobs never collide
-    // (their event-queue serial numbers legitimately differ).
-    if (!faultFastPath)
-        os << "fault fast path  : off (event-per-hop reference)\n";
     return os.str();
 }
 

@@ -194,26 +194,7 @@ struct MachineConfig
     // ---- Simulation ---------------------------------------------------------
     std::uint64_t seed = 42;
     bool pollutionEnabled = true;
-    /**
-     * Use the batched (level-major) pollution engine. Off selects the
-     * per-line reference path; simulated results are bit-identical
-     * either way (the differential suite proves it), only host speed
-     * differs.
-     */
-    bool pollutionBatch = true;
     bool quiet = true;
-
-    /**
-     * Inline demand-paging fast path: walker-miss -> SMU -> PMSHR ->
-     * NVMe-submit hops execute inline on the logical clock whenever
-     * the chain finishes before the next scheduled event, device
-     * completions of the SMU's snooped queues pool into a per-device
-     * drain event, and doorbell/fetch events coalesce. Off selects the
-     * event-per-hop reference path; simulated results and stats dumps
-     * are bit-identical either way (the paging differential suite
-     * proves it), only host speed differs.
-     */
-    bool faultFastPath = true;
 
     /**
      * Last logical cores host the kernel threads by default; small

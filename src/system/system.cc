@@ -44,7 +44,6 @@ System::System(const MachineConfig &cfg_in) : cfg(cfg_in), rng(cfg.seed)
     kern = std::make_unique<os::Kernel>(eq, kp, *pm, *hierarchy, bps,
                                         rng.fork());
     kern->kexec().setPollutionEnabled(cfg.pollutionEnabled);
-    kern->kexec().setBatchEnabled(cfg.pollutionBatch);
 
     // Block devices (the paper's machine has one; the PTE device-id
     // field supports up to 8 per socket).
@@ -61,7 +60,6 @@ System::System(const MachineConfig &cfg_in) : cfg(cfg_in), rng(cfg.seed)
             unsigned idx = s * cfg.nDevices + d;
             ssds.push_back(std::make_unique<ssd::SsdDevice>(
                 "ssd" + std::to_string(idx), eq, prof, rng.fork()));
-            ssds.back()->setFastPath(cfg.faultFastPath);
             kern->attachDevice(ssds.back().get(),
                                os::BlockDeviceId{s, d});
         }
@@ -146,7 +144,6 @@ System::System(const MachineConfig &cfg_in) : cfg(cfg_in), rng(cfg.seed)
             core::Smu::Params sp = cfg.smu;
             sp.cyclePeriod = cfg.cyclePeriod;
             sp.nvme.cyclePeriod = cfg.cyclePeriod;
-            sp.fastPath = cfg.faultFastPath;
             if (cfg.sockets > 1) {
                 sp.coresPerSocket = cfg.coresPerSocket();
                 sp.remoteRequestLatency = cfg.numaRemoteSmuLatency;
@@ -483,14 +480,10 @@ cpu::ThreadContext *
 System::addThread(workloads::Workload &wl, unsigned core_idx,
                   os::AddressSpace &as)
 {
-    // The batch toggle covers the whole machine: kernel pollution
-    // engine and user-side burst streams switch together.
-    cpu::CoreParams core_prm = cfg.core;
-    core_prm.batch = cfg.pollutionBatch;
     auto tc = std::make_unique<cpu::ThreadContext>(
         std::string(wl.label()) + "#" + std::to_string(tcs.size()),
         core_idx, *kern, cores.at(core_idx)->mmu(), *hierarchy,
-        bps.at(kern->scheduler().physCoreOf(core_idx)), as, wl, core_prm,
+        bps.at(kern->scheduler().physCoreOf(core_idx)), as, wl, cfg.core,
         rng.fork());
     tc->setOnFinished([this] { ++threadsDone; });
     kern->scheduler().addThread(tc.get());

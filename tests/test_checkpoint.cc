@@ -287,11 +287,6 @@ TEST(Checkpoint, ConfigHashGoldenValues)
     thp.pageMode = PageMode::thp;
     EXPECT_EQ(system::Checkpoint::configHash(thp), 0x2645849fadcb26baULL);
 
-    system::MachineConfig reference_path = def;
-    reference_path.faultFastPath = false;
-    EXPECT_EQ(system::Checkpoint::configHash(reference_path),
-              0xf37275cc06a692e7ULL);
-
     // Shape knobs outside the pinned set still separate blobs.
     system::MachineConfig base =
         smallConfig({system::PagingMode::hwdp, 'I', 0.0});

@@ -60,14 +60,36 @@ TEST(NvmeHostController, ReadOnUnconfiguredDevicePanics)
 
 TEST(NvmeHostController, DoorbellAfterCommandWriteLatency)
 {
-    Harness h;
-    h.hc.configureDevice(0, &h.dev);
-    Tick doorbell_at = 0;
-    h.hc.issueRead(0, 0, 0x1000, 7,
-                   [&] { doorbell_at = h.eq.now(); });
-    h.eq.run();
     // 77.16 ns command write + 1.60 ns doorbell = 78.76 ns = 78760 ps.
-    EXPECT_EQ(doorbell_at, nanoseconds(77.16) + nanoseconds(1.60));
+    const Tick doorbell = nanoseconds(77.16) + nanoseconds(1.60);
+    {
+        // An event due before the doorbell tick makes the gate
+        // decline: "nvme.doorbell" rings at the doorbell tick.
+        Harness h;
+        h.hc.configureDevice(0, &h.dev);
+        h.eq.post(1, [] {}, "blocker");
+        Tick doorbell_at = 0;
+        h.hc.issueRead(0, 0, 0x1000, 7,
+                       [&] { doorbell_at = h.eq.now(); });
+        EXPECT_EQ(doorbell_at, 0u);
+        h.eq.run();
+        EXPECT_EQ(doorbell_at, doorbell);
+        EXPECT_EQ(h.hc.eventDoorbells(), 1u);
+        EXPECT_EQ(h.hc.inlineDoorbells(), 0u);
+    }
+    {
+        // Nothing scheduled: the doorbell rings inline and `issued`
+        // runs before issueRead returns, ahead of the clock.
+        Harness h;
+        h.hc.configureDevice(0, &h.dev);
+        bool issued = false;
+        h.hc.issueRead(0, 0, 0x1000, 7, [&] { issued = true; });
+        EXPECT_TRUE(issued);
+        EXPECT_EQ(h.eq.now(), 0u);
+        EXPECT_EQ(h.hc.inlineDoorbells(), 1u);
+        EXPECT_EQ(h.hc.eventDoorbells(), 0u);
+        h.eq.run();
+    }
 }
 
 TEST(NvmeHostController, CompletionSnoopDeliversTag)
@@ -77,14 +99,16 @@ TEST(NvmeHostController, CompletionSnoopDeliversTag)
     std::uint16_t tag_seen = 0;
     Tick when = 0;
     h.hc.setCompletionCallback(
-        [&](std::uint16_t tag, std::uint16_t, Tick) {
+        [&](std::uint16_t tag, std::uint16_t, Tick at) {
             tag_seen = tag;
-            when = h.eq.now();
+            when = at;
         });
     h.hc.issueRead(0, 4, 0x1000, 23, nullptr);
     h.eq.run();
     EXPECT_EQ(tag_seen, 23u);
-    // Doorbell + device time + 2-cycle completion handling.
+    // Doorbell + device time + 2-cycle completion handling, as the
+    // callback's logical time: an inline delivery runs before now()
+    // reaches it.
     Tick expect = nanoseconds(78.76) + 1160 + 2 * 357;
     EXPECT_EQ(when, expect);
     EXPECT_EQ(h.hc.readsIssued(), 1u);

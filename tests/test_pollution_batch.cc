@@ -1,22 +1,28 @@
 /**
  * @file
- * Bit-identity of the batched pollution engine against the per-line
- * reference path, at three levels: the cache-array batch API under
- * randomized and adversarial (set-colliding, aliasing) runs, the
- * level-major hierarchy descent, the bulk RNG / branch-predictor
- * streams, and whole-machine differential runs with pollution
- * batching toggled — clean and under an injected fault plan.
+ * Bit-identity of the batched pollution engine against per-line
+ * oracles: the cache-array batch API under randomized and adversarial
+ * (set-colliding, aliasing) runs, the level-major hierarchy descent,
+ * the bulk RNG / branch-predictor streams, and KernelExec's phase
+ * pollution against a test-side per-line loop. Whole machines are
+ * pinned by golden stats-dump hashes, including a compute-only thread
+ * that sweeps burst shapes no workload builds.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <sstream>
 #include <vector>
 
 #include "mem/branch_predictor.hh"
 #include "mem/cache_array.hh"
 #include "mem/cache_hierarchy.hh"
+#include "os/kernel_phases.hh"
+#include "sim/logging.hh"
 #include "sim/rng.hh"
+#include "sim/serialize.hh"
 #include "system/system.hh"
 #include "testing/fault_plan.hh"
 #include "testing/machine_differ.hh"
@@ -293,10 +299,161 @@ TEST(PollutionBatch, BranchUpdateBatchMatchesSequential)
 
 namespace {
 
-/** Whole-machine run with pollution batching on or off. */
-std::string
-runFioStats(system::PagingMode mode, bool pollution_batch,
-            double fault_rate = 0.0)
+/**
+ * Per-line model of KernelExec's phase pollution: one hierarchy
+ * descent per text line, then per data line (even slots stable per
+ * phase, odd slots stepping by 2 mod 2048 from a per-invocation
+ * start), then one predictor update per branch on a 1024-site PC
+ * cycle with a chance(0.5) outcome.
+ */
+struct KernelPollutionOracle
+{
+    static constexpr unsigned nCats =
+        static_cast<unsigned>(os::KernelCostCat::numCats);
+
+    CacheHierarchy &caches;
+    std::vector<BranchPredictor> &bps;
+    sim::Rng rng;
+    std::uint64_t invocation = 0;
+    std::uint64_t probes[nCats] = {};
+    std::uint64_t branches[nCats] = {};
+
+    void
+    run(unsigned phys_core, const os::KernelPhase &phase)
+    {
+        ++invocation;
+        std::uint64_t h = 1469598103934665603ULL;
+        for (const char *p = phase.name; *p; ++p)
+            h = (h ^ static_cast<std::uint64_t>(*p)) * 1099511628211ULL;
+        std::uint64_t text_base =
+            0xffff'ffff'8000'0000ULL + (h & 0x3f'ffc0);
+        std::uint64_t data_base =
+            0xffff'ea00'0000'0000ULL + ((h >> 20) & 0xff'ffc0);
+
+        auto c = static_cast<unsigned>(phase.cat);
+        for (unsigned i = 0; i < phase.icLines; ++i) {
+            auto r = caches.access(phys_core, text_base + i * lineSize,
+                                   true, ExecMode::kernel);
+            probes[c] += 1u + r.l1Miss + r.l2Miss;
+        }
+        std::uint64_t vary = (invocation * 37 + 1) % 2048;
+        for (unsigned i = 0; i < phase.dcLines; ++i) {
+            std::uint64_t addr;
+            if ((i & 1) == 0) {
+                addr = data_base + i * lineSize;
+            } else {
+                addr = data_base + 0x100'0000 + vary * lineSize;
+                vary += 2;
+                if (vary >= 2048)
+                    vary -= 2048;
+            }
+            auto r = caches.access(phys_core, addr, false,
+                                   ExecMode::kernel);
+            probes[c] += 1u + r.l1Miss + r.l2Miss;
+        }
+        branches[c] += phase.branches;
+        for (unsigned i = 0; i < phase.branches; ++i) {
+            std::uint64_t pc = text_base + (i % 1024) * 16;
+            bps[phys_core].predictAndUpdate(pc, rng.chance(0.5),
+                                            ExecMode::kernel);
+        }
+    }
+
+    /** runBatch(n): data lines and branches scale with n, capped. */
+    void
+    runBatch(unsigned phys_core, const os::KernelPhase &phase,
+             std::uint64_t n)
+    {
+        os::KernelPhase scaled = phase;
+        scaled.dcLines = static_cast<std::uint16_t>(
+            std::min<std::uint64_t>(phase.dcLines * n, 4096));
+        scaled.branches = static_cast<std::uint16_t>(
+            std::min<std::uint64_t>(phase.branches * n, 8192));
+        run(phys_core, scaled);
+    }
+};
+
+template <typename T>
+std::vector<std::uint8_t>
+blobOf(T &component)
+{
+    sim::Serializer s = sim::Serializer::saver();
+    component.serialize(s);
+    return s.takeBlob();
+}
+
+} // namespace
+
+TEST(PollutionBatch, KernelExecMatchesPerLineOracle)
+{
+    const os::KernelPhase *const table[] = {
+        &os::phases::exceptionEntry,    &os::phases::vmaLookup,
+        &os::phases::pageAlloc,         &os::phases::ioSubmit,
+        &os::phases::contextSwitch,     &os::phases::irqDeliver,
+        &os::phases::ioComplete,        &os::phases::wakeupSched,
+        &os::phases::metadataUpdate,    &os::phases::pteUpdateReturn,
+        &os::phases::minorFaultFill,    &os::phases::syscallEntryExit,
+        &os::phases::writeSyscall,      &os::phases::mmapSetupPerPage,
+        &os::phases::reclaimScanPage,   &os::phases::writebackSubmit,
+        &os::phases::writebackComplete, &os::phases::kptedPerPage,
+        &os::phases::kptedScanEntry,    &os::phases::kpooldPerPage,
+        &os::phases::shootdownIpi,      &os::phases::coalesceScan,
+        &os::phases::coalescePromote,   &os::phases::swSmuSubmit,
+        &os::phases::swSmuWake,         &os::phases::swSmuComplete};
+
+    CacheParams cp;
+    cp.llcBytes = 20 * 64 * 1024; // 20-way, 1024 sets: test-sized
+    CacheHierarchy caches(2, cp);
+    CacheHierarchy ref_caches(2, cp);
+    std::vector<BranchPredictor> bps(2);
+    std::vector<BranchPredictor> ref_bps(2);
+    os::KernelExec kexec(caches, bps, 357, sim::Rng(0x5eed));
+    KernelPollutionOracle oracle{ref_caches, ref_bps, sim::Rng(0x5eed)};
+
+    sim::Rng rng(0xfacade);
+    for (int step = 0; step < 600; ++step) {
+        auto core = static_cast<unsigned>(rng.range(2));
+        const os::KernelPhase &phase = *table[rng.range(std::size(table))];
+        if (rng.chance(0.5)) {
+            kexec.run(core, phase);
+            oracle.run(core, phase);
+        } else {
+            // Large n hit the dcLines/branches caps and grow the
+            // memoized footprint vectors mid-run.
+            std::uint64_t n = 1 + rng.range(600);
+            kexec.runBatch(core, phase, n);
+            oracle.runBatch(core, phase, n);
+        }
+        for (unsigned c = 0; c < KernelPollutionOracle::nCats; ++c) {
+            auto cat = static_cast<os::KernelCostCat>(c);
+            ASSERT_EQ(kexec.pollutionProbes(cat), oracle.probes[c])
+                << "step " << step << " " << os::kernelCostCatName(cat);
+            ASSERT_EQ(kexec.pollutionBranchUpdates(cat),
+                      oracle.branches[c])
+                << "step " << step << " " << os::kernelCostCatName(cat);
+        }
+        if (step % 50 == 49) {
+            ASSERT_EQ(blobOf(caches), blobOf(ref_caches)) << "step " << step;
+            for (unsigned p = 0; p < 2; ++p)
+                ASSERT_EQ(blobOf(bps[p]), blobOf(ref_bps[p]))
+                    << "step " << step << " core " << p;
+        }
+    }
+}
+
+namespace {
+
+std::uint64_t
+fnv1a(const std::string &s)
+{
+    std::uint64_t h = 14695981039346656037ULL;
+    for (unsigned char c : s)
+        h = (h ^ c) * 1099511628211ULL;
+    return h;
+}
+
+system::MachineConfig
+smallMachine(system::PagingMode mode)
 {
     system::MachineConfig cfg;
     cfg.mode = mode;
@@ -306,9 +463,23 @@ runFioStats(system::PagingMode mode, bool pollution_batch,
     cfg.smu.freeQueueCapacity = 512;
     cfg.kpooldPeriod = milliseconds(1.0);
     cfg.kptedPeriod = milliseconds(4.0);
-    cfg.pollutionBatch = pollution_batch;
+    return cfg;
+}
 
-    system::System sys(cfg);
+/** The observability the stats dump does not cover. */
+void
+appendPollutionCounters(system::System &sys, std::ostream &os)
+{
+    os << sys.aggregateUserIpc() << ' ' << sys.userBranchMispredicts()
+       << ' ' << sys.userBranchLookups() << ' '
+       << sys.kernel().kexec().totalPollutionProbes() << ' '
+       << sys.kernel().kexec().totalPollutionBranchUpdates();
+}
+
+std::string
+runFioStats(system::PagingMode mode, double fault_rate = 0.0)
+{
+    system::System sys(smallMachine(mode));
     ht::FaultPlan plan("plan", sys.eventQueue(), 97);
     auto mf = sys.mapDataset("f", 8 * 1024);
     auto *wl = sys.makeWorkload<workloads::FioWorkload>(mf.vma, 1200);
@@ -322,30 +493,14 @@ runFioStats(system::PagingMode mode, bool pollution_batch,
 
     std::ostringstream os;
     ht::dumpMachineStats(sys, os);
-    // Fold in the observability the stats dump does not cover: IPC,
-    // branch outcomes and the pollution probe accounting.
-    os << sys.aggregateUserIpc() << ' ' << sys.userBranchMispredicts()
-       << ' ' << sys.userBranchLookups() << ' '
-       << sys.kernel().kexec().totalPollutionProbes() << ' '
-       << sys.kernel().kexec().totalPollutionBranchUpdates();
+    appendPollutionCounters(sys, os);
     return os.str();
 }
 
 std::string
-runYcsbStats(system::PagingMode mode, bool pollution_batch,
-             double fault_rate = 0.0)
+runYcsbStats(system::PagingMode mode, double fault_rate = 0.0)
 {
-    system::MachineConfig cfg;
-    cfg.mode = mode;
-    cfg.nLogical = 4;
-    cfg.nPhysical = 2;
-    cfg.memFrames = 32 * 1024;
-    cfg.smu.freeQueueCapacity = 512;
-    cfg.kpooldPeriod = milliseconds(1.0);
-    cfg.kptedPeriod = milliseconds(4.0);
-    cfg.pollutionBatch = pollution_batch;
-
-    system::System sys(cfg);
+    system::System sys(smallMachine(mode));
     ht::FaultPlan plan("plan", sys.eventQueue(), 101);
     auto mf = sys.mapDataset("data", 16 * 1024);
     auto *wal = sys.createFile("wal", 8 * 1024);
@@ -363,64 +518,183 @@ runYcsbStats(system::PagingMode mode, bool pollution_batch,
 
     std::ostringstream os;
     ht::dumpMachineStats(sys, os);
-    os << sys.aggregateUserIpc() << ' ' << sys.userBranchMispredicts()
-       << ' ' << sys.userBranchLookups() << ' '
-       << sys.kernel().kexec().totalPollutionProbes() << ' '
-       << sys.kernel().kexec().totalPollutionBranchUpdates();
+    appendPollutionCounters(sys, os);
     return os.str();
+}
+
+template <typename T, std::size_t N>
+T
+pick(sim::Rng &rng, const T (&menu)[N])
+{
+    return menu[rng.range(N)];
+}
+
+/**
+ * Compute-only thread whose every burst draws its shape from fixed
+ * menus, edge values included: always-cold and never-cold data,
+ * always- and never-taken branches, a single branch site, bursts with
+ * no data references or branches, sub-line and one-line text, and
+ * instruction counts around the 16-instruction fetch granule.
+ */
+class BurstShapeFuzz final : public workloads::Workload
+{
+  public:
+    explicit BurstShapeFuzz(std::uint64_t bursts) : left(bursts) {}
+
+    workloads::Op
+    next(sim::Rng &rng) override
+    {
+        static constexpr double coldFracs[] = {0.0, 0.08, 0.5, 1.0};
+        static constexpr std::uint64_t coldBytes[] = {0, 4096,
+                                                      2 * 1024 * 1024};
+        static constexpr double biases[] = {0.0, 0.5, 0.9, 1.0};
+        static constexpr std::uint32_t sites[] = {1, 7, 64, 4096};
+        static constexpr double memRefFracs[] = {0.0, 0.1, 0.4};
+        static constexpr double branchFracs[] = {0.0, 0.15, 0.3};
+        static constexpr std::uint32_t coldLines[] = {0, 1, 12};
+        static constexpr std::uint64_t textBytes[] = {0, 64, 100,
+                                                      16 * 1024};
+        static constexpr std::uint64_t instructions[] = {0,    1,   15, 16,
+                                                         17, 2000, 9500};
+        static constexpr double mlps[] = {0.5, 1.0, 4.0};
+        static constexpr std::uint64_t hotBytes[] = {8, 64, 4096,
+                                                     24 * 1024};
+        if (left == 0)
+            return workloads::Op::makeDone();
+        --left;
+        workloads::ComputeSpec s;
+        s.coldFrac = pick(rng, coldFracs);
+        s.coldBytes = pick(rng, coldBytes);
+        s.branchBias = pick(rng, biases);
+        s.staticBranches = pick(rng, sites);
+        s.memRefFrac = pick(rng, memRefFracs);
+        s.branchFrac = pick(rng, branchFracs);
+        s.icacheColdLines = pick(rng, coldLines);
+        s.textBytes = pick(rng, textBytes);
+        s.instructions = pick(rng, instructions);
+        s.mlp = pick(rng, mlps);
+        s.hotBytes = pick(rng, hotBytes);
+        return workloads::Op::makeCompute(s, true);
+    }
+
+    const char *label() const override { return "burst_fuzz"; }
+
+  private:
+    std::uint64_t left;
+};
+
+/**
+ * A FIO thread on logical core 0 and the burst fuzzer on core 2, its
+ * SMT sibling: kernel work on the shared physical core pollutes the
+ * fuzzer's caches and predictor between bursts.
+ * @return {FNV-1a of the stats dump and counters, logical-state hash}.
+ */
+std::pair<std::uint64_t, std::uint64_t>
+runBurstFuzz(system::PagingMode mode)
+{
+    system::System sys(smallMachine(mode));
+    auto mf = sys.mapDataset("f", 8 * 1024);
+    auto *fio = sys.makeWorkload<workloads::FioWorkload>(mf.vma, 1200);
+    sys.addThread(*fio, 0, *mf.as);
+    auto *fuzz = sys.makeWorkload<BurstShapeFuzz>(3000);
+    sys.addThread(*fuzz, 2, *sys.kernel().createAddressSpace());
+    EXPECT_TRUE(sys.runUntilThreadsDone(seconds(30.0)));
+    ht::quiesce(sys);
+
+    std::ostringstream os;
+    ht::dumpMachineStats(sys, os);
+    appendPollutionCounters(sys, os);
+    for (const auto &t : sys.threads())
+        os << ' ' << t->userInstructions() << ' ' << t->userCycles()
+           << ' ' << t->computeCycles() << ' ' << t->appOps();
+    return {fnv1a(os.str()),
+            ht::snapshot(sys, pagingModeName(mode)).stateHash};
+}
+
+/** Runs one compute burst of @p spec on a fresh machine. */
+bool
+runOneBurst(const workloads::ComputeSpec &spec)
+{
+    struct OneBurst final : workloads::Workload
+    {
+        workloads::ComputeSpec spec;
+        bool issued = false;
+
+        workloads::Op
+        next(sim::Rng &) override
+        {
+            if (issued)
+                return workloads::Op::makeDone();
+            issued = true;
+            return workloads::Op::makeCompute(spec, true);
+        }
+        const char *label() const override { return "one_burst"; }
+    };
+    system::System sys(smallMachine(system::PagingMode::hwdp));
+    auto *wl = sys.makeWorkload<OneBurst>();
+    wl->spec = spec;
+    sys.addThread(*wl, 0, *sys.kernel().createAddressSpace());
+    return sys.runUntilThreadsDone(seconds(1.0));
 }
 
 } // namespace
 
-TEST(PollutionBatch, FioStatsDumpIdenticalBatchOnOffAllModes)
-{
-    for (auto mode :
-         {system::PagingMode::osdp, system::PagingMode::hwdp,
-          system::PagingMode::swsmu}) {
-        std::string on = runFioStats(mode, true);
-        std::string off = runFioStats(mode, false);
-        EXPECT_EQ(on, off) << "mode " << pagingModeName(mode);
-    }
-}
-
-TEST(PollutionBatch, FioStatsDumpIdenticalUnderFaultPlan)
-{
-    std::string on = runFioStats(system::PagingMode::hwdp, true, 0.01);
-    std::string off = runFioStats(system::PagingMode::hwdp, false, 0.01);
-    EXPECT_EQ(on, off);
-}
-
-TEST(PollutionBatch, YcsbStatsDumpIdenticalBatchOnOff)
-{
-    std::string on = runYcsbStats(system::PagingMode::hwdp, true);
-    std::string off = runYcsbStats(system::PagingMode::hwdp, false);
-    EXPECT_EQ(on, off);
-
-    std::string on_f =
-        runYcsbStats(system::PagingMode::swsmu, true, 0.01);
-    std::string off_f =
-        runYcsbStats(system::PagingMode::swsmu, false, 0.01);
-    EXPECT_EQ(on_f, off_f);
-}
-
 TEST(PollutionBatch, GoldenStatsDumpHashes)
 {
-    // The on/off differentials above run both sides through the
-    // shared scans, renormalisation and RNG mapping, so a change to
-    // those moves both sides alike. These pins do not: FNV-1a of the
-    // batched dumps as the per-line engine first produced them. A
-    // host-speed change must leave them alone; a deliberate model
-    // change updates them and says so.
-    auto fnv1a = [](const std::string &s) {
-        std::uint64_t h = 14695981039346656037ULL;
-        for (unsigned char c : s)
-            h = (h ^ c) * 1099511628211ULL;
-        return h;
-    };
-    EXPECT_EQ(fnv1a(runFioStats(system::PagingMode::osdp, true)),
-              0xda962dbdbe5d71eeULL);
-    EXPECT_EQ(fnv1a(runFioStats(system::PagingMode::hwdp, true)),
-              0x7685c0199b0b089bULL);
-    EXPECT_EQ(fnv1a(runYcsbStats(system::PagingMode::hwdp, true)),
-              0xb0c9c2dad745a47eULL);
+    // FNV-1a of whole-machine stats dumps plus pollution counters. The
+    // batched engine and the per-line loops it replaced produced each
+    // value identically. The oracle tests above share the scans,
+    // renormalisation and RNG mappings with production; these pins do
+    // not. A host-speed change must leave them alone; a deliberate
+    // model change updates them and says so.
+    using system::PagingMode;
+    EXPECT_EQ(fnv1a(runFioStats(PagingMode::osdp)), 0xda962dbdbe5d71eeULL);
+    EXPECT_EQ(fnv1a(runFioStats(PagingMode::hwdp)), 0x7685c0199b0b089bULL);
+    EXPECT_EQ(fnv1a(runYcsbStats(PagingMode::hwdp)), 0xb0c9c2dad745a47eULL);
+    EXPECT_EQ(fnv1a(runFioStats(PagingMode::swsmu)), 0x60260f7af549d105ULL);
+    EXPECT_EQ(fnv1a(runFioStats(PagingMode::hwdp, 0.01)),
+              0x979e63dfd3808c8fULL);
+    EXPECT_EQ(fnv1a(runYcsbStats(PagingMode::swsmu, 0.01)),
+              0x351a0f75beacb058ULL);
+}
+
+TEST(PollutionBatch, BurstShapeGoldenPins)
+{
+    // Covers the computeBurst branches no workload reaches: always-cold
+    // and always-taken draws, zero-reference and zero-branch bursts,
+    // one-line text. Pinned from the batched and per-line bursts,
+    // which agreed.
+    auto osdp = runBurstFuzz(system::PagingMode::osdp);
+    EXPECT_EQ(osdp.first, 0xde9db79ca86b24bcULL);
+    EXPECT_EQ(osdp.second, 0x35f8bd00a4aaa8adULL);
+    auto hwdp = runBurstFuzz(system::PagingMode::hwdp);
+    EXPECT_EQ(hwdp.first, 0xce1e87c87ef8529fULL);
+    EXPECT_EQ(hwdp.second, 0x35f8bd00a4aaa8adULL);
+}
+
+TEST(PollutionBatch, EmptyHotSetOrBranchSitesPanics)
+{
+    workloads::ComputeSpec spec;
+    spec.instructions = 1000;
+    EXPECT_TRUE(runOneBurst(spec)); // the defaults are a valid burst
+
+    workloads::ComputeSpec no_hot = spec;
+    no_hot.hotBytes = 0;
+    EXPECT_THROW(runOneBurst(no_hot), PanicError);
+
+    workloads::ComputeSpec no_sites = spec;
+    no_sites.staticBranches = 0;
+    EXPECT_THROW(runOneBurst(no_sites), PanicError);
+
+    // Even a burst that would draw nothing is rejected up front.
+    workloads::ComputeSpec empty = no_hot;
+    empty.instructions = 0;
+    try {
+        runOneBurst(empty);
+        FAIL() << "empty hot set accepted";
+    } catch (const PanicError &e) {
+        EXPECT_NE(std::string(e.what()).find("one_burst#0"),
+                  std::string::npos)
+            << e.what();
+    }
 }
