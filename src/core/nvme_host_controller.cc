@@ -61,15 +61,7 @@ NvmeHostController::deviceConfigured(unsigned dev_id) const
 void
 NvmeHostController::issueRead(unsigned dev_id, Lba lba, PAddr dma_addr,
                               std::uint16_t tag,
-                              std::function<void()> issued)
-{
-    issueReadAt(dev_id, lba, dma_addr, tag, std::move(issued), now());
-}
-
-void
-NvmeHostController::issueReadAt(unsigned dev_id, Lba lba, PAddr dma_addr,
-                                std::uint16_t tag,
-                                std::function<void()> issued, Tick at)
+                              std::function<void()> issued, Tick at)
 {
     if (!deviceConfigured(dev_id))
         panic("nvme host controller: read on unconfigured device ",
@@ -90,26 +82,16 @@ NvmeHostController::issueReadAt(unsigned dev_id, Lba lba, PAddr dma_addr,
 
     // Command write to memory, then the doorbell: the generator builds
     // the 64-byte command and writes it at SQ base + SQ tail, then
-    // rings the SQ doorbell (Figure 11(b): 77.16 ns + 1.60 ns). When
-    // the doorbell lands before the next scheduled event, nothing can
-    // execute in between, so running it inline here is byte-identical
-    // to the posted event firing there.
-    Tick t_db = at + tm.cmdWrite + tm.doorbell;
-    if (t_db < eq.nextEventTick()) {
-        ++nInlineDoorbells;
-        d.dev->ringSqDoorbellAt(d.qid, t_db);
-        if (issued)
-            issued();
-        return;
-    }
-    ++nEventDoorbells;
-    eq.post(t_db,
-            [this, dev_id, issued = std::move(issued)] {
-                descs[dev_id].dev->ringSqDoorbell(descs[dev_id].qid);
-                if (issued)
-                    issued();
-            },
-            "nvme.doorbell");
+    // rings the SQ doorbell (Figure 11(b): 77.16 ns + 1.60 ns).
+    bool inl = eq.hop(
+        at + tm.cmdWrite + tm.doorbell, true,
+        [this, dev_id, issued = std::move(issued)](Tick t) {
+            descs[dev_id].dev->ringSqDoorbellAt(descs[dev_id].qid, t);
+            if (issued)
+                issued();
+        },
+        "nvme.doorbell");
+    ++(inl ? nInlineDoorbells : nEventDoorbells);
 }
 
 void
@@ -127,24 +109,20 @@ NvmeHostController::onCqWrite(unsigned dev_id,
     if (cqe.status != 0)
         ++statErrors;
 
-    Tick t_c = now() + tm.completionCycles * tm.cyclePeriod;
     std::uint16_t tag = cqe.cid;
     std::uint16_t status = cqe.status;
     // Successful completions may percolate inline under the timing
     // gate; error completions always take the event (the handler's
     // bounce path runs kernel code that needs real event time).
-    if (status == 0 && onComplete && t_c < eq.nextEventTick()) {
-        ++nInlineCompletions;
-        onComplete(tag, status, t_c);
-        return;
-    }
-    ++nEventCompletions;
-    eq.post(t_c,
-            [this, tag, status, t_c] {
-                if (onComplete)
-                    onComplete(tag, status, t_c);
-            },
-            "nvme.complete");
+    bool inl = eq.hop(
+        now() + tm.completionCycles * tm.cyclePeriod,
+        status == 0 && onComplete,
+        [this, tag, status](Tick t) {
+            if (onComplete)
+                onComplete(tag, status, t);
+        },
+        "nvme.complete");
+    ++(inl ? nInlineCompletions : nEventCompletions);
 }
 
 } // namespace hwdp::core

@@ -64,27 +64,20 @@ class NvmeHostController : public sim::SimObject
 
     /**
      * Issue a 4 KB read of @p lba on @p dev_id into @p dma_addr,
-     * tagged with @p tag (the PMSHR index). The doorbell write lands
-     * cmdWrite + doorbell after the command is generated, and device
-     * time starts there. @p issued runs when the doorbell rings: with
-     * nothing scheduled before the doorbell tick it rings inline, so
-     * @p issued runs before issueRead returns, with now() still at
-     * the issue time; otherwise an "nvme.doorbell" event rings it at
+     * tagged with @p tag (the PMSHR index), with the command generated
+     * at logical time @p at (>= now(); ahead of it when the inline
+     * fault chain issues from within an earlier event). The doorbell
+     * write lands cmdWrite + doorbell later, and device time starts
+     * there. @p issued runs when the doorbell rings: an inline hop
+     * runs it before issueRead returns, with now() still behind the
+     * doorbell tick; otherwise an "nvme.doorbell" event rings it at
      * the doorbell tick. The controller-wide completion callback
      * fires with the tag when the CQ write is snooped and the
      * completion protocol has run.
      */
     void issueRead(unsigned dev_id, Lba lba, PAddr dma_addr,
-                   std::uint16_t tag, std::function<void()> issued);
-
-    /**
-     * issueRead() with the command generated at logical time @p at
-     * (>= now()): the inline fault chain issues from within an
-     * earlier event. issueRead() is issueReadAt(..., now()).
-     */
-    void issueReadAt(unsigned dev_id, Lba lba, PAddr dma_addr,
-                     std::uint16_t tag, std::function<void()> issued,
-                     Tick at);
+                   std::uint16_t tag, std::function<void()> issued,
+                   Tick at);
 
     /**
      * Completion delivery to the page miss handler. @p status is the

@@ -103,7 +103,7 @@ Smu::configureDevice(unsigned dev_id, ssd::SsdDevice *dev)
 }
 
 void
-Smu::handleMiss(cpu::PageMissRequest req)
+Smu::handleMiss(cpu::PageMissRequest req, Tick at)
 {
     // Two register writes deliver the request, then the CAM lookup.
     Tick delay =
@@ -116,48 +116,31 @@ Smu::handleMiss(cpu::PageMissRequest req)
         delay += prm.remoteRequestLatency;
         ++nRemoteRequests;
     }
-    Tick started = now();
-    eq.postIn(delay,
-                        [this, req = std::move(req), started]() mutable {
-                            lookupStep(std::move(req), started);
-                        },
-                        "smu.lookup");
-}
-
-bool
-Smu::handleMissAt(cpu::PageMissRequest &req, Tick at)
-{
-    // The miss chain runs inline on the logical clock whenever it
-    // finishes before the next scheduled event, skipping the
-    // mmu.smureq/smu.lookup/smu.issue/nvme.doorbell event hops. Not
-    // with sequentialPrefetch: the prefetch spawns from inside the
-    // lookup, and its SQE push order against the demand miss depends
-    // on event sequencing, so the miss takes the event path.
-    if (prm.sequentialPrefetch)
-        return false;
-
-    Tick delay =
-        (prm.requestRegWrites + prm.camLookup) * prm.cyclePeriod;
-    bool remote = prm.coresPerSocket != 0 &&
-                  req.core / prm.coresPerSocket != socketId;
-    if (remote)
-        delay += prm.remoteRequestLatency;
+    // Request gate: with the lookup tick before the next scheduled
+    // event, nothing can execute between now and then, so running the
+    // lookup here on the logical clock is byte-identical to the
+    // mmu.smureq + smu.lookup events firing. Declined, the request
+    // takes that event pair.
     Tick t_l = at + delay;
-    // Strict gate: with t_l before the next scheduled event, nothing
-    // can execute between now and t_l, so running the lookup inline
-    // here is byte-identical to the mmu.smureq + smu.lookup events
-    // firing there.
-    if (t_l >= eq.nextEventTick())
-        return false;
-    if (remote)
-        ++nRemoteRequests;
-    ++nInlineMisses;
-    lookupStepAt(std::move(req), at, t_l);
-    return true;
+    if (inlineOk() && t_l < eq.nextEventTick()) {
+        ++nInlineMisses;
+        lookupStepAt(std::move(req), at, t_l);
+        return;
+    }
+    eq.post(at,
+            [this, req = std::move(req), delay]() mutable {
+                Tick started = now();
+                eq.postIn(delay,
+                          [this, req = std::move(req), started]() mutable {
+                              lookupStepAt(std::move(req), started, now());
+                          },
+                          "smu.lookup");
+            },
+            "mmu.smureq");
 }
 
 void
-Smu::lookupStep(cpu::PageMissRequest req, Tick started)
+Smu::lookupStepAt(cpu::PageMissRequest req, Tick started, Tick at)
 {
     // (1) Outstanding miss to the same page? Coalesce: the walk goes
     // pending and resumes on the broadcast.
@@ -173,7 +156,7 @@ Smu::lookupStep(cpu::PageMissRequest req, Tick started)
     idx = pmshrUnit.allocate(req.refs.pte.addr);
     if (idx < 0) {
         ++statRejectFull;
-        req.done(false);
+        callAt(at, [done = std::move(req.done)] { done(false); });
         return;
     }
 
@@ -183,10 +166,12 @@ Smu::lookupStep(cpu::PageMissRequest req, Tick started)
     if (!pop.ok) {
         pmshrUnit.invalidate(idx);
         ++statRejectEmpty;
-        if (onQueueEmpty)
-            onQueueEmpty();
-        req.done(false);
-        checkBarrier();
+        callAt(at, [this, done = std::move(req.done)] {
+            if (onQueueEmpty)
+                onQueueEmpty();
+            done(false);
+            checkBarrier();
+        });
         return;
     }
 
@@ -201,19 +186,20 @@ Smu::lookupStep(cpu::PageMissRequest req, Tick started)
     PAddr dma = static_cast<PAddr>(pop.pfn) << pageShift;
     Tick delay = pop.latency + prm.pfnWrite * prm.cyclePeriod;
     auto tag = static_cast<std::uint16_t>(idx);
+    unsigned req_core = e.req.core;
+    // Completion without an NVMe command (zero-fill, tier hit).
+    auto complete = [this, tag, req_core](Tick t) {
+        freePageQueue(req_core).refillPrefetch();
+        onIoCompleteAt(tag, 0, t);
+    };
 
     // First-touch anonymous page: the reserved LBA tells the SMU to
     // bypass I/O processing entirely and zero-fill the frame
     // (Section V).
-    unsigned req_core = e.req.core;
     if (lba == os::pte::zeroFillLba) {
         ++statZeroFill;
-        eq.postIn(delay + prm.zeroFillLatency,
-                            [this, tag, req_core] {
-                                freePageQueue(req_core).refillPrefetch();
-                                onIoCompleteAt(tag, 0, now());
-                            },
-                            "smu.zerofill");
+        eq.hop(at + delay + prm.zeroFillLatency, inlineOk(), complete,
+               "smu.zerofill");
         return;
     }
 
@@ -224,152 +210,31 @@ Smu::lookupStep(cpu::PageMissRequest req, Tick started)
         auto tl = tierBuf->tryLoad(tierDevBase + dev, lba);
         if (tl.hit) {
             e.fromTier = true;
-            ++nEventTierHits;
-            eq.postIn(delay + tl.latency,
-                                [this, tag, req_core] {
-                                    freePageQueue(req_core)
-                                        .refillPrefetch();
-                                    onIoCompleteAt(tag, 0, now());
-                                },
-                                "smu.tierhit");
+            bool inl = eq.hop(at + delay + tl.latency, inlineOk(),
+                              complete, "smu.tierhit");
+            ++(inl ? nInlineTierHits : nEventTierHits);
             return;
         }
     }
 
-    eq.postIn(
-        delay,
-        [this, dev, lba, dma, tag, req_core] {
-            nvme.issueRead(dev, lba, dma, tag, [this, req_core] {
-                // Device time: eagerly refill the prefetch buffer so
-                // the next free-page fetch costs nothing (III-C).
-                freePageQueue(req_core).refillPrefetch();
-            });
-        },
-        "smu.issue");
+    eq.hop(at + delay, inlineOk(),
+           [this, dev, lba, dma, tag, req_core](Tick t) {
+               nvme.issueRead(
+                   dev, lba, dma, tag,
+                   [this, req_core] {
+                       // Device time: eagerly refill the prefetch
+                       // buffer so the next free-page fetch costs
+                       // nothing (III-C).
+                       freePageQueue(req_core).refillPrefetch();
+                   },
+                   t);
+           },
+           "smu.issue");
 
     // Only demand misses trigger a prefetch — a prefetch spawning
     // further prefetches would run away through the whole mapping.
     if (prm.sequentialPrefetch && !e.req.isPrefetch)
         maybePrefetchNext(e.req);
-}
-
-void
-Smu::lookupStepAt(cpu::PageMissRequest req, Tick started, Tick at)
-{
-    // Mirrors lookupStep() at logical time `at` under the inline-chain
-    // guarantee that no event fires before `at`: PMSHR and free-queue
-    // mutations run immediately (the SMU is the sole actor until
-    // `at`), while done()/onQueueEmpty()/checkBarrier() — which
-    // re-enter walker and kernel code expecting now() — go through a
-    // posted event at `at`. That event is next in line (the gate
-    // checked `at` against nextEventTick), so the relative execution
-    // order matches lookupStep()'s event path exactly.
-    int idx = pmshrUnit.lookup(req.refs.pte.addr);
-    if (idx >= 0) {
-        pmshrUnit.noteCoalesced();
-        ++statCoalesced;
-        pmshrUnit.entry(idx).waiters.push_back(std::move(req.done));
-        return;
-    }
-
-    idx = pmshrUnit.allocate(req.refs.pte.addr);
-    if (idx < 0) {
-        ++statRejectFull;
-        eq.post(at, [done = std::move(req.done)] { done(false); },
-                "smu.reject");
-        return;
-    }
-
-    FreePageQueue &fpq = freePageQueue(req.core);
-    auto pop = fpq.pop(prm.memRoundTrip);
-    if (!pop.ok) {
-        pmshrUnit.invalidate(idx);
-        ++statRejectEmpty;
-        eq.post(at,
-                [this, done = std::move(req.done)] {
-                    if (onQueueEmpty)
-                        onQueueEmpty();
-                    done(false);
-                    checkBarrier();
-                },
-                "smu.reject");
-        return;
-    }
-
-    Pmshr::Entry &e = pmshrUnit.entry(idx);
-    e.pfn = pop.pfn;
-    e.started = started;
-    unsigned dev = req.dev;
-    Lba lba = req.lba;
-    e.req = std::move(req);
-
-    PAddr dma = static_cast<PAddr>(pop.pfn) << pageShift;
-    Tick delay = pop.latency + prm.pfnWrite * prm.cyclePeriod;
-    auto tag = static_cast<std::uint16_t>(idx);
-    unsigned req_core = e.req.core;
-
-    if (lba == os::pte::zeroFillLba) {
-        ++statZeroFill;
-        Tick t_z = at + delay + prm.zeroFillLatency;
-        if (t_z < eq.nextEventTick()) {
-            freePageQueue(req_core).refillPrefetch();
-            onIoCompleteAt(tag, 0, t_z);
-            return;
-        }
-        eq.post(t_z,
-                [this, tag, req_core] {
-                    freePageQueue(req_core).refillPrefetch();
-                    onIoCompleteAt(tag, 0, now());
-                },
-                "smu.zerofill");
-        return;
-    }
-
-    // CXL tier probe, mirroring lookupStep() under the inline/event
-    // dual the zero-fill branch established.
-    if (tierBuf) {
-        auto tl = tierBuf->tryLoad(tierDevBase + dev, lba);
-        if (tl.hit) {
-            e.fromTier = true;
-            Tick t_h = at + delay + tl.latency;
-            if (t_h < eq.nextEventTick()) {
-                ++nInlineTierHits;
-                freePageQueue(req_core).refillPrefetch();
-                onIoCompleteAt(tag, 0, t_h);
-                return;
-            }
-            ++nEventTierHits;
-            eq.post(t_h,
-                    [this, tag, req_core] {
-                        freePageQueue(req_core).refillPrefetch();
-                        onIoCompleteAt(tag, 0, now());
-                    },
-                    "smu.tierhit");
-            return;
-        }
-    }
-
-    Tick t_i = at + delay;
-    if (t_i < eq.nextEventTick()) {
-        nvme.issueReadAt(
-            dev, lba, dma, tag,
-            [this, req_core] {
-                // Device time: eagerly refill the prefetch buffer so
-                // the next free-page fetch costs nothing (III-C).
-                freePageQueue(req_core).refillPrefetch();
-            },
-            t_i);
-        return;
-    }
-    eq.post(t_i,
-            [this, dev, lba, dma, tag, req_core] {
-                nvme.issueRead(dev, lba, dma, tag, [this, req_core] {
-                    freePageQueue(req_core).refillPrefetch();
-                });
-            },
-            "smu.issue");
-    // No prefetch here: handleMissAt() rejects sequentialPrefetch
-    // configurations, so this path never needs maybePrefetchNext().
 }
 
 void
@@ -405,7 +270,7 @@ Smu::maybePrefetchNext(const cpu::PageMissRequest &req)
     pf.done = [](bool) {}; // nobody waits; a late touch coalesces
     // Skip the request-transfer cycles: the prefetch is generated
     // inside the SMU itself.
-    lookupStep(std::move(pf), now());
+    lookupStepAt(std::move(pf), now(), now());
 }
 
 void
@@ -425,8 +290,7 @@ Smu::onIoCompleteAt(std::uint16_t tag, std::uint16_t status, Tick at)
             e.retried = true;
             ++statIoRetry;
             PAddr dma = static_cast<PAddr>(e.pfn) << pageShift;
-            nvme.issueReadAt(e.req.dev, e.req.lba, dma, tag, nullptr,
-                             at);
+            nvme.issueRead(e.req.dev, e.req.lba, dma, tag, nullptr, at);
             return;
         }
         // Persistent error: bounce to the OS exactly like the queue

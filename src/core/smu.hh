@@ -110,8 +110,7 @@ class Smu : public sim::SimObject, public cpu::PageMissHandlerIface
     void configureDevice(unsigned dev_id, ssd::SsdDevice *dev);
 
     // ---- cpu::PageMissHandlerIface -------------------------------------
-    void handleMiss(cpu::PageMissRequest req) override;
-    bool handleMissAt(cpu::PageMissRequest &req, Tick at) override;
+    void handleMiss(cpu::PageMissRequest req, Tick at) override;
 
     /** Queue serving @p core (queue 0 in the default global mode). */
     FreePageQueue &freePageQueue(unsigned core = 0);
@@ -150,7 +149,8 @@ class Smu : public sim::SimObject, public cpu::PageMissHandlerIface
 
     /**
      * Tier hits whose completion ran inline / via the smu.tierhit
-     * event (host-side observability; never part of simulated state).
+     * event (host-side observability; serialized when a tier is
+     * attached, but never read back into simulated behaviour).
      */
     std::uint64_t inlineTierHits() const { return nInlineTierHits; }
     std::uint64_t eventTierHits() const { return nEventTierHits; }
@@ -214,14 +214,17 @@ class Smu : public sim::SimObject, public cpu::PageMissHandlerIface
      */
     std::uint64_t nRemoteRequests = 0;
 
-    /** Host-side inline-chain hit count; never serialized. */
+    /** Host-side inline-request count; never serialized. */
     std::uint64_t nInlineMisses = 0;
 
     /** CXL tier (nullptr at tierMode=off — zero behavior change). */
     tier::CxlBuffer *tierBuf = nullptr;
     unsigned tierDevBase = 0;
 
-    /** Host-side tier-hit service counts; never serialized. */
+    /**
+     * Host-side tier-hit service counts, serialized (after the PT
+     * updater) only when a tier is attached.
+     */
     std::uint64_t nInlineTierHits = 0;
     std::uint64_t nEventTierHits = 0;
 
@@ -235,17 +238,40 @@ class Smu : public sim::SimObject, public cpu::PageMissHandlerIface
     sim::Counter &statRejectIoError;
     sim::Histogram &statLatency;
 
-    void lookupStep(cpu::PageMissRequest req, Tick started);
+    /**
+     * Whether an SMU hop may run inline. Not with sequentialPrefetch:
+     * the prefetch spawns from inside the lookup, and its SQE push
+     * order against the demand miss depends on event sequencing, so
+     * every SMU hop takes its event.
+     */
+    bool inlineOk() const { return !prm.sequentialPrefetch; }
 
     /**
-     * Fast-path lookup running at logical time @p at (> now()), under
-     * the guarantee that no event executes before @p at. Structure
-     * mutations (PMSHR, free page queue, counters) run immediately —
-     * nothing can observe them before @p at — while callbacks that
-     * re-enter kernel/MMU code are delivered through an event at
-     * @p at, where now() is what they expect.
+     * The lookup at logical time @p at: == now() from the smu.lookup
+     * event and for prefetches, ahead of it when the request gate ran
+     * it inline, under the guarantee that no event executes before
+     * @p at. Structure mutations (PMSHR, free page queue, counters)
+     * run immediately — nothing can observe them before @p at — and
+     * each later hop is an EventQueue::hop.
      */
     void lookupStepAt(cpu::PageMissRequest req, Tick started, Tick at);
+
+    /**
+     * Run @p fn, which re-enters walker or kernel code expecting
+     * now() == @p at: directly on the event path, otherwise through
+     * an event at @p at. That event is next in line (the request gate
+     * checked @p at against the next event), so the execution order
+     * matches the event path.
+     */
+    template <typename F>
+    void
+    callAt(Tick at, F &&fn)
+    {
+        if (at == now())
+            fn();
+        else
+            eq.post(at, std::forward<F>(fn), "smu.reject");
+    }
 
     /**
      * Completion at logical time @p at: == now() on the event path,

@@ -244,10 +244,10 @@ Mmu::startMiss(Pending *p, const Walker::Outcome &out, Tick defer)
 
             // Posted before the request is delivered: the timeout's
             // tick is strictly later than the request's (stallTimeout
-            // > 0), so firing order is unaffected, and the inline
-            // fast path below may post chain events immediately —
-            // keeping the timeout's queue position ahead of them
-            // matches where the reference path put it.
+            // > 0), so firing order is unaffected, and an inline miss
+            // chain may post events immediately — keeping the
+            // timeout's queue position ahead of them matches where
+            // the event path put it.
             if (stallTimeout > 0) {
                 eq.postIn(defer + wl + stallTimeout,
                           [this, p, gen = p->gen, att = p->attempts] {
@@ -255,19 +255,7 @@ Mmu::startMiss(Pending *p, const Walker::Outcome &out, Tick defer)
                           },
                           "mmu.stallTimeout");
             }
-
-            // Inline fast path: the SMU runs the whole lookup now, on
-            // the logical clock, when its timing gate proves nothing
-            // else can execute first. Declined (or disabled) misses
-            // take the reference event.
-            Tick t_req = now() + defer + wl;
-            if (smu->handleMissAt(req, t_req))
-                return;
-            eq.postIn(defer + wl,
-                      [smu, req = std::move(req)]() mutable {
-                          smu->handleMiss(std::move(req));
-                      },
-                      "mmu.smureq");
+            smu->handleMiss(std::move(req), now() + defer + wl);
             return;
         }
         // LBA-augmented PTE but no SMU for the socket: fall through to

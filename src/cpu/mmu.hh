@@ -55,29 +55,20 @@ struct PageMissRequest
     std::function<void(bool success)> done;
 };
 
-/** Implemented by core::Smu (and test fakes). */
+/** Implemented by core::Smu. */
 class PageMissHandlerIface
 {
   public:
     virtual ~PageMissHandlerIface() = default;
-    virtual void handleMiss(PageMissRequest req) = 0;
 
     /**
-     * Fast-path delivery: handle the miss inline at logical time
-     * @p at (the tick the "mmu.smureq" event would have fired at),
-     * provided the handler's timing gate allows. Returns true after
-     * consuming @p req; false declines and leaves @p req intact — the
-     * caller then posts the reference-path event. The default
-     * declines always; simulated results are bit-identical whichever
-     * path runs.
+     * Deliver @p req at logical time @p at (>= now()), the tick the
+     * request register writes start. The handler runs the miss inline
+     * on the logical clock when its timing gate proves nothing else
+     * can execute first, and otherwise posts its event path from
+     * @p at; simulated results are bit-identical whichever runs.
      */
-    virtual bool
-    handleMissAt(PageMissRequest &req, Tick at)
-    {
-        (void)req;
-        (void)at;
-        return false;
-    }
+    virtual void handleMiss(PageMissRequest req, Tick at) = 0;
 };
 
 /** Outcome summary delivered with the access completion. */

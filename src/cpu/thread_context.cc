@@ -52,6 +52,7 @@ ThreadContext::ThreadContext(std::string name, unsigned core,
     : os::Thread(std::move(name), core), kernel(kernel), mmuRef(mmu),
       caches(caches), bp(bp), as(as), workload(workload), prm(params),
       rng(rng), physCore(kernel.scheduler().physCoreOf(core)),
+      period(kernel.params().cyclePeriod),
       memLat("mem_latency_us", "per-access latency (us)", 0.5, 400),
       faultedOpLat("faulted_op_latency_us",
                    "app-op latency when a page miss occurred (us)", 0.5,
@@ -173,8 +174,8 @@ ThreadContext::opLoop()
                               *this, info)) {
                 // Hit: complete inline.
                 memLat.sample(toMicroseconds(info.latency));
-                uCycles += info.latency / prm.cyclePeriod;
-                mCycles += info.latency / prm.cyclePeriod;
+                uCycles += info.latency / period;
+                mCycles += info.latency / period;
                 accrued += info.latency;
                 ++batched;
                 if (memOpEndsApp)
@@ -242,8 +243,8 @@ ThreadContext::accessDone(const AccessInfo &info)
         if (info.hwHandled)
             ++nHwHandled;
     } else {
-        uCycles += info.latency / prm.cyclePeriod;
-        mCycles += info.latency / prm.cyclePeriod;
+        uCycles += info.latency / period;
+        mCycles += info.latency / period;
     }
     if (memOpEndsApp)
         finishOp(kernel.now());
@@ -417,11 +418,11 @@ ThreadContext::computeBurst(const workloads::ComputeSpec &spec)
         static_cast<double>(spec.instructions) * prm.baseCpi);
     Cycles cycles = base + extra + mispred * prm.mispredPenalty;
     auto duration = static_cast<Tick>(
-        static_cast<double>(cycles * prm.cyclePeriod) / share);
+        static_cast<double>(cycles * period) / share);
 
     uInstr += spec.instructions;
-    uCycles += duration / prm.cyclePeriod;
-    cCycles += duration / prm.cyclePeriod;
+    uCycles += duration / period;
+    cCycles += duration / period;
 
     return duration;
 }

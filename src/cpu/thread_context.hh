@@ -39,7 +39,6 @@ namespace hwdp::cpu {
 
 struct CoreParams
 {
-    Tick cyclePeriod = 357;   ///< 2.8 GHz.
     double baseCpi = 0.45;    ///< CPI with all-hit caches.
     Cycles mispredPenalty = 15;
     Cycles l1HitLatency = 4;  ///< Folded into baseCpi.
@@ -132,6 +131,8 @@ class ThreadContext : public os::Thread, public AccessSink
     CoreParams prm;
     sim::Rng rng;
     unsigned physCore;
+    /** The machine's one clock, KernelParams::cyclePeriod. */
+    Tick period;
 
     std::function<void()> onFinished;
 

@@ -81,12 +81,12 @@ struct CheckpointRow
 Table checkpointTable(const std::vector<CheckpointRow> &ops);
 
 /**
- * Demand-paging fast-path observability: inline-fault hits (SMU
- * lookups, controller doorbells/completions, device fetches that
- * skipped their event hop), pooled-command occupancy and doorbell
+ * Demand-paging fast-path observability: hops that ran inline instead
+ * of through their event (SMU requests, controller doorbells and
+ * completions, device fetches), pooled-command occupancy and doorbell
  * coalescing. All host-side counters, never part of
- * dumpMachineStats — simulated results are identical whether every
- * row is zero (fast path off) or not.
+ * dumpMachineStats — simulated results are identical whichever way
+ * each hop ran.
  */
 Table pagingPathTable(system::System &sys);
 

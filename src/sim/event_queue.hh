@@ -202,10 +202,10 @@ class EventQueue
 
     /**
      * Tick of the earliest pending event, or maxTick when the queue
-     * is empty. The inline-execution fast path uses this as its batch
-     * horizon: accesses completed synchronously at logical times
-     * strictly before this tick cannot be reordered against any
-     * scheduled event. May tidy internal buckets (not const).
+     * is empty. Work run synchronously at logical times strictly
+     * before this tick cannot be reordered against any scheduled
+     * event: it is the inline-execution batch horizon and hop()'s
+     * gate. May tidy internal buckets (not const).
      */
     Tick nextEventTick();
 
@@ -262,6 +262,30 @@ class EventQueue
     postIn(Tick delta, F &&fn, const char *name = "lambda")
     {
         return post(now() + delta, std::forward<F>(fn), name);
+    }
+
+    /**
+     * One hop of a chain that runs on a logical clock: @p fn(t) runs
+     * right here when @p inline_ok and @p t is before every scheduled
+     * event — nothing can execute between now() and @p t, so running
+     * it early is indistinguishable from the event firing there.
+     * Otherwise @p fn(t) is posted as event @p name at @p t, where it
+     * runs with t == now(). @p inline_ok carries what the caller must
+     * add, e.g. that the code left in the current event pushes nothing
+     * the hop could reorder against. Returns true when it ran inline.
+     * @pre t >= now()
+     */
+    template <typename F>
+    bool
+    hop(Tick t, bool inline_ok, F &&fn, const char *name)
+    {
+        // A past tick never runs inline: post() panics on it.
+        if (inline_ok && t >= curTick && t < nextEventTick()) {
+            fn(t);
+            return true;
+        }
+        post(t, [fn = std::forward<F>(fn), t]() mutable { fn(t); }, name);
+        return false;
     }
 
     /** True when no events remain. */
@@ -410,6 +434,7 @@ class EventQueue
 
     /** Diagnose and report a schedule() precondition violation. */
     void schedulePanic(const Event *ev, Tick when) const;
+
 
     /** Drop dead (tombstoned) far-heap entries from the top. */
     void skipDead();

@@ -147,22 +147,20 @@ SsdDevice::ringSqDoorbellAt(std::uint16_t qid, Tick at)
         ++nDoorbellsCoalesced;
         return;
     }
-    Tick fetch_at = at + prof.cmdFetch + drop;
-    if (at > now() && fetch_at < eq.nextEventTick()) {
-        // Nothing can run before fetch_at, so fetching inline here is
-        // indistinguishable from the posted "ssd.fetch" event — but
-        // only for rings arriving ahead of the clock (the inline fault
-        // chain, which rings at most once and pushes nothing after the
-        // ring). A ring at now() may be followed by more same-instant
-        // pushes from the code still executing, which the scheduled
-        // fetch would coalesce into one priority-ordered batch; those
-        // must keep the event path.
-        ++nInlineFetches;
-        fetchCommandsAt(fetch_at);
-        return;
-    }
+    // The fetch may run inline only for rings arriving ahead of the
+    // clock (the inline fault chain, which rings at most once and
+    // pushes nothing after the ring). A ring at now() may be followed
+    // by more same-instant pushes from the code still executing, which
+    // the scheduled fetch coalesces into one priority-ordered batch;
+    // those keep the event path.
     fetchScheduled = true;
-    eq.post(fetch_at, [this] { fetchCommands(); }, "ssd.fetch");
+    if (eq.hop(at + prof.cmdFetch + drop, at > now(),
+               [this](Tick t) {
+                   fetchScheduled = false;
+                   fetchCommandsAt(t);
+               },
+               "ssd.fetch"))
+        ++nInlineFetches;
 }
 
 void
@@ -171,13 +169,6 @@ SsdDevice::ringCqDoorbell(std::uint16_t qid)
     // The host advanced its CQ head; the device needs no timing action,
     // but validate the queue id to catch wiring bugs.
     state(qid);
-}
-
-void
-SsdDevice::fetchCommands()
-{
-    fetchScheduled = false;
-    fetchCommandsAt(now());
 }
 
 void

@@ -102,10 +102,10 @@ class SsdDevice : public sim::SimObject
     /**
      * Doorbell write landing at logical time @p at (>= now()). The
      * inline fault chain rings doorbells from within an earlier
-     * event; when @p at is ahead of now() and the device-side fetch
-     * would complete before the next scheduled event, the fetch runs
-     * inline too, saving the "ssd.fetch" hop. ringSqDoorbell(qid) is
-     * exactly ringSqDoorbellAt(qid, now()).
+     * event; when @p at is ahead of now() the device-side fetch is an
+     * EventQueue::hop that may run inline too, saving the "ssd.fetch"
+     * event. ringSqDoorbell(qid) is exactly ringSqDoorbellAt(qid,
+     * now()).
      */
     void ringSqDoorbellAt(std::uint16_t qid, Tick at);
 
@@ -196,10 +196,10 @@ class SsdDevice : public sim::SimObject
     sim::Counter &statErrors;
     sim::Histogram &statDeviceTime;
 
-    /** Fetch pending commands from all doorbelled queues. */
-    void fetchCommands();
-
-    /** Fetch running at logical time @p at (== now() unless inline). */
+    /**
+     * Fetch pending commands from all doorbelled queues at logical
+     * time @p at (== now() unless the fetch hop ran inline).
+     */
     void fetchCommandsAt(Tick at);
 
     /**

@@ -241,6 +241,93 @@ TEST(EventQueue, ZeroDelayFiresAtCurrentTick)
     EXPECT_EQ(eq.now(), before);
 }
 
+// ---- hop(): one body for an inline or evented chain step -----------
+
+TEST(EventQueue, HopRunsInlineOnlyWhenAllowedAndBeforeNextEvent)
+{
+    EventQueue eq;
+    std::vector<Tick> seen;
+    auto body = [&](Tick t) { seen.push_back(t); };
+
+    // Empty queue: inline, ahead of the clock.
+    EXPECT_TRUE(eq.hop(10, true, body, "hop"));
+    EXPECT_EQ(seen, (std::vector<Tick>{10}));
+    EXPECT_EQ(eq.now(), 0u);
+    EXPECT_TRUE(eq.empty());
+
+    // Declined by the caller: posted even though nothing is pending.
+    EXPECT_FALSE(eq.hop(10, false, body, "hop"));
+    EXPECT_EQ(seen.size(), 1u);
+    EXPECT_EQ(eq.size(), 1u);
+    eq.run();
+    EXPECT_EQ(seen, (std::vector<Tick>{10, 10}));
+
+    // A pending event at 30: before it inline, past it posted.
+    eq.post(30, [] {}, "blocker");
+    EXPECT_TRUE(eq.hop(20, true, body, "hop"));
+    EXPECT_FALSE(eq.hop(40, true, body, "hop"));
+    EXPECT_EQ(seen, (std::vector<Tick>{10, 10, 20}));
+    eq.run();
+    EXPECT_EQ(seen, (std::vector<Tick>{10, 10, 20, 40}));
+}
+
+TEST(EventQueue, HopPostsWhenAnEventIsDueAtTheSameTick)
+{
+    EventQueue eq;
+    std::vector<int> log;
+    eq.post(50, [&] { log.push_back(1); }, "due");
+    EXPECT_FALSE(eq.hop(50, true, [&](Tick) { log.push_back(2); },
+                        "hop"));
+    EXPECT_TRUE(log.empty());
+    eq.run();
+    EXPECT_EQ(log, (std::vector<int>{1, 2}));
+}
+
+TEST(EventQueue, HopPostedBodySeesItsTickAsNow)
+{
+    EventQueue eq;
+    eq.post(5, [] {}, "blocker");
+    Tick arg = 0, clock = 0;
+    eq.hop(
+        70, true,
+        [&](Tick t) {
+            arg = t;
+            clock = eq.now();
+        },
+        "hop");
+    eq.run();
+    EXPECT_EQ(arg, 70u);
+    EXPECT_EQ(clock, 70u);
+}
+
+TEST(EventQueue, HopKeepsFifoBehindSameTickEvents)
+{
+    EventQueue eq;
+    std::vector<int> log;
+    eq.post(40, [&] { log.push_back(1); }, "first");
+    eq.post(40, [&] { log.push_back(2); }, "second");
+    eq.hop(40, true, [&](Tick) { log.push_back(3); }, "hop");
+    eq.post(40, [&] { log.push_back(4); }, "later");
+    eq.run();
+    EXPECT_EQ(log, (std::vector<int>{1, 2, 3, 4}));
+}
+
+TEST(EventQueue, HopIntoThePastPanics)
+{
+    EventQueue eq;
+    eq.post(100, [] {});
+    eq.run();
+    bool ran = false;
+    auto body = [&](Tick) { ran = true; };
+    EXPECT_THROW(eq.hop(99, true, body, "hop"), PanicError);
+    EXPECT_THROW(eq.hop(99, false, body, "hop"), PanicError);
+    EXPECT_FALSE(ran);
+    EXPECT_TRUE(eq.empty());
+    // now() itself is not the past.
+    EXPECT_TRUE(eq.hop(100, true, body, "hop"));
+    EXPECT_TRUE(ran);
+}
+
 // ---- Two-tier scheduler (near-horizon ring + far heap) --------------
 
 TEST(TwoTier, FarEventsBeyondHorizonStillFireInOrder)

@@ -55,7 +55,8 @@ TEST(NvmeHostController, ConfigureValidatesDeviceId)
 TEST(NvmeHostController, ReadOnUnconfiguredDevicePanics)
 {
     Harness h;
-    EXPECT_THROW(h.hc.issueRead(0, 0, 0x1000, 0, nullptr), PanicError);
+    EXPECT_THROW(h.hc.issueRead(0, 0, 0x1000, 0, nullptr, h.eq.now()),
+                 PanicError);
 }
 
 TEST(NvmeHostController, DoorbellAfterCommandWriteLatency)
@@ -69,8 +70,9 @@ TEST(NvmeHostController, DoorbellAfterCommandWriteLatency)
         h.hc.configureDevice(0, &h.dev);
         h.eq.post(1, [] {}, "blocker");
         Tick doorbell_at = 0;
-        h.hc.issueRead(0, 0, 0x1000, 7,
-                       [&] { doorbell_at = h.eq.now(); });
+        h.hc.issueRead(
+            0, 0, 0x1000, 7, [&] { doorbell_at = h.eq.now(); },
+            h.eq.now());
         EXPECT_EQ(doorbell_at, 0u);
         h.eq.run();
         EXPECT_EQ(doorbell_at, doorbell);
@@ -83,7 +85,8 @@ TEST(NvmeHostController, DoorbellAfterCommandWriteLatency)
         Harness h;
         h.hc.configureDevice(0, &h.dev);
         bool issued = false;
-        h.hc.issueRead(0, 0, 0x1000, 7, [&] { issued = true; });
+        h.hc.issueRead(0, 0, 0x1000, 7, [&] { issued = true; },
+                       h.eq.now());
         EXPECT_TRUE(issued);
         EXPECT_EQ(h.eq.now(), 0u);
         EXPECT_EQ(h.hc.inlineDoorbells(), 1u);
@@ -103,7 +106,7 @@ TEST(NvmeHostController, CompletionSnoopDeliversTag)
             tag_seen = tag;
             when = at;
         });
-    h.hc.issueRead(0, 4, 0x1000, 23, nullptr);
+    h.hc.issueRead(0, 4, 0x1000, 23, nullptr, h.eq.now());
     h.eq.run();
     EXPECT_EQ(tag_seen, 23u);
     // Doorbell + device time + 2-cycle completion handling, as the
@@ -126,7 +129,8 @@ TEST(NvmeHostController, MultipleOutstandingReadsResolveByTag)
     // Different channels: all overlap; completion unit resolves each
     // by the PMSHR index riding in the cid.
     for (std::uint16_t t = 0; t < 4; ++t)
-        h.hc.issueRead(0, t, 0x1000 + t * pageSize, t, nullptr);
+        h.hc.issueRead(0, t, 0x1000 + t * pageSize, t, nullptr,
+                       h.eq.now());
     h.eq.run();
     ASSERT_EQ(tags.size(), 4u);
     std::sort(tags.begin(), tags.end());
