@@ -301,6 +301,78 @@ TEST(Checkpoint, ConfigHashGoldenValues)
               system::Checkpoint::configHash(bigger));
 }
 
+namespace {
+
+std::uint64_t
+fnv1a(const std::vector<std::uint8_t> &blob)
+{
+    std::uint64_t h = 14695981039346656037ULL;
+    for (std::uint8_t b : blob) {
+        h ^= b;
+        h *= 1099511628211ULL;
+    }
+    return h;
+}
+
+/**
+ * Blob of a machine whose dataset is over five times its memory,
+ * saved after the warm-up: reclaim has evicted, demoted and
+ * second-chanced pages, so the LRU lists, page tables and frame
+ * metadata all carry churn.
+ */
+std::vector<std::uint8_t>
+reclaimedBlob(system::PagingMode mode, char wl)
+{
+    system::MachineConfig cfg = smallConfig({mode, wl, 0.0});
+    cfg.memFrames = 1536;
+    cfg.smu.freeQueueCapacity = 128;
+    cfg.kpooldBatch = 128;
+    system::System sys(cfg);
+    std::unique_ptr<workloads::KvStore> store;
+    workloads::Workload *w;
+    if (wl == 'I') {
+        auto mf = sys.mapDataset("f", 8 * 1024);
+        w = sys.makeWorkload<workloads::FioWorkload>(mf.vma, 10000);
+        sys.addThread(*w, 0, *mf.as);
+    } else {
+        auto mf = sys.mapDataset("data", 16 * 1024);
+        auto *wal = sys.createFile("wal", 2 * 1024);
+        store = std::make_unique<workloads::KvStore>(mf.vma, wal,
+                                                     16 * 1024);
+        w = sys.makeWorkload<workloads::YcsbWorkload>('A', *store, 10000);
+        sys.addThread(*w, 0, *mf.as);
+    }
+    EXPECT_TRUE(sys.runUntilThreadsDone(seconds(30.0)));
+    auto &rc = sys.kernel().reclaimer();
+    EXPECT_GT(rc.pagesEvicted(), 0u);
+    EXPECT_GT(rc.lru().activeCount(), 0u);
+    EXPECT_GT(rc.lru().inactiveCount(), 0u);
+    return system::Checkpoint::save(sys);
+}
+
+} // namespace
+
+TEST(Checkpoint, GoldenBlobHashes)
+{
+    // Whole-blob pins: every serialized byte of a reclaimed machine,
+    // LRU order and page-table layout included. A host-side layout
+    // change must leave them alone; a deliberate format change bumps
+    // Checkpoint::formatVersion or says which bytes moved.
+    using system::PagingMode;
+    EXPECT_EQ(fnv1a(reclaimedBlob(PagingMode::osdp, 'I')),
+              0x894010680c152be4ULL);
+    EXPECT_EQ(fnv1a(reclaimedBlob(PagingMode::hwdp, 'I')),
+              0x602886e6f96c99ffULL);
+    EXPECT_EQ(fnv1a(reclaimedBlob(PagingMode::swsmu, 'I')),
+              0x7f217b99dc316372ULL);
+    EXPECT_EQ(fnv1a(reclaimedBlob(PagingMode::osdp, 'A')),
+              0x298fd0ba39473512ULL);
+    EXPECT_EQ(fnv1a(reclaimedBlob(PagingMode::hwdp, 'A')),
+              0x23ba294139372e7cULL);
+    EXPECT_EQ(fnv1a(reclaimedBlob(PagingMode::swsmu, 'A')),
+              0x0902b0412a87a8b3ULL);
+}
+
 TEST(Checkpoint, FileRoundTripAndMissingFileFallback)
 {
     Scenario sc{system::PagingMode::osdp, 'I', 0.0};
