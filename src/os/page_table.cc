@@ -51,17 +51,27 @@ PageTable::childTable(Table &t, unsigned idx, bool allocate)
                   "demote it first");
         return nullptr;
     }
-    if (!t.child[idx]) {
-        if (!allocate)
-            return nullptr;
-        t.child[idx] = std::make_unique<Table>();
-        t.child[idx]->base = nextTableBase;
-        nextTableBase += pageSize;
-        ++nTables;
-        // The upper entry becomes a present table pointer.
-        t.e[idx] |= pte::presentBit;
-    }
-    return t.child[idx].get();
+    if (Table *c = t.childAt(idx))
+        return c;
+    if (!allocate)
+        return nullptr;
+    Table &c = newChild(t, idx);
+    c.base = nextTableBase;
+    nextTableBase += pageSize;
+    // The upper entry becomes a present table pointer.
+    t.e[idx] |= pte::presentBit;
+    return &c;
+}
+
+PageTable::Table &
+PageTable::newChild(Table &t, unsigned idx)
+{
+    if (!t.child)
+        t.child = std::make_unique<Table::Children>();
+    auto &slot = (*t.child)[idx];
+    slot = std::make_unique<Table>();
+    ++nTables;
+    return *slot;
 }
 
 pte::Entry
@@ -81,7 +91,7 @@ PageTable::readPte(VAddr vaddr) const
                    ((static_cast<pte::Entry>(pfn) << pte::pfnShift) &
                     pte::pfnMask);
         }
-        const Table *c = t->child[idx].get();
+        const Table *c = t->childAt(idx);
         if (!c)
             return 0;
         t = c;
@@ -125,8 +135,8 @@ PageTable::writeHugeLeaf(VAddr vaddr, pte::Entry leaf)
     unsigned idx = levelIndex(vaddr, PtLevel::pmd);
     // A kept-from-earlier child table becomes unreachable; clear its
     // entries so nothing stale survives a later demotion or scan.
-    if (pmd->child[idx])
-        pmd->child[idx]->e.fill(0);
+    if (Table *pt = pmd->childAt(idx))
+        pt->e.fill(0);
     pmd->e[idx] = leaf;
 }
 
@@ -220,7 +230,7 @@ PageTable::scanImpl(VAddr start, VAddr end, bool guided,
     for (VAddr va = start & ~(levelSpan(PtLevel::pgd) - 1); va < end;
          va += levelSpan(PtLevel::pgd)) {
         unsigned pgd_idx = levelIndex(va, PtLevel::pgd);
-        Table *pud_t = root->child[pgd_idx].get();
+        Table *pud_t = root->childAt(pgd_idx);
         ++visited;
         if (!pud_t)
             continue;
@@ -230,7 +240,7 @@ PageTable::scanImpl(VAddr start, VAddr end, bool guided,
                  levelSpan(PtLevel::pgd); pva += pud_span) {
             unsigned pud_idx = levelIndex(pva, PtLevel::pud);
             ++visited;
-            Table *pmd_t = pud_t->child[pud_idx].get();
+            Table *pmd_t = pud_t->childAt(pud_idx);
             if (!pmd_t)
                 continue;
             if (guided) {
@@ -247,7 +257,7 @@ PageTable::scanImpl(VAddr start, VAddr end, bool guided,
                  mva += pmd_span) {
                 unsigned pmd_idx = levelIndex(mva, PtLevel::pmd);
                 ++visited;
-                Table *pt_t = pmd_t->child[pmd_idx].get();
+                Table *pt_t = pmd_t->childAt(pmd_idx);
                 if (!pt_t)
                     continue;
                 if (guided) {
@@ -336,7 +346,7 @@ PageTable::serializeTable(sim::Serializer &s, Table &t)
 
     std::array<std::uint64_t, entriesPerTable / 64> mask{};
     for (unsigned i = 0; i < entriesPerTable; ++i)
-        if (t.child[i])
+        if (t.childAt(i))
             mask[i / 64] |= std::uint64_t(1) << (i % 64);
     std::array<std::uint64_t, entriesPerTable / 64> stored = mask;
     s.io(stored);
@@ -352,14 +362,13 @@ PageTable::serializeTable(sim::Serializer &s, Table &t)
             if (inBlob && !live) {
                 // The saved machine grew this subtree after boot;
                 // recreate it. Its base is read inside the recursion.
-                t.child[i] = std::make_unique<Table>();
-                ++nTables;
+                newChild(t, i);
             }
         }
     }
     for (unsigned i = 0; i < entriesPerTable; ++i)
         if ((stored[i / 64] >> (i % 64)) & 1)
-            serializeTable(s, *t.child[i]);
+            serializeTable(s, *t.childAt(i));
 }
 
 void

@@ -191,9 +191,17 @@ class PageTable
   private:
     struct Table
     {
+        using Children = std::array<std::unique_ptr<Table>, entriesPerTable>;
+
         std::array<pte::Entry, entriesPerTable> e{};
-        std::array<std::unique_ptr<Table>, entriesPerTable> child{};
+        /** Allocated with the first child: leaf tables never have one. */
+        std::unique_ptr<Children> child;
         PAddr base = 0;
+
+        Table *childAt(unsigned idx) const
+        {
+            return child ? (*child)[idx].get() : nullptr;
+        }
     };
 
     std::unique_ptr<Table> root; // the PGD
@@ -201,6 +209,9 @@ class PageTable
     PAddr nextTableBase;
 
     Table *childTable(Table &t, unsigned idx, bool allocate);
+
+    /** Create child @p idx of @p t (base unset) and count it. */
+    Table &newChild(Table &t, unsigned idx);
 
     void serializeTable(sim::Serializer &s, Table &t);
 

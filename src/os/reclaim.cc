@@ -1,5 +1,7 @@
 #include "os/reclaim.hh"
 
+#include <string>
+
 #include "os/kernel.hh"
 #include "sim/logging.hh"
 #include "sim/serialize.hh"
@@ -8,31 +10,76 @@ namespace hwdp::os {
 
 // ---------------------------------------------------------------- LruLists
 
+LruLists::LruLists(std::uint64_t frames) : links(frames) {}
+
 void
 LruLists::serialize(sim::Serializer &s)
 {
     s.section("lru");
-    s.io(active);
-    s.io(inactive);
     if (s.loading()) {
-        where.clear();
-        for (auto it = active.begin(); it != active.end(); ++it)
-            where[*it] = Loc{ListId::active, it};
-        for (auto it = inactive.begin(); it != inactive.end(); ++it)
-            where[*it] = Loc{ListId::inactive, it};
+        // The restore target's boot-time lists give way to the blob's.
+        for (Link &k : links)
+            k = Link{};
+        lists = {};
+    }
+    for (ListId id : {ListId::active, ListId::inactive}) {
+        std::uint64_t n = of(id).count;
+        s.io(n);
+        if (s.saving()) {
+            for (std::uint32_t p = of(id).head; p != nil;
+                 p = links[p].next) {
+                Pfn pfn = p;
+                s.io(pfn);
+            }
+            continue;
+        }
+        for (std::uint64_t i = 0; i < n; ++i) {
+            Pfn pfn = 0;
+            s.io(pfn);
+            if (contains(pfn) || pfn >= nil)
+                throw sim::SerializeError("lru: bad or repeated pfn " +
+                                          std::to_string(pfn));
+            linkAfter(id, pfn, of(id).tail);
+        }
     }
 }
 
 void
-LruLists::insert(Page &page, ListId list)
+LruLists::linkAfter(ListId id, Pfn pfn, std::uint32_t prev)
 {
-    if (page.lruLinked)
+    if (pfn >= links.size()) {
+        if (pfn >= nil)
+            panic("lru: pfn ", pfn, " beyond the link range");
+        links.resize(pfn + 1);
+    }
+    List &l = of(id);
+    std::uint32_t next = prev == nil ? l.head : links[prev].next;
+    links[pfn] = Link{prev, next, id};
+    auto p = static_cast<std::uint32_t>(pfn);
+    (prev == nil ? l.head : links[prev].next) = p;
+    (next == nil ? l.tail : links[next].prev) = p;
+    ++l.count;
+}
+
+void
+LruLists::unlink(Pfn pfn)
+{
+    Link &k = links[pfn];
+    List &l = of(k.list);
+    (k.prev == nil ? l.head : links[k.prev].next) = k.next;
+    (k.next == nil ? l.tail : links[k.next].prev) = k.prev;
+    --l.count;
+    k = Link{};
+}
+
+void
+LruLists::insert(Page &page, ListId id)
+{
+    if (page.lruLinked || contains(page.pfn))
         panic("lru: page ", page.pfn, " already linked");
-    auto &l = list == ListId::active ? active : inactive;
-    l.push_front(page.pfn);
-    where[page.pfn] = Loc{list, l.begin()};
+    linkAfter(id, page.pfn, nil);
     page.lruLinked = true;
-    page.active = list == ListId::active;
+    page.active = id == ListId::active;
 }
 
 void
@@ -50,12 +97,9 @@ LruLists::insertActive(Page &page)
 void
 LruLists::remove(Page &page)
 {
-    auto it = where.find(page.pfn);
-    if (it == where.end())
+    if (!contains(page.pfn))
         panic("lru: removing unlinked page ", page.pfn);
-    auto &l = it->second.list == ListId::active ? active : inactive;
-    l.erase(it->second.it);
-    where.erase(it);
+    unlink(page.pfn);
     page.lruLinked = false;
     page.active = false;
 }
@@ -63,21 +107,21 @@ LruLists::remove(Page &page)
 Pfn
 LruLists::popCandidate()
 {
-    if (inactive.empty()) {
+    List &inactive = of(ListId::inactive);
+    if (inactive.count == 0) {
         // Aging: demote the oldest active pages.
-        for (std::uint64_t i = 0; i < demoteBatch && !active.empty();
+        List &active = of(ListId::active);
+        for (std::uint64_t i = 0; i < demoteBatch && active.count != 0;
              ++i) {
-            Pfn pfn = active.back();
-            active.pop_back();
-            inactive.push_front(pfn);
-            where[pfn] = Loc{ListId::inactive, inactive.begin()};
+            Pfn pfn = active.tail;
+            unlink(pfn);
+            linkAfter(ListId::inactive, pfn, nil);
         }
     }
-    if (inactive.empty())
+    if (inactive.count == 0)
         return invalidPfn;
-    Pfn pfn = inactive.back();
-    inactive.pop_back();
-    where.erase(pfn);
+    Pfn pfn = inactive.tail;
+    unlink(pfn);
     return pfn;
 }
 
@@ -109,7 +153,8 @@ Reclaimer::Reclaimer(Kernel &kernel, unsigned core, Tick period,
                      std::uint64_t low_water, std::uint64_t high_water)
     : KThread("kreclaimd", core, kernel.scheduler(), kernel.eventQueue(),
               period),
-      kernel(kernel), lowWater(low_water), highWater(high_water)
+      kernel(kernel), lists(kernel.numFrames()), lowWater(low_water),
+      highWater(high_water)
 {
     if (high_water <= low_water)
         fatal("reclaimer: watermarks inverted");

@@ -17,9 +17,9 @@
 #ifndef HWDP_OS_RECLAIM_HH
 #define HWDP_OS_RECLAIM_HH
 
+#include <array>
 #include <cstdint>
-#include <list>
-#include <unordered_map>
+#include <vector>
 
 #include "os/kthread.hh"
 #include "sim/types.hh"
@@ -33,9 +33,18 @@ namespace hwdp::os {
 class Kernel;
 struct Page;
 
+/**
+ * The two LRU lists as one intrusive doubly linked list indexed by PFN:
+ * each frame carries its prev/next links and the id of the list it is
+ * on, each list a head, tail and count. Membership, insertion and
+ * removal are O(1) array lookups, with no node allocation per page.
+ */
 class LruLists
 {
   public:
+    /** Pre-size the links for @p frames PFNs; higher PFNs grow them. */
+    explicit LruLists(std::uint64_t frames = 0);
+
     void insertInactive(Page &page);
     void insertActive(Page &page);
 
@@ -52,16 +61,20 @@ class LruLists
     /** Second chance: requeue a referenced page onto the active list. */
     void secondChance(Page &page);
 
-    std::uint64_t activeCount() const { return active.size(); }
-    std::uint64_t inactiveCount() const { return inactive.size(); }
-    std::uint64_t size() const { return active.size() + inactive.size(); }
+    std::uint64_t activeCount() const { return of(ListId::active).count; }
+    std::uint64_t inactiveCount() const
+    {
+        return of(ListId::inactive).count;
+    }
+    std::uint64_t size() const { return activeCount() + inactiveCount(); }
 
-    bool contains(Pfn pfn) const { return where.count(pfn) != 0; }
+    bool contains(Pfn pfn) const { return listOf(pfn) != ListId::none; }
+    bool isActive(Pfn pfn) const { return listOf(pfn) == ListId::active; }
 
     /**
-     * Checkpoint both lists in order; the where-map is rebuilt on
-     * load (eviction order is logical state — Figure 15 depends on
-     * it).
+     * Checkpoint both lists in order, per list the count and then the
+     * PFNs most recent first (eviction order is logical state —
+     * Figure 15 depends on it).
      */
     void serialize(sim::Serializer &s);
 
@@ -71,18 +84,42 @@ class LruLists
     static constexpr std::uint64_t demoteBatch = 32;
 
   private:
-    enum class ListId { active, inactive };
-    struct Loc
+    enum class ListId : std::uint8_t { active, inactive, none };
+
+    /** End-of-list marker; PFNs index the links, so stay below it. */
+    static constexpr std::uint32_t nil = ~std::uint32_t(0);
+
+    struct Link
     {
-        ListId list;
-        std::list<Pfn>::iterator it;
+        std::uint32_t prev = nil;
+        std::uint32_t next = nil;
+        ListId list = ListId::none;
     };
 
-    std::list<Pfn> active;   // front = most recent
-    std::list<Pfn> inactive; // front = most recent, evict from back
-    std::unordered_map<Pfn, Loc> where;
+    struct List
+    {
+        std::uint32_t head = nil; // most recent
+        std::uint32_t tail = nil; // oldest: evict / demote from here
+        std::uint64_t count = 0;
+    };
 
-    void insert(Page &page, ListId list);
+    std::vector<Link> links;
+    std::array<List, 2> lists;
+
+    List &of(ListId id) { return lists[static_cast<unsigned>(id)]; }
+    const List &of(ListId id) const
+    {
+        return lists[static_cast<unsigned>(id)];
+    }
+    ListId listOf(Pfn pfn) const
+    {
+        return pfn < links.size() ? links[pfn].list : ListId::none;
+    }
+
+    void insert(Page &page, ListId id);
+    /** Link @p pfn into list @p id after @p prev (nil: at the head). */
+    void linkAfter(ListId id, Pfn pfn, std::uint32_t prev);
+    void unlink(Pfn pfn);
 };
 
 class Reclaimer : public KThread

@@ -33,7 +33,6 @@
 #include <cstdint>
 #include <cstring>
 #include <deque>
-#include <list>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -136,17 +135,6 @@ class Serializer
     template <typename T>
     void
     io(std::deque<T> &v)
-    {
-        std::uint64_t n = v.size();
-        io(n);
-        if (loading())
-            v.resize(n);
-        ioRange(v.begin(), v.end());
-    }
-
-    template <typename T>
-    void
-    io(std::list<T> &v)
     {
         std::uint64_t n = v.size();
         io(n);

@@ -5,7 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <list>
+#include <memory>
+#include <unordered_map>
+#include <vector>
+
 #include "sim/logging.hh"
+#include "sim/rng.hh"
+#include "sim/serialize.hh"
 #include "system/system.hh"
 #include "workloads/fio.hh"
 
@@ -36,7 +43,264 @@ tinyConfig(system::PagingMode mode)
     return cfg;
 }
 
+/**
+ * Reference model: the LRU lists as two std::lists plus a where-map,
+ * the layout LruLists had before its links became PFN-indexed. Same
+ * operations, same order and the same checkpoint bytes.
+ */
+class RefLru
+{
+  public:
+    void insertInactive(Page &page) { insert(page, inactive); }
+    void insertActive(Page &page) { insert(page, active); }
+
+    void
+    remove(Page &page)
+    {
+        auto it = where.find(page.pfn);
+        it->second.list->erase(it->second.it);
+        where.erase(it);
+        page.lruLinked = false;
+    }
+
+    Pfn
+    popCandidate()
+    {
+        if (inactive.empty()) {
+            for (std::uint64_t i = 0;
+                 i < LruLists::demoteBatch && !active.empty(); ++i) {
+                Pfn pfn = active.back();
+                active.pop_back();
+                inactive.push_front(pfn);
+                where[pfn] = Loc{&inactive, inactive.begin()};
+            }
+        }
+        if (inactive.empty())
+            return LruLists::invalidPfn;
+        Pfn pfn = inactive.back();
+        inactive.pop_back();
+        where.erase(pfn);
+        return pfn;
+    }
+
+    void
+    secondChance(Page &page)
+    {
+        page.referenced = false;
+        insert(page, active);
+    }
+
+    std::uint64_t activeCount() const { return active.size(); }
+    std::uint64_t inactiveCount() const { return inactive.size(); }
+    bool contains(Pfn pfn) const { return where.count(pfn) != 0; }
+
+    bool
+    isActive(Pfn pfn) const
+    {
+        auto it = where.find(pfn);
+        return it != where.end() && it->second.list == &active;
+    }
+
+    /** Most recent first. */
+    const std::list<Pfn> &
+    order(bool act) const
+    {
+        return act ? active : inactive;
+    }
+
+    /** Per list: the count, then the PFNs most recent first. */
+    void
+    serialize(sim::Serializer &s)
+    {
+        s.section("lru");
+        for (std::list<Pfn> *l : {&active, &inactive}) {
+            std::uint64_t n = l->size();
+            s.io(n);
+            if (s.loading())
+                l->resize(n);
+            for (Pfn &pfn : *l)
+                s.io(pfn);
+        }
+        if (s.loading()) {
+            where.clear();
+            for (std::list<Pfn> *l : {&active, &inactive})
+                for (auto it = l->begin(); it != l->end(); ++it)
+                    where[*it] = Loc{l, it};
+        }
+    }
+
+  private:
+    struct Loc
+    {
+        std::list<Pfn> *list;
+        std::list<Pfn>::iterator it;
+    };
+
+    std::list<Pfn> active;   // front = most recent
+    std::list<Pfn> inactive; // front = most recent, evict from back
+    std::unordered_map<Pfn, Loc> where;
+
+    void
+    insert(Page &page, std::list<Pfn> &l)
+    {
+        l.push_front(page.pfn);
+        where[page.pfn] = Loc{&l, l.begin()};
+        page.lruLinked = true;
+    }
+};
+
+template <typename Lru>
+std::vector<std::uint8_t>
+blobOf(Lru &lru)
+{
+    sim::Serializer s = sim::Serializer::saver();
+    lru.serialize(s);
+    return s.takeBlob();
+}
+
+template <typename Lru>
+void
+load(Lru &lru, const std::vector<std::uint8_t> &blob)
+{
+    sim::Serializer s = sim::Serializer::loader(blob);
+    lru.serialize(s);
+    ASSERT_TRUE(s.exhausted());
+}
+
+/**
+ * One seeded run of LruLists against RefLru over a few hundred PFNs.
+ * Phases alternate between filling (mostly inserts) and draining
+ * (mostly pops), so the inactive list runs dry with more and with
+ * fewer than demoteBatch active pages behind it. After every step the
+ * pop results, page flags, membership, counts and checkpoint bytes
+ * must agree; halfway both sides round-trip through their blobs, the
+ * LruLists one into a machine that already holds boot-time entries.
+ */
+void
+runLruDifferential(std::uint64_t seed)
+{
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    constexpr Pfn nPfns = 300;
+    constexpr unsigned steps = 4000;
+    std::vector<Page> mine, ref;
+    for (Pfn p = 0; p < nPfns; ++p) {
+        mine.push_back(mkPage(p));
+        ref.push_back(mkPage(p));
+    }
+    auto lru = std::make_unique<LruLists>();
+    auto oracle = std::make_unique<RefLru>();
+    sim::Rng rng(seed);
+    std::uint64_t pops = 0, fullBatches = 0, partialBatches = 0;
+
+    for (unsigned step = 0; step < steps; ++step) {
+        SCOPED_TRACE("step " + std::to_string(step));
+        bool draining = (step / 250) % 2 == 1;
+        std::uint64_t op =
+            rng.chance(draining ? 0.7 : 0.1) ? 0 : 1 + rng.range(4);
+        Pfn pfn = rng.range(nPfns);
+        if (op == 0) {
+            // Pop, as the reclaimer does: the caller drops the link
+            // flag, and a referenced page gets its second chance.
+            if (oracle->inactiveCount() == 0 && oracle->activeCount() > 0) {
+                // This pop demotes a full or a partial batch first.
+                ++(oracle->activeCount() >= LruLists::demoteBatch
+                       ? fullBatches
+                       : partialBatches);
+            }
+            Pfn want = oracle->popCandidate();
+            ASSERT_EQ(lru->popCandidate(), want);
+            if (want != LruLists::invalidPfn) {
+                ++pops;
+                mine[want].lruLinked = ref[want].lruLinked = false;
+                if (rng.chance(0.3)) {
+                    mine[want].referenced = ref[want].referenced = true;
+                    lru->secondChance(mine[want]);
+                    oracle->secondChance(ref[want]);
+                }
+            }
+        } else if (op == 1 && oracle->activeCount() +
+                                      oracle->inactiveCount() >
+                                  0) {
+            // Remove the head, a middle page or the tail of a list.
+            bool act = oracle->inactiveCount() == 0 ||
+                       (oracle->activeCount() > 0 && rng.chance(0.5));
+            const std::list<Pfn> &l = oracle->order(act);
+            std::uint64_t where = 0;
+            switch (rng.range(3)) {
+            case 0: where = 0; break;
+            case 1: where = l.size() / 2; break;
+            default: where = l.size() - 1; break;
+            }
+            Pfn victim = *std::next(l.begin(), static_cast<long>(where));
+            lru->remove(mine[victim]);
+            oracle->remove(ref[victim]);
+        } else if (oracle->contains(pfn)) {
+            lru->remove(mine[pfn]);
+            oracle->remove(ref[pfn]);
+        } else if (op == 2) {
+            mine[pfn].referenced = ref[pfn].referenced = true;
+            lru->secondChance(mine[pfn]);
+            oracle->secondChance(ref[pfn]);
+        } else if (op == 3) {
+            lru->insertActive(mine[pfn]);
+            oracle->insertActive(ref[pfn]);
+        } else {
+            lru->insertInactive(mine[pfn]);
+            oracle->insertInactive(ref[pfn]);
+        }
+
+        if (step == steps / 2) {
+            auto restored = std::make_unique<LruLists>(nPfns / 2);
+            Page boot0 = mkPage(0), boot1 = mkPage(nPfns - 1);
+            restored->insertActive(boot0);
+            restored->insertInactive(boot1);
+            load(*restored, blobOf(*lru));
+            lru = std::move(restored);
+            auto ref2 = std::make_unique<RefLru>();
+            load(*ref2, blobOf(*oracle));
+            oracle = std::move(ref2);
+        }
+
+        ASSERT_EQ(lru->activeCount(), oracle->activeCount());
+        ASSERT_EQ(lru->inactiveCount(), oracle->inactiveCount());
+        ASSERT_EQ(lru->size(),
+                  oracle->activeCount() + oracle->inactiveCount());
+        for (Pfn p = 0; p < nPfns; ++p) {
+            ASSERT_EQ(lru->contains(p), oracle->contains(p)) << p;
+            ASSERT_EQ(lru->isActive(p), oracle->isActive(p)) << p;
+            ASSERT_EQ(mine[p].lruLinked, ref[p].lruLinked) << p;
+            ASSERT_EQ(mine[p].referenced, ref[p].referenced) << p;
+        }
+        ASSERT_EQ(blobOf(*lru), blobOf(*oracle));
+    }
+    // The mix must have reached every path it claims to cover.
+    EXPECT_GT(pops, steps / 5);
+    EXPECT_GT(fullBatches, 5u);
+    EXPECT_GT(partialBatches, 5u);
+}
+
 } // namespace
+
+TEST(LruLists, MatchesReferenceModelUnderRandomMixes)
+{
+    for (std::uint64_t seed : {1u, 2u, 3u, 42u})
+        runLruDifferential(seed);
+}
+
+TEST(LruLists, LoadRejectsARepeatedPfn)
+{
+    sim::Serializer s = sim::Serializer::saver();
+    s.section("lru");
+    std::uint64_t n = 1;
+    Pfn pfn = 5;
+    s.io(n); // active: [5]
+    s.io(pfn);
+    s.io(n); // inactive: [5]
+    s.io(pfn);
+    LruLists lru;
+    sim::Serializer in = sim::Serializer::loader(s.takeBlob());
+    EXPECT_THROW(lru.serialize(in), sim::SerializeError);
+}
 
 TEST(LruLists, InsertAndPopFifoFromInactive)
 {
