@@ -24,7 +24,9 @@ Kernel::serialize(sim::Serializer &s)
     pcache.serialize(s);
 
     // Per-frame metadata: pointers become (file id, asid) pairs the
-    // identically-booted restore target resolves back.
+    // identically-booted restore target resolves back. Flag bit 3 is
+    // active-list membership, read from the LRU (restored above) on
+    // save and ignored on load.
     std::uint64_t nf = framePages.size();
     s.check(nf, "frame count");
     for (auto &pg : framePages) {
@@ -36,7 +38,7 @@ Kernel::serialize(sim::Serializer &s)
         s.io(pg.vaddr);
         auto flags = static_cast<std::uint8_t>(
             (pg.inUse << 0) | (pg.dirty << 1) | (pg.referenced << 2) |
-            (pg.active << 3) | (pg.lruLinked << 4) |
+            (reclaim->lru().isActive(pg.pfn) << 3) | (pg.lruLinked << 4) |
             (pg.inPageCache << 5) | (pg.underWriteback << 6) |
             (pg.inSmuQueue << 7));
         s.io(flags);
@@ -56,7 +58,6 @@ Kernel::serialize(sim::Serializer &s)
             pg.inUse = flags & (1 << 0);
             pg.dirty = flags & (1 << 1);
             pg.referenced = flags & (1 << 2);
-            pg.active = flags & (1 << 3);
             pg.lruLinked = flags & (1 << 4);
             pg.inPageCache = flags & (1 << 5);
             pg.underWriteback = flags & (1 << 6);

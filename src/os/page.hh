@@ -36,8 +36,7 @@ struct Page
     bool inUse = false;        ///< Frame allocated to someone.
     bool dirty = false;        ///< Needs writeback before reuse.
     bool referenced = false;   ///< Second-chance bit for the clock.
-    bool active = false;       ///< On the active (vs inactive) list.
-    bool lruLinked = false;    ///< Present on an LRU list at all.
+    bool lruLinked = false;    ///< On an LRU list (which: LruLists).
     bool inPageCache = false;  ///< Indexed by the page cache.
     bool underWriteback = false;
     bool inSmuQueue = false;   ///< Donated to the SMU free page queue.
@@ -65,7 +64,6 @@ struct Page
         inUse = false;
         dirty = false;
         referenced = false;
-        active = false;
         lruLinked = false;
         inPageCache = false;
         underWriteback = false;

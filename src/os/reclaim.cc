@@ -79,7 +79,6 @@ LruLists::insert(Page &page, ListId id)
         panic("lru: page ", page.pfn, " already linked");
     linkAfter(id, page.pfn, nil);
     page.lruLinked = true;
-    page.active = id == ListId::active;
 }
 
 void
@@ -101,7 +100,6 @@ LruLists::remove(Page &page)
         panic("lru: removing unlinked page ", page.pfn);
     unlink(page.pfn);
     page.lruLinked = false;
-    page.active = false;
 }
 
 Pfn

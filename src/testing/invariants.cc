@@ -186,6 +186,8 @@ checkInvariants(system::System &sys)
         std::string where = "frame " + std::to_string(pfn);
         if (pg.inPageCache && !pg.file)
             v.push_back(where + ": inPageCache without a file");
+        if (pg.lruLinked != kern.reclaimer().lru().contains(pfn))
+            v.push_back(where + ": lruLinked disagrees with the LRU");
         if (pg.lruLinked && !pg.inUse)
             v.push_back(where + ": on an LRU list but not inUse");
         if (pg.inSmuQueue && pg.lruLinked)

@@ -15,7 +15,8 @@
  *     matches its valid entries, and the SMU's isolated NVMe queues
  *     never carry more commands than the PMSHR has entries in flight.
  *  4. Frame flags compose: inPageCache implies a file identity,
- *     lruLinked implies inUse, inSmuQueue excludes lruLinked.
+ *     lruLinked matches LRU membership and implies inUse, inSmuQueue
+ *     excludes lruLinked.
  *  5. Socket topology is coherent (multi-socket machines): every PTE
  *     routes to an existing socket and carries its file's device
  *     socket id; free-page queues hold only home-socket frames;

@@ -357,20 +357,23 @@ TEST(Checkpoint, GoldenBlobHashes)
     // Whole-blob pins: every serialized byte of a reclaimed machine,
     // LRU order and page-table layout included. A host-side layout
     // change must leave them alone; a deliberate format change bumps
-    // Checkpoint::formatVersion or says which bytes moved.
+    // Checkpoint::formatVersion or says which bytes moved. (Frame flag
+    // bit 3 became LRU active-list membership; it used to stay set on
+    // pages demoted to the inactive list. Blobs with the stale bit
+    // still restore: the bit is ignored on load.)
     using system::PagingMode;
     EXPECT_EQ(fnv1a(reclaimedBlob(PagingMode::osdp, 'I')),
-              0x894010680c152be4ULL);
+              0x1079cff3480eba84ULL);
     EXPECT_EQ(fnv1a(reclaimedBlob(PagingMode::hwdp, 'I')),
-              0x602886e6f96c99ffULL);
+              0x738711d8722b7477ULL);
     EXPECT_EQ(fnv1a(reclaimedBlob(PagingMode::swsmu, 'I')),
-              0x7f217b99dc316372ULL);
+              0x76f3272b5bb33882ULL);
     EXPECT_EQ(fnv1a(reclaimedBlob(PagingMode::osdp, 'A')),
-              0x298fd0ba39473512ULL);
+              0xb4ba8aed1f9d3d2aULL);
     EXPECT_EQ(fnv1a(reclaimedBlob(PagingMode::hwdp, 'A')),
-              0x23ba294139372e7cULL);
+              0xf322f38f08f7fd04ULL);
     EXPECT_EQ(fnv1a(reclaimedBlob(PagingMode::swsmu, 'A')),
-              0x0902b0412a87a8b3ULL);
+              0x6f40a76ac742f363ULL);
 }
 
 TEST(Checkpoint, FileRoundTripAndMissingFileFallback)

@@ -365,7 +365,7 @@ TEST(LruLists, SecondChancePromotesToActive)
     a.referenced = true;
     lru.secondChance(a);
     EXPECT_FALSE(a.referenced);
-    EXPECT_TRUE(a.active);
+    EXPECT_TRUE(lru.isActive(1));
     EXPECT_EQ(lru.activeCount(), 1u);
     (void)p;
 }
