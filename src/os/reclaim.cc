@@ -22,11 +22,11 @@ LruLists::serialize(sim::Serializer &s)
             k = Link{};
         lists = {};
     }
-    for (ListId id : {ListId::active, ListId::inactive}) {
-        std::uint64_t n = of(id).count;
+    for (ListId id : {activeList, inactiveList}) {
+        std::uint64_t n = lists[id].count;
         s.io(n);
         if (s.saving()) {
-            for (std::uint32_t p = of(id).head; p != nil;
+            for (std::uint32_t p = lists[id].head; p != nil;
                  p = links[p].next) {
                 Pfn pfn = p;
                 s.io(pfn);
@@ -36,10 +36,10 @@ LruLists::serialize(sim::Serializer &s)
         for (std::uint64_t i = 0; i < n; ++i) {
             Pfn pfn = 0;
             s.io(pfn);
-            if (contains(pfn) || pfn >= nil)
+            if (pfn >= nil || contains(pfn))
                 throw sim::SerializeError("lru: bad or repeated pfn " +
                                           std::to_string(pfn));
-            linkAfter(id, pfn, of(id).tail);
+            linkAfter(id, pfn, lists[id].tail);
         }
     }
 }
@@ -52,7 +52,7 @@ LruLists::linkAfter(ListId id, Pfn pfn, std::uint32_t prev)
             panic("lru: pfn ", pfn, " beyond the link range");
         links.resize(pfn + 1);
     }
-    List &l = of(id);
+    List &l = lists[id];
     std::uint32_t next = prev == nil ? l.head : links[prev].next;
     links[pfn] = Link{prev, next, id};
     auto p = static_cast<std::uint32_t>(pfn);
@@ -65,7 +65,7 @@ void
 LruLists::unlink(Pfn pfn)
 {
     Link &k = links[pfn];
-    List &l = of(k.list);
+    List &l = lists[k.list];
     (k.prev == nil ? l.head : links[k.prev].next) = k.next;
     (k.next == nil ? l.tail : links[k.next].prev) = k.prev;
     --l.count;
@@ -84,13 +84,13 @@ LruLists::insert(Page &page, ListId id)
 void
 LruLists::insertInactive(Page &page)
 {
-    insert(page, ListId::inactive);
+    insert(page, inactiveList);
 }
 
 void
 LruLists::insertActive(Page &page)
 {
-    insert(page, ListId::active);
+    insert(page, activeList);
 }
 
 void
@@ -105,15 +105,15 @@ LruLists::remove(Page &page)
 Pfn
 LruLists::popCandidate()
 {
-    List &inactive = of(ListId::inactive);
+    List &inactive = lists[inactiveList];
     if (inactive.count == 0) {
         // Aging: demote the oldest active pages.
-        List &active = of(ListId::active);
+        List &active = lists[activeList];
         for (std::uint64_t i = 0; i < demoteBatch && active.count != 0;
              ++i) {
             Pfn pfn = active.tail;
             unlink(pfn);
-            linkAfter(ListId::inactive, pfn, nil);
+            linkAfter(inactiveList, pfn, nil);
         }
     }
     if (inactive.count == 0)
@@ -129,7 +129,7 @@ LruLists::secondChance(Page &page)
     if (page.lruLinked)
         panic("lru: second chance on a linked page");
     page.referenced = false;
-    insert(page, ListId::active);
+    insert(page, activeList);
 }
 
 // --------------------------------------------------------------- Reclaimer

@@ -34,10 +34,10 @@ class Kernel;
 struct Page;
 
 /**
- * The two LRU lists as one intrusive doubly linked list indexed by PFN:
- * each frame carries its prev/next links and the id of the list it is
- * on, each list a head, tail and count. Membership, insertion and
- * removal are O(1) array lookups, with no node allocation per page.
+ * The active and inactive lists, intrusive and indexed by PFN: each
+ * frame has prev/next links and the id of the list it is on, each list
+ * a head, tail and count. Membership, insertion and removal are O(1)
+ * array operations, with no allocation per page.
  */
 class LruLists
 {
@@ -61,15 +61,15 @@ class LruLists
     /** Second chance: requeue a referenced page onto the active list. */
     void secondChance(Page &page);
 
-    std::uint64_t activeCount() const { return of(ListId::active).count; }
+    std::uint64_t activeCount() const { return lists[activeList].count; }
     std::uint64_t inactiveCount() const
     {
-        return of(ListId::inactive).count;
+        return lists[inactiveList].count;
     }
     std::uint64_t size() const { return activeCount() + inactiveCount(); }
 
-    bool contains(Pfn pfn) const { return listOf(pfn) != ListId::none; }
-    bool isActive(Pfn pfn) const { return listOf(pfn) == ListId::active; }
+    bool contains(Pfn pfn) const { return listOf(pfn) != noList; }
+    bool isActive(Pfn pfn) const { return listOf(pfn) == activeList; }
 
     /**
      * Checkpoint both lists in order, per list the count and then the
@@ -84,7 +84,7 @@ class LruLists
     static constexpr std::uint64_t demoteBatch = 32;
 
   private:
-    enum class ListId : std::uint8_t { active, inactive, none };
+    enum ListId : std::uint8_t { activeList, inactiveList, noList };
 
     /** End-of-list marker; PFNs index the links, so stay below it. */
     static constexpr std::uint32_t nil = ~std::uint32_t(0);
@@ -93,7 +93,7 @@ class LruLists
     {
         std::uint32_t prev = nil;
         std::uint32_t next = nil;
-        ListId list = ListId::none;
+        ListId list = noList;
     };
 
     struct List
@@ -106,14 +106,9 @@ class LruLists
     std::vector<Link> links;
     std::array<List, 2> lists;
 
-    List &of(ListId id) { return lists[static_cast<unsigned>(id)]; }
-    const List &of(ListId id) const
-    {
-        return lists[static_cast<unsigned>(id)];
-    }
     ListId listOf(Pfn pfn) const
     {
-        return pfn < links.size() ? links[pfn].list : ListId::none;
+        return pfn < links.size() ? links[pfn].list : noList;
     }
 
     void insert(Page &page, ListId id);

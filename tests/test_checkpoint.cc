@@ -328,20 +328,20 @@ reclaimedBlob(system::PagingMode mode, char wl)
     cfg.smu.freeQueueCapacity = 128;
     cfg.kpooldBatch = 128;
     system::System sys(cfg);
+    system::System::MappedFile mf;
     std::unique_ptr<workloads::KvStore> store;
     workloads::Workload *w;
     if (wl == 'I') {
-        auto mf = sys.mapDataset("f", 8 * 1024);
+        mf = sys.mapDataset("f", 8 * 1024);
         w = sys.makeWorkload<workloads::FioWorkload>(mf.vma, 10000);
-        sys.addThread(*w, 0, *mf.as);
     } else {
-        auto mf = sys.mapDataset("data", 16 * 1024);
+        mf = sys.mapDataset("data", 16 * 1024);
         auto *wal = sys.createFile("wal", 2 * 1024);
         store = std::make_unique<workloads::KvStore>(mf.vma, wal,
                                                      16 * 1024);
         w = sys.makeWorkload<workloads::YcsbWorkload>('A', *store, 10000);
-        sys.addThread(*w, 0, *mf.as);
     }
+    sys.addThread(*w, 0, *mf.as);
     EXPECT_TRUE(sys.runUntilThreadsDone(seconds(30.0)));
     auto &rc = sys.kernel().reclaimer();
     EXPECT_GT(rc.pagesEvicted(), 0u);

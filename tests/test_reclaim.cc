@@ -14,10 +14,12 @@
 #include "sim/rng.hh"
 #include "sim/serialize.hh"
 #include "system/system.hh"
+#include "testing/invariants.hh"
 #include "workloads/fio.hh"
 
 using namespace hwdp;
 using namespace hwdp::os;
+namespace ht = hwdp::testing;
 
 namespace {
 
@@ -218,20 +220,14 @@ runLruDifferential(std::uint64_t seed)
                     oracle->secondChance(ref[want]);
                 }
             }
-        } else if (op == 1 && oracle->activeCount() +
-                                      oracle->inactiveCount() >
-                                  0) {
+        } else if (op == 1 && lru->size() > 0) {
             // Remove the head, a middle page or the tail of a list.
             bool act = oracle->inactiveCount() == 0 ||
                        (oracle->activeCount() > 0 && rng.chance(0.5));
             const std::list<Pfn> &l = oracle->order(act);
-            std::uint64_t where = 0;
-            switch (rng.range(3)) {
-            case 0: where = 0; break;
-            case 1: where = l.size() / 2; break;
-            default: where = l.size() - 1; break;
-            }
-            Pfn victim = *std::next(l.begin(), static_cast<long>(where));
+            std::uint64_t at = rng.range(3);
+            at = at == 0 ? 0 : at == 1 ? l.size() / 2 : l.size() - 1;
+            Pfn victim = *std::next(l.begin(), static_cast<long>(at));
             lru->remove(mine[victim]);
             oracle->remove(ref[victim]);
         } else if (oracle->contains(pfn)) {
@@ -383,6 +379,31 @@ TEST(Reclaim, SteadyStateEvictionKeepsMachineRunning)
     auto &pm = sys.physMem();
     EXPECT_EQ(pm.allocatedFrames() + pm.freeFrames() + pm.reservedCount(),
               pm.totalFrames());
+}
+
+TEST(Reclaim, InvariantsAuditLruMembership)
+{
+    system::System sys(tinyConfig(system::PagingMode::osdp));
+    auto mf = sys.mapDataset("f", 8192);
+    auto *wl = sys.makeWorkload<workloads::FioWorkload>(mf.vma, 2000);
+    sys.addThread(*wl, 0, *mf.as);
+    ASSERT_TRUE(sys.runUntilThreadsDone(seconds(20.0)));
+    EXPECT_TRUE(ht::checkInvariants(sys).empty());
+
+    // A frame on the LRU whose flag says otherwise is reported.
+    auto &k = sys.kernel();
+    ASSERT_GT(k.reclaimer().lru().size(), 0u);
+    Pfn pfn = 0;
+    while (!k.reclaimer().lru().contains(pfn))
+        ++pfn;
+    k.page(pfn).lruLinked = false;
+    auto v = ht::checkInvariants(sys);
+    ASSERT_EQ(v.size(), 1u);
+    EXPECT_NE(v[0].find("lruLinked disagrees with the LRU"),
+              std::string::npos)
+        << v[0];
+    k.page(pfn).lruLinked = true;
+    EXPECT_TRUE(ht::checkInvariants(sys).empty());
 }
 
 TEST(Reclaim, HwdpEvictionRearmsLbaPtes)
