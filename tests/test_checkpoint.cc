@@ -357,10 +357,7 @@ TEST(Checkpoint, GoldenBlobHashes)
     // Whole-blob pins: every serialized byte of a reclaimed machine,
     // LRU order and page-table layout included. A host-side layout
     // change must leave them alone; a deliberate format change bumps
-    // Checkpoint::formatVersion or says which bytes moved. (Frame flag
-    // bit 3 became LRU active-list membership; it used to stay set on
-    // pages demoted to the inactive list. Blobs with the stale bit
-    // still restore: the bit is ignored on load.)
+    // Checkpoint::formatVersion or says which bytes moved.
     using system::PagingMode;
     EXPECT_EQ(fnv1a(reclaimedBlob(PagingMode::osdp, 'I')),
               0x1079cff3480eba84ULL);
