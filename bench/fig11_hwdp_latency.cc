@@ -25,8 +25,10 @@ using namespace hwdp::os;
 int
 main()
 {
-    const Tick period = 357;
+    const Tick period = system::MachineConfig{}.cyclePeriod;
     auto cyc_us = [&](Cycles c) { return toMicroseconds(c * period); };
+    const core::SmuCosts &hw = core::smuCosts;
+    const Tick device = ssd::profileByName("zssd").unloadedRead4k();
 
     metrics::banner("Figure 11(a): OSDP vs HWDP single-miss portions",
                     "paper: before-device -2.38 us, after-device "
@@ -43,13 +45,11 @@ main()
                                phases::metadataUpdate.cycles +
                                phases::pteUpdateReturn.cycles);
 
-    core::Smu::Params sp;
-    double hw_before = cyc_us(sp.requestRegWrites + sp.camLookup +
-                              sp.pfnWrite) +
-                       toMicroseconds(sp.nvme.cmdWrite +
-                                      sp.nvme.doorbell);
-    double hw_after = cyc_us(sp.ptUpdateCycles + sp.completionCycles +
-                             sp.notifyCycles);
+    double hw_before =
+        cyc_us(hw.requestRegWrites + hw.camLookup + hw.pfnWrite) +
+        toMicroseconds(hw.nvme.cmdWrite + hw.nvme.doorbell);
+    double hw_after = cyc_us(hw.ptUpdateCycles +
+                             hw.nvme.completionCycles + hw.notifyCycles);
 
     Table a({"portion", "OSDP us", "HWDP us", "delta us",
              "paper delta"});
@@ -63,22 +63,30 @@ main()
 
     metrics::banner("Figure 11(b): HWDP single-miss timeline");
     Table b({"step", "cost", "ns"});
-    b.addRow({"MMU -> SMU register writes", "2 cycles",
-              Table::num(cyc_us(2) * 1000.0)});
-    b.addRow({"PMSHR CAM lookup", "5 cycles",
-              Table::num(cyc_us(5) * 1000.0)});
+    auto cycles_row = [&](const char *step, Cycles c,
+                          const char *note = "") {
+        b.addRow({step,
+                  std::to_string(c) + (c == 1 ? " cycle" : " cycles") +
+                      note,
+                  Table::num(cyc_us(c) * 1000.0)});
+    };
+    auto time_row = [&](const char *step, Tick t) {
+        b.addRow({step, Table::num(toNanoseconds(t)) + " ns",
+                  Table::num(toNanoseconds(t))});
+    };
+    cycles_row("MMU -> SMU register writes", hw.requestRegWrites);
+    cycles_row("PMSHR CAM lookup", hw.camLookup);
     b.addRow({"free page fetch", "prefetched (hidden)", "0.00"});
-    b.addRow({"PFN write to PMSHR", "1 cycle",
-              Table::num(cyc_us(1) * 1000.0)});
-    b.addRow({"NVMe command memory write", "77.16 ns", "77.16"});
-    b.addRow({"SQ doorbell (PCIe write)", "1.60 ns", "1.60"});
-    b.addRow({"device I/O (Z-SSD)", "10.9 us", "10900.00"});
-    b.addRow({"PTE/PMD/PUD read+update", "97 cycles (3 LLC r+w)",
-              Table::num(cyc_us(97) * 1000.0)});
-    b.addRow({"completion unit", "2 cycles",
-              Table::num(cyc_us(2) * 1000.0)});
-    b.addRow({"notify MMU / resume walk", "2 cycles",
-              Table::num(cyc_us(2) * 1000.0)});
+    cycles_row("PFN write to PMSHR", hw.pfnWrite);
+    time_row("NVMe command memory write", hw.nvme.cmdWrite);
+    time_row("SQ doorbell (PCIe write)", hw.nvme.doorbell);
+    b.addRow({"device I/O (Z-SSD)",
+              Table::num(toMicroseconds(device), 1) + " us",
+              Table::num(toNanoseconds(device))});
+    cycles_row("PTE/PMD/PUD read+update", hw.ptUpdateCycles,
+               " (3 LLC r+w)");
+    cycles_row("completion unit", hw.nvme.completionCycles);
+    cycles_row("notify MMU / resume walk", hw.notifyCycles);
     b.print();
 
     // Measured cross-check: mean hardware miss latency minus device
@@ -90,8 +98,7 @@ main()
     sys.addThread(*wl, 0, *mf.as);
     sys.runUntilThreadsDone(seconds(60.0));
 
-    double dev_us =
-        toMicroseconds(ssd::profileByName("zssd").unloadedRead4k());
+    double dev_us = toMicroseconds(device);
     double miss_us = sys.smu()->missLatencyUs().mean();
     std::printf("\nmeasured HWDP miss latency : %.2f us (device %.2f us "
                 "-> hardware adds ~%.0f ns)\n",

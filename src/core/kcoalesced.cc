@@ -22,11 +22,10 @@ Kcoalesced::serialize(sim::Serializer &s)
         s.io(nIpis);
 }
 
-Kcoalesced::Kcoalesced(os::Kernel &kernel, unsigned core, Tick period,
-                       std::uint64_t batch_windows)
+Kcoalesced::Kcoalesced(os::Kernel &kernel, unsigned core)
     : os::KThread("kcoalesced", core, kernel.scheduler(),
-                  kernel.eventQueue(), period),
-      kernel(kernel), batchWindows(batch_windows)
+                  kernel.eventQueue(), wakePeriod),
+      kernel(kernel)
 {
 }
 

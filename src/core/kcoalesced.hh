@@ -30,9 +30,12 @@ namespace hwdp::core {
 class Kcoalesced : public os::KThread
 {
   public:
-    /** @param batch_windows 2 MB windows examined per wakeup. */
-    Kcoalesced(os::Kernel &kernel, unsigned core, Tick period,
-               std::uint64_t batch_windows);
+    /** Wakeup period. */
+    static constexpr Tick wakePeriod = milliseconds(8.0);
+    /** 2 MB windows examined per wakeup. */
+    static constexpr std::uint64_t batchWindows = 32;
+
+    Kcoalesced(os::Kernel &kernel, unsigned core);
 
     void batch(std::function<void()> done) override;
 
@@ -59,7 +62,6 @@ class Kcoalesced : public os::KThread
 
   private:
     os::Kernel &kernel;
-    std::uint64_t batchWindows;
     unsigned crossSocketIpis = 0;
     std::function<bool()> abortHook;
 

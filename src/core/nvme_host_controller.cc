@@ -18,8 +18,10 @@ NvmeHostController::serialize(sim::Serializer &s)
 
 NvmeHostController::NvmeHostController(std::string name,
                                        sim::EventQueue &eq,
-                                       const Timing &timing)
+                                       const Timing &timing,
+                                       Tick cycle_period)
     : sim::SimObject(std::move(name), eq), tm(timing),
+      clock(cycle_period),
       statIssued(stats().counter("reads_issued",
                                  "NVMe read commands issued")),
       statCompleted(stats().counter("completions_snooped",
@@ -115,7 +117,7 @@ NvmeHostController::onCqWrite(unsigned dev_id,
     // gate; error completions always take the event (the handler's
     // bounce path runs kernel code that needs real event time).
     bool inl = eq.hop(
-        now() + tm.completionCycles * tm.cyclePeriod,
+        now() + tm.completionCycles * clock,
         status == 0 && onComplete,
         [this, tag, status](Tick t) {
             if (onComplete)

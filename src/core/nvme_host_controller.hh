@@ -26,15 +26,15 @@ namespace hwdp::core {
 class NvmeHostController : public sim::SimObject
 {
   public:
+    /** Command-path costs; smuCosts.nvme holds the values. */
     struct Timing
     {
         /** 64 B NVMe command write to host memory. */
-        Tick cmdWrite = nanoseconds(77.16);
+        Tick cmdWrite;
         /** Posted PCIe register write (SQ doorbell). */
-        Tick doorbell = nanoseconds(1.60);
+        Tick doorbell;
         /** Completion-unit protocol handling, in cycles. */
-        Cycles completionCycles = 2;
-        Tick cyclePeriod = 357;
+        Cycles completionCycles;
     };
 
     /** Maximum block devices per SMU: 3-bit device id (Section III-B). */
@@ -43,8 +43,9 @@ class NvmeHostController : public sim::SimObject
     /** Bits per descriptor register set (for the area model). */
     static constexpr unsigned descriptorBits = 352;
 
+    /** @param cycle_period The machine clock, from the owning SMU. */
     NvmeHostController(std::string name, sim::EventQueue &eq,
-                       const Timing &timing);
+                       const Timing &timing, Tick cycle_period);
 
     /**
      * Install the queue descriptor registers for @p dev_id: allocates
@@ -120,6 +121,7 @@ class NvmeHostController : public sim::SimObject
     };
 
     Timing tm;
+    Tick clock;
     std::array<Descriptor, maxDevices> descs;
     std::function<void(std::uint16_t, std::uint16_t, Tick)> onComplete;
 

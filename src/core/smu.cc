@@ -24,7 +24,7 @@ Smu::serialize(sim::Serializer &s)
     nvme.serialize(s);
     updater.serialize(s);
     // Guarded so single-socket blobs keep the pre-NUMA layout.
-    if (prm.coresPerSocket != 0)
+    if (kernel.params().sockets > 1)
         s.io(nRemoteRequests);
     // Guarded so tierMode=off blobs keep the pre-tier layout.
     if (tierBuf) {
@@ -38,8 +38,9 @@ Smu::Smu(std::string name, sim::EventQueue &eq, unsigned sid,
          const Params &params, os::Kernel &kernel)
     : sim::SimObject(std::move(name), eq), socketId(sid), prm(params),
       kernel(kernel), pmshrUnit(params.pmshrEntries),
-      nvme(this->name() + ".nvme", eq, params.nvme),
-      updater(params.ptUpdateCycles, params.cyclePeriod),
+      nvme(this->name() + ".nvme", eq, smuCosts.nvme,
+           kernel.params().cyclePeriod),
+      updater(smuCosts.ptUpdateCycles, kernel.params().cyclePeriod),
       statHandled(stats().counter("handled",
                                   "page misses completed in hardware")),
       statZeroFill(stats().counter(
@@ -106,13 +107,11 @@ void
 Smu::handleMiss(cpu::PageMissRequest req, Tick at)
 {
     // Two register writes deliver the request, then the CAM lookup.
-    Tick delay =
-        (prm.requestRegWrites + prm.camLookup) * prm.cyclePeriod;
+    Tick delay = cycles(smuCosts.requestRegWrites + smuCosts.camLookup);
     // Remote-socket requester: the register writes cross the
     // interconnect to this socket's SMU and the completion broadcast
     // crosses back — charged once as a round-trip premium.
-    if (prm.coresPerSocket != 0 &&
-        req.core / prm.coresPerSocket != socketId) {
+    if (kernel.socketOfCore(req.core) != socketId) {
         delay += prm.remoteRequestLatency;
         ++nRemoteRequests;
     }
@@ -162,7 +161,7 @@ Smu::lookupStepAt(cpu::PageMissRequest req, Tick started, Tick at)
 
     // (3) Fetch a free page frame from the requesting core's queue.
     FreePageQueue &fpq = freePageQueue(req.core);
-    auto pop = fpq.pop(prm.memRoundTrip);
+    auto pop = fpq.pop(smuCosts.memRoundTrip);
     if (!pop.ok) {
         pmshrUnit.invalidate(idx);
         ++statRejectEmpty;
@@ -184,7 +183,7 @@ Smu::lookupStepAt(cpu::PageMissRequest req, Tick started, Tick at)
     e.req = std::move(req);
 
     PAddr dma = static_cast<PAddr>(pop.pfn) << pageShift;
-    Tick delay = pop.latency + prm.pfnWrite * prm.cyclePeriod;
+    Tick delay = pop.latency + cycles(smuCosts.pfnWrite);
     auto tag = static_cast<std::uint16_t>(idx);
     unsigned req_core = e.req.core;
     // Completion without an NVMe command (zero-fill, tier hit).
@@ -198,7 +197,7 @@ Smu::lookupStepAt(cpu::PageMissRequest req, Tick started, Tick at)
     // (Section V).
     if (lba == os::pte::zeroFillLba) {
         ++statZeroFill;
-        eq.hop(at + delay + prm.zeroFillLatency, inlineOk(), complete,
+        eq.hop(at + delay + smuCosts.zeroFillLatency, inlineOk(), complete,
                "smu.zerofill");
         return;
     }
@@ -326,7 +325,7 @@ Smu::onIoCompleteAt(std::uint16_t tag, std::uint16_t status, Tick at)
     // it resumes walkers and samples the latency histogram, which
     // need real event time.
     Tick update_lat = updater.update(e.req, e.pfn);
-    Tick delay = update_lat + prm.notifyCycles * prm.cyclePeriod;
+    Tick delay = update_lat + cycles(smuCosts.notifyCycles);
 
     eq.post(
         at + delay,

@@ -35,6 +35,42 @@ class CxlBuffer;
 
 namespace hwdp::core {
 
+/**
+ * Fig. 11b's hardware costs: calibration constants of the SMU and its
+ * NVMe host controller, not machine facts, so no MachineConfig field
+ * sets them. Cycle counts run on the machine clock, which the SMU
+ * reads from its kernel and hands to the host controller.
+ */
+struct SmuCosts
+{
+    /** MMU-to-SMU request transfer (two register writes). */
+    Cycles requestRegWrites = 2;
+    /** PMSHR CAM lookup. */
+    Cycles camLookup = 5;
+    /** Writing the allocated PFN into the PMSHR entry. */
+    Cycles pfnWrite = 1;
+    /** PTE + PMD + PUD read/update (three LLC read+writes). */
+    Cycles ptUpdateCycles = 97;
+    /** Broadcast to MMUs + walk completion check. */
+    Cycles notifyCycles = 2;
+
+    /** Exposed memory read when the prefetch buffer is empty. */
+    Tick memRoundTrip = nanoseconds(90);
+
+    /**
+     * Zeroing a 4 KB frame for a first-touch anonymous miss
+     * (Section V): the SMU bypasses the NVMe path and a hardware
+     * zero engine prepares the frame.
+     */
+    Tick zeroFillLatency = nanoseconds(300);
+
+    /** 64 B command write, SQ doorbell, 2-cycle completion unit. */
+    NvmeHostController::Timing nvme{nanoseconds(77.16),
+                                    nanoseconds(1.60), 2};
+};
+
+inline constexpr SmuCosts smuCosts{};
+
 class Smu : public sim::SimObject, public cpu::PageMissHandlerIface
 {
   public:
@@ -43,29 +79,6 @@ class Smu : public sim::SimObject, public cpu::PageMissHandlerIface
         unsigned pmshrEntries = 32;
         std::uint64_t freeQueueCapacity = 4096;
         unsigned prefetchDepth = 16;
-
-        /** MMU-to-SMU request transfer (two register writes). */
-        Cycles requestRegWrites = 2;
-        /** PMSHR CAM lookup. */
-        Cycles camLookup = 5;
-        /** Writing the allocated PFN into the PMSHR entry. */
-        Cycles pfnWrite = 1;
-        /** PTE + PMD + PUD read/update (three LLC read+writes). */
-        Cycles ptUpdateCycles = 97;
-        /** Completion-unit bookkeeping. */
-        Cycles completionCycles = 2;
-        /** Broadcast to MMUs + walk completion check. */
-        Cycles notifyCycles = 2;
-
-        /** Exposed memory read when the prefetch buffer is empty. */
-        Tick memRoundTrip = nanoseconds(90);
-
-        /**
-         * Zeroing a 4 KB frame for a first-touch anonymous miss
-         * (Section V): the SMU bypasses the NVMe path and a hardware
-         * zero engine prepares the frame.
-         */
-        Tick zeroFillLatency = nanoseconds(300);
 
         /**
          * Sequential next-page prefetch (Section V, "Prefetching
@@ -87,20 +100,13 @@ class Smu : public sim::SimObject, public cpu::PageMissHandlerIface
         unsigned nFreeQueues = 16;
 
         /**
-         * Multi-socket topology: logical cores per socket (0 — the
-         * default — treats every requester as local). A miss whose
-         * core sits on another socket pays remoteRequestLatency on
-         * top of the register-write delivery: the paper's SMU is
-         * per-socket, so a remote-socket PTE routes the miss across
-         * the interconnect to the owning SMU.
+         * Cross-socket request round-trip premium. The paper's SMU is
+         * per-socket, so a miss from a core on another socket (the
+         * kernel's core-to-socket map) routes across the interconnect
+         * to the owning SMU and pays this on top of the register-write
+         * delivery. Inert on one socket.
          */
-        unsigned coresPerSocket = 0;
-
-        /** Cross-socket request round-trip premium. */
         Tick remoteRequestLatency = nanoseconds(120.0);
-
-        NvmeHostController::Timing nvme{};
-        Tick cyclePeriod = 357;
     };
 
     Smu(std::string name, sim::EventQueue &eq, unsigned sid,
@@ -124,7 +130,6 @@ class Smu : public sim::SimObject, public cpu::PageMissHandlerIface
     Pmshr &pmshr() { return pmshrUnit; }
     NvmeHostController &hostController() { return nvme; }
     PageTableUpdater &ptUpdater() { return updater; }
-    const Params &params() const { return prm; }
     unsigned sid() const { return socketId; }
 
     /** Invoked when a pop finds the free page queue empty. */
@@ -245,6 +250,9 @@ class Smu : public sim::SimObject, public cpu::PageMissHandlerIface
      * every SMU hop takes its event.
      */
     bool inlineOk() const { return !prm.sequentialPrefetch; }
+
+    /** @p c cycles of the machine clock. */
+    Tick cycles(Cycles c) const { return c * kernel.params().cyclePeriod; }
 
     /**
      * The lookup at logical time @p at: == now() from the smu.lookup

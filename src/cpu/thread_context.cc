@@ -7,6 +7,15 @@
 
 namespace hwdp::cpu {
 
+namespace {
+
+/** CPI with all-hit caches (the L1 hit latency is folded in). */
+constexpr double baseCpi = 0.45;
+/** Cycles lost per mispredicted branch. */
+constexpr Cycles mispredPenalty = 15;
+
+} // namespace
+
 void
 ThreadContext::serialize(sim::Serializer &s)
 {
@@ -275,13 +284,14 @@ ThreadContext::computeBurst(const workloads::ComputeSpec &spec)
     // the RNG draws keep that loop order (generation is hoisted, not
     // reordered), each stream goes through accessBatch as one run, and
     // the stall sum is rebuilt from per-level hit counts — every line
-    // that hits level k adds max(latency_k, l1HitLatency) -
-    // l1HitLatency. The issue-slot share is sampled at burst start.
+    // that hits level k adds max(latency_k, l1Latency) - l1Latency
+    // (baseCpi covers the L1 hit). The issue-slot share is sampled at
+    // burst start.
     double share = kernel.scheduler().widthShare(core());
     const mem::CacheParams &cp = caches.params();
     auto stallSum = [&](const mem::CacheBatchResult &r, std::uint64_t n) {
         auto stall_for = [&](Cycles lat) {
-            return std::max(lat, prm.l1HitLatency) - prm.l1HitLatency;
+            return std::max(lat, cp.l1Latency) - cp.l1Latency;
         };
         return (n - r.l1Misses) * stall_for(cp.l1Latency) +
                (r.l1Misses - r.l2Misses) * stall_for(cp.l2Latency) +
@@ -415,8 +425,8 @@ ThreadContext::computeBurst(const workloads::ComputeSpec &spec)
                                  n_br, ExecMode::user);
 
     auto base = static_cast<Cycles>(
-        static_cast<double>(spec.instructions) * prm.baseCpi);
-    Cycles cycles = base + extra + mispred * prm.mispredPenalty;
+        static_cast<double>(spec.instructions) * baseCpi);
+    Cycles cycles = base + extra + mispred * mispredPenalty;
     auto duration = static_cast<Tick>(
         static_cast<double>(cycles * period) / share);
 

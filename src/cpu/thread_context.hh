@@ -39,10 +39,6 @@ namespace hwdp::cpu {
 
 struct CoreParams
 {
-    double baseCpi = 0.45;    ///< CPI with all-hit caches.
-    Cycles mispredPenalty = 15;
-    Cycles l1HitLatency = 4;  ///< Folded into baseCpi.
-
     /**
      * Max ops accrued inline per continuation event. 1 restores
      * event-per-op pacing (the legacy path, kept for differential

@@ -2,7 +2,10 @@
 
 #include <sstream>
 
+#include "core/kcoalesced.hh"
+#include "mem/cache_hierarchy.hh"
 #include "ssd/ssd_profile.hh"
+#include "tier/ktierd.hh"
 
 namespace hwdp::system {
 
@@ -54,6 +57,7 @@ std::string
 MachineConfig::describe() const
 {
     auto prof = ssd::profileByName(ssdProfile);
+    const mem::CacheParams cache{};
     std::ostringstream os;
     os << "paging mode      : " << pagingModeName(mode) << '\n'
        << "CPU              : " << (1e6 / static_cast<double>(cyclePeriod))
@@ -84,7 +88,7 @@ MachineConfig::describe() const
            << coresPerSocket() << " cores, " << nDevices
            << " NVMe/socket, remote DRAM +" << numaRemoteExtraCycles
            << " cyc, remote SMU +"
-           << toNanoseconds(numaRemoteSmuLatency) << " ns, "
+           << toNanoseconds(smu.remoteRequestLatency) << " ns, "
            << numaPlacementName(numaPlacement) << " placement\n";
     // Shown only when engaged, keeping the default dump (and the
     // checkpoint config hash) identical to the 4 KB-only machine.
@@ -92,23 +96,26 @@ MachineConfig::describe() const
         os << "page mode        : " << pageModeName(pageMode);
         if (pageMode == PageMode::coalesce)
             os << ", kcoalesced period "
-               << toMicroseconds(kcoalescePeriod) / 1000.0 << " ms, "
-               << kcoalesceBatch << " windows/pass";
+               << toMicroseconds(core::Kcoalesced::wakePeriod) / 1000.0
+               << " ms, " << core::Kcoalesced::batchWindows
+               << " windows/pass";
         os << '\n';
     }
     // Shown only when engaged, keeping the default dump (and the
     // checkpoint config hash) identical to the NVMe-only machine.
-    if (tierMode != TierMode::off)
+    if (tierMode != TierMode::off) {
+        const tier::CxlBuffer::Params cxl{};
         os << "cxl tier         : " << tierFrames
            << " frames/socket, load "
-           << toMicroseconds(tierLoad4k()) << " us, store "
-           << toMicroseconds(tierStore4k()) << " us, "
-           << (tierAdmitOnMiss ? "admit-on-miss" : "no-admit")
+           << toMicroseconds(cxl.load4k()) << " us, store "
+           << toMicroseconds(cxl.store4k()) << " us, "
+           << (cxl.admitOnMiss ? "admit-on-miss" : "no-admit")
            << ", ktierd period "
-           << toMicroseconds(ktierdPeriod) / 1000.0 << " ms, "
-           << ktierdBatch << " frames/pass, watermarks "
-           << tierLowWatermarkFrac << "/" << tierHighWatermarkFrac
-           << '\n';
+           << toMicroseconds(tier::Ktierd::wakePeriod) / 1000.0
+           << " ms, " << tier::Ktierd::maxBatch
+           << " frames/pass, watermarks " << cxl.lowWatermarkFrac << "/"
+           << cxl.highWatermarkFrac << '\n';
+    }
     return os.str();
 }
 

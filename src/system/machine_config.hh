@@ -15,7 +15,6 @@
 
 #include "core/smu.hh"
 #include "cpu/thread_context.hh"
-#include "mem/cache_hierarchy.hh"
 #include "os/kernel.hh"
 
 namespace hwdp::system {
@@ -47,6 +46,13 @@ enum class TierMode {
 
 const char *tierModeName(TierMode mode);
 
+/**
+ * The values a caller sets to shape a machine, each in one place.
+ * Calibration constants live beside the model that charges them
+ * (DESIGN.md §4), and System derives the rest. Every field feeds
+ * Checkpoint::configHash or is host-only, so a new field joins
+ * Checkpoint.ConfigHashSeparatesEverySettableValue's table.
+ */
 struct MachineConfig
 {
     PagingMode mode = PagingMode::osdp;
@@ -76,20 +82,10 @@ struct MachineConfig
      */
     unsigned numaRemoteExtraCycles = 170;
 
-    /**
-     * Latency for a miss request register write that crosses sockets
-     * to a remote SMU (PTE socket-id != faulting core's socket).
-     */
-    Tick numaRemoteSmuLatency = nanoseconds(120.0);
-
     /** Frame placement policy for kernel-side fault allocation. */
     NumaPlacement numaPlacement = NumaPlacement::firstTouch;
 
     unsigned coresPerSocket() const { return nLogical / sockets; }
-    unsigned socketOfCore(unsigned core_id) const
-    {
-        return sockets <= 1 ? 0 : core_id / coresPerSocket();
-    }
 
     /** Per-walker page-walk-cache entries (0 disables the PWC). */
     unsigned pwcEntries = 16;
@@ -108,16 +104,10 @@ struct MachineConfig
      */
     PageMode pageMode = PageMode::off;
 
-    /** kcoalesced wakeup period (pageMode=coalesce only). */
-    Tick kcoalescePeriod = milliseconds(8.0);
-    /** 2 MB windows kcoalesced examines per wakeup. */
-    std::uint64_t kcoalesceBatch = 32;
-
     // ---- Memory ---------------------------------------------------------
     /** Allocatable DRAM in 4 KB frames (default 512 MB scaled). */
     std::uint64_t memFrames = 128 * 1024;
     std::uint64_t reservedFrames = 512;
-    mem::CacheParams cache{};
 
     // ---- Storage ---------------------------------------------------------
     std::string ssdProfile = "zssd";
@@ -141,39 +131,12 @@ struct MachineConfig
      */
     TierMode tierMode = TierMode::off;
 
-    /** Per-socket tier capacity in 4 KB frames (default 64 MB scaled). */
-    std::uint64_t tierFrames = 16 * 1024;
-
     /**
-     * Tier latency profile, decomposed like SsdProfile: request
-     * packetization + link command, buffer-DRAM media access, and the
-     * 4 KB transfer over the CXL link. Load ~0.68 us, store ~0.73 us
-     * against the Z-SSD's 10.9 us unloaded read.
+     * Per-socket tier capacity in 4 KB frames (default 64 MB scaled).
+     * The latency profile and watermarks are tier::CxlBuffer::Params
+     * defaults.
      */
-    Tick tierCmdLatency = nanoseconds(80.0);
-    Tick tierMediaRead = nanoseconds(350.0);
-    Tick tierMediaWrite = nanoseconds(400.0);
-    Tick tierXfer4k = nanoseconds(250.0);
-    Tick tierLoad4k() const
-    {
-        return tierCmdLatency + tierMediaRead + tierXfer4k;
-    }
-    Tick tierStore4k() const
-    {
-        return tierCmdLatency + tierMediaWrite + tierXfer4k;
-    }
-
-    /** Admit SSD-fetched pages into the tier on miss completion. */
-    bool tierAdmitOnMiss = true;
-
-    /** ktierd starts evicting above high, stops below low. */
-    double tierHighWatermarkFrac = 0.90;
-    double tierLowWatermarkFrac = 0.75;
-    Tick ktierdPeriod = milliseconds(2.0);
-    std::uint64_t ktierdBatch = 256;
-
-    // ---- Kernel ----------------------------------------------------------
-    os::KernelParams kernel{};
+    std::uint64_t tierFrames = 16 * 1024;
 
     // ---- HWDP ------------------------------------------------------------
     core::Smu::Params smu{};

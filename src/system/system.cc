@@ -27,13 +27,13 @@ System::System(const MachineConfig &cfg_in) : cfg(cfg_in), rng(cfg.seed)
     pm = std::make_unique<mem::PhysMem>(eq,
                                         cfg.memFrames + cfg.reservedFrames,
                                         cfg.reservedFrames, cfg.sockets);
-    hierarchy = std::make_unique<mem::CacheHierarchy>(cfg.nPhysical,
-                                                      cfg.cache);
+    hierarchy = std::make_unique<mem::CacheHierarchy>(
+        cfg.nPhysical, mem::CacheParams{});
     bps.reserve(cfg.nPhysical);
     for (unsigned i = 0; i < cfg.nPhysical; ++i)
         bps.emplace_back();
 
-    os::KernelParams kp = cfg.kernel;
+    os::KernelParams kp;
     kp.nLogical = cfg.nLogical;
     kp.nPhysical = cfg.nPhysical;
     kp.cyclePeriod = cfg.cyclePeriod;
@@ -71,15 +71,7 @@ System::System(const MachineConfig &cfg_in) : cfg(cfg_in), rng(cfg.seed)
     // key frames by global block-layer device index, so socket = index
     // / nDevices under the attach order above.
     if (cfg.tierMode != TierMode::off) {
-        tier::CxlBuffer::Params tp;
-        tp.frames = cfg.tierFrames;
-        tp.cmdLatency = cfg.tierCmdLatency;
-        tp.mediaRead = cfg.tierMediaRead;
-        tp.mediaWrite = cfg.tierMediaWrite;
-        tp.xfer4k = cfg.tierXfer4k;
-        tp.admitOnMiss = cfg.tierAdmitOnMiss;
-        tp.highWatermarkFrac = cfg.tierHighWatermarkFrac;
-        tp.lowWatermarkFrac = cfg.tierLowWatermarkFrac;
+        tier::CxlBuffer::Params tp{.frames = cfg.tierFrames};
         for (unsigned s = 0; s < cfg.sockets; ++s)
             tiers.push_back(std::make_unique<tier::CxlBuffer>(
                 "tier" + std::to_string(s), eq, tp));
@@ -130,7 +122,7 @@ System::System(const MachineConfig &cfg_in) : cfg(cfg_in), rng(cfg.seed)
     }
     if (cfg.sockets > 1) {
         for (unsigned i = 0; i < cfg.nLogical; ++i)
-            cores[i]->mmu().setNuma(cfg.socketOfCore(i), pm.get(),
+            cores[i]->mmu().setNuma(kern->socketOfCore(i), pm.get(),
                                     cfg.sockets,
                                     cfg.numaRemoteExtraCycles);
     }
@@ -141,16 +133,9 @@ System::System(const MachineConfig &cfg_in) : cfg(cfg_in), rng(cfg.seed)
         std::vector<core::FreePageQueue *> fpq_set;
         std::vector<unsigned> fpq_tags;
         if (cfg.mode == PagingMode::hwdp) {
-            core::Smu::Params sp = cfg.smu;
-            sp.cyclePeriod = cfg.cyclePeriod;
-            sp.nvme.cyclePeriod = cfg.cyclePeriod;
-            if (cfg.sockets > 1) {
-                sp.coresPerSocket = cfg.coresPerSocket();
-                sp.remoteRequestLatency = cfg.numaRemoteSmuLatency;
-            }
             for (unsigned s = 0; s < cfg.sockets; ++s) {
                 smuUnits.push_back(std::make_unique<core::Smu>(
-                    "smu" + std::to_string(s), eq, s, sp, *kern));
+                    "smu" + std::to_string(s), eq, s, cfg.smu, *kern));
                 core::Smu *u = smuUnits.back().get();
                 for (unsigned d = 0; d < cfg.nDevices; ++d)
                     u->configureDevice(d,
@@ -223,8 +208,7 @@ System::System(const MachineConfig &cfg_in) : cfg(cfg_in), rng(cfg.seed)
     // alike) but only when transparent coalescing is requested.
     if (cfg.pageMode == PageMode::coalesce) {
         kcoalescedThread = std::make_unique<core::Kcoalesced>(
-            *kern, cfg.kcoalesceCore(), cfg.kcoalescePeriod,
-            cfg.kcoalesceBatch);
+            *kern, cfg.kcoalesceCore());
         if (cfg.sockets > 1)
             kcoalescedThread->setCrossSocketIpis(cfg.sockets - 1);
         kern->scheduler().addThread(kcoalescedThread.get());
@@ -238,8 +222,7 @@ System::System(const MachineConfig &cfg_in) : cfg(cfg_in), rng(cfg.seed)
         for (auto &t : tiers)
             tset.push_back(t.get());
         ktierdThread = std::make_unique<tier::Ktierd>(
-            *kern, std::move(tset), cfg.ktierdCore(), cfg.ktierdPeriod,
-            cfg.ktierdBatch);
+            *kern, std::move(tset), cfg.ktierdCore());
         kern->scheduler().addThread(ktierdThread.get());
         for (auto &t : tiers)
             t->setPressureHook([this] { ktierdThread->kick(); });

@@ -41,13 +41,18 @@ class CxlBuffer : public sim::SimObject
         /** Capacity in 4 KB frames. */
         std::uint64_t frames = 16 * 1024;
 
-        /** Decomposed latency profile (see MachineConfig). */
+        /**
+         * Latency profile: load ~0.68 us, store ~0.73 us against the
+         * Z-SSD's 10.9 us unloaded read.
+         */
         Tick cmdLatency = nanoseconds(80.0);
         Tick mediaRead = nanoseconds(350.0);
         Tick mediaWrite = nanoseconds(400.0);
         Tick xfer4k = nanoseconds(250.0);
 
+        /** Admit SSD-fetched pages into the tier on miss completion. */
         bool admitOnMiss = true;
+        /** ktierd starts evicting above high, stops below low. */
         double highWatermarkFrac = 0.90;
         double lowWatermarkFrac = 0.75;
 

@@ -8,10 +8,10 @@
 namespace hwdp::tier {
 
 Ktierd::Ktierd(os::Kernel &kernel, std::vector<CxlBuffer *> tiers,
-               unsigned core, Tick period, std::uint64_t max_batch)
+               unsigned core)
     : os::KThread("ktierd", core, kernel.scheduler(),
-                  kernel.eventQueue(), period),
-      kernel(kernel), tiers(std::move(tiers)), maxBatch(max_batch)
+                  kernel.eventQueue(), wakePeriod),
+      kernel(kernel), tiers(std::move(tiers))
 {
 }
 

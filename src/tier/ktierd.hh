@@ -26,14 +26,18 @@ namespace hwdp::tier {
 class Ktierd : public os::KThread
 {
   public:
+    /** Wakeup period. */
+    static constexpr Tick wakePeriod = milliseconds(2.0);
+    /** Frames examined per wakeup across all tiers. */
+    static constexpr std::uint64_t maxBatch = 256;
+
     /**
-     * @param tiers     One buffer per socket, in socket order; each
-     *                  keys frames by global block-layer device index,
-     *                  so evictions submit straight to the block layer.
-     * @param max_batch Frames examined per wakeup across all tiers.
+     * @param tiers One buffer per socket, in socket order; each keys
+     *              frames by global block-layer device index, so
+     *              evictions submit straight to the block layer.
      */
     Ktierd(os::Kernel &kernel, std::vector<CxlBuffer *> tiers,
-           unsigned core, Tick period, std::uint64_t max_batch);
+           unsigned core);
 
     void batch(std::function<void()> done) override;
 
@@ -56,7 +60,6 @@ class Ktierd : public os::KThread
     os::Kernel &kernel;
     std::vector<CxlBuffer *> tiers;
     std::function<Tick()> stallHook;
-    std::uint64_t maxBatch;
     std::uint64_t nScanned = 0;
     std::uint64_t nWritebacks = 0;
 

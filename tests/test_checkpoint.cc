@@ -287,6 +287,11 @@ TEST(Checkpoint, ConfigHashGoldenValues)
     thp.pageMode = PageMode::thp;
     EXPECT_EQ(system::Checkpoint::configHash(thp), 0x2645849fadcb26baULL);
 
+    system::MachineConfig coalesce = def;
+    coalesce.pageMode = PageMode::coalesce;
+    EXPECT_EQ(system::Checkpoint::configHash(coalesce),
+              0x3eeb0755b7705702ULL);
+
     // Shape knobs outside the pinned set still separate blobs.
     system::MachineConfig base =
         smallConfig({system::PagingMode::hwdp, 'I', 0.0});
@@ -299,6 +304,88 @@ TEST(Checkpoint, ConfigHashGoldenValues)
     bigger.memFrames *= 2;
     EXPECT_NE(system::Checkpoint::configHash(base),
               system::Checkpoint::configHash(bigger));
+}
+
+TEST(Checkpoint, ConfigHashSeparatesEverySettableValue)
+{
+    // One row per settable MachineConfig value, perturbed in a base
+    // where it is live: a value the hash missed would let machines
+    // with different results restore each other's blobs.
+    using Cfg = system::MachineConfig;
+    auto one = [](Cfg &) {};
+    auto two_sockets = [](Cfg &c) { c.sockets = 2; };
+    auto cxl = [](Cfg &c) { c.tierMode = system::TierMode::cxl; };
+    auto per_core = [](Cfg &c) { c.smu.perCoreFreeQueues = true; };
+    struct Row
+    {
+        const char *name;
+        void (*base)(Cfg &);
+        void (*perturb)(Cfg &);
+    };
+    const Row rows[] = {
+        {"mode", one, [](Cfg &c) { c.mode = system::PagingMode::hwdp; }},
+        {"nLogical", one, [](Cfg &c) { c.nLogical = 8; }},
+        {"nPhysical", one, [](Cfg &c) { c.nPhysical = 4; }},
+        {"cyclePeriod", one, [](Cfg &c) { c.cyclePeriod = 714; }},
+        {"sockets", one, two_sockets},
+        {"numaRemoteExtraCycles", two_sockets,
+         [](Cfg &c) { ++c.numaRemoteExtraCycles; }},
+        {"numaPlacement", two_sockets,
+         [](Cfg &c) {
+             c.numaPlacement = system::NumaPlacement::roundRobin;
+         }},
+        {"pwcEntries", one, [](Cfg &c) { c.pwcEntries = 0; }},
+        {"pageMode", one, [](Cfg &c) { c.pageMode = PageMode::napot; }},
+        {"memFrames", one, [](Cfg &c) { c.memFrames *= 2; }},
+        {"reservedFrames", one, [](Cfg &c) { ++c.reservedFrames; }},
+        {"ssdProfile", one, [](Cfg &c) { c.ssdProfile = "optane_ssd"; }},
+        {"nDevices", one, [](Cfg &c) { c.nDevices = 2; }},
+        {"tierMode", one, cxl},
+        {"tierFrames", cxl, [](Cfg &c) { ++c.tierFrames; }},
+        {"smu.pmshrEntries", one, [](Cfg &c) { c.smu.pmshrEntries = 16; }},
+        {"smu.freeQueueCapacity", one,
+         [](Cfg &c) { c.smu.freeQueueCapacity = 1024; }},
+        {"smu.prefetchDepth", one, [](Cfg &c) { c.smu.prefetchDepth = 8; }},
+        {"smu.sequentialPrefetch", one,
+         [](Cfg &c) { c.smu.sequentialPrefetch = true; }},
+        {"smu.perCoreFreeQueues", one, per_core},
+        {"smu.nFreeQueues", per_core, [](Cfg &c) { c.smu.nFreeQueues = 4; }},
+        {"smu.remoteRequestLatency", two_sockets,
+         [](Cfg &c) { c.smu.remoteRequestLatency += nanoseconds(1.0); }},
+        {"hwStallTimeout", one,
+         [](Cfg &c) { c.hwStallTimeout = microseconds(10.0); }},
+        {"kpooldEnabled", one, [](Cfg &c) { c.kpooldEnabled = false; }},
+        {"kpooldPeriod", one,
+         [](Cfg &c) { c.kpooldPeriod = milliseconds(8.0); }},
+        {"kpooldBatch", one, [](Cfg &c) { c.kpooldBatch = 512; }},
+        {"kptedPeriod", one,
+         [](Cfg &c) { c.kptedPeriod = milliseconds(50.0); }},
+        {"kptedGuidedScan", one, [](Cfg &c) { c.kptedGuidedScan = false; }},
+        {"seed", one, [](Cfg &c) { ++c.seed; }},
+        {"pollutionEnabled", one,
+         [](Cfg &c) { c.pollutionEnabled = false; }},
+    };
+    for (const Row &r : rows) {
+        SCOPED_TRACE(r.name);
+        Cfg base;
+        r.base(base);
+        Cfg changed = base;
+        r.perturb(changed);
+        EXPECT_NE(system::Checkpoint::configHash(base),
+                  system::Checkpoint::configHash(changed));
+    }
+
+    // Host-only values leave results bit-identical (any memQuantum:
+    // FastPathDifferential), so they must not split blobs.
+    Cfg base;
+    Cfg loud = base;
+    loud.quiet = false;
+    EXPECT_EQ(system::Checkpoint::configHash(base),
+              system::Checkpoint::configHash(loud));
+    Cfg quantum = base;
+    quantum.core.memQuantum = 1;
+    EXPECT_EQ(system::Checkpoint::configHash(base),
+              system::Checkpoint::configHash(quantum));
 }
 
 namespace {

@@ -126,7 +126,7 @@ TEST(NumaServing, NumaKnobsAreInertAtOneSocket)
 
         auto cfg = baseConfig(mode, 1);
         cfg.numaRemoteExtraCycles = 9999;
-        cfg.numaRemoteSmuLatency = microseconds(3.0);
+        cfg.smu.remoteRequestLatency = microseconds(3.0);
         cfg.numaPlacement = system::NumaPlacement::roundRobin;
         auto tweaked = runWorkload(cfg, 'I');
 

@@ -10,6 +10,7 @@
 #include "sim/logging.hh"
 
 #include "core/nvme_host_controller.hh"
+#include "core/smu.hh"
 #include "ssd/ssd_device.hh"
 
 using namespace hwdp;
@@ -36,8 +37,7 @@ struct Harness
 {
     sim::EventQueue eq;
     ssd::SsdDevice dev{"ssd", eq, flatProfile(), sim::Rng(3)};
-    NvmeHostController::Timing timing{};
-    NvmeHostController hc{"hc", eq, timing};
+    NvmeHostController hc{"hc", eq, smuCosts.nvme, 357};
 };
 
 } // namespace

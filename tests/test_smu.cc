@@ -271,9 +271,9 @@ TEST(Smu, DeclinedRequestStillIssuesInline)
     // smu.lookup event. By then nothing is scheduled before the issue
     // tick, and the NVMe issue hop runs inside that event.
     Harness h(Lookup::evented);
-    const Smu::Params &prm = h.sys.smu()->params();
     Tick t_l = h.sys.now() +
-               (prm.requestRegWrites + prm.camLookup) * prm.cyclePeriod;
+               (smuCosts.requestRegWrites + smuCosts.camLookup) *
+                   h.sys.config().cyclePeriod;
     bool ok = false;
     h.requestMiss(4, [&](bool s) { ok = s; });
     h.sys.eventQueue().run(t_l + 1);
@@ -301,7 +301,7 @@ TEST(Smu, PersistentIoErrorBouncesAtItsCompletionTick)
 
     const NvmeHostController &hc = h.sys.smu()->hostController();
     Tick protocol =
-        hc.timing().completionCycles * hc.timing().cyclePeriod;
+        hc.timing().completionCycles * h.sys.config().cyclePeriod;
     bool bounced = false, done = false;
     Tick done_at = 0, second_cqe = 0;
     h.requestMiss(6, [&](bool s) {
@@ -342,4 +342,64 @@ TEST(Smu, SequentialPrefetchKeepsEveryHopEvented)
     EXPECT_GT(sys.smu()->prefetches(), 0u);
     EXPECT_GT(sys.smu()->handled(), 0u);
     EXPECT_EQ(sys.smu()->inlineMisses(), 0u);
+}
+
+namespace {
+
+/**
+ * Ticks from a hardware miss request on @p core to its completion
+ * broadcast, for the first page of a fresh dataset on an hwdp machine
+ * built from @p cfg.
+ */
+Tick
+missTicks(system::MachineConfig cfg, unsigned core)
+{
+    cfg.mode = system::PagingMode::hwdp;
+    cfg.nPhysical = 2;
+    cfg.memFrames = 1024;
+    system::System sys(cfg);
+    auto mf = sys.mapDataset("f", 256);
+    sys.start();
+
+    cpu::PageMissRequest req;
+    req.vaddr = mf.vma->start;
+    req.refs = mf.as->pageTable().walkRefs(req.vaddr, false);
+    os::pte::Entry e = req.refs.pte.value();
+    req.sid = os::pte::socketIdOf(e);
+    req.dev = os::pte::deviceIdOf(e);
+    req.lba = os::pte::lbaOf(e);
+    req.as = mf.as;
+    req.core = core;
+    Tick start = sys.now(), done_at = 0;
+    req.done = [&](bool ok) {
+        EXPECT_TRUE(ok);
+        done_at = sys.now();
+    };
+    sys.smuAt(req.sid)->handleMiss(std::move(req), start);
+    sys.eventQueue().run(seconds(0.01));
+    EXPECT_NE(done_at, 0u);
+    return done_at - start;
+}
+
+} // namespace
+
+TEST(Smu, CycleCostsRunOnTheMachineClock)
+{
+    // Every cycle cost of a miss runs on the machine clock: request
+    // writes 2, CAM 5, PFN write 1, PT update 97, notify 2 and the
+    // NVMe completion unit 2. Device and command-write times do not.
+    system::MachineConfig cfg;
+    cfg.nLogical = 4;
+    Tick fast = missTicks(cfg, 0);
+    cfg.cyclePeriod *= 2;
+    Tick slow = missTicks(cfg, 0);
+    EXPECT_EQ(slow - fast, 109 * Tick(357));
+
+    // A core on another socket pays the cross-socket premium once.
+    system::MachineConfig two;
+    two.nLogical = 4;
+    two.sockets = 2;
+    Tick local = missTicks(two, 0);
+    Tick remote = missTicks(two, 2);
+    EXPECT_EQ(remote - local, two.smu.remoteRequestLatency);
 }
