@@ -54,11 +54,12 @@
  * Flags: --smoke, --identity-check, --repeats=N, the warm-fork pair
  * --warm-ops=N / --checkpoint-dir=PATH (bench_common.hh) for the
  * crossover sweep, and --profile-arm=tier|ssd (profiler aid: run one
- * acceptance arm in a loop and dump the paging-path/tier tables).
+ * acceptance arm in a loop and dump the machine's stat groups).
  */
 
 #include <cstdio>
 #include <cstring>
+#include <iostream>
 #include <string>
 #include <vector>
 
@@ -284,7 +285,7 @@ struct AcceptShape
  */
 double
 runAcceptOnce(bool tier_on, const AcceptShape &sh, AcceptArm *out,
-              bool dump_tables = false)
+              bool dump_stats = false)
 {
     auto cfg = tierConfig(tier_on, sh.tierFrames, sh.memFrames, sh.mode);
     system::System sys(cfg);
@@ -314,10 +315,8 @@ runAcceptOnce(bool tier_on, const AcceptShape &sh, AcceptArm *out,
             out->writesAbsorbed = t->writesAbsorbed();
         }
     }
-    if (dump_tables) {
-        metrics::pagingPathTable(sys).print();
-        metrics::tierTable(sys).print();
-    }
+    if (dump_stats)
+        testing::dumpMachineStats(sys, std::cout);
     return cpu;
 }
 

@@ -7,10 +7,7 @@
  * identical binaries), so headline numbers use process CPU time from
  * getrusage — time the scheduler actually granted us, immune to steal
  * and co-tenant interference — and report the median of N repeats
- * instead of a single sample. Wall time is still captured beside it:
- * the parallel simulation mode's speedup is a wall-clock claim (it
- * spends *more* CPU across lanes to finish sooner), so its entries
- * quote both.
+ * instead of a single sample. Wall time is still captured beside it.
  */
 
 #ifndef HWDP_BENCH_HOST_TIMING_HH

@@ -14,14 +14,16 @@ FreePageQueue::serialize(sim::Serializer &s)
     s.io(prefetchOn);
     s.io(ring);
     s.io(buffer);
-    s.io(nPops);
-    s.io(nBufferHits);
-    s.io(nEmptyPops);
 }
 
 FreePageQueue::FreePageQueue(std::uint64_t capacity,
-                             unsigned prefetch_depth)
-    : cap(capacity), depth(prefetch_depth)
+                             unsigned prefetch_depth,
+                             sim::StatRegistry *reg, std::string name)
+    : cap(capacity), depth(prefetch_depth), grp(std::move(name), reg),
+      statPops(grp, "pops", "free-page pops"),
+      statBufferHits(grp, "buffer_hits",
+                     "pops served by the prefetch buffer"),
+      statEmptyPops(grp, "empty_pops", "pops that found the queue dry")
 {
     if (capacity == 0)
         fatal("free page queue: zero capacity");
@@ -39,10 +41,10 @@ FreePageQueue::push(Pfn pfn)
 FreePageQueue::PopResult
 FreePageQueue::pop(Tick mem_round_trip)
 {
-    ++nPops;
+    ++statPops;
     PopResult r;
     if (dryHook && dryHook()) {
-        ++nEmptyPops;
+        ++statEmptyPops;
         return r;
     }
     if (!buffer.empty()) {
@@ -50,7 +52,7 @@ FreePageQueue::pop(Tick mem_round_trip)
         r.pfn = buffer.front();
         buffer.pop_front();
         r.latency = 0;
-        ++nBufferHits;
+        ++statBufferHits;
         return r;
     }
     if (!ring.empty()) {
@@ -60,7 +62,7 @@ FreePageQueue::pop(Tick mem_round_trip)
         r.latency = mem_round_trip; // exposed memory read
         return r;
     }
-    ++nEmptyPops;
+    ++statEmptyPops;
     return r;
 }
 

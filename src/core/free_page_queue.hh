@@ -20,6 +20,7 @@
 #include <functional>
 #include <vector>
 
+#include "sim/stats.hh"
 #include "sim/types.hh"
 
 namespace hwdp::sim {
@@ -34,8 +35,11 @@ class FreePageQueue
     /**
      * @param capacity       Ring entries (the paper uses 4096).
      * @param prefetch_depth SMU-internal buffer entries (16).
+     * @param reg            The machine's stat list (nullptr: on none).
      */
-    FreePageQueue(std::uint64_t capacity, unsigned prefetch_depth = 16);
+    FreePageQueue(std::uint64_t capacity, unsigned prefetch_depth = 16,
+                  sim::StatRegistry *reg = nullptr,
+                  std::string name = "fpq");
 
     // ---- Producer (OS) side ------------------------------------------
     /** @return false when the ring is full. */
@@ -75,9 +79,9 @@ class FreePageQueue
         return static_cast<unsigned>(buffer.size());
     }
 
-    std::uint64_t pops() const { return nPops; }
-    std::uint64_t bufferHits() const { return nBufferHits; }
-    std::uint64_t emptyPops() const { return nEmptyPops; }
+    std::uint64_t pops() const { return statPops.value(); }
+    std::uint64_t bufferHits() const { return statBufferHits.value(); }
+    std::uint64_t emptyPops() const { return statEmptyPops.value(); }
 
     /**
      * Fault injection: when the hook returns true a pop behaves as if
@@ -89,7 +93,7 @@ class FreePageQueue
     /** Visit every queued PFN (ring + prefetch buffer). */
     void forEachPfn(const std::function<void(Pfn)> &fn) const;
 
-    /** Checkpoint ring and buffer contents plus the pop counters. */
+    /** Checkpoint ring and buffer contents. */
     void serialize(sim::Serializer &s);
 
   private:
@@ -100,9 +104,10 @@ class FreePageQueue
     std::deque<Pfn> buffer;    // SMU-internal prefetch buffer
     std::function<bool()> dryHook;
 
-    std::uint64_t nPops = 0;
-    std::uint64_t nBufferHits = 0;
-    std::uint64_t nEmptyPops = 0;
+    sim::StatGroup grp;
+    sim::Counter statPops;
+    sim::Counter statBufferHits;
+    sim::Counter statEmptyPops;
 };
 
 } // namespace hwdp::core

@@ -14,19 +14,28 @@ Kcoalesced::serialize(sim::Serializer &s)
     KThread::serialize(s);
     s.io(cursorAs);
     s.io(cursorVa);
-    s.io(nWindows);
-    s.io(nPromoted);
-    s.io(nAborts);
-    // Guarded so single-socket blobs keep the single-socket layout.
-    if (crossSocketIpis > 0)
-        s.io(nIpis);
 }
 
 Kcoalesced::Kcoalesced(os::Kernel &kernel, unsigned core)
     : os::KThread("kcoalesced", core, kernel.scheduler(),
                   kernel.eventQueue(), wakePeriod),
-      kernel(kernel)
+      kernel(kernel),
+      statWindows(stats(), "windows_scanned", "2 MB windows examined"),
+      statPromoted(stats(), "windows_promoted",
+                   "windows promoted to 2 MB pages"),
+      statAborts(stats(), "promotions_aborted",
+                 "eligible windows whose promotion was aborted"),
+      statIpis("remote_shootdown_ipis",
+               "shootdown IPIs sent to other sockets")
 {
+}
+
+void
+Kcoalesced::setCrossSocketIpis(unsigned n)
+{
+    crossSocketIpis = n;
+    if (n > 0)
+        stats().add(statIpis);
 }
 
 void
@@ -72,13 +81,13 @@ Kcoalesced::batch(std::function<void()> done)
         cursorVa = win + span;
         if (kernel.hugeWindowPromotable(as, *vma, win)) {
             if (abortHook && abortHook())
-                ++nAborts;
+                ++statAborts;
             else if (kernel.promoteWindowHuge(as, *vma, win))
                 ++promoted;
         }
     }
-    nWindows += visited;
-    nPromoted += promoted;
+    statWindows += visited;
+    statPromoted += promoted;
 
     unsigned phys = sched.physCoreOf(core());
     Tick dur = sched.kernelExec().runBatch(
@@ -89,7 +98,7 @@ Kcoalesced::batch(std::function<void()> done)
     if (crossSocketIpis > 0 && promoted > 0) {
         dur += sched.kernelExec().runBatch(
             phys, os::phases::shootdownIpi, crossSocketIpis);
-        nIpis += crossSocketIpis;
+        statIpis += crossSocketIpis;
     }
     eq.postIn(dur, std::move(done), "kcoalesced.batch");
 }

@@ -40,7 +40,7 @@ class Kcoalesced : public os::KThread
     void batch(std::function<void()> done) override;
 
     /** See Kpted::setCrossSocketIpis. */
-    void setCrossSocketIpis(unsigned n) { crossSocketIpis = n; }
+    void setCrossSocketIpis(unsigned n);
 
     /**
      * hugeCoalesceAbort fault site: consulted once per window that
@@ -52,12 +52,12 @@ class Kcoalesced : public os::KThread
         abortHook = std::move(fn);
     }
 
-    std::uint64_t windowsScanned() const { return nWindows; }
-    std::uint64_t windowsPromoted() const { return nPromoted; }
-    std::uint64_t promotionsAborted() const { return nAborts; }
-    std::uint64_t shootdownIpisSent() const { return nIpis; }
+    std::uint64_t windowsScanned() const { return statWindows.value(); }
+    std::uint64_t windowsPromoted() const { return statPromoted.value(); }
+    std::uint64_t promotionsAborted() const { return statAborts.value(); }
+    std::uint64_t shootdownIpisSent() const { return statIpis.value(); }
 
-    /** Checkpoint the kthread state, scan cursor and counters. */
+    /** Checkpoint the kthread state and scan cursor. */
     void serialize(sim::Serializer &s);
 
   private:
@@ -69,10 +69,10 @@ class Kcoalesced : public os::KThread
     std::uint64_t cursorAs = 0;
     VAddr cursorVa = 0;
 
-    std::uint64_t nWindows = 0;
-    std::uint64_t nPromoted = 0;
-    std::uint64_t nAborts = 0;
-    std::uint64_t nIpis = 0; ///< Serialized only when multi-socket.
+    sim::Counter statWindows;
+    sim::Counter statPromoted;
+    sim::Counter statAborts;
+    sim::Counter statIpis; ///< Registered only when multi-socket.
 };
 
 } // namespace hwdp::core

@@ -13,15 +13,17 @@ Kpoold::serialize(sim::Serializer &s)
     s.section("kpoold");
     KThread::serialize(s);
     s.check(maxBatch, "kpoold batch size");
-    s.io(nDonated);
-    s.io(nOverlapped);
 }
 
 Kpoold::Kpoold(os::Kernel &kernel, std::vector<FreePageQueue *> fpqs,
                unsigned core, Tick period, std::uint64_t max_batch)
     : os::KThread("kpoold", core, kernel.scheduler(),
                   kernel.eventQueue(), period),
-      kernel(kernel), fpqs(std::move(fpqs)), maxBatch(max_batch)
+      kernel(kernel), fpqs(std::move(fpqs)), maxBatch(max_batch),
+      statDonated(stats(), "pages_donated",
+                  "frames pushed into free page queues"),
+      statOverlapped(stats(), "overlapped_refills",
+                     "refills queued on a faulting core's I/O wait")
 {
 }
 
@@ -56,7 +58,7 @@ Kpoold::donateTo(FreePageQueue &q, std::uint64_t want, unsigned socket)
         q.push(pfn);
         ++pushed;
     }
-    nDonated += pushed;
+    statDonated += pushed;
     return pushed;
 }
 
@@ -93,7 +95,7 @@ Kpoold::prime()
 void
 Kpoold::refillOverlapped(unsigned faulting_core)
 {
-    ++nOverlapped;
+    ++statOverlapped;
     // The state change happens immediately; the cycles are charged as
     // kernel work on the faulting core, where they overlap the fault's
     // device I/O time (Section IV-D).

@@ -56,10 +56,10 @@ class Kpoold : public os::KThread
     /** Boot-time fill of the queue and prefetch buffer (untimed). */
     void prime();
 
-    std::uint64_t pagesDonated() const { return nDonated; }
-    std::uint64_t overlappedRefills() const { return nOverlapped; }
+    std::uint64_t pagesDonated() const { return statDonated.value(); }
+    std::uint64_t overlappedRefills() const { return statOverlapped.value(); }
 
-    /** Checkpoint the kthread state and refill counters. */
+    /** Checkpoint the kthread state. */
     void serialize(sim::Serializer &s);
 
   private:
@@ -67,8 +67,8 @@ class Kpoold : public os::KThread
     std::vector<FreePageQueue *> fpqs;
     std::vector<unsigned> socketTags; ///< Empty: all queues on socket 0.
     std::uint64_t maxBatch;
-    std::uint64_t nDonated = 0;
-    std::uint64_t nOverlapped = 0;
+    sim::Counter statDonated;
+    sim::Counter statOverlapped;
 
     unsigned
     socketOfQueue(std::size_t qi) const

@@ -10,19 +10,27 @@ Kpted::serialize(sim::Serializer &s)
     s.section("kpted");
     KThread::serialize(s);
     s.check(guided, "kpted guided-scan flag");
-    s.io(nSynced);
-    s.io(nVisited);
-    // Guarded so single-socket blobs keep the pre-NUMA layout.
-    if (crossSocketIpis > 0)
-        s.io(nIpis);
 }
 
 Kpted::Kpted(os::Kernel &kernel, HwdpOsSupport &support, unsigned core,
              Tick period, bool guided_scan)
     : os::KThread("kpted", core, kernel.scheduler(), kernel.eventQueue(),
                   period),
-      kernel(kernel), support(support), guided(guided_scan)
+      kernel(kernel), support(support), guided(guided_scan),
+      statSynced(stats(), "pages_synced",
+                 "hardware-handled PTEs synced into OS metadata"),
+      statVisited(stats(), "entries_visited", "page-table entries scanned"),
+      statIpis("remote_shootdown_ipis",
+               "shootdown IPIs sent to other sockets")
 {
+}
+
+void
+Kpted::setCrossSocketIpis(unsigned n)
+{
+    crossSocketIpis = n;
+    if (n > 0)
+        stats().add(statIpis);
 }
 
 std::pair<std::uint64_t, std::uint64_t>
@@ -35,8 +43,8 @@ Kpted::scan(os::AddressSpace &as, VAddr lo, VAddr hi)
     std::uint64_t synced =
         guided ? as.pageTable().scanUnsynced(lo, hi, fn, &visited)
                : as.pageTable().scanUnsyncedFull(lo, hi, fn, &visited);
-    nSynced += synced;
-    nVisited += visited;
+    statSynced += synced;
+    statVisited += visited;
     return {synced, visited};
 }
 
@@ -60,7 +68,7 @@ Kpted::batch(std::function<void()> done)
     if (crossSocketIpis > 0 && synced > 0) {
         dur += sched.kernelExec().runBatch(
             phys, os::phases::shootdownIpi, crossSocketIpis);
-        nIpis += crossSocketIpis;
+        statIpis += crossSocketIpis;
     }
     eq.postIn(dur, std::move(done), "kpted.batch");
 }
@@ -78,7 +86,7 @@ Kpted::syncRange(os::AddressSpace &as, VAddr lo, VAddr hi,
     if (crossSocketIpis > 0 && synced > 0) {
         dur += sched.kernelExec().runBatch(
             phys, os::phases::shootdownIpi, crossSocketIpis);
-        nIpis += crossSocketIpis;
+        statIpis += crossSocketIpis;
     }
     eq.postIn(dur, std::move(done), "kpted.syncRange");
 }

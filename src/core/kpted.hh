@@ -37,8 +37,8 @@ class Kpted : public os::KThread
     void syncRange(os::AddressSpace &as, VAddr lo, VAddr hi,
                    unsigned caller_core, std::function<void()> done);
 
-    std::uint64_t pagesSynced() const { return nSynced; }
-    std::uint64_t entriesVisited() const { return nVisited; }
+    std::uint64_t pagesSynced() const { return statSynced.value(); }
+    std::uint64_t entriesVisited() const { return statVisited.value(); }
     bool guidedScan() const { return guided; }
 
     /**
@@ -47,12 +47,12 @@ class Kpted : public os::KThread
      * remote socket. @p n is sockets - 1; 0 (default) charges
      * nothing, keeping single-socket timing untouched.
      */
-    void setCrossSocketIpis(unsigned n) { crossSocketIpis = n; }
+    void setCrossSocketIpis(unsigned n);
 
     /** IPIs charged for cross-socket sync shootdowns. */
-    std::uint64_t shootdownIpisSent() const { return nIpis; }
+    std::uint64_t shootdownIpisSent() const { return statIpis.value(); }
 
-    /** Checkpoint the kthread state and scan counters. */
+    /** Checkpoint the kthread state. */
     void serialize(sim::Serializer &s);
 
   private:
@@ -60,9 +60,9 @@ class Kpted : public os::KThread
     HwdpOsSupport &support;
     bool guided;
     unsigned crossSocketIpis = 0;
-    std::uint64_t nSynced = 0;
-    std::uint64_t nVisited = 0;
-    std::uint64_t nIpis = 0; ///< Serialized only when multi-socket.
+    sim::Counter statSynced;
+    sim::Counter statVisited;
+    sim::Counter statIpis; ///< Registered only when multi-socket.
 
     /** One scan pass over a range; returns (synced, visited). */
     std::pair<std::uint64_t, std::uint64_t>

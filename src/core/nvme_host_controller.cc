@@ -13,7 +13,6 @@ NvmeHostController::serialize(sim::Serializer &s)
         s.check(d.valid, "descriptor valid");
         s.check(d.qid, "descriptor queue id");
     }
-    stats().serialize(s);
 }
 
 NvmeHostController::NvmeHostController(std::string name,
@@ -22,12 +21,11 @@ NvmeHostController::NvmeHostController(std::string name,
                                        Tick cycle_period)
     : sim::SimObject(std::move(name), eq), tm(timing),
       clock(cycle_period),
-      statIssued(stats().counter("reads_issued",
-                                 "NVMe read commands issued")),
-      statCompleted(stats().counter("completions_snooped",
-                                    "CQ writes snooped and handled")),
-      statErrors(stats().counter("error_completions",
-                                 "snooped CQEs with error status"))
+      statIssued(stats(), "reads_issued", "NVMe read commands issued"),
+      statCompleted(stats(), "completions_snooped",
+                    "CQ writes snooped and handled"),
+      statErrors(stats(), "error_completions",
+                 "snooped CQEs with error status")
 {
 }
 

@@ -130,9 +130,9 @@ class NvmeHostController : public sim::SimObject
     std::uint64_t nInlineCompletions = 0;
     std::uint64_t nEventCompletions = 0;
 
-    sim::Counter &statIssued;
-    sim::Counter &statCompleted;
-    sim::Counter &statErrors;
+    sim::Counter statIssued;
+    sim::Counter statCompleted;
+    sim::Counter statErrors;
 
     void onCqWrite(unsigned dev_id, const nvme::CompletionEntry &cqe);
 };

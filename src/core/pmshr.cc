@@ -15,7 +15,6 @@ Pmshr::serialize(sim::Serializer &s)
             "machine first");
     std::uint64_t n = entries.size();
     s.check(n, "pmshr capacity");
-    s.io(nCoalesced);
 }
 
 Pmshr::Pmshr(unsigned n_entries) : entries(n_entries)

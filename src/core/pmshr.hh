@@ -78,9 +78,6 @@ class Pmshr
     /** Register-file size in bits (for the area model, Section VI-D). */
     static constexpr unsigned entryBits = 300;
 
-    std::uint64_t coalescedCount() const { return nCoalesced; }
-    void noteCoalesced() { ++nCoalesced; }
-
     /**
      * Fault injection: when the hook returns true, allocate() behaves
      * as if the CAM were full (forces the bounce-to-OS path).
@@ -91,8 +88,8 @@ class Pmshr
     }
 
     /**
-     * Checkpoint the coalescing counter. Entries hold waiter closures
-     * and in-flight requests, so the CAM must be empty at quiesce.
+     * Verify the CAM geometry. Entries hold waiter closures and
+     * in-flight requests, so the CAM must be empty at quiesce.
      */
     void serialize(sim::Serializer &s);
 
@@ -100,7 +97,6 @@ class Pmshr
     std::function<bool()> fullHook;
     std::vector<Entry> entries;
     unsigned used = 0;
-    std::uint64_t nCoalesced = 0;
 };
 
 } // namespace hwdp::core

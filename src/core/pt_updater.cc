@@ -1,16 +1,8 @@
 #include "core/pt_updater.hh"
 
 #include "sim/logging.hh"
-#include "sim/serialize.hh"
 
 namespace hwdp::core {
-
-void
-PageTableUpdater::serialize(sim::Serializer &s)
-{
-    s.section("ptupdater");
-    s.io(nUpdates);
-}
 
 Tick
 PageTableUpdater::update(const cpu::PageMissRequest &req, Pfn pfn)
@@ -35,7 +27,6 @@ PageTableUpdater::update(const cpu::PageMissRequest &req, Pfn pfn)
         req.refs.pud.write(setLbaBit(req.refs.pud.value()));
     }
 
-    ++nUpdates;
     return updateCycles * period;
 }
 

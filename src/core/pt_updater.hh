@@ -38,11 +38,6 @@ class PageTableUpdater
 
     Cycles cost() const { return updateCycles; }
 
-    std::uint64_t updates() const { return nUpdates; }
-
-    /** Checkpoint the update counter. */
-    void serialize(sim::Serializer &s);
-
     /**
      * TEST ONLY: skip marking the upper-level (PMD/PUD) LBA bits.
      * Breaks the contract kpted's guided scan depends on; exists so
@@ -55,7 +50,6 @@ class PageTableUpdater
   private:
     Cycles updateCycles;
     Tick period;
-    std::uint64_t nUpdates = 0;
     bool skipUpperMark = false;
 };
 

@@ -22,16 +22,6 @@ Smu::serialize(sim::Serializer &s)
         q->serialize(s);
     pmshrUnit.serialize(s);
     nvme.serialize(s);
-    updater.serialize(s);
-    // Guarded so single-socket blobs keep the pre-NUMA layout.
-    if (kernel.params().sockets > 1)
-        s.io(nRemoteRequests);
-    // Guarded so tierMode=off blobs keep the pre-tier layout.
-    if (tierBuf) {
-        s.io(nInlineTierHits);
-        s.io(nEventTierHits);
-    }
-    stats().serialize(s);
 }
 
 Smu::Smu(std::string name, sim::EventQueue &eq, unsigned sid,
@@ -41,27 +31,25 @@ Smu::Smu(std::string name, sim::EventQueue &eq, unsigned sid,
       nvme(this->name() + ".nvme", eq, smuCosts.nvme,
            kernel.params().cyclePeriod),
       updater(smuCosts.ptUpdateCycles, kernel.params().cyclePeriod),
-      statHandled(stats().counter("handled",
-                                  "page misses completed in hardware")),
-      statZeroFill(stats().counter(
-          "zero_fills", "anonymous first-touch misses zero-filled")),
-      statPrefetch(stats().counter("prefetches",
-                                   "sequential next-page prefetches")),
-      statCoalesced(stats().counter("coalesced",
-                                    "duplicate misses coalesced")),
-      statRejectEmpty(stats().counter(
-          "rejected_queue_empty", "bounces: free page queue empty")),
-      statRejectFull(stats().counter("rejected_pmshr_full",
-                                     "bounces: PMSHR full")),
-      statIoRetry(stats().counter(
-          "io_retries", "NVMe error completions retried once")),
-      statRejectIoError(stats().counter(
-          "rejected_io_error",
-          "bounces: NVMe error persisted after retry")),
-      statLatency(stats().histogram(
-          "miss_latency_us", "hardware miss handling latency (us)", 0.5,
-          400))
+      statHandled(stats(), "handled", "page misses completed in hardware"),
+      statZeroFill(stats(), "zero_fills",
+                   "anonymous first-touch misses zero-filled"),
+      statPrefetch(stats(), "prefetches", "sequential next-page prefetches"),
+      statCoalesced(stats(), "coalesced", "duplicate misses coalesced"),
+      statRejectEmpty(stats(), "rejected_queue_empty",
+                      "bounces: free page queue empty"),
+      statRejectFull(stats(), "rejected_pmshr_full", "bounces: PMSHR full"),
+      statIoRetry(stats(), "io_retries",
+                  "NVMe error completions retried once"),
+      statRejectIoError(stats(), "rejected_io_error",
+                        "bounces: NVMe error persisted after retry"),
+      statLatency(stats(), "miss_latency_us",
+                  "hardware miss handling latency (us)", 0.5, 400),
+      statRemoteRequests("remote_requests",
+                         "misses delivered from a core on another socket")
 {
+    if (kernel.params().sockets > 1)
+        stats().add(statRemoteRequests);
     unsigned n_queues = prm.perCoreFreeQueues
                             ? std::max(prm.nFreeQueues, 1u)
                             : 1u;
@@ -69,7 +57,8 @@ Smu::Smu(std::string name, sim::EventQueue &eq, unsigned sid,
         prm.freeQueueCapacity / n_queues, 16);
     for (unsigned q = 0; q < n_queues; ++q) {
         fpqs.push_back(std::make_unique<FreePageQueue>(
-            per_queue, prm.prefetchDepth));
+            per_queue, prm.prefetchDepth, &eq.statRegistry(),
+            this->name() + ".fpq" + std::to_string(q)));
     }
 
     nvme.setCompletionCallback(
@@ -113,7 +102,7 @@ Smu::handleMiss(cpu::PageMissRequest req, Tick at)
     // crosses back — charged once as a round-trip premium.
     if (kernel.socketOfCore(req.core) != socketId) {
         delay += prm.remoteRequestLatency;
-        ++nRemoteRequests;
+        ++statRemoteRequests;
     }
     // Request gate: with the lookup tick before the next scheduled
     // event, nothing can execute between now and then, so running the
@@ -145,7 +134,6 @@ Smu::lookupStepAt(cpu::PageMissRequest req, Tick started, Tick at)
     // pending and resumes on the broadcast.
     int idx = pmshrUnit.lookup(req.refs.pte.addr);
     if (idx >= 0) {
-        pmshrUnit.noteCoalesced();
         ++statCoalesced;
         pmshrUnit.entry(idx).waiters.push_back(std::move(req.done));
         return;
@@ -209,9 +197,8 @@ Smu::lookupStepAt(cpu::PageMissRequest req, Tick started, Tick at)
         auto tl = tierBuf->tryLoad(tierDevBase + dev, lba);
         if (tl.hit) {
             e.fromTier = true;
-            bool inl = eq.hop(at + delay + tl.latency, inlineOk(),
-                              complete, "smu.tierhit");
-            ++(inl ? nInlineTierHits : nEventTierHits);
+            eq.hop(at + delay + tl.latency, inlineOk(), complete,
+                   "smu.tierhit");
             return;
         }
     }

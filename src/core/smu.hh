@@ -153,14 +153,6 @@ class Smu : public sim::SimObject, public cpu::PageMissHandlerIface
     }
 
     /**
-     * Tier hits whose completion ran inline / via the smu.tierhit
-     * event (host-side observability; serialized when a tier is
-     * attached, but never read back into simulated behaviour).
-     */
-    std::uint64_t inlineTierHits() const { return nInlineTierHits; }
-    std::uint64_t eventTierHits() const { return nEventTierHits; }
-
-    /**
      * SMU barrier (Section IV-C): fires @p done once no page miss is
      * outstanding. Used by munmap before tearing PTEs down.
      */
@@ -181,7 +173,10 @@ class Smu : public sim::SimObject, public cpu::PageMissHandlerIface
     std::uint64_t ioRetries() const { return statIoRetry.value(); }
 
     /** Misses delivered from a core on another socket. */
-    std::uint64_t remoteRequests() const { return nRemoteRequests; }
+    std::uint64_t remoteRequests() const
+    {
+        return statRemoteRequests.value();
+    }
 
     /**
      * Misses whose lookup ran inline instead of via the smu.lookup
@@ -195,9 +190,8 @@ class Smu : public sim::SimObject, public cpu::PageMissHandlerIface
     sim::Histogram &missLatencyUs() { return statLatency; }
 
     /**
-     * Checkpoint the free page queues, PMSHR bookkeeping, host
-     * controller, PT updater and all counters. Requires no miss or
-     * barrier outstanding (quiesced).
+     * Checkpoint the free page queues, PMSHR bookkeeping and host
+     * controller. Requires no miss or barrier outstanding (quiesced).
      */
     void serialize(sim::Serializer &s);
 
@@ -212,13 +206,6 @@ class Smu : public sim::SimObject, public cpu::PageMissHandlerIface
     std::function<void()> onQueueEmpty;
     std::vector<std::function<void()>> barrierWaiters;
 
-    /**
-     * Plain member, not a sim::Counter: the SMU's stat group is part
-     * of the single-socket stats dump, which must stay byte-identical
-     * to pre-NUMA output. Serialized only for multi-socket SMUs.
-     */
-    std::uint64_t nRemoteRequests = 0;
-
     /** Host-side inline-request count; never serialized. */
     std::uint64_t nInlineMisses = 0;
 
@@ -226,22 +213,16 @@ class Smu : public sim::SimObject, public cpu::PageMissHandlerIface
     tier::CxlBuffer *tierBuf = nullptr;
     unsigned tierDevBase = 0;
 
-    /**
-     * Host-side tier-hit service counts, serialized (after the PT
-     * updater) only when a tier is attached.
-     */
-    std::uint64_t nInlineTierHits = 0;
-    std::uint64_t nEventTierHits = 0;
-
-    sim::Counter &statHandled;
-    sim::Counter &statZeroFill;
-    sim::Counter &statPrefetch;
-    sim::Counter &statCoalesced;
-    sim::Counter &statRejectEmpty;
-    sim::Counter &statRejectFull;
-    sim::Counter &statIoRetry;
-    sim::Counter &statRejectIoError;
-    sim::Histogram &statLatency;
+    sim::Counter statHandled;
+    sim::Counter statZeroFill;
+    sim::Counter statPrefetch;
+    sim::Counter statCoalesced;
+    sim::Counter statRejectEmpty;
+    sim::Counter statRejectFull;
+    sim::Counter statIoRetry;
+    sim::Counter statRejectIoError;
+    sim::Histogram statLatency;
+    sim::Counter statRemoteRequests; ///< Registered at sockets > 1.
 
     /**
      * Whether an SMU hop may run inline. Not with sequentialPrefetch:

@@ -19,30 +19,32 @@ SoftwareSmu::serialize(sim::Serializer &s)
         s.check(d.qid, "swsmu device queue id");
     }
     s.io(nextCid);
-    // Guarded so tierMode=off blobs keep the pre-tier layout.
-    if (tierBuf)
-        s.io(nTierHits);
-    stats().serialize(s);
 }
 
 SoftwareSmu::SoftwareSmu(std::string name, sim::EventQueue &eq,
                          os::Kernel &kernel, FreePageQueue &fpq)
     : sim::SimObject(std::move(name), eq), kernel(kernel), fpq(fpq),
       devices(8),
-      statHandled(stats().counter("handled",
-                                  "misses handled by the emulation")),
-      statCoalesced(stats().counter("coalesced",
-                                    "duplicate misses coalesced")),
-      statQueueEmpty(stats().counter(
-          "queue_empty", "bounces to the normal path: queue empty")),
-      statIoRetry(stats().counter(
-          "io_retries", "NVMe error completions retried once")),
-      statRejectIoError(stats().counter(
-          "rejected_io_error",
-          "bounces: NVMe error persisted after retry")),
-      statLatency(stats().histogram(
-          "miss_latency_us", "SW-emulated miss latency (us)", 0.5, 400))
+      statHandled(stats(), "handled", "misses handled by the emulation"),
+      statCoalesced(stats(), "coalesced", "duplicate misses coalesced"),
+      statQueueEmpty(stats(), "queue_empty",
+                     "bounces to the normal path: queue empty"),
+      statIoRetry(stats(), "io_retries",
+                  "NVMe error completions retried once"),
+      statRejectIoError(stats(), "rejected_io_error",
+                        "bounces: NVMe error persisted after retry"),
+      statLatency(stats(), "miss_latency_us", "SW-emulated miss latency (us)",
+                  0.5, 400),
+      statTierHits("tier_hits", "misses served by the CXL tier")
 {
+}
+
+void
+SoftwareSmu::setTier(tier::CxlBuffer *t, unsigned dev_base)
+{
+    tierBuf = t;
+    tierDevBase = dev_base;
+    stats().add(statTierHits);
 }
 
 void
@@ -146,7 +148,7 @@ SoftwareSmu::intercept(os::Thread &t, os::AddressSpace &as, VAddr vaddr,
         auto tl = tierBuf->tryLoad(tierDevBase + dev_id, lba);
         if (tl.hit) {
             inf.fromTier = true;
-            ++nTierHits;
+            ++statTierHits;
             inflight.emplace(cid, std::move(inf));
             byPage[pageKey(as, vaddr)] = cid;
             sched.runPhases(

@@ -64,14 +64,13 @@ class SoftwareSmu : public sim::SimObject
      * command entirely: the emulation mwaits on the buffer load and
      * the completion runs the same wake + PTE-update phases.
      */
-    void setTier(tier::CxlBuffer *t, unsigned dev_base)
-    {
-        tierBuf = t;
-        tierDevBase = dev_base;
-    }
+    void setTier(tier::CxlBuffer *t, unsigned dev_base);
 
-    /** Tier-served misses (host-side observability; not serialized). */
-    std::uint64_t tierHits() const { return nTierHits; }
+    /**
+     * Tier-served misses: a registered counter once a tier is
+     * attached, so it is dumped and checkpointed with the others.
+     */
+    std::uint64_t tierHits() const { return statTierHits.value(); }
 
     std::uint64_t handled() const { return statHandled.value(); }
     std::uint64_t coalesced() const { return statCoalesced.value(); }
@@ -87,7 +86,7 @@ class SoftwareSmu : public sim::SimObject
     sim::Histogram &missLatencyUs() { return statLatency; }
 
     /**
-     * Checkpoint the cid allocator and counters. In-flight emulated
+     * Checkpoint the cid allocator. In-flight emulated
      * misses hold closures, so both tables must be empty (quiesced);
      * the device slots are verified.
      */
@@ -130,15 +129,13 @@ class SoftwareSmu : public sim::SimObject
     tier::CxlBuffer *tierBuf = nullptr;
     unsigned tierDevBase = 0;
 
-    /** Host-side tier-hit count; never serialized. */
-    std::uint64_t nTierHits = 0;
-
-    sim::Counter &statHandled;
-    sim::Counter &statCoalesced;
-    sim::Counter &statQueueEmpty;
-    sim::Counter &statIoRetry;
-    sim::Counter &statRejectIoError;
-    sim::Histogram &statLatency;
+    sim::Counter statHandled;
+    sim::Counter statCoalesced;
+    sim::Counter statQueueEmpty;
+    sim::Counter statIoRetry;
+    sim::Counter statRejectIoError;
+    sim::Histogram statLatency;
+    sim::Counter statTierHits; ///< Registered when a tier is attached.
 
     bool intercept(os::Thread &t, os::AddressSpace &as, VAddr vaddr,
                    os::pte::Entry e, std::function<void()> resume);

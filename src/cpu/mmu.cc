@@ -53,10 +53,6 @@ Mmu::serialize(sim::Serializer &s)
             pendingFree = p;
         }
     }
-    // Guarded so single-socket blobs keep the pre-NUMA layout.
-    if (numaPm)
-        s.io(nRemoteDram);
-    stats().serialize(s);
 }
 
 Mmu::Mmu(std::string name, sim::EventQueue &eq, unsigned logical_core,
@@ -67,19 +63,20 @@ Mmu::Mmu(std::string name, sim::EventQueue &eq, unsigned logical_core,
       caches(caches), kernel(kernel), period(cycle_period),
       // Wide (NAPOT / 2 MB) TLB entries exist only when the kernel can
       // produce wide PTEs; off keeps the 4 KB-only TLB bit for bit.
-      tlbUnit(64, 1536, 8, 8, kernel.pageMode() != PageMode::off),
-      walkUnit(caches, physCore, cycle_period, pwc_entries),
+      tlbUnit(64, 1536, 8, 8, kernel.pageMode() != PageMode::off,
+              &eq.statRegistry(), this->name() + ".tlb"),
+      walkUnit(caches, physCore, cycle_period, pwc_entries,
+               &eq.statRegistry(), this->name() + ".walker"),
       smus(8, nullptr),
-      statAccesses(stats().counter("accesses", "memory accesses")),
-      statHwMiss(stats().counter("hw_misses",
-                                 "page misses sent to an SMU")),
-      statOsFault(stats().counter("os_faults",
-                                  "page misses raised as exceptions")),
-      statSmuReject(stats().counter(
-          "smu_rejections", "SMU bounces (queue empty / PMSHR full)")),
-      statTimeout(stats().counter(
-          "stall_timeouts",
-          "hardware stalls converted to context switches"))
+      statAccesses(stats(), "accesses", "memory accesses"),
+      statHwMiss(stats(), "hw_misses", "page misses sent to an SMU"),
+      statOsFault(stats(), "os_faults", "page misses raised as exceptions"),
+      statSmuReject(stats(), "smu_rejections",
+                    "SMU bounces (queue empty / PMSHR full)"),
+      statTimeout(stats(), "stall_timeouts",
+                  "hardware stalls converted to context switches"),
+      statRemoteDram("remote_dram_accesses",
+                     "data accesses that paid the remote-DRAM premium")
 {
 }
 
@@ -104,7 +101,7 @@ Mmu::dataAccess(VAddr vaddr, Pfn pfn, bool is_write)
     // numaPm, leaving this path untouched.
     if (numaPm && res.llcMiss && numaPm->socketOf(pfn) != mySocket) {
         lat += numaRemoteExtra;
-        ++nRemoteDram;
+        ++statRemoteDram;
     }
     if (is_write) {
         // The hardware would set the PTE/TLB dirty state on the first

@@ -131,10 +131,14 @@ class Mmu : public sim::SimObject
         numaPm = frame_map;
         numaRemoteExtra = remote_extra;
         walkUnit.setNuma(my_socket, n_sockets, remote_extra);
+        stats().add(statRemoteDram);
     }
 
     /** Data accesses that paid the remote-DRAM premium. */
-    std::uint64_t remoteDramAccesses() const { return nRemoteDram; }
+    std::uint64_t remoteDramAccesses() const
+    {
+        return statRemoteDram.value();
+    }
 
     /**
      * Perform a user memory access on behalf of thread @p t, issued
@@ -167,8 +171,8 @@ class Mmu : public sim::SimObject
     std::uint64_t smuRejections() const { return statSmuReject.value(); }
 
     /**
-     * Checkpoint the TLB, walker, pending-node pool bookkeeping and
-     * counters. Every pool node must be idle (no access in flight).
+     * Checkpoint the TLB, walker and pending-node pool bookkeeping.
+     * Every pool node must be idle (no access in flight).
      */
     void serialize(sim::Serializer &s);
 
@@ -206,7 +210,6 @@ class Mmu : public sim::SimObject
     unsigned mySocket = 0;
     const mem::PhysMem *numaPm = nullptr; ///< nullptr: single socket.
     Cycles numaRemoteExtra = 0;
-    std::uint64_t nRemoteDram = 0; ///< Serialized only when NUMA is wired.
     Tlb tlbUnit;
     Walker walkUnit;
     std::vector<PageMissHandlerIface *> smus; // by socket id
@@ -214,11 +217,12 @@ class Mmu : public sim::SimObject
     std::vector<std::unique_ptr<Pending>> pendingPool;
     Pending *pendingFree = nullptr;
 
-    sim::Counter &statAccesses;
-    sim::Counter &statHwMiss;
-    sim::Counter &statOsFault;
-    sim::Counter &statSmuReject;
-    sim::Counter &statTimeout;
+    sim::Counter statAccesses;
+    sim::Counter statHwMiss;
+    sim::Counter statOsFault;
+    sim::Counter statSmuReject;
+    sim::Counter statTimeout;
+    sim::Counter statRemoteDram; ///< Registered when NUMA is wired.
 
     Pending *acquirePending();
     void releasePending(Pending *p);

@@ -30,10 +30,6 @@ Tlb::serialize(sim::Serializer &s)
     s.io(latch);
     if (s.loading())
         latchIdx = latch == ~0ULL ? npos : static_cast<std::size_t>(latch);
-    s.io(nLookups);
-    s.io(nL1Miss);
-    s.io(nMiss);
-    s.io(nLatchHits);
     // Wide state rides only in wide-capable machines, so a pageMode =
     // off blob keeps the pre-huge-page layout byte for byte.
     if (wideCapable) {
@@ -41,7 +37,6 @@ Tlb::serialize(sim::Serializer &s)
             for (auto &e : *lvl)
                 s.io(e.reach);
         s.io(latchReach);
-        s.io(nWideHits);
         if (s.loading()) {
             nNapot[0] = nNapot[1] = nHuge[0] = nHuge[1] = 0;
             for (auto *lvl : {&l1, &l2})
@@ -53,10 +48,17 @@ Tlb::serialize(sim::Serializer &s)
 }
 
 Tlb::Tlb(unsigned l1_entries, unsigned l2_entries, unsigned l2_assoc,
-         unsigned l1_assoc, bool wide_capable)
+         unsigned l1_assoc, bool wide_capable, sim::StatRegistry *reg,
+         std::string name)
     : l1Assoc(std::min(l1_assoc, l1_entries)), l2Assoc(l2_assoc),
-      wideCapable(wide_capable)
+      wideCapable(wide_capable), grp(std::move(name), reg),
+      statLookups(grp, "lookups", "translations looked up"),
+      statL1Misses(grp, "l1_misses", "lookups that missed the L1"),
+      statMisses(grp, "misses", "lookups that missed both levels"),
+      statWideHits("wide_hits", "hits served by a wide entry")
 {
+    if (wide_capable)
+        grp.add(statWideHits);
     if (l1_entries == 0 || l2_entries == 0 || l2_assoc == 0 ||
         l1_assoc == 0 || l2_entries % l2_assoc != 0 ||
         l1_entries % l1Assoc != 0)
@@ -139,14 +141,14 @@ Tlb::lookupSlow(std::uint64_t vpn)
             latchReach = e->reach;
             latchIdx = static_cast<std::size_t>(e - l1.data());
             if (e->reach)
-                ++nWideHits;
+                ++statWideHits;
             r.hit = true;
             r.l1Hit = true;
             r.pfn = e->pfn + (vpn & ((1ULL << e->reach) - 1));
             return r;
         }
     }
-    ++nL1Miss;
+    ++statL1Misses;
 
     for (unsigned reach : {0u, unsigned(napotShift),
                            unsigned(pmdLeafShift)}) {
@@ -162,13 +164,13 @@ Tlb::lookupSlow(std::uint64_t vpn)
             latchReach = ne->reach;
             latchIdx = static_cast<std::size_t>(ne - l1.data());
             if (e->reach)
-                ++nWideHits;
+                ++statWideHits;
             r.hit = true;
             r.pfn = e->pfn + (vpn & ((1ULL << e->reach) - 1));
             return r;
         }
     }
-    ++nMiss;
+    ++statMisses;
     return r;
 }
 

@@ -28,8 +28,10 @@
 #define HWDP_CPU_TLB_HH
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
+#include "sim/stats.hh"
 #include "sim/types.hh"
 
 namespace hwdp::sim {
@@ -52,16 +54,18 @@ class Tlb
      * @p l1_assoc is clamped to @p l1_entries, so small test
      * geometries (e.g. 4-entry L1) stay fully associative.
      * @p wide_capable allows wide (NAPOT / 2 MB) entries; off keeps
-     * the 4 KB-only behaviour and blob layout.
+     * the 4 KB-only behaviour and blob layout. @p reg is the
+     * machine's stat list (nullptr: on none).
      */
     Tlb(unsigned l1_entries = 64, unsigned l2_entries = 1536,
         unsigned l2_assoc = 8, unsigned l1_assoc = 8,
-        bool wide_capable = false);
+        bool wide_capable = false, sim::StatRegistry *reg = nullptr,
+        std::string name = "tlb");
 
     Result
     lookup(VAddr vaddr)
     {
-        ++nLookups;
+        ++statLookups;
         std::uint64_t vpn = vaddr >> pageShift;
 
         if (latchIdx != npos &&
@@ -70,7 +74,7 @@ class Tlb
             e.lastUse = ++useClock;
             ++nLatchHits;
             if (e.reach)
-                ++nWideHits;
+                ++statWideHits;
             return Result{true, true,
                           e.pfn + (vpn & ((1ULL << e.reach) - 1))};
         }
@@ -106,15 +110,15 @@ class Tlb
     /** Full flush (context switch between address spaces). */
     void flush();
 
-    std::uint64_t lookups() const { return nLookups; }
-    std::uint64_t l1Misses() const { return nL1Miss; }
-    std::uint64_t misses() const { return nMiss; }
-    /** L1 hits served by the one-entry last-VPN latch. */
+    std::uint64_t lookups() const { return statLookups.value(); }
+    std::uint64_t l1Misses() const { return statL1Misses.value(); }
+    std::uint64_t misses() const { return statMisses.value(); }
+    /** L1 hits served by the one-entry last-VPN latch (host-side). */
     std::uint64_t latchHits() const { return nLatchHits; }
     /** Hits (either level or latch) served by a wide entry. */
-    std::uint64_t wideHits() const { return nWideHits; }
+    std::uint64_t wideHits() const { return statWideHits.value(); }
 
-    /** Checkpoint both arrays, the latch, the clock and counters. */
+    /** Checkpoint both arrays, the latch and the clock. */
     void serialize(sim::Serializer &s);
 
   private:
@@ -148,11 +152,17 @@ class Tlb
     std::uint32_t nNapot[2] = {0, 0};
     std::uint32_t nHuge[2] = {0, 0};
 
-    std::uint64_t nLookups = 0;
-    std::uint64_t nL1Miss = 0;
-    std::uint64_t nMiss = 0;
+    /**
+     * Latch hits are host-side: the latch is a lookup shortcut, so a
+     * host-only change to it may move the count. Never serialized.
+     */
     std::uint64_t nLatchHits = 0;
-    std::uint64_t nWideHits = 0;
+
+    sim::StatGroup grp;
+    sim::Counter statLookups;
+    sim::Counter statL1Misses;
+    sim::Counter statMisses;
+    sim::Counter statWideHits; ///< Registered when wide-capable.
 
     Result lookupSlow(std::uint64_t vpn);
     Entry *find(std::vector<Entry> &lvl, unsigned sets, unsigned assoc,

@@ -17,18 +17,19 @@ Walker::serialize(sim::Serializer &s)
     }
     s.io(pwcClock);
     s.io(nPwcValid);
-    s.io(nWalks);
-    s.io(nPwcHits);
-    s.io(nPwcMisses);
-    // Guarded so single-socket blobs keep the pre-NUMA layout.
-    if (numaSockets > 1)
-        s.io(nRemoteSteps);
 }
 
 Walker::Walker(mem::CacheHierarchy &caches, unsigned phys_core,
-               Tick cycle_period, unsigned pwc_entries)
+               Tick cycle_period, unsigned pwc_entries,
+               sim::StatRegistry *reg, std::string name)
     : caches(caches), physCore(phys_core), period(cycle_period),
-      pwc(pwc_entries)
+      pwc(pwc_entries), grp(std::move(name), reg),
+      statWalks(grp, "walks", "page-table walks"),
+      statPwcHits(grp, "pwc_hits", "upper-entry reads the PWC served"),
+      statPwcMisses(grp, "pwc_misses",
+                    "upper-entry reads charged to the caches"),
+      statRemoteSteps("remote_walk_steps",
+                      "walk steps that paid the remote-node premium")
 {
 }
 
@@ -89,7 +90,7 @@ Walker::pwcFlush()
 Walker::Outcome
 Walker::walk(os::AddressSpace &as, VAddr vaddr)
 {
-    ++nWalks;
+    ++statWalks;
     Outcome out;
 
     os::WalkRefs refs = as.pageTable().walkRefs(vaddr, false);
@@ -111,7 +112,7 @@ Walker::walk(os::AddressSpace &as, VAddr vaddr)
         if (numaSockets > 1 && res.llcMiss &&
             (addr >> pageShift) % numaSockets != mySocket) {
             c += numaRemoteExtra;
-            ++nRemoteSteps;
+            ++statRemoteSteps;
         }
         return c;
     };
@@ -120,10 +121,10 @@ Walker::walk(os::AddressSpace &as, VAddr vaddr)
         if (!r->valid())
             break;
         if (pwcLookup(r->addr)) {
-            ++nPwcHits;
+            ++statPwcHits;
             continue;
         }
-        ++nPwcMisses;
+        ++statPwcMisses;
         cycles += charge(r->addr);
         pwcInsert(r->addr);
     }

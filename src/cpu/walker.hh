@@ -30,6 +30,7 @@
 #include "mem/cache_hierarchy.hh"
 #include "os/page_table.hh"
 #include "os/vma.hh"
+#include "sim/stats.hh"
 #include "sim/types.hh"
 
 namespace hwdp::sim {
@@ -59,9 +60,11 @@ class Walker
     /**
      * @param pwc_entries Fully-associative page-walk-cache capacity
      *                    over PUD/PMD entries; 0 disables the PWC.
+     * @param reg         The machine's stat list (nullptr: on none).
      */
     Walker(mem::CacheHierarchy &caches, unsigned phys_core,
-           Tick cycle_period, unsigned pwc_entries = 16);
+           Tick cycle_period, unsigned pwc_entries = 16,
+           sim::StatRegistry *reg = nullptr, std::string name = "walker");
 
     /**
      * Walk the tree for @p vaddr, charging cache accesses. Sets the
@@ -82,9 +85,9 @@ class Walker
      */
     bool pwcEmpty() const { return nPwcValid == 0; }
 
-    std::uint64_t walks() const { return nWalks; }
-    std::uint64_t pwcHits() const { return nPwcHits; }
-    std::uint64_t pwcMisses() const { return nPwcMisses; }
+    std::uint64_t walks() const { return statWalks.value(); }
+    std::uint64_t pwcHits() const { return statPwcHits.value(); }
+    std::uint64_t pwcMisses() const { return statPwcMisses.value(); }
 
     /**
      * NUMA model for walk steps. Page-table pages are kernel
@@ -99,12 +102,17 @@ class Walker
         mySocket = my_socket;
         numaSockets = n_sockets;
         numaRemoteExtra = remote_extra;
+        if (n_sockets > 1)
+            grp.add(statRemoteSteps);
     }
 
     /** Walk steps that paid the remote-node premium. */
-    std::uint64_t remoteWalkSteps() const { return nRemoteSteps; }
+    std::uint64_t remoteWalkSteps() const
+    {
+        return statRemoteSteps.value();
+    }
 
-    /** Checkpoint the PWC contents, recency clock and counters. */
+    /** Checkpoint the PWC contents and recency clock. */
     void serialize(sim::Serializer &s);
 
   private:
@@ -121,14 +129,16 @@ class Walker
     std::vector<PwcEntry> pwc;
     std::uint64_t pwcClock = 0;
     unsigned nPwcValid = 0;
-    std::uint64_t nWalks = 0;
-    std::uint64_t nPwcHits = 0;
-    std::uint64_t nPwcMisses = 0;
 
     unsigned mySocket = 0;
     unsigned numaSockets = 1;
     Cycles numaRemoteExtra = 0;
-    std::uint64_t nRemoteSteps = 0; ///< Serialized only when sockets > 1.
+
+    sim::StatGroup grp;
+    sim::Counter statWalks;
+    sim::Counter statPwcHits;
+    sim::Counter statPwcMisses;
+    sim::Counter statRemoteSteps; ///< Registered at sockets > 1.
 
     /** True (and recency bumped) when @p addr is PWC-resident. */
     bool pwcLookup(PAddr addr);

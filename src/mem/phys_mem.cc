@@ -58,7 +58,6 @@ PhysMem::serialize(sim::Serializer &s)
             allocated[pfn] = false;
         rebuildWindowCounts();
     }
-    stats().serialize(s);
 }
 
 PhysMem::PhysMem(sim::EventQueue &eq, std::uint64_t n_frames,
@@ -66,10 +65,10 @@ PhysMem::PhysMem(sim::EventQueue &eq, std::uint64_t n_frames,
     : sim::SimObject("physmem", eq), nFrames(n_frames),
       reservedFrames(reserved), nSockets(n_sockets),
       allocated(n_frames, false),
-      allocs(stats().counter("allocs", "frames allocated")),
-      frees(stats().counter("frees", "frames freed")),
-      failedAllocs(stats().counter("failed_allocs",
-                                   "allocations that found no free frame"))
+      allocs(stats(), "allocs", "frames allocated"),
+      frees(stats(), "frees", "frames freed"),
+      failedAllocs(stats(), "failed_allocs",
+                   "allocations that found no free frame")
 {
     if (reserved >= n_frames)
         fatal("physmem: reserved (", reserved, ") >= total frames (",

@@ -139,9 +139,9 @@ class PhysMem : public sim::SimObject
 
     void rebuildWindowCounts();
 
-    sim::Counter &allocs;
-    sim::Counter &frees;
-    sim::Counter &failedAllocs;
+    sim::Counter allocs;
+    sim::Counter frees;
+    sim::Counter failedAllocs;
 };
 
 } // namespace hwdp::mem

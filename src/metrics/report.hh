@@ -17,10 +17,6 @@ namespace hwdp::os {
 class KernelExec;
 }
 
-namespace hwdp::system {
-class System;
-}
-
 namespace hwdp::metrics {
 
 class Table
@@ -79,34 +75,6 @@ struct CheckpointRow
  * dumpMachineStats.
  */
 Table checkpointTable(const std::vector<CheckpointRow> &ops);
-
-/**
- * Demand-paging fast-path observability: hops that ran inline instead
- * of through their event (SMU requests, controller doorbells and
- * completions, device fetches), pooled-command occupancy and doorbell
- * coalescing. All host-side counters, never part of
- * dumpMachineStats — simulated results are identical whichever way
- * each hop ran.
- */
-Table pagingPathTable(system::System &sys);
-
-/**
- * Translation-reach observability for the huge-page modes: wide-entry
- * TLB hit share, THP fault-time allocations, NAPOT window
- * promotions/breaks, kcoalesced scan/promote/abort counts, and the
- * split/reclaim/delayed-shootdown tallies. All host-side counters;
- * meaningful only when the machine's pageMode is not off (an off
- * machine prints a table of zeros).
- */
-Table translationReachTable(system::System &sys);
-
-/**
- * CXL-tier observability: per-socket hit/miss/admit/evict/writeback
- * counts, occupancy high-water, and the share of tier hits served
- * inline on the fault fast path. All host-side counters; meaningful
- * only at tierMode=cxl (an off machine prints a table of zeros).
- */
-Table tierTable(system::System &sys);
 
 } // namespace hwdp::metrics
 

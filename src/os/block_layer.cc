@@ -22,18 +22,16 @@ BlockLayer::serialize(sim::Serializer &s)
             s.check(qid, "kernel queue pair id");
     }
     s.io(nextCid);
-    stats().serialize(s);
 }
 
 BlockLayer::BlockLayer(sim::EventQueue &eq, Scheduler &sched,
                        std::uint16_t queue_depth)
     : sim::SimObject("blk", eq), sched(sched), qDepth(queue_depth),
-      statReads(stats().counter("reads", "read bios submitted")),
-      statWrites(stats().counter("writes", "write bios submitted")),
-      statCompletions(stats().counter("completions",
-                                      "bio completions processed")),
-      statRetries(stats().counter(
-          "io_retries", "bios resubmitted after an error completion"))
+      statReads(stats(), "reads", "read bios submitted"),
+      statWrites(stats(), "writes", "write bios submitted"),
+      statCompletions(stats(), "completions", "bio completions processed"),
+      statRetries(stats(), "io_retries",
+                  "bios resubmitted after an error completion")
 {
 }
 

@@ -116,10 +116,10 @@ class BlockLayer : public sim::SimObject
     std::unordered_map<std::uint64_t, Pending> pending;
     std::uint16_t nextCid = 0;
 
-    sim::Counter &statReads;
-    sim::Counter &statWrites;
-    sim::Counter &statCompletions;
-    sim::Counter &statRetries;
+    sim::Counter statReads;
+    sim::Counter statWrites;
+    sim::Counter statCompletions;
+    sim::Counter statRetries;
 
     void onDeviceCompletion(unsigned dev_idx, std::uint16_t qid,
                             const nvme::CompletionEntry &cqe);

@@ -18,7 +18,6 @@ Kernel::serialize(sim::Serializer &s)
     sched->serialize(s);
     fileSystem->serialize(s);
     blk->serialize(s);
-    reverseMap->serialize(s);
     reclaim->serialize(s);
     faults->serialize(s);
     pcache.serialize(s);
@@ -89,17 +88,6 @@ Kernel::serialize(sim::Serializer &s)
     // Guarded so single-socket blobs keep the pre-NUMA layout.
     if (prm.sockets > 1)
         s.io(numaRrCursor);
-
-    if (prm.pageMode != PageMode::off) {
-        s.io(nThpFaults);
-        s.io(nNapotPromotions);
-        s.io(nNapotBreaks);
-        s.io(nHugePromotions);
-        s.io(nHugeSplits);
-        s.io(nHugeReclaims);
-    }
-
-    stats().serialize(s);
 }
 
 Pfn
@@ -118,31 +106,46 @@ Kernel::Kernel(sim::EventQueue &eq, const KernelParams &params,
                mem::PhysMem &pm, mem::CacheHierarchy &caches,
                std::vector<mem::BranchPredictor> &bps, sim::Rng rng)
     : sim::SimObject("kernel", eq), prm(params), pm(pm), rng(rng),
-      statMajor(stats().counter("major_faults",
-                                "faults requiring device I/O")),
-      statMinor(stats().counter("minor_faults", "page-cache hit faults")),
-      statSmuFallback(stats().counter(
-          "smu_fallback_faults", "misses bounced from the SMU to the OS")),
-      statMmapCalls(stats().counter("mmap_calls", "mmap() invocations")),
-      statMunmapCalls(stats().counter("munmap_calls",
-                                      "munmap() invocations")),
-      statWalWrites(stats().counter("wal_write_ios",
-                                    "asynchronous write I/Os cut")),
-      statOomKills(stats().counter(
-          "oom_kills", "threads killed on unreclaimable memory")),
-      statFaultLatency(stats().histogram(
-          "fault_latency_us", "OS-handled fault latency (us)", 0.5, 400))
+      pcache(&eq.statRegistry()),
+      statMajor(stats(), "major_faults", "faults requiring device I/O"),
+      statMinor(stats(), "minor_faults", "page-cache hit faults"),
+      statSmuFallback(stats(), "smu_fallback_faults",
+                      "misses bounced from the SMU to the OS"),
+      statMmapCalls(stats(), "mmap_calls", "mmap() invocations"),
+      statMunmapCalls(stats(), "munmap_calls", "munmap() invocations"),
+      statWalWrites(stats(), "wal_write_ios", "asynchronous write I/Os cut"),
+      statOomKills(stats(), "oom_kills",
+                   "threads killed on unreclaimable memory"),
+      statFaultLatency(stats(), "fault_latency_us",
+                       "OS-handled fault latency (us)", 0.5, 400),
+      statThpFaults("thp_faults", "2 MB pages installed at fault time"),
+      statNapotPromotions("napot_promotions",
+                          "64 KB runs promoted to NAPOT entries"),
+      statNapotBreaks("napot_breaks", "NAPOT runs broken back to 4 KB"),
+      statHugePromotions("huge_promotions",
+                         "4 KB runs promoted to 2 MB pages"),
+      statHugeSplits("huge_splits", "2 MB pages split into 4 KB pages"),
+      statHugeReclaims("huge_reclaims", "2 MB pages reclaimed whole")
 {
+    if (prm.pageMode != PageMode::off) {
+        for (sim::Counter *c :
+             {&statThpFaults, &statNapotPromotions, &statNapotBreaks,
+              &statHugePromotions, &statHugeSplits, &statHugeReclaims})
+            stats().add(*c);
+    }
+
     kernelExec = std::make_unique<KernelExec>(caches, bps, prm.cyclePeriod,
                                               this->rng.fork());
     sched = std::make_unique<Scheduler>(eq, prm.nLogical, prm.nPhysical,
                                         *kernelExec, prm.smtShare);
     fileSystem = std::make_unique<FileSystem>(this->rng.fork());
     blk = std::make_unique<BlockLayer>(eq, *sched);
-    reverseMap = std::make_unique<Rmap>([this](AddressSpace &as, VAddr va) {
-        if (shootdownFn)
-            shootdownFn(as, va);
-    });
+    reverseMap = std::make_unique<Rmap>(
+        [this](AddressSpace &as, VAddr va) {
+            if (shootdownFn)
+                shootdownFn(as, va);
+        },
+        &eq.statRegistry());
 
     framePages.resize(pm.totalFrames());
     for (std::uint64_t i = 0; i < framePages.size(); ++i)
@@ -674,7 +677,7 @@ Kernel::installHugePage(AddressSpace &as, Vma &vma, VAddr win, Pfn head,
     if (write)
         page(head + ((fault_va - win) >> pageShift)).dirty = true;
     as.pageTable().writeHugeLeaf(win, pte::makeHugeLeaf(head, vma.prot));
-    ++nThpFaults;
+    ++statThpFaults;
 }
 
 void
@@ -696,7 +699,7 @@ Kernel::demoteHugePage(AddressSpace &as, VAddr vaddr)
         if (!pg.lruLinked)
             reclaim->lru().insertInactive(pg);
     }
-    ++nHugeSplits;
+    ++statHugeSplits;
     // Same frames before and after the split, so a straggler hitting a
     // stale wide entry still reads the right data; the staleWideTlb
     // fault site exploits exactly this to delay the broadcast.
@@ -730,7 +733,7 @@ Kernel::reclaimHugeUnit(Page &head)
         pg.pfn = pfn;
         pm.free(pfn);
     }
-    ++nHugeReclaims;
+    ++statHugeReclaims;
 }
 
 bool
@@ -788,7 +791,7 @@ Kernel::promoteWindowHuge(AddressSpace &as, Vma &vma, VAddr win)
     if (accessed)
         leaf |= pte::accessedBit;
     as.pageTable().writeHugeLeaf(win, leaf);
-    ++nHugePromotions;
+    ++statHugePromotions;
     // The 4 KB (and NAPOT) entries the window used to fill the TLB
     // with still translate correctly — same frames — but they would
     // starve the wide entry forever; broadcast so walks reload it.
@@ -828,7 +831,7 @@ Kernel::maybePromoteNapot(AddressSpace &as, VAddr vaddr)
     // the same frame, the TLB merely gains reach on the next walk.
     for (auto &r : refs)
         r.write(pte::setNapotBit(r.value()));
-    ++nNapotPromotions;
+    ++statNapotPromotions;
 }
 
 void
@@ -849,7 +852,7 @@ Kernel::breakNapotRun(AddressSpace &as, VAddr vaddr)
     }
     if (!any)
         return;
-    ++nNapotBreaks;
+    ++statNapotBreaks;
     // Demotion must kill resident wide entries before a member frame
     // is remapped — this is the correctness-critical direction, so it
     // is never delayable.

@@ -309,12 +309,18 @@ class Kernel : public sim::SimObject
     }
     bool hugeSplitForced() { return hugeSplitHook && hugeSplitHook(); }
 
-    std::uint64_t thpFaults() const { return nThpFaults; }
-    std::uint64_t napotPromotions() const { return nNapotPromotions; }
-    std::uint64_t napotBreaks() const { return nNapotBreaks; }
-    std::uint64_t hugePromotions() const { return nHugePromotions; }
-    std::uint64_t hugeSplits() const { return nHugeSplits; }
-    std::uint64_t hugeReclaims() const { return nHugeReclaims; }
+    std::uint64_t thpFaults() const { return statThpFaults.value(); }
+    std::uint64_t napotPromotions() const
+    {
+        return statNapotPromotions.value();
+    }
+    std::uint64_t napotBreaks() const { return statNapotBreaks.value(); }
+    std::uint64_t hugePromotions() const
+    {
+        return statHugePromotions.value();
+    }
+    std::uint64_t hugeSplits() const { return statHugeSplits.value(); }
+    std::uint64_t hugeReclaims() const { return statHugeReclaims.value(); }
 
     // ---- HWDP hook points -------------------------------------------------
     /**
@@ -438,18 +444,6 @@ class Kernel : public sim::SimObject
     ShootdownRangeFn shootdownRangeFn;
     std::function<bool()> hugeSplitHook;
 
-    /**
-     * Plain members (not sim::Counters) so a pageMode = off machine's
-     * stats dump stays byte-identical to the pre-huge-page one; they
-     * are serialized (guarded) and surfaced through metrics.
-     */
-    std::uint64_t nThpFaults = 0;
-    std::uint64_t nNapotPromotions = 0;
-    std::uint64_t nNapotBreaks = 0;
-    std::uint64_t nHugePromotions = 0;
-    std::uint64_t nHugeSplits = 0;
-    std::uint64_t nHugeReclaims = 0;
-
     void shootdownRange(AddressSpace &as, VAddr va, std::uint64_t pages,
                         bool delayable)
     {
@@ -460,14 +454,22 @@ class Kernel : public sim::SimObject
     /** PTE population for a fast-mmap area; returns pages touched. */
     std::uint64_t populateFastVma(AddressSpace &as, File &file, Vma *vma);
 
-    sim::Counter &statMajor;
-    sim::Counter &statMinor;
-    sim::Counter &statSmuFallback;
-    sim::Counter &statMmapCalls;
-    sim::Counter &statMunmapCalls;
-    sim::Counter &statWalWrites;
-    sim::Counter &statOomKills;
-    sim::Histogram &statFaultLatency;
+    sim::Counter statMajor;
+    sim::Counter statMinor;
+    sim::Counter statSmuFallback;
+    sim::Counter statMmapCalls;
+    sim::Counter statMunmapCalls;
+    sim::Counter statWalWrites;
+    sim::Counter statOomKills;
+    sim::Histogram statFaultLatency;
+
+    /** Translation-reach counters, registered at pageMode != off. */
+    sim::Counter statThpFaults;
+    sim::Counter statNapotPromotions;
+    sim::Counter statNapotBreaks;
+    sim::Counter statHugePromotions;
+    sim::Counter statHugeSplits;
+    sim::Counter statHugeReclaims;
 };
 
 } // namespace hwdp::os

@@ -18,7 +18,6 @@ KThread::serialize(sim::Serializer &s)
     s.io(stopped);
     if (s.loading())
         timerArmed = false;
-    s.io(nBatches);
 }
 
 void
@@ -30,7 +29,9 @@ KThread::restart()
 
 KThread::KThread(std::string name, unsigned core, Scheduler &sched,
                  sim::EventQueue &eq, Tick period)
-    : Thread(std::move(name), core), sched(sched), eq(eq), per(period)
+    : Thread(std::move(name), core), sched(sched), eq(eq), per(period),
+      grp(this->name(), &eq.statRegistry()),
+      statBatches(grp, "batches", "batches run")
 {
     kthread = true;
     if (period == 0)
@@ -74,7 +75,7 @@ KThread::run()
         return;
     }
     due = false;
-    ++nBatches;
+    ++statBatches;
     batch([this] {
         if (due && !stopped) {
             // Kicked while the batch ran (e.g. the SMU free-page queue

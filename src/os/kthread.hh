@@ -15,6 +15,7 @@
 #include <functional>
 
 #include "os/scheduler.hh"
+#include "sim/stats.hh"
 #include "sim/types.hh"
 
 namespace hwdp::sim {
@@ -58,7 +59,13 @@ class KThread : public Thread
      */
     void restart();
 
-    std::uint64_t batchesRun() const { return nBatches; }
+    std::uint64_t batchesRun() const { return statBatches.value(); }
+
+    /**
+     * The kthread's stat group, named after it and on the machine's
+     * list; subclasses register their counters here.
+     */
+    sim::StatGroup &stats() { return grp; }
 
     /**
      * Checkpoint the kthread state (quiesced: stopped, timer idle).
@@ -75,7 +82,8 @@ class KThread : public Thread
     bool due = false;
     bool stopped = false;
     bool timerArmed = false;
-    std::uint64_t nBatches = 0;
+    sim::StatGroup grp;
+    sim::Counter statBatches;
 
     void armTimer();
 };

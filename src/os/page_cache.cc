@@ -8,6 +8,13 @@
 
 namespace hwdp::os {
 
+PageCache::PageCache(sim::StatRegistry *reg)
+    : grp("pagecache", reg),
+      statLookups(grp, "lookups", "page-cache lookups"),
+      statHits(grp, "hits", "page-cache lookups that found the page")
+{
+}
+
 void
 PageCache::serialize(sim::Serializer &s)
 {
@@ -20,8 +27,6 @@ PageCache::serialize(sim::Serializer &s)
         map.clear();
         map.insert(flat.begin(), flat.end());
     }
-    s.io(nLookups);
-    s.io(nHits);
 }
 
 std::uint64_t
@@ -36,12 +41,18 @@ PageCache::key(const File &file, std::uint64_t index)
 Pfn
 PageCache::lookup(const File &file, std::uint64_t index) const
 {
-    ++nLookups;
+    ++statLookups;
+    Pfn pfn = peek(file, index);
+    if (pfn != noFrame)
+        ++statHits;
+    return pfn;
+}
+
+Pfn
+PageCache::peek(const File &file, std::uint64_t index) const
+{
     auto it = map.find(key(file, index));
-    if (it == map.end())
-        return noFrame;
-    ++nHits;
-    return it->second;
+    return it == map.end() ? noFrame : it->second;
 }
 
 bool

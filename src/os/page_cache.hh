@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <unordered_map>
 
+#include "sim/stats.hh"
 #include "sim/types.hh"
 
 namespace hwdp::sim {
@@ -27,8 +28,14 @@ class File;
 class PageCache
 {
   public:
+    /** @p reg: the machine's stat list (nullptr: on none). */
+    explicit PageCache(sim::StatRegistry *reg = nullptr);
+
     /** Look up the frame caching (file, index); invalid when absent. */
     Pfn lookup(const File &file, std::uint64_t index) const;
+
+    /** lookup() without counting it: audits must not move the stats. */
+    Pfn peek(const File &file, std::uint64_t index) const;
 
     /** True when (file, index) is resident in the cache. */
     bool contains(const File &file, std::uint64_t index) const;
@@ -47,13 +54,13 @@ class PageCache
     /**
      * Account @p n lookups that are certain misses without probing
      * the map — the bulk mmap-population sweep takes this when the
-     * cache is empty. Leaves nLookups/nHits (which are serialized)
-     * exactly as @p n individual missing lookup() calls would.
+     * cache is empty. Leaves the lookup and hit counters exactly as
+     * @p n individual missing lookup() calls would.
      */
-    void noteMissRun(std::uint64_t n) const { nLookups += n; }
+    void noteMissRun(std::uint64_t n) const { statLookups += n; }
 
-    std::uint64_t lookups() const { return nLookups; }
-    std::uint64_t hits() const { return nHits; }
+    std::uint64_t lookups() const { return statLookups.value(); }
+    std::uint64_t hits() const { return statHits.value(); }
 
     static constexpr Pfn noFrame = ~Pfn(0);
 
@@ -72,8 +79,9 @@ class PageCache
     static std::uint64_t key(const File &file, std::uint64_t index);
 
     std::unordered_map<std::uint64_t, Pfn> map;
-    mutable std::uint64_t nLookups = 0;
-    mutable std::uint64_t nHits = 0;
+    sim::StatGroup grp;
+    mutable sim::Counter statLookups;
+    mutable sim::Counter statHits;
 };
 
 } // namespace hwdp::os

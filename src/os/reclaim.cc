@@ -141,9 +141,6 @@ Reclaimer::serialize(sim::Serializer &s)
     KThread::serialize(s);
     s.check(lowWater, "reclaim low watermark");
     s.check(highWater, "reclaim high watermark");
-    s.io(nEvicted);
-    s.io(nWriteback);
-    s.io(nDirect);
     lists.serialize(s);
 }
 
@@ -152,7 +149,12 @@ Reclaimer::Reclaimer(Kernel &kernel, unsigned core, Tick period,
     : KThread("kreclaimd", core, kernel.scheduler(), kernel.eventQueue(),
               period),
       kernel(kernel), lists(kernel.numFrames()), lowWater(low_water),
-      highWater(high_water)
+      highWater(high_water),
+      statEvicted(stats(), "pages_evicted", "pages evicted"),
+      statWriteback(stats(), "pages_written_back",
+                    "dirty pages written back before eviction"),
+      statDirect(stats(), "direct_reclaims",
+                 "synchronous reclaims on the faulting path")
 {
     if (high_water <= low_water)
         fatal("reclaimer: watermarks inverted");
@@ -238,7 +240,7 @@ Reclaimer::shrink(unsigned core, std::uint64_t want,
             }
             // Write back, then free on completion.
             pg.underWriteback = true;
-            ++nWriteback;
+            ++statWriteback;
             kernel.kexec().run(kernel.scheduler().physCoreOf(core),
                                phases::writebackSubmit);
             File *file = pg.file;
@@ -249,11 +251,11 @@ Reclaimer::shrink(unsigned core, std::uint64_t want,
                     pg.underWriteback = false;
                     pg.dirty = false;
                     kernel.freePage(pg);
-                    ++nEvicted;
+                    ++statEvicted;
                 });
         } else {
             kernel.freePage(pg);
-            ++nEvicted;
+            ++statEvicted;
             ++freed;
         }
     }
@@ -305,7 +307,7 @@ Reclaimer::reclaimHugeHead(Page &pg)
 
     // Clean file-backed unit: one scan candidate frees 512 frames.
     kernel.reclaimHugeUnit(pg);
-    nEvicted += pmdLeafPages;
+    statEvicted += pmdLeafPages;
     return pmdLeafPages;
 }
 
@@ -330,7 +332,7 @@ void
 Reclaimer::directReclaim(unsigned core, std::uint64_t want,
                          std::function<void()> done)
 {
-    ++nDirect;
+    ++statDirect;
     std::uint64_t scanned = 0;
     shrink(core, want, &scanned);
     Tick dur = kernel.kexec().runBatch(kernel.scheduler().physCoreOf(core),

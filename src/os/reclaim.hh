@@ -141,14 +141,14 @@ class Reclaimer : public KThread
 
     LruLists &lru() { return lists; }
 
-    std::uint64_t pagesEvicted() const { return nEvicted; }
-    std::uint64_t pagesWrittenBack() const { return nWriteback; }
-    std::uint64_t directReclaims() const { return nDirect; }
+    std::uint64_t pagesEvicted() const { return statEvicted.value(); }
+    std::uint64_t pagesWrittenBack() const { return statWriteback.value(); }
+    std::uint64_t directReclaims() const { return statDirect.value(); }
 
     std::uint64_t lowWatermark() const { return lowWater; }
     std::uint64_t highWatermark() const { return highWater; }
 
-    /** Checkpoint the LRU lists, counters and kthread state. */
+    /** Checkpoint the LRU lists and kthread state. */
     void serialize(sim::Serializer &s);
 
   private:
@@ -157,9 +157,9 @@ class Reclaimer : public KThread
     std::uint64_t lowWater;
     std::uint64_t highWater;
 
-    std::uint64_t nEvicted = 0;
-    std::uint64_t nWriteback = 0;
-    std::uint64_t nDirect = 0;
+    sim::Counter statEvicted;
+    sim::Counter statWriteback;
+    sim::Counter statDirect;
 
     /**
      * Evict up to @p want pages, returning the number freed now

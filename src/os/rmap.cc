@@ -3,19 +3,15 @@
 #include "os/file_system.hh"
 #include "os/vma.hh"
 #include "sim/logging.hh"
-#include "sim/serialize.hh"
 
 namespace hwdp::os {
 
-void
-Rmap::serialize(sim::Serializer &s)
-{
-    s.section("rmap");
-    s.io(nLbaEvictions);
-    s.io(nPlainEvictions);
-}
-
-Rmap::Rmap(ShootdownFn shootdown) : shootdown(std::move(shootdown))
+Rmap::Rmap(ShootdownFn shootdown, sim::StatRegistry *reg)
+    : shootdown(std::move(shootdown)), grp("rmap", reg),
+      statLbaEvictions(grp, "evictions_to_lba",
+                       "evicted pages left LBA-augmented (fast mmap)"),
+      statPlainEvictions(grp, "evictions_plain",
+                         "evicted pages left with an empty PTE")
 {
 }
 
@@ -58,10 +54,10 @@ Rmap::unmapForEviction(Page &page)
         Lba lba = vma->file->lbaOf(page.index);
         as.pageTable().writePte(
             va, pte::makeLbaAugmented(bdev.sid, bdev.dev, lba, vma->prot));
-        ++nLbaEvictions;
+        ++statLbaEvictions;
     } else {
         as.pageTable().writePte(va, 0);
-        ++nPlainEvictions;
+        ++statPlainEvictions;
     }
 
     if (shootdown)

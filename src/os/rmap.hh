@@ -16,11 +16,8 @@
 #include <functional>
 
 #include "os/page.hh"
+#include "sim/stats.hh"
 #include "sim/types.hh"
-
-namespace hwdp::sim {
-class Serializer;
-}
 
 namespace hwdp::os {
 
@@ -33,7 +30,8 @@ class Rmap
     /** Invoked after a PTE teardown to shoot down stale TLB entries. */
     using ShootdownFn = std::function<void(AddressSpace &, VAddr)>;
 
-    explicit Rmap(ShootdownFn shootdown);
+    /** @p reg: the machine's stat list (nullptr: on none). */
+    explicit Rmap(ShootdownFn shootdown, sim::StatRegistry *reg = nullptr);
 
     /** Record that @p page is mapped at (@p as, @p vaddr). */
     void setMapping(Page &page, AddressSpace &as, VAddr vaddr);
@@ -51,16 +49,17 @@ class Rmap
      */
     bool unmapForEviction(Page &page);
 
-    std::uint64_t evictionsToLba() const { return nLbaEvictions; }
-    std::uint64_t evictionsPlain() const { return nPlainEvictions; }
-
-    /** Checkpoint the eviction counters (mappings live on Page). */
-    void serialize(sim::Serializer &s);
+    std::uint64_t evictionsToLba() const { return statLbaEvictions.value(); }
+    std::uint64_t evictionsPlain() const
+    {
+        return statPlainEvictions.value();
+    }
 
   private:
     ShootdownFn shootdown;
-    std::uint64_t nLbaEvictions = 0;
-    std::uint64_t nPlainEvictions = 0;
+    sim::StatGroup grp;
+    sim::Counter statLbaEvictions;
+    sim::Counter statPlainEvictions;
 };
 
 } // namespace hwdp::os

@@ -44,7 +44,6 @@ Scheduler::serialize(sim::Serializer &s)
         s.io(cs.hwStall);
         s.io(cs.started);
     }
-    stats().serialize(s);
 }
 
 Scheduler::Scheduler(sim::EventQueue &eq, unsigned n_logical,
@@ -52,10 +51,10 @@ Scheduler::Scheduler(sim::EventQueue &eq, unsigned n_logical,
                      double smt_share)
     : sim::SimObject("sched", eq), nLogical(n_logical), nPhys(n_physical),
       kexec(kexec), smtShare(smt_share), cores(n_logical),
-      statSwitches(stats().counter("context_switches",
-                                   "thread context switches performed")),
-      statKernelWorkItems(stats().counter(
-          "kernel_work_items", "irq/softirq work items executed"))
+      statSwitches(stats(), "context_switches",
+                   "thread context switches performed"),
+      statKernelWorkItems(stats(), "kernel_work_items",
+                          "irq/softirq work items executed")
 {
     if (n_logical == 0 || n_physical == 0 || n_physical > n_logical)
         fatal("scheduler: bad core topology ", n_logical, "/", n_physical);

@@ -224,8 +224,8 @@ class Scheduler : public sim::SimObject
     double smtShare;
     std::vector<CoreState> cores;
 
-    sim::Counter &statSwitches;
-    sim::Counter &statKernelWorkItems;
+    sim::Counter statSwitches;
+    sim::Counter statKernelWorkItems;
 
     void dispatch(unsigned core);
     void runKernelWorkItem(unsigned core);

@@ -39,6 +39,7 @@
 #include <utility>
 #include <vector>
 
+#include "sim/stats.hh"
 #include "sim/types.hh"
 
 namespace hwdp::sim {
@@ -342,6 +343,13 @@ class EventQueue
      */
     void serialize(Serializer &s);
 
+    /**
+     * The machine's stat groups, in the order their components were
+     * built. The queue carries the list because it is the one object
+     * every component of a machine already holds.
+     */
+    StatRegistry &statRegistry() { return statGroups; }
+
     // Two-tier scheduler geometry. Bucket width 2^10 ticks ~ 1 ns;
     // 8192 buckets give a ~8.4 us near horizon, wide enough for every
     // microarchitectural and kernel-phase delay in the tree while
@@ -462,6 +470,8 @@ class EventQueue
 
     enum class StepOutcome { fired, drained, atLimit };
     StepOutcome tryStep(Tick limit);
+
+    StatRegistry statGroups;
 };
 
 // The schedule and pool hot paths are defined inline so that post()

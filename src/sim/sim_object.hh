@@ -4,7 +4,8 @@
  *
  * A SimObject owns a StatGroup named after itself and keeps a pointer
  * to the machine's EventQueue so subclasses can schedule events and
- * read the current tick without global state.
+ * read the current tick without global state. The group joins the
+ * queue's stat registry, the machine's one list of groups.
  */
 
 #ifndef HWDP_SIM_SIM_OBJECT_HH
@@ -21,7 +22,12 @@ namespace hwdp::sim {
 class SimObject
 {
   public:
-    SimObject(std::string name, EventQueue &eq);
+    /**
+     * @p machine_stats false keeps the group off the machine's list:
+     * a test-side attachment (testing::FaultPlan) checkpoints its
+     * stats with the rest of its state in its own blob.
+     */
+    SimObject(std::string name, EventQueue &eq, bool machine_stats = true);
     virtual ~SimObject();
 
     SimObject(const SimObject &) = delete;

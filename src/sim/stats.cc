@@ -38,8 +38,21 @@ Histogram::serialize(Serializer &s)
 }
 
 void
+Value::serialize(Serializer &s)
+{
+    std::uint64_t v = read();
+    s.check(v, name().c_str());
+}
+
+void
 StatGroup::serialize(Serializer &s)
 {
+    std::uint64_t gtag = Serializer::hashName(_name.c_str());
+    std::uint64_t gstored = gtag;
+    s.io(gstored);
+    if (s.loading() && gstored != gtag)
+        throw SerializeError("stat group '" + _name +
+                             "' does not match the blob's group here");
     std::uint64_t count = all.size();
     s.check(count, "stat count");
     for (StatBase *st : all) {
@@ -69,6 +82,12 @@ Mean::valueString() const
     return os.str();
 }
 
+StatBase::StatBase(StatGroup &group, std::string name, std::string desc)
+    : _name(std::move(name)), _desc(std::move(desc))
+{
+    group.add(*this);
+}
+
 Histogram::Histogram(std::string name, std::string desc, double bucket_width,
                      std::size_t n_buckets)
     : StatBase(std::move(name), std::move(desc)), width(bucket_width),
@@ -76,6 +95,13 @@ Histogram::Histogram(std::string name, std::string desc, double bucket_width,
 {
     if (bucket_width <= 0.0 || n_buckets == 0)
         panic("histogram '", this->name(), "' has degenerate geometry");
+}
+
+Histogram::Histogram(StatGroup &group, std::string name, std::string desc,
+                     double bucket_width, std::size_t n_buckets)
+    : Histogram(std::move(name), std::move(desc), bucket_width, n_buckets)
+{
+    group.add(*this);
 }
 
 void
@@ -120,44 +146,30 @@ Histogram::valueString() const
     return os.str();
 }
 
-void
-Histogram::reset()
+Value::Value(StatGroup &group, std::string name, std::string desc,
+             std::function<std::uint64_t()> read)
+    : StatBase(group, std::move(name), std::move(desc)),
+      read(std::move(read))
 {
-    std::fill(bins.begin(), bins.end(), 0);
-    n = 0;
-    sum = 0.0;
+}
+
+std::string
+Value::valueString() const
+{
+    return std::to_string(read());
+}
+
+StatGroup::StatGroup(std::string name, StatRegistry *reg)
+    : _name(std::move(name)), reg(reg)
+{
+    if (reg)
+        reg->all.push_back(this);
 }
 
 StatGroup::~StatGroup()
 {
-    for (StatBase *s : all)
-        delete s;
-}
-
-Counter &
-StatGroup::counter(const std::string &name, const std::string &desc)
-{
-    auto *c = new Counter(name, desc);
-    all.push_back(c);
-    return *c;
-}
-
-Mean &
-StatGroup::mean(const std::string &name, const std::string &desc)
-{
-    auto *m = new Mean(name, desc);
-    m->reset();
-    all.push_back(m);
-    return *m;
-}
-
-Histogram &
-StatGroup::histogram(const std::string &name, const std::string &desc,
-                     double bucket_width, std::size_t n_buckets)
-{
-    auto *h = new Histogram(name, desc, bucket_width, n_buckets);
-    all.push_back(h);
-    return *h;
+    if (reg)
+        reg->all.erase(std::find(reg->all.begin(), reg->all.end(), this));
 }
 
 StatBase *
@@ -171,19 +183,29 @@ StatGroup::find(const std::string &name) const
 }
 
 void
-StatGroup::resetAll()
-{
-    for (StatBase *s : all)
-        s->reset();
-}
-
-void
 StatGroup::dump(std::ostream &os) const
 {
     for (const StatBase *s : all) {
         os << _name << '.' << s->name() << " = " << s->valueString()
            << "  # " << s->desc() << '\n';
     }
+}
+
+StatRegistry::~StatRegistry()
+{
+    // Components that outlive their machine's queue leave no dangling
+    // list behind them.
+    for (StatGroup *g : all)
+        g->reg = nullptr;
+}
+
+void
+StatRegistry::serialize(Serializer &s)
+{
+    std::uint64_t n = all.size();
+    s.check(n, "stat group count");
+    for (StatGroup *g : all)
+        g->serialize(s);
 }
 
 } // namespace hwdp::sim

@@ -39,9 +39,6 @@ SsdDevice::serialize(sim::Serializer &s)
         s.io(qs.inflight);
     }
     s.io(channelFreeAt);
-    s.io(nReads);
-    s.io(nWrites);
-    s.io(nErrors);
     if (s.loading()) {
         nInflight = 0;
         fetchScheduled = false;
@@ -55,19 +52,18 @@ SsdDevice::serialize(sim::Serializer &s)
             drainEv = nullptr;
         }
     }
-    stats().serialize(s);
 }
 
 SsdDevice::SsdDevice(std::string name, sim::EventQueue &eq,
                      const SsdProfile &profile, sim::Rng rng)
     : sim::SimObject(std::move(name), eq), prof(profile), rng(rng),
       channelFreeAt(profile.channels, 0),
-      statReads(stats().counter("reads", "4KB read commands completed")),
-      statWrites(stats().counter("writes", "write commands completed")),
-      statErrors(stats().counter("error_completions",
-                                 "commands completed with error status")),
-      statDeviceTime(stats().histogram(
-          "device_time_us", "doorbell-to-CQE-write time (us)", 0.5, 400))
+      statReads(stats(), "reads", "4KB read commands completed"),
+      statWrites(stats(), "writes", "write commands completed"),
+      statErrors(stats(), "error_completions",
+                 "commands completed with error status"),
+      statDeviceTime(stats(), "device_time_us",
+                     "doorbell-to-CQE-write time (us)", 0.5, 400)
 {
     if (prof.channels == 0)
         fatal("ssd '", this->name(), "': profile needs >= 1 channel");
@@ -352,16 +348,12 @@ SsdDevice::complete(std::size_t qidx, const nvme::SubmissionEntry &sqe,
     if (!qs.qp->pushCqe(cqe))
         panic("ssd '", name(), "': CQ overflow on qid ", qs.qp->qid());
 
-    if (status != 0) {
-        ++nErrors;
+    if (status != 0)
         ++statErrors;
-    } else if (sqe.opcode == nvme::Opcode::read) {
-        ++nReads;
+    else if (sqe.opcode == nvme::Opcode::read)
         ++statReads;
-    } else if (sqe.opcode == nvme::Opcode::write) {
-        ++nWrites;
+    else if (sqe.opcode == nvme::Opcode::write)
         ++statWrites;
-    }
     statDeviceTime.sample(toMicroseconds(now() - issued));
 
     if (!qs.listener)

@@ -120,9 +120,9 @@ class SsdDevice : public sim::SimObject
     /** In-device commands fetched from queue @p qid specifically. */
     std::uint64_t queueInflight(std::uint16_t qid) const;
 
-    std::uint64_t readsCompleted() const { return nReads; }
-    std::uint64_t writesCompleted() const { return nWrites; }
-    std::uint64_t errorsCompleted() const { return nErrors; }
+    std::uint64_t readsCompleted() const { return statReads.value(); }
+    std::uint64_t writesCompleted() const { return statWrites.value(); }
+    std::uint64_t errorsCompleted() const { return statErrors.value(); }
 
     /** Attach (or clear, with nullptr) the fault injector. */
     void setFaultInjector(IoFaultInjector *inj) { injector = inj; }
@@ -141,8 +141,8 @@ class SsdDevice : public sim::SimObject
     std::uint64_t pooledNodesCreated() const { return cmdPool.size(); }
 
     /**
-     * Checkpoint the device: RNG, channel busy horizon, queue rings
-     * and counters. The device must be idle (no in-flight commands,
+     * Checkpoint the device: RNG, channel busy horizon and queue
+     * rings. The device must be idle (no in-flight commands,
      * no pending doorbells or pooled completions, no scheduled fetch).
      */
     void serialize(sim::Serializer &s);
@@ -162,9 +162,6 @@ class SsdDevice : public sim::SimObject
     std::vector<QueueState> queues;
     std::vector<Tick> channelFreeAt;
     std::uint64_t nInflight = 0;
-    std::uint64_t nReads = 0;
-    std::uint64_t nWrites = 0;
-    std::uint64_t nErrors = 0;
     bool fetchScheduled = false;
     IoFaultInjector *injector = nullptr;
 
@@ -191,10 +188,10 @@ class SsdDevice : public sim::SimObject
     std::uint64_t nInlineFetches = 0;
     std::uint64_t pendingHighWater = 0;
 
-    sim::Counter &statReads;
-    sim::Counter &statWrites;
-    sim::Counter &statErrors;
-    sim::Histogram &statDeviceTime;
+    sim::Counter statReads;
+    sim::Counter statWrites;
+    sim::Counter statErrors;
+    sim::Histogram statDeviceTime;
 
     /**
      * Fetch pending commands from all doorbelled queues at logical

@@ -59,15 +59,18 @@ class Checkpoint
     /** 'HDPC' little-endian. */
     static constexpr std::uint32_t magicWord = 0x43504448;
     /**
-     * v3: CXL-tier state (per-socket buffer contents, clock cursors,
-     * ktierd counters) can appear in the body, and the config hash
-     * covers tierMode via the describe() fold. v1/v2 blobs are
+     * v4: counters left the component sections. Every registered
+     * stat rides in one trailing "stats" section, written by walking
+     * the machine's stat list; host-side values (TLB latch hits, SMU
+     * tier-hit split) are gone from the blob. v1-v3 blobs are
      * rejected up front.
      *
-     * v2 added translation-reach state (compound-page metadata,
-     * wide-PTE counters, kcoalesced) with the page mode in the hash.
+     * v3 added CXL-tier state (per-socket buffer contents, clock
+     * cursors) with tierMode in the config hash via describe(); v2
+     * added translation-reach state (compound-page metadata,
+     * kcoalesced) with the page mode in the hash.
      */
-    static constexpr std::uint32_t formatVersion = 3;
+    static constexpr std::uint32_t formatVersion = 4;
 
     /**
      * Quiesce @p sys and serialize it into a blob. The caller resumes

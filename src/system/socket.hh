@@ -14,18 +14,21 @@
  * the topology view the NUMA paths (placement, remote-fill routing,
  * shootdown fan-out, invariant audits) navigate. The only state that
  * lives *in* the Socket is the shootdown epoch and fan-out counts,
- * serialized by System only for multi-socket machines so single-socket
- * checkpoint blobs stay byte-identical to pre-NUMA ones.
+ * the counters of its stat group. The group joins the machine's list
+ * only on multi-socket machines, so a single-socket machine dumps and
+ * checkpoints no socket counters.
  */
 
 #ifndef HWDP_SYSTEM_SOCKET_HH
 #define HWDP_SYSTEM_SOCKET_HH
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/smu.hh"
 #include "core/software_smu.hh"
+#include "sim/stats.hh"
 
 namespace hwdp::tier {
 class CxlBuffer;
@@ -35,6 +38,20 @@ namespace hwdp::system {
 
 struct Socket
 {
+    /** @p reg: the machine's stat list (nullptr on one socket). */
+    Socket(unsigned sid, sim::StatRegistry *reg)
+        : id(sid), stats("socket" + std::to_string(sid), reg),
+          shootdownEpoch(stats, "shootdown_epoch",
+                         "TLB/PWC shootdown broadcasts observed"),
+          remoteShootdownsIn(stats, "remote_shootdowns_in",
+                             "broadcasts that reached a non-empty PWC"),
+          shootdownsDropped(stats, "shootdowns_dropped",
+                            "remote PWC invalidations dropped (injected)"),
+          shootdownsDelayed(stats, "shootdowns_delayed",
+                            "remote PWC invalidations deferred (injected)")
+    {
+    }
+
     unsigned id = 0;
 
     /** Local cores are the contiguous range [firstCore, firstCore+nCores). */
@@ -54,19 +71,21 @@ struct Socket
     /** This socket's CXL buffer tier (tierMode=cxl only). */
     tier::CxlBuffer *tier = nullptr;
 
+    sim::StatGroup stats;
+
     /**
      * Bumped once per TLB/PWC shootdown broadcast. Every socket
      * observes every broadcast, so the epochs must agree across
      * sockets at all times — checkInvariants audits exactly that.
      */
-    std::uint64_t shootdownEpoch = 0;
+    sim::Counter shootdownEpoch;
 
     /** Shootdown broadcasts that reached this socket from another one. */
-    std::uint64_t remoteShootdownsIn = 0;
+    sim::Counter remoteShootdownsIn;
 
     /** Remote-PWC invalidations dropped/deferred by fault injection. */
-    std::uint64_t shootdownsDropped = 0;
-    std::uint64_t shootdownsDelayed = 0;
+    sim::Counter shootdownsDropped;
+    sim::Counter shootdownsDelayed;
 
     bool
     containsCore(unsigned core_id) const

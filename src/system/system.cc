@@ -154,11 +154,13 @@ System::System(const MachineConfig &cfg_in) : cfg(cfg_in), rng(cfg.seed)
             }
         } else {
             for (unsigned s = 0; s < cfg.sockets; ++s) {
+                std::string sw = s == 0 ? "swsmu"
+                                        : "swsmu" + std::to_string(s);
                 swFpqs.push_back(std::make_unique<core::FreePageQueue>(
-                    cfg.smu.freeQueueCapacity, cfg.smu.prefetchDepth));
+                    cfg.smu.freeQueueCapacity, cfg.smu.prefetchDepth,
+                    &eq.statRegistry(), sw + ".fpq"));
                 swSmus.push_back(std::make_unique<core::SoftwareSmu>(
-                    s == 0 ? "swsmu" : "swsmu" + std::to_string(s), eq,
-                    *kern, *swFpqs.back()));
+                    sw, eq, *kern, *swFpqs.back()));
                 for (unsigned d = 0; d < cfg.nDevices; ++d)
                     swSmus.back()->configureDevice(
                         d, ssds[s * cfg.nDevices + d].get());
@@ -231,8 +233,8 @@ System::System(const MachineConfig &cfg_in) : cfg(cfg_in), rng(cfg.seed)
     // Topology view, built for every machine and mode (size 1 on a
     // single socket) so audits and benches have one way to navigate.
     for (unsigned s = 0; s < cfg.sockets; ++s) {
-        Socket sk;
-        sk.id = s;
+        Socket &sk = socketTopo.emplace_back(
+            s, cfg.sockets > 1 ? &eq.statRegistry() : nullptr);
         sk.firstCore = s * cfg.coresPerSocket();
         sk.nCores = cfg.coresPerSocket();
         sk.smu = smuAt(s);
@@ -241,7 +243,6 @@ System::System(const MachineConfig &cfg_in) : cfg(cfg_in), rng(cfg.seed)
         sk.tier = tierAt(s);
         for (unsigned d = 0; d < cfg.nDevices; ++d)
             sk.devices.push_back(ssds[s * cfg.nDevices + d].get());
-        socketTopo.push_back(std::move(sk));
     }
 }
 
@@ -373,7 +374,7 @@ System::rangeShootdown(os::AddressSpace &as, VAddr va,
     if (delayable && wideShootdownHook) {
         Tick delay = wideShootdownHook();
         if (delay > 0) {
-            ++nWideShootdownsDelayed;
+            ++statWideShootdownsDelayed;
             os::AddressSpace *asp = &as;
             eq.postIn(
                 delay, [apply, asp, va, pages] { apply(asp, va, pages); },
@@ -607,20 +608,13 @@ System::serialize(sim::Serializer &s)
             t->serialize(s);
         ktierdThread->serialize(s);
     }
-    // Guarded so pageMode=off blobs keep the 4 KB-only byte layout.
-    if (cfg.pageMode != PageMode::off)
-        s.io(nWideShootdownsDelayed);
-    if (cfg.sockets > 1) {
-        for (auto &sk : socketTopo) {
-            s.io(sk.shootdownEpoch);
-            s.io(sk.remoteShootdownsIn);
-            s.io(sk.shootdownsDropped);
-            s.io(sk.shootdownsDelayed);
-        }
-    }
     for (auto &tc : tcs)
         tc->serialize(s);
     s.io(threadsDone);
+    // Every registered stat, after the state it counts: a derived
+    // stat verifies on load against the state restored above.
+    s.section("stats");
+    eq.statRegistry().serialize(s);
     s.section("system.end");
 }
 

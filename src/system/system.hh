@@ -12,6 +12,7 @@
 #ifndef HWDP_SYSTEM_SYSTEM_HH
 #define HWDP_SYSTEM_SYSTEM_HH
 
+#include <deque>
 #include <memory>
 #include <vector>
 
@@ -67,7 +68,7 @@ class System
     // ---- Socket topology -------------------------------------------------
     unsigned numSockets() const { return cfg.sockets; }
     Socket &socketAt(unsigned s) { return socketTopo.at(s); }
-    const std::vector<Socket> &socketTopology() const
+    const std::deque<Socket> &socketTopology() const
     {
         return socketTopo;
     }
@@ -122,7 +123,7 @@ class System
     /** Delayable wide shootdowns the hook actually deferred. */
     std::uint64_t wideShootdownsDelayed() const
     {
-        return nWideShootdownsDelayed;
+        return statWideShootdownsDelayed.value();
     }
 
     /** TLB hits served by wide (NAPOT / 2 MB) entries, all cores. */
@@ -224,7 +225,8 @@ class System
     void resumeKthreads();
 
     /**
-     * Checkpoint every component in a fixed order. Save side requires
+     * Checkpoint every component in a fixed order, then every
+     * registered stat in one section. Save side requires
      * quiesce(); load side requires a machine built by the *same boot
      * recipe* (same config, files, mappings, threads) that was never
      * started — boot structure is verified, logical state overwritten.
@@ -263,6 +265,17 @@ class System
     sim::EventQueue eq;
     sim::Rng rng;
 
+    /**
+     * System's own counters, on the machine's list (first) only when
+     * a page mode is on: wide shootdowns exist only then.
+     */
+    sim::StatGroup grp{"system", cfg.pageMode != PageMode::off
+                                     ? &eq.statRegistry()
+                                     : nullptr};
+    sim::Counter statWideShootdownsDelayed{
+        grp, "wide_shootdowns_delayed",
+        "delayable wide shootdowns the hook deferred"};
+
     std::unique_ptr<mem::PhysMem> pm;
     std::unique_ptr<mem::CacheHierarchy> hierarchy;
     std::vector<mem::BranchPredictor> bps;
@@ -277,11 +290,13 @@ class System
     std::vector<std::unique_ptr<core::SoftwareSmu>> swSmus;
     std::unique_ptr<core::HwdpOsSupport> support;
 
-    /** Topology view; built for every machine (size 1 at one socket). */
-    std::vector<Socket> socketTopo;
+    /**
+     * Topology view; built for every machine (size 1 at one socket).
+     * A deque: sockets own stat groups, so they never move.
+     */
+    std::deque<Socket> socketTopo;
     ShootdownFaultHook shootdownFaultHook;
     WideShootdownHook wideShootdownHook;
-    std::uint64_t nWideShootdownsDelayed = 0;
     std::unique_ptr<core::Kpted> kptedThread;
     std::unique_ptr<core::Kpoold> kpooldThread;
     std::unique_ptr<core::Kcoalesced> kcoalescedThread;

@@ -73,17 +73,19 @@ faultSiteName(FaultSite s)
 
 FaultPlan::FaultPlan(std::string name, sim::EventQueue &eq,
                      std::uint64_t seed)
-    : sim::SimObject(std::move(name), eq)
+    : sim::SimObject(std::move(name), eq, false)
 {
     // Each site forks its own stream off the seed in a fixed order, so
     // site i's decision sequence is a pure function of (seed, i).
     sim::Rng base(seed);
     for (unsigned i = 0; i < numFaultSites; ++i) {
         states[i].rng = base.fork();
-        states[i].injected = &stats().counter(
+        injectedCounts.emplace_back(
+            stats(),
             std::string(faultSiteName(static_cast<FaultSite>(i))) +
                 "_injections",
             "faults injected at this site");
+        states[i].injected = &injectedCounts.back();
     }
 }
 

@@ -15,6 +15,11 @@
  * The plan implements ssd::IoFaultInjector and installs plain
  * std::function hooks on FreePageQueue/Pmshr, so the component models
  * carry no dependency on this library.
+ *
+ * The plan is a test-side attachment, not part of the machine: its
+ * stat group stays off the machine's list, so neither the machine
+ * dump nor the machine checkpoint carries it. Its injection counters
+ * ride in its own blob with the cursors they count.
  */
 
 #ifndef HWDP_TESTING_FAULT_PLAN_HH
@@ -22,6 +27,7 @@
 
 #include <array>
 #include <cstdint>
+#include <deque>
 #include <vector>
 
 #include "core/free_page_queue.hh"
@@ -150,9 +156,9 @@ class FaultPlan : public sim::SimObject, public ssd::IoFaultInjector
     const std::vector<LogEntry> &log() const { return injectionLog; }
 
     /**
-     * Checkpoint the per-site RNG streams, query cursors and the
-     * injection log, so a forked run injects at exactly the same
-     * future queries a straight run would.
+     * Checkpoint the per-site RNG streams, query cursors, injection
+     * counters and the injection log, so a forked run injects at
+     * exactly the same future queries a straight run would.
      */
     void serialize(sim::Serializer &s);
 
@@ -172,6 +178,7 @@ class FaultPlan : public sim::SimObject, public ssd::IoFaultInjector
     bool decide(FaultSite s);
 
     std::array<SiteState, numFaultSites> states;
+    std::deque<sim::Counter> injectedCounts; ///< SiteState::injected.
     std::vector<LogEntry> injectionLog;
 };
 

@@ -258,7 +258,7 @@ checkInvariants(system::System &sys)
                                 break;
                             }
                             if (vma->file &&
-                                kern.pageCache().lookup(
+                                kern.pageCache().peek(
                                     *vma->file, vma->fileIndexOf(va)) !=
                                     head + i) {
                                 v.push_back(
@@ -318,14 +318,15 @@ checkInvariants(system::System &sys)
     if (sys.numSockets() > 1) {
         const system::Socket &s0 = sys.socketAt(0);
         for (const system::Socket &sk : sys.socketTopology()) {
-            if (sk.shootdownEpoch != s0.shootdownEpoch)
+            std::uint64_t epoch = sk.shootdownEpoch.value();
+            if (epoch != s0.shootdownEpoch.value())
                 v.push_back("socket " + std::to_string(sk.id) +
-                            ": shootdown epoch " +
-                            std::to_string(sk.shootdownEpoch) +
+                            ": shootdown epoch " + std::to_string(epoch) +
                             " != socket 0's " +
-                            std::to_string(s0.shootdownEpoch));
-            if (sk.shootdownsDropped + sk.shootdownsDelayed >
-                sk.remoteShootdownsIn)
+                            std::to_string(s0.shootdownEpoch.value()));
+            if (sk.shootdownsDropped.value() +
+                    sk.shootdownsDelayed.value() >
+                sk.remoteShootdownsIn.value())
                 v.push_back("socket " + std::to_string(sk.id) +
                             ": dropped+delayed shootdowns exceed "
                             "remote broadcasts received");

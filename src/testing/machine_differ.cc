@@ -134,101 +134,9 @@ diff(const MachineState &a, const MachineState &b, const DiffOptions &opt)
 void
 dumpMachineStats(system::System &sys, std::ostream &os)
 {
-    os::Kernel &kern = sys.kernel();
-    kern.stats().dump(os);
-    kern.scheduler().stats().dump(os);
-    kern.blockLayer().stats().dump(os);
-    for (unsigned d = 0; d < sys.numSsds(); ++d)
-        sys.ssdAt(d).stats().dump(os);
-    for (unsigned s = 0; s < sys.numSockets(); ++s) {
-        if (core::Smu *smu = sys.smuAt(s)) {
-            smu->stats().dump(os);
-            smu->hostController().stats().dump(os);
-        }
-        if (core::SoftwareSmu *sw = sys.softwareSmuAt(s))
-            sw->stats().dump(os);
-    }
-    for (unsigned c = 0; c < sys.config().nLogical; ++c)
-        sys.core(c).mmu().stats().dump(os);
-
-    // NUMA-only counters: emitted only on multi-socket machines so the
-    // single-socket dump stays byte-identical to the pre-NUMA one (the
-    // differential gate depends on that).
-    if (sys.numSockets() > 1) {
-        for (const system::Socket &sk : sys.socketTopology()) {
-            os << "socket" << sk.id
-               << ".shootdownEpoch " << sk.shootdownEpoch << "\n"
-               << "socket" << sk.id << ".remoteShootdownsIn "
-               << sk.remoteShootdownsIn << "\n"
-               << "socket" << sk.id << ".shootdownsDropped "
-               << sk.shootdownsDropped << "\n"
-               << "socket" << sk.id << ".shootdownsDelayed "
-               << sk.shootdownsDelayed << "\n";
-            if (sk.smu)
-                os << "socket" << sk.id << ".smu.remoteRequests "
-                   << sk.smu->remoteRequests() << "\n";
-        }
-        std::uint64_t remote_dram = 0, remote_walk = 0;
-        for (unsigned c = 0; c < sys.config().nLogical; ++c) {
-            remote_dram += sys.core(c).mmu().remoteDramAccesses();
-            remote_walk +=
-                sys.core(c).mmu().walker().remoteWalkSteps();
-        }
-        os << "numa.remoteDramAccesses " << remote_dram << "\n"
-           << "numa.remoteWalkSteps " << remote_walk << "\n";
-        if (core::Kpted *kt = sys.kpted())
-            os << "numa.shootdownIpisSent " << kt->shootdownIpisSent()
-               << "\n";
-    }
-
-    // Translation-reach counters: emitted only when a page mode is on,
-    // so the pageMode=off dump stays byte-identical to the seed (the
-    // identity gate depends on that).
-    if (sys.config().pageMode != PageMode::off) {
-        const os::Kernel &k = sys.kernel();
-        os << "pagemode.thpFaults " << k.thpFaults() << "\n"
-           << "pagemode.napotPromotions " << k.napotPromotions() << "\n"
-           << "pagemode.napotBreaks " << k.napotBreaks() << "\n"
-           << "pagemode.hugePromotions " << k.hugePromotions() << "\n"
-           << "pagemode.hugeSplits " << k.hugeSplits() << "\n"
-           << "pagemode.hugeReclaims " << k.hugeReclaims() << "\n"
-           << "pagemode.tlbWideHits " << sys.totalTlbWideHits() << "\n"
-           << "pagemode.wideShootdownsDelayed "
-           << sys.wideShootdownsDelayed() << "\n";
-        if (core::Kcoalesced *kc = sys.kcoalesced())
-            os << "pagemode.kcoalesced.windowsScanned "
-               << kc->windowsScanned() << "\n"
-               << "pagemode.kcoalesced.windowsPromoted "
-               << kc->windowsPromoted() << "\n"
-               << "pagemode.kcoalesced.promotionsAborted "
-               << kc->promotionsAborted() << "\n";
-    }
-
-    // CXL-tier counters: emitted only at tierMode=cxl, so the off-mode
-    // dump stays byte-identical to the pre-tier one (the identity gate
-    // depends on that).
-    if (sys.config().tierMode != system::TierMode::off) {
-        for (unsigned s = 0; s < sys.numSockets(); ++s) {
-            tier::CxlBuffer *t = sys.tierAt(s);
-            t->stats().dump(os);
-            os << "tier" << s << ".occupancy " << t->occupancy() << "\n"
-               << "tier" << s << ".occupancyHighWater "
-               << t->occupancyHighWater() << "\n";
-            if (core::Smu *smu = sys.smuAt(s))
-                os << "tier" << s << ".smu.inlineHits "
-                   << smu->inlineTierHits() << "\n"
-                   << "tier" << s << ".smu.eventHits "
-                   << smu->eventTierHits() << "\n";
-            if (core::SoftwareSmu *sw = sys.softwareSmuAt(s))
-                os << "tier" << s << ".swsmu.hits " << sw->tierHits()
-                   << "\n";
-        }
-        if (tier::Ktierd *kt = sys.ktierd())
-            os << "tier.ktierd.framesScanned " << kt->framesScanned()
-               << "\n"
-               << "tier.ktierd.writebacksSubmitted "
-               << kt->writebacksSubmitted() << "\n";
-    }
+    for (const sim::StatGroup *g :
+         sys.eventQueue().statRegistry().groups())
+        g->dump(os);
 }
 
 } // namespace hwdp::testing

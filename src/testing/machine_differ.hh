@@ -80,9 +80,10 @@ DiffResult diff(const MachineState &a, const MachineState &b,
                 const DiffOptions &opt = {});
 
 /**
- * Dump every component StatGroup of @p sys in a fixed order. Given
- * one seed and one fault plan, two runs of the same configuration
- * must produce byte-identical output (the reproducibility gate).
+ * Dump every stat group on @p sys's list, in the order the machine
+ * built them. Given one seed and one fault plan, two runs of the same
+ * configuration must produce byte-identical output (the
+ * reproducibility gate).
  */
 void dumpMachineStats(system::System &sys, std::ostream &os);
 

@@ -12,20 +12,22 @@ namespace hwdp::tier {
 CxlBuffer::CxlBuffer(std::string name, sim::EventQueue &eq,
                      const Params &p)
     : sim::SimObject(std::move(name), eq), prm(p),
-      statHits(stats().counter("hits", "misses served from the buffer")),
-      statMisses(stats().counter("misses",
-                                 "probes that fell through to the SSD")),
-      statAdmits(stats().counter("admits", "frames installed")),
-      statRejects(stats().counter("admit_rejects",
-                                  "admissions refused (buffer full)")),
-      statEvictClean(stats().counter("evicts_clean",
-                                     "clean frames dropped by ktierd")),
-      statEvictDirty(stats().counter(
-          "evicts_dirty", "dirty frames written back by ktierd")),
-      statAbsorbed(stats().counter("writes_absorbed",
-                                   "background writes retired in-buffer")),
-      statLoadErrors(stats().counter("load_errors",
-                                     "injected CXL load failures"))
+      statHits(stats(), "hits", "misses served from the buffer"),
+      statMisses(stats(), "misses", "probes that fell through to the SSD"),
+      statAdmits(stats(), "admits", "frames installed"),
+      statRejects(stats(), "admit_rejects",
+                  "admissions refused (buffer full)"),
+      statEvictClean(stats(), "evicts_clean",
+                     "clean frames dropped by ktierd"),
+      statEvictDirty(stats(), "evicts_dirty",
+                     "dirty frames written back by ktierd"),
+      statAbsorbed(stats(), "writes_absorbed",
+                   "background writes retired in-buffer"),
+      statLoadErrors(stats(), "load_errors", "injected CXL load failures"),
+      statOccupancy(stats(), "occupancy", "frames resident",
+                    [this] { return occupancy(); }),
+      statHighWater(stats(), "occupancy_high_water",
+                    "most frames ever resident at once")
 {
     if (prm.frames == 0)
         fatal(this->name(), ": zero-capacity tier");
@@ -75,7 +77,8 @@ CxlBuffer::admit(unsigned dev, Lba lba, bool dirty)
         return false;
     }
     entries.emplace(key(dev, lba), Entry{dirty, true, false});
-    highWater = std::max<std::uint64_t>(highWater, entries.size());
+    if (entries.size() > statHighWater.value())
+        statHighWater.set(entries.size());
     ++statAdmits;
     if (aboveHigh() && pressureHook)
         pressureHook();
@@ -213,8 +216,6 @@ CxlBuffer::serialize(sim::Serializer &s)
         }
     }
     s.io(clockCursor);
-    s.io(highWater);
-    stats().serialize(s);
 }
 
 } // namespace hwdp::tier

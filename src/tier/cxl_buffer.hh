@@ -101,7 +101,10 @@ class CxlBuffer : public sim::SimObject
 
     std::uint64_t capacity() const { return prm.frames; }
     std::uint64_t occupancy() const { return entries.size(); }
-    std::uint64_t occupancyHighWater() const { return highWater; }
+    std::uint64_t occupancyHighWater() const
+    {
+        return statHighWater.value();
+    }
     bool aboveHigh() const
     {
         return static_cast<double>(occupancy()) >
@@ -178,7 +181,7 @@ class CxlBuffer : public sim::SimObject
     std::uint64_t writesAbsorbed() const { return statAbsorbed.value(); }
     std::uint64_t loadErrors() const { return statLoadErrors.value(); }
 
-    /** Checkpoint the frame map, clock cursor and counters. */
+    /** Checkpoint the frame map and clock cursor. */
     void serialize(sim::Serializer &s);
 
   private:
@@ -193,20 +196,21 @@ class CxlBuffer : public sim::SimObject
     /** Ordered so clock scans and checkpoints are deterministic. */
     std::map<std::uint64_t, Entry> entries;
     std::uint64_t clockCursor = 0;
-    std::uint64_t highWater = 0;
 
     std::function<void()> pressureHook;
     std::function<bool()> loadErrorHook;
     std::function<bool()> fullWindowHook;
 
-    sim::Counter &statHits;
-    sim::Counter &statMisses;
-    sim::Counter &statAdmits;
-    sim::Counter &statRejects;
-    sim::Counter &statEvictClean;
-    sim::Counter &statEvictDirty;
-    sim::Counter &statAbsorbed;
-    sim::Counter &statLoadErrors;
+    sim::Counter statHits;
+    sim::Counter statMisses;
+    sim::Counter statAdmits;
+    sim::Counter statRejects;
+    sim::Counter statEvictClean;
+    sim::Counter statEvictDirty;
+    sim::Counter statAbsorbed;
+    sim::Counter statLoadErrors;
+    sim::Value statOccupancy;
+    sim::Counter statHighWater;
 
     static std::uint64_t key(unsigned dev, Lba lba)
     {

@@ -11,7 +11,10 @@ Ktierd::Ktierd(os::Kernel &kernel, std::vector<CxlBuffer *> tiers,
                unsigned core)
     : os::KThread("ktierd", core, kernel.scheduler(),
                   kernel.eventQueue(), wakePeriod),
-      kernel(kernel), tiers(std::move(tiers))
+      kernel(kernel), tiers(std::move(tiers)),
+      statScanned(stats(), "frames_scanned", "tier frames examined"),
+      statWritebacks(stats(), "writebacks_submitted",
+                     "dirty tier frames written back")
 {
 }
 
@@ -31,7 +34,7 @@ Ktierd::evictFrom(CxlBuffer &t, std::uint64_t budget,
         }
         t.beginWriteback(v.dev, v.lba);
         ++writebacks;
-        ++nWritebacks;
+        ++statWritebacks;
         auto submit = [this, &t, dev = v.dev, lba = v.lba] {
             kernel.blockLayer().submit(
                 core(), dev, lba, true,
@@ -62,7 +65,7 @@ Ktierd::batch(std::function<void()> done)
         examined += e;
         budget -= std::min(budget, e);
     }
-    nScanned += examined;
+    statScanned += examined;
     unsigned phys = sched.physCoreOf(core());
     Tick dur = sched.kernelExec().runBatch(
         phys, os::phases::reclaimScanPage, examined);
@@ -77,8 +80,6 @@ Ktierd::serialize(sim::Serializer &s)
     s.section("ktierd");
     KThread::serialize(s);
     s.check(maxBatch, "ktierd batch size");
-    s.io(nScanned);
-    s.io(nWritebacks);
 }
 
 } // namespace hwdp::tier

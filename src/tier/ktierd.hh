@@ -50,18 +50,21 @@ class Ktierd : public os::KThread
         stallHook = std::move(fn);
     }
 
-    std::uint64_t framesScanned() const { return nScanned; }
-    std::uint64_t writebacksSubmitted() const { return nWritebacks; }
+    std::uint64_t framesScanned() const { return statScanned.value(); }
+    std::uint64_t writebacksSubmitted() const
+    {
+        return statWritebacks.value();
+    }
 
-    /** Checkpoint the kthread state and scan counters. */
+    /** Checkpoint the kthread state. */
     void serialize(sim::Serializer &s);
 
   private:
     os::Kernel &kernel;
     std::vector<CxlBuffer *> tiers;
     std::function<Tick()> stallHook;
-    std::uint64_t nScanned = 0;
-    std::uint64_t nWritebacks = 0;
+    sim::Counter statScanned;
+    sim::Counter statWritebacks;
 
     /** Evict from @p t within @p budget; returns frames examined. */
     std::uint64_t evictFrom(CxlBuffer &t, std::uint64_t budget,

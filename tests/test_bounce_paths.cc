@@ -286,13 +286,13 @@ TEST(BouncePaths, DroppedSyncShootdownsAreAbsorbed)
     plan.arm(ht::FaultSite::shootdownDrop);
 
     ASSERT_TRUE(sys->runUntilThreadsDone(seconds(30.0)));
-    EXPECT_GT(sys->socketAt(1).shootdownsDropped, 0u);
+    EXPECT_GT(sys->socketAt(1).shootdownsDropped.value(), 0u);
     EXPECT_EQ(sys->totalAppOps(), 2400u);
     auto inv = ht::checkInvariants(*sys);
     EXPECT_TRUE(inv.empty()) << inv.front();
     // Epochs still agree: drops change PWC contents, not the epoch.
-    EXPECT_EQ(sys->socketAt(0).shootdownEpoch,
-              sys->socketAt(1).shootdownEpoch);
+    EXPECT_EQ(sys->socketAt(0).shootdownEpoch.value(),
+              sys->socketAt(1).shootdownEpoch.value());
 }
 
 TEST(BouncePaths, DelayedSyncShootdownsEventuallyInvalidate)
@@ -304,7 +304,7 @@ TEST(BouncePaths, DelayedSyncShootdownsEventuallyInvalidate)
     plan.arm(ht::FaultSite::shootdownDelay);
 
     ASSERT_TRUE(sys->runUntilThreadsDone(seconds(30.0)));
-    EXPECT_GT(sys->socketAt(1).shootdownsDelayed, 0u);
+    EXPECT_GT(sys->socketAt(1).shootdownsDelayed.value(), 0u);
     EXPECT_EQ(sys->totalAppOps(), 2400u);
     auto inv = ht::checkInvariants(*sys);
     EXPECT_TRUE(inv.empty()) << inv.front();

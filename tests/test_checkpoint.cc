@@ -498,6 +498,104 @@ TEST(Checkpoint, DescribeCarriesProvenance)
         << d;
 }
 
+TEST(Checkpoint, RejectsVersionThreeBlob)
+{
+    // v3 carried counters inside each component's section; v4 moved
+    // them into one stats section, so a v3 blob is refused by version.
+    ASSERT_EQ(system::Checkpoint::formatVersion, 4u);
+    Scenario sc{system::PagingMode::hwdp, 'I', 0.0};
+    Machine a = boot(sc);
+    ASSERT_TRUE(a.sys->runUntilThreadsDone(seconds(30.0)));
+    auto blob = system::Checkpoint::save(*a.sys);
+    blob[4] = 3; // version word follows the 4-byte magic
+    blob[5] = blob[6] = blob[7] = 0;
+
+    Machine b = boot(sc);
+    try {
+        system::Checkpoint::restore(*b.sys, blob);
+        FAIL() << "v3 blob accepted";
+    } catch (const sim::SerializeError &e) {
+        EXPECT_NE(std::string(e.what()).find("version"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+// ---- Every registered stat rides in the blob ----------------------------
+
+namespace {
+
+/**
+ * A machine with every feature whose counters register only when it
+ * is on: two sockets, transparent coalescing, the CXL tier and a 1 %
+ * fault plan, under enough memory pressure to reclaim.
+ */
+Machine
+bootEveryFeature()
+{
+    system::MachineConfig cfg;
+    cfg.mode = system::PagingMode::hwdp;
+    cfg.nLogical = 4;
+    cfg.nPhysical = 2;
+    cfg.sockets = 2;
+    cfg.memFrames = 6 * 1024;
+    cfg.smu.freeQueueCapacity = 512;
+    cfg.kpooldPeriod = milliseconds(1.0);
+    cfg.kptedPeriod = milliseconds(4.0);
+    cfg.pageMode = PageMode::coalesce;
+    cfg.tierMode = system::TierMode::cxl;
+    cfg.tierFrames = 2 * 1024;
+
+    Machine m;
+    m.sys = std::make_unique<system::System>(cfg);
+    m.plan = std::make_unique<ht::FaultPlan>("plan",
+                                             m.sys->eventQueue(), 97);
+    for (unsigned s = 0; s < cfg.sockets; ++s) {
+        auto mf = m.sys->mapDataset("f" + std::to_string(s), 4 * 1024,
+                                    nullptr, s);
+        auto *w = m.sys->makeWorkload<workloads::FioWorkload>(
+            mf.vma, 2 * warmOps, 300, true, 0.3);
+        m.sys->addThread(*w, s * cfg.coresPerSocket(), *mf.as);
+    }
+    m.plan->attach(*m.sys);
+    m.plan->armAllAtRate(0.01);
+    return m;
+}
+
+std::string
+statsDump(system::System &sys)
+{
+    std::ostringstream os;
+    ht::dumpMachineStats(sys, os);
+    return os.str();
+}
+
+} // namespace
+
+TEST(Checkpoint, RestoreReproducesEveryRegisteredStat)
+{
+    // The round-trip tests compare dumps after a continued run. Here
+    // the twin's dump right after restore must already equal the
+    // saved machine's at save time: a stat the blob dropped shows up
+    // before any later counting can mask it.
+    Machine a = bootEveryFeature();
+    ASSERT_TRUE(a.sys->runUntilThreadsDone(seconds(30.0)));
+    std::vector<std::uint8_t> blob = system::Checkpoint::save(*a.sys);
+    std::string saved = statsDump(*a.sys);
+    EXPECT_GT(a.plan->totalInjections(), 0u);
+    for (const char *key :
+         {"socket1.shootdown_epoch", "mmu0.remote_dram_accesses",
+          "mmu0.walker.remote_walk_steps", "smu0.remote_requests",
+          "kpted.remote_shootdown_ipis", "kernel.huge_promotions",
+          "mmu0.tlb.wide_hits", "kcoalesced.windows_scanned",
+          "system.wide_shootdowns_delayed", "tier0.occupancy_high_water"})
+        EXPECT_NE(saved.find(key), std::string::npos) << key;
+
+    Machine b = bootEveryFeature();
+    system::Checkpoint::restore(*b.sys, blob);
+    EXPECT_EQ(statsDump(*b.sys), saved);
+}
+
 // ---- Leaf blob round-trips ---------------------------------------------
 
 TEST(CheckpointUnit, RngBlobRoundTrip)
@@ -569,8 +667,8 @@ TEST(CheckpointUnit, EventQueueRefusesPendingEvents)
 TEST(CheckpointUnit, StatGroupBlobRoundTrip)
 {
     sim::StatGroup a("grp");
-    auto &c = a.counter("hits", "hits counted");
-    auto &m = a.mean("lat", "latency");
+    sim::Counter c(a, "hits", "hits counted");
+    sim::Mean m(a, "lat", "latency");
     c += 41;
     m.sample(2.5);
     m.sample(7.5);
@@ -580,8 +678,8 @@ TEST(CheckpointUnit, StatGroupBlobRoundTrip)
     auto blob = s.takeBlob();
 
     sim::StatGroup b("grp");
-    auto &c2 = b.counter("hits", "hits counted");
-    b.mean("lat", "latency");
+    sim::Counter c2(b, "hits", "hits counted");
+    sim::Mean m2(b, "lat", "latency");
     sim::Serializer l = sim::Serializer::loader(blob);
     b.serialize(l);
     EXPECT_EQ(c2.value(), 41u);
@@ -593,8 +691,8 @@ TEST(CheckpointUnit, StatGroupBlobRoundTrip)
 
     // A group whose stat roster changed must reject the old blob.
     sim::StatGroup c3("grp");
-    c3.counter("misses", "renamed stat");
-    c3.mean("lat", "latency");
+    sim::Counter c4(c3, "misses", "renamed stat");
+    sim::Mean m3(c3, "lat", "latency");
     sim::Serializer l2 = sim::Serializer::loader(blob);
     EXPECT_THROW(c3.serialize(l2), sim::SerializeError);
 }

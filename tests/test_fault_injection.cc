@@ -175,9 +175,10 @@ TEST(FaultInjection, NumaSitesFireOnTwoSocketMachine)
 
     // The injected drops/delays landed on socket 1's counters.
     const system::Socket &sk1 = r.sys->socketAt(1);
-    EXPECT_GT(sk1.shootdownsDropped, 0u);
-    EXPECT_GT(sk1.shootdownsDelayed, 0u);
-    EXPECT_EQ(sk1.shootdownEpoch, r.sys->socketAt(0).shootdownEpoch);
+    EXPECT_GT(sk1.shootdownsDropped.value(), 0u);
+    EXPECT_GT(sk1.shootdownsDelayed.value(), 0u);
+    EXPECT_EQ(sk1.shootdownEpoch.value(),
+              r.sys->socketAt(0).shootdownEpoch.value());
 }
 
 TEST(FaultInjection, NumaFaultScheduleReplaysUnderSameSeed)

@@ -108,9 +108,9 @@ TEST(NumaServing, SingleSocketDumpCarriesNoNumaArtifacts)
         auto r = runWorkload(baseConfig(mode, 1), 'I');
         SCOPED_TRACE(pagingModeName(mode));
         ASSERT_FALSE(r.stats.empty());
-        EXPECT_EQ(r.stats.find("numa."), std::string::npos);
+        EXPECT_EQ(r.stats.find("remote_"), std::string::npos);
         EXPECT_EQ(r.stats.find("socket"), std::string::npos);
-        EXPECT_EQ(r.stats.find("shootdownEpoch"), std::string::npos);
+        EXPECT_EQ(r.stats.find("shootdown_epoch"), std::string::npos);
     }
 }
 
@@ -155,11 +155,11 @@ TEST(NumaServing, TwoSocketRunsAreDeterministic)
 TEST(NumaServing, TwoSocketDumpExposesTheNumaCounters)
 {
     auto r = runWorkload(baseConfig(system::PagingMode::hwdp, 2), 'I');
-    EXPECT_NE(r.stats.find("socket0.shootdownEpoch"),
+    EXPECT_NE(r.stats.find("socket0.shootdown_epoch"),
               std::string::npos);
-    EXPECT_NE(r.stats.find("socket1.remoteShootdownsIn"),
+    EXPECT_NE(r.stats.find("socket1.remote_shootdowns_in"),
               std::string::npos);
-    EXPECT_NE(r.stats.find("numa.remoteDramAccesses"),
+    EXPECT_NE(r.stats.find("mmu0.remote_dram_accesses"),
               std::string::npos);
 }
 

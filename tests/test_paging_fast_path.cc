@@ -440,11 +440,13 @@ TEST(PagingFastPath, SerializeRefusesLivePooledCommands)
     h.eq.run();
     sim::Serializer s2 = sim::Serializer::saver();
     h.dev.serialize(s2);
+    h.eq.statRegistry().serialize(s2);
     std::vector<std::uint8_t> blob = s2.takeBlob();
     DeviceHarness twin(flatProfile());
     twin.makeQueue(nvme::Priority::urgent, false);
     sim::Serializer l = sim::Serializer::loader(blob);
     twin.dev.serialize(l);
+    twin.eq.statRegistry().serialize(l);
     EXPECT_EQ(twin.dev.readsCompleted(), h.dev.readsCompleted());
 }
 
