@@ -447,17 +447,17 @@ TEST(Checkpoint, GoldenBlobHashes)
     // Checkpoint::formatVersion or says which bytes moved.
     using system::PagingMode;
     EXPECT_EQ(fnv1a(reclaimedBlob(PagingMode::osdp, 'I')),
-              0x1079cff3480eba84ULL);
+              0x0f39a455c5d6d265ULL);
     EXPECT_EQ(fnv1a(reclaimedBlob(PagingMode::hwdp, 'I')),
-              0x738711d8722b7477ULL);
+              0xad8cf9789d23558dULL);
     EXPECT_EQ(fnv1a(reclaimedBlob(PagingMode::swsmu, 'I')),
-              0x76f3272b5bb33882ULL);
+              0xaf89be52d2ca4d21ULL);
     EXPECT_EQ(fnv1a(reclaimedBlob(PagingMode::osdp, 'A')),
-              0xb4ba8aed1f9d3d2aULL);
+              0xbe53eb15f4339e0dULL);
     EXPECT_EQ(fnv1a(reclaimedBlob(PagingMode::hwdp, 'A')),
-              0xf322f38f08f7fd04ULL);
+              0xa86dba696de4359eULL);
     EXPECT_EQ(fnv1a(reclaimedBlob(PagingMode::swsmu, 'A')),
-              0x6f40a76ac742f363ULL);
+              0x3fc105ae0feafaf4ULL);
 }
 
 TEST(Checkpoint, FileRoundTripAndMissingFileFallback)

@@ -457,17 +457,17 @@ TEST(PagingFastPath, FastVsLegacyFioAllModes)
     using system::PagingMode;
     const MachinePin pins[] = {
         {"fio/osdp", PagingMode::osdp, 'I', 1, 0.0,
-         0x8b092bafc61d1e85ULL, 0x35f8bd00a4aaa8adULL},
+         0xb34e06b500ed4ecdULL, 0x35f8bd00a4aaa8adULL},
         {"fio/hwdp", PagingMode::hwdp, 'I', 1, 0.0,
-         0xdcee3df64470a56fULL, 0x35f8bd00a4aaa8adULL},
+         0x00375e33ee2e9e54ULL, 0x35f8bd00a4aaa8adULL},
         {"fio/swsmu", PagingMode::swsmu, 'I', 1, 0.0,
-         0x769429ac5813e305ULL, 0x35f8bd00a4aaa8adULL},
+         0x947472902687aab4ULL, 0x35f8bd00a4aaa8adULL},
         // One SMU/NVMe/SSD complex per socket: per-device drains and
         // doorbell coalescing with several devices live.
         {"fio/hwdp/sockets2", PagingMode::hwdp, 'I', 2, 0.0,
-         0x2ee38ecc8953c375ULL, 0xfc33fd2cdf7cbd69ULL},
+         0xf86c83bd34d5fda2ULL, 0xfc33fd2cdf7cbd69ULL},
         {"fio/hwdp/sockets4", PagingMode::hwdp, 'I', 4, 0.0,
-         0x5ec7212aaf25a07cULL, 0xea7a95ff84bdfc79ULL},
+         0x427b0e9b6b465880ULL, 0xea7a95ff84bdfc79ULL},
     };
     for (const MachinePin &p : pins) {
         MachineResult r = expectPinned(p);
@@ -485,11 +485,11 @@ TEST(PagingFastPath, FastVsLegacyYcsbAllModes)
     using system::PagingMode;
     const MachinePin pins[] = {
         {"ycsb/osdp", PagingMode::osdp, 'A', 1, 0.0,
-         0x4fd9c04bc041c6a7ULL, 0x6816ccf163dd3794ULL},
+         0x71a970dbd249043eULL, 0x6816ccf163dd3794ULL},
         {"ycsb/hwdp", PagingMode::hwdp, 'A', 1, 0.0,
-         0xe823947a1430417dULL, 0x6816ccf163dd3794ULL},
+         0xeba417216c4cd5a0ULL, 0x6816ccf163dd3794ULL},
         {"ycsb/swsmu", PagingMode::swsmu, 'A', 1, 0.0,
-         0x00b3fc5d331968f6ULL, 0x6816ccf163dd3794ULL},
+         0xfb117a7238da126fULL, 0x6816ccf163dd3794ULL},
     };
     for (const MachinePin &p : pins)
         expectPinned(p);
@@ -500,13 +500,13 @@ TEST(PagingFastPath, FastVsLegacyUnderFaultPlan)
     using system::PagingMode;
     const MachinePin pins[] = {
         {"fio+faults/hwdp/sockets1", PagingMode::hwdp, 'I', 1, 0.01,
-         0x72316db956d972f8ULL, 0x35f8bd00a4aaa8adULL},
+         0x91a194319db31fddULL, 0x35f8bd00a4aaa8adULL},
         {"fio+faults/hwdp/sockets2", PagingMode::hwdp, 'I', 2, 0.01,
-         0x234fd62bdf2f76feULL, 0xfc33fd2cdf7cbd69ULL},
+         0xb2998fa1a08505a3ULL, 0xfc33fd2cdf7cbd69ULL},
         {"fio+faults/hwdp/sockets4", PagingMode::hwdp, 'I', 4, 0.01,
-         0xe3717e09ddaf9d4dULL, 0xea7a95ff84bdfc79ULL},
+         0x9d86a2a028d18157ULL, 0xea7a95ff84bdfc79ULL},
         {"ycsb+faults/swsmu", PagingMode::swsmu, 'A', 1, 0.01,
-         0x7f448d76d74c93afULL, 0x6816ccf163dd3794ULL},
+         0xbdebb8d711dd5766ULL, 0x6816ccf163dd3794ULL},
     };
     for (const MachinePin &p : pins) {
         MachineResult r = expectPinned(p);
