@@ -193,8 +193,8 @@ StatGroup::dump(std::ostream &os) const
 
 StatRegistry::~StatRegistry()
 {
-    // Components that outlive their machine's queue leave no dangling
-    // list behind them.
+    // A group destroyed after its machine's queue must not erase
+    // itself from this list.
     for (StatGroup *g : all)
         g->reg = nullptr;
 }

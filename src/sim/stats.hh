@@ -159,8 +159,6 @@ class Value : public StatBase
     Value(StatGroup &group, std::string name, std::string desc,
           std::function<std::uint64_t()> read);
 
-    std::uint64_t value() const { return read(); }
-
     std::string valueString() const override;
     void serialize(Serializer &s) override;
 
