@@ -2,9 +2,8 @@
 
 namespace hwdp::sim {
 
-SimObject::SimObject(std::string name, EventQueue &eq, bool machine_stats)
-    : eq(eq), _name(name),
-      _stats(name, machine_stats ? &eq.statRegistry() : nullptr)
+SimObject::SimObject(std::string name, EventQueue &eq)
+    : eq(eq), _name(name), _stats(name, &eq.statRegistry())
 {
 }
 

@@ -22,12 +22,7 @@ namespace hwdp::sim {
 class SimObject
 {
   public:
-    /**
-     * @p machine_stats false keeps the group off the machine's list:
-     * a test-side attachment (testing::FaultPlan) checkpoints its
-     * stats with the rest of its state in its own blob.
-     */
-    SimObject(std::string name, EventQueue &eq, bool machine_stats = true);
+    SimObject(std::string name, EventQueue &eq);
     virtual ~SimObject();
 
     SimObject(const SimObject &) = delete;

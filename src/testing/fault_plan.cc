@@ -28,7 +28,7 @@ FaultPlan::serialize(sim::Serializer &s)
         s.io(e.tick);
         s.io(e.querySeq);
     }
-    stats().serialize(s);
+    grp.serialize(s);
 }
 
 const char *
@@ -73,7 +73,7 @@ faultSiteName(FaultSite s)
 
 FaultPlan::FaultPlan(std::string name, sim::EventQueue &eq,
                      std::uint64_t seed)
-    : sim::SimObject(std::move(name), eq, false)
+    : eq(eq), grp(std::move(name))
 {
     // Each site forks its own stream off the seed in a fixed order, so
     // site i's decision sequence is a pure function of (seed, i).
@@ -81,7 +81,7 @@ FaultPlan::FaultPlan(std::string name, sim::EventQueue &eq,
     for (unsigned i = 0; i < numFaultSites; ++i) {
         states[i].rng = base.fork();
         injectedCounts.emplace_back(
-            stats(),
+            grp,
             std::string(faultSiteName(static_cast<FaultSite>(i))) +
                 "_injections",
             "faults injected at this site");
@@ -215,7 +215,7 @@ FaultPlan::decide(FaultSite s)
     if (!roll)
         return false;
     ++*st.injected;
-    injectionLog.push_back(LogEntry{s, now(), seq});
+    injectionLog.push_back(LogEntry{s, eq.now(), seq});
     return true;
 }
 

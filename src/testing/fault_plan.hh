@@ -16,10 +16,10 @@
  * std::function hooks on FreePageQueue/Pmshr, so the component models
  * carry no dependency on this library.
  *
- * The plan is a test-side attachment, not part of the machine: its
- * stat group stays off the machine's list, so neither the machine
- * dump nor the machine checkpoint carries it. Its injection counters
- * ride in its own blob with the cursors they count.
+ * The plan is a test-side attachment, not part of the machine, so it
+ * is no SimObject: its own stat group is on no machine's list, and
+ * neither the machine dump nor the machine checkpoint carries it. Its
+ * injection counters ride in its own blob with the cursors they count.
  */
 
 #ifndef HWDP_TESTING_FAULT_PLAN_HH
@@ -32,8 +32,9 @@
 
 #include "core/free_page_queue.hh"
 #include "core/pmshr.hh"
+#include "sim/event_queue.hh"
 #include "sim/rng.hh"
-#include "sim/sim_object.hh"
+#include "sim/stats.hh"
 #include "ssd/ssd_device.hh"
 
 namespace hwdp::system {
@@ -99,7 +100,7 @@ struct SiteConfig
     Tick tierWritebackDelay = microseconds(10.0);
 };
 
-class FaultPlan : public sim::SimObject, public ssd::IoFaultInjector
+class FaultPlan : public ssd::IoFaultInjector
 {
   public:
     FaultPlan(std::string name, sim::EventQueue &eq, std::uint64_t seed);
@@ -177,6 +178,8 @@ class FaultPlan : public sim::SimObject, public ssd::IoFaultInjector
     /** One query of @p s: roll the site's stream, log on a hit. */
     bool decide(FaultSite s);
 
+    sim::EventQueue &eq;
+    sim::StatGroup grp; ///< On no machine's list.
     std::array<SiteState, numFaultSites> states;
     std::deque<sim::Counter> injectedCounts; ///< SiteState::injected.
     std::vector<LogEntry> injectionLog;
