@@ -55,7 +55,6 @@ class Kcoalesced : public os::KThread
     std::uint64_t windowsScanned() const { return statWindows.value(); }
     std::uint64_t windowsPromoted() const { return statPromoted.value(); }
     std::uint64_t promotionsAborted() const { return statAborts.value(); }
-    std::uint64_t shootdownIpisSent() const { return statIpis.value(); }
 
     /** Checkpoint the kthread state and scan cursor. */
     void serialize(sim::Serializer &s);

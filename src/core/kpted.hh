@@ -49,9 +49,6 @@ class Kpted : public os::KThread
      */
     void setCrossSocketIpis(unsigned n);
 
-    /** IPIs charged for cross-socket sync shootdowns. */
-    std::uint64_t shootdownIpisSent() const { return statIpis.value(); }
-
     /** Checkpoint the kthread state. */
     void serialize(sim::Serializer &s);
 

@@ -172,12 +172,6 @@ class Smu : public sim::SimObject, public cpu::PageMissHandlerIface
     }
     std::uint64_t ioRetries() const { return statIoRetry.value(); }
 
-    /** Misses delivered from a core on another socket. */
-    std::uint64_t remoteRequests() const
-    {
-        return statRemoteRequests.value();
-    }
-
     /**
      * Misses whose lookup ran inline instead of via the smu.lookup
      * event (host-side observability; never part of simulated state).

@@ -134,12 +134,6 @@ class Mmu : public sim::SimObject
         stats().add(statRemoteDram);
     }
 
-    /** Data accesses that paid the remote-DRAM premium. */
-    std::uint64_t remoteDramAccesses() const
-    {
-        return statRemoteDram.value();
-    }
-
     /**
      * Perform a user memory access on behalf of thread @p t, issued
      * @p defer ticks into the caller's inline batch (logical issue

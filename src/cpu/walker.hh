@@ -106,12 +106,6 @@ class Walker
             grp.add(statRemoteSteps);
     }
 
-    /** Walk steps that paid the remote-node premium. */
-    std::uint64_t remoteWalkSteps() const
-    {
-        return statRemoteSteps.value();
-    }
-
     /** Checkpoint the PWC contents and recency clock. */
     void serialize(sim::Serializer &s);
 

@@ -314,7 +314,6 @@ class Kernel : public sim::SimObject
     {
         return statNapotPromotions.value();
     }
-    std::uint64_t napotBreaks() const { return statNapotBreaks.value(); }
     std::uint64_t hugePromotions() const
     {
         return statHugePromotions.value();

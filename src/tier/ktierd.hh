@@ -51,10 +51,6 @@ class Ktierd : public os::KThread
     }
 
     std::uint64_t framesScanned() const { return statScanned.value(); }
-    std::uint64_t writebacksSubmitted() const
-    {
-        return statWritebacks.value();
-    }
 
     /** Checkpoint the kthread state. */
     void serialize(sim::Serializer &s);
