@@ -498,29 +498,6 @@ TEST(Checkpoint, DescribeCarriesProvenance)
         << d;
 }
 
-TEST(Checkpoint, RejectsVersionThreeBlob)
-{
-    // v3 carried counters inside each component's section; v4 moved
-    // them into one stats section, so a v3 blob is refused by version.
-    ASSERT_EQ(system::Checkpoint::formatVersion, 4u);
-    Scenario sc{system::PagingMode::hwdp, 'I', 0.0};
-    Machine a = boot(sc);
-    ASSERT_TRUE(a.sys->runUntilThreadsDone(seconds(30.0)));
-    auto blob = system::Checkpoint::save(*a.sys);
-    blob[4] = 3; // version word follows the 4-byte magic
-    blob[5] = blob[6] = blob[7] = 0;
-
-    Machine b = boot(sc);
-    try {
-        system::Checkpoint::restore(*b.sys, blob);
-        FAIL() << "v3 blob accepted";
-    } catch (const sim::SerializeError &e) {
-        EXPECT_NE(std::string(e.what()).find("version"),
-                  std::string::npos)
-            << e.what();
-    }
-}
-
 // ---- Every registered stat rides in the blob ----------------------------
 
 namespace {

@@ -420,11 +420,11 @@ TEST(TierCheckpoint, StaleFormatVersionIsRejected)
     ht::quiesce(*a.sys);
     auto blob = system::Checkpoint::save(*a.sys, nullptr);
 
-    // A pre-tier (v2) blob differs in the version field that follows
-    // the 4-byte magic; restore must refuse it by name, not crash
-    // decoding a frame map that is not there.
+    // A v3 blob, counters in component sections, differs in the
+    // version field that follows the 4-byte magic; restore must refuse
+    // it by name, not crash decoding sections laid out differently.
     auto bad = blob;
-    bad[4] ^= 0x01;
+    bad[4] = 3;
     auto b = bootTierMachine();
     try {
         system::Checkpoint::restore(*b.sys, bad, nullptr);
