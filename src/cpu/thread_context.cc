@@ -270,6 +270,54 @@ ThreadContext::finishOp(Tick logical_now)
     workload.appOpDone(logical_now);
 }
 
+void
+drawBurst(sim::Rng &rng, const workloads::ComputeSpec &spec,
+          std::uint64_t n_refs, std::uint64_t n_br, std::uint64_t *addrs,
+          std::uint64_t *pcs, std::uint8_t *taken)
+{
+    // Whether a chance() draws depends only on its probability, so
+    // every draw's position is known in advance and each stream is one
+    // Rng::bulk lane loop of one or two draws per element. A chance()
+    // that draws nothing maps through a threshold of 0 (never) or 2^53
+    // (always), which ignores the draw it is handed. The lambdas read
+    // the spec through locals: their stores are uint64_t stores, which
+    // may alias the spec's uint64_t fields.
+    const std::uint64_t hot_base = spec.hotBase;
+    const std::uint64_t hot_bytes = spec.hotBytes;
+    const std::uint64_t cold_bytes = spec.coldBytes;
+    const std::uint64_t cold_t =
+        cold_bytes > 0 ? sim::Rng::chanceThreshold(spec.coldFrac) : 0;
+    auto ref = [=](std::size_t i, std::uint64_t z_cold, std::uint64_t z) {
+        // coldFrac of the references roam the cold region; the choice
+        // is a mask, not a branch.
+        const std::uint64_t sel = 0 - static_cast<std::uint64_t>(
+                                          sim::Rng::chanceOf(z_cold, cold_t));
+        const std::uint64_t bound =
+            hot_bytes ^ ((hot_bytes ^ cold_bytes) & sel);
+        addrs[i] = hot_base + (hot_bytes & sel) +
+                   (sim::Rng::rangeOf(z, bound) & ~7ULL);
+    };
+    if (cold_bytes > 0 && sim::Rng::chanceDraws(spec.coldFrac))
+        rng.bulk<2>(n_refs, ref);
+    else
+        rng.bulk<1>(n_refs, ref);
+
+    // Branch sites, and outcomes taken with probability branchBias.
+    const std::uint64_t text_base = spec.textBase;
+    const std::uint64_t sites = spec.staticBranches;
+    const std::uint64_t taken_t =
+        sim::Rng::chanceThreshold(spec.branchBias);
+    auto branch = [=](std::size_t i, std::uint64_t z,
+                      std::uint64_t z_taken) {
+        pcs[i] = text_base + sim::Rng::rangeOf(z, sites) * 16;
+        taken[i] = sim::Rng::chanceOf(z_taken, taken_t);
+    };
+    if (sim::Rng::chanceDraws(spec.branchBias))
+        rng.bulk<2>(n_br, branch);
+    else
+        rng.bulk<1>(n_br, branch);
+}
+
 Tick
 ThreadContext::computeBurst(const workloads::ComputeSpec &spec)
 {
@@ -301,80 +349,20 @@ ThreadContext::computeBurst(const workloads::ComputeSpec &spec)
 
     Cycles extra = 0;
 
-    // All of the burst's randomness, drawn up front in the loop
-    // order: per data reference an optional cold/hot chance() and one
-    // range(), then per branch one range() for the site and an
-    // optional chance() for the outcome. (The cache streams consume
-    // no randomness, so drawing the branches here leaves the generator
-    // stream identical to drawing them after the cache passes — which
-    // is where the loop order puts them.) Whether a chance() draws
-    // depends only on its probability, so every draw's position is
-    // known in advance: vectorised bulk draws fill a stack buffer a
-    // chunk at a time, and the loops below map them in order with the
-    // exact integer forms of chance() and range(). The loops read the
-    // spec through locals: their stores are uint64_t stores, which may
-    // alias the spec's uint64_t fields, so spec.x in a loop would be
-    // reloaded on every iteration.
+    // All of the burst's randomness, drawn up front in the loop order.
+    // (The cache streams consume no randomness, so drawing the
+    // branches here leaves the generator stream identical to drawing
+    // them after the cache passes, which is where the loop order puts
+    // them.)
     auto n_refs = static_cast<std::uint64_t>(
         static_cast<double>(spec.instructions) * spec.memRefFrac);
     auto n_br = static_cast<std::uint64_t>(
         static_cast<double>(spec.instructions) * spec.branchFrac);
-    constexpr std::uint64_t chunk = 256;
-    std::uint64_t raw[chunk];
-
-    // Data references: coldFrac of them roam the cold region. The
-    // cold/hot choice is a mask, not a branch, which would mispredict
-    // on every cold draw.
-    const bool cold_drawn =
-        spec.coldBytes > 0 && sim::Rng::chanceDraws(spec.coldFrac);
-    const std::uint64_t cold_always =
-        spec.coldBytes > 0 && spec.coldFrac >= 1.0;
-    const std::uint64_t cold_t = sim::Rng::chanceThreshold(spec.coldFrac);
-    const std::uint64_t ref_draws = 1 + cold_drawn;
-    const std::uint64_t hot_base = spec.hotBase;
-    const std::uint64_t hot_bytes = spec.hotBytes;
-    const std::uint64_t cold_bytes = spec.coldBytes;
     burstAddrs.resize(n_refs);
-    std::uint64_t *addrs = burstAddrs.data();
-    for (std::uint64_t i = 0; i < n_refs;) {
-        std::uint64_t end = std::min(n_refs, i + chunk / ref_draws);
-        rng.fillRaw(raw, (end - i) * ref_draws);
-        const std::uint64_t *z = raw;
-        for (; i < end; ++i) {
-            std::uint64_t cold = cold_drawn
-                                     ? sim::Rng::chanceOf(*z++, cold_t)
-                                     : cold_always;
-            std::uint64_t sel = 0 - cold;
-            std::uint64_t bound =
-                hot_bytes ^ ((hot_bytes ^ cold_bytes) & sel);
-            addrs[i] = hot_base + (hot_bytes & sel) +
-                       (sim::Rng::rangeOf(*z++, bound) & ~7ULL);
-        }
-    }
-
-    // Branch sites and outcomes (branchBias = taken probability), for
-    // the predictor batch.
-    const bool taken_drawn = sim::Rng::chanceDraws(spec.branchBias);
-    const std::uint8_t taken_always = spec.branchBias >= 1.0;
-    const std::uint64_t taken_t =
-        sim::Rng::chanceThreshold(spec.branchBias);
-    const std::uint64_t br_draws = 1 + taken_drawn;
-    const std::uint64_t text_base = spec.textBase;
-    const std::uint64_t sites = spec.staticBranches;
     burstPcs.resize(n_br);
     burstTaken.resize(n_br);
-    std::uint64_t *pcs = burstPcs.data();
-    std::uint8_t *taken = burstTaken.data();
-    for (std::uint64_t i = 0; i < n_br;) {
-        std::uint64_t end = std::min(n_br, i + chunk / br_draws);
-        rng.fillRaw(raw, (end - i) * br_draws);
-        const std::uint64_t *z = raw;
-        for (; i < end; ++i) {
-            pcs[i] = text_base + sim::Rng::rangeOf(*z++, sites) * 16;
-            taken[i] = taken_drawn ? sim::Rng::chanceOf(*z++, taken_t)
-                                   : taken_always;
-        }
-    }
+    drawBurst(rng, spec, n_refs, n_br, burstAddrs.data(), burstPcs.data(),
+              burstTaken.data());
 
     Cycles data_stall = 0;
     if (n_refs > 0) {

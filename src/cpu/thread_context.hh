@@ -48,6 +48,21 @@ struct CoreParams
     unsigned memQuantum = 4096;
 };
 
+/**
+ * Draw one compute burst's randomness, in the per-reference model's
+ * order: per data reference an optional chance(coldFrac) (drawn when
+ * coldBytes > 0) and one range() over the chosen region, then per
+ * branch one range(staticBranches) for the site and an optional
+ * chance(branchBias) for the outcome. Fills @p n_refs 8-byte-aligned
+ * data addresses and @p n_br branch PCs and outcomes, and leaves
+ * @p rng where those sequential calls would. Both streams run in
+ * vector lanes (Rng::bulk). @pre hotBytes and staticBranches > 0.
+ */
+void drawBurst(sim::Rng &rng, const workloads::ComputeSpec &spec,
+               std::uint64_t n_refs, std::uint64_t n_br,
+               std::uint64_t *addrs, std::uint64_t *pcs,
+               std::uint8_t *taken);
+
 class ThreadContext : public os::Thread, public AccessSink
 {
   public:

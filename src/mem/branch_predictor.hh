@@ -34,46 +34,15 @@ class BranchPredictor
     explicit BranchPredictor(unsigned history_bits = 14);
 
     /**
-     * Predict the branch at @p pc, then update with the actual
-     * @p taken outcome. Inline: compute bursts and kernel pollution
-     * both drive one call per simulated branch, so the table poke
-     * must not cost a cross-TU call.
-     * @return true when the prediction was correct.
-     */
-    bool
-    predictAndUpdate(std::uint64_t pc, bool taken, ExecMode mode)
-    {
-        // Classic gshare: XOR the branch address (sans byte offset)
-        // with the global history register.
-        std::uint64_t idx = ((pc >> 2) ^ ghr) & historyMask;
-        std::uint8_t &ctr = pht[idx];
-        bool predicted_taken = ctr >= 2;
-        bool correct = predicted_taken == taken;
-
-        // Saturating 2-bit update, branch-free: the outcome is data
-        // (workloads flip coins per simulated branch), so a host-side
-        // conditional on `taken` would mispredict every other call.
-        unsigned t = taken ? 1u : 0u;
-        ctr = static_cast<std::uint8_t>(
-            ctr + (t & static_cast<unsigned>(ctr < 3)) -
-            ((t ^ 1u) & static_cast<unsigned>(ctr > 0)));
-        ghr = ((ghr << 1) | t) & historyMask;
-
-        auto m = static_cast<unsigned>(mode);
-        ++nLookups[m];
-        nMiss[m] += static_cast<std::uint64_t>(!correct);
-        return correct;
-    }
-
-    /**
-     * Apply @p n updates in bulk, equivalent to n predictAndUpdate
-     * calls with pc = pcs[i % n_pcs] and outcome taken[i] (non-zero =
-     * taken). The kernel-pollution model drives hundreds of updates
-     * per phase over a memoized PC vector; this keeps the GHR and the
-     * counters in registers across the batch and bulk-increments the
-     * per-mode statistics once, instead of paying the bookkeeping per
-     * branch. @p n_pcs must cover the caller's wrap period (the
-     * pollution stream repeats its PCs every 1024 branches).
+     * Predict and then train @p n branches in order: branch i sits at
+     * pc = pcs[i % n_pcs] and resolves taken iff taken[i] is non-zero.
+     * Classic gshare: the pattern-table entry is (pc >> 2) XOR the
+     * global history, a 2-bit saturating counter predicting taken at
+     * 2 and above, and each outcome shifts into the history. Compute
+     * bursts and the kernel-pollution phases each drive a whole run
+     * per call; per-mode statistics are written once at the end.
+     * @p n_pcs must cover the caller's wrap period (the kernel phases
+     * repeat their PCs every 1024 branches).
      * @return the number of mispredicted branches in the batch.
      */
     std::uint64_t updateBatch(const std::uint64_t *pcs, std::size_t n_pcs,

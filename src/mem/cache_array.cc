@@ -77,6 +77,35 @@ CacheArray::accessBatch(const std::uint64_t *addrs, std::size_t n,
     return accessRun<0, false>(addrs, n, miss_out, nullptr);
 }
 
+#if defined(__AVX512F__) && defined(__AVX512CD__)
+namespace {
+
+/**
+ * Lane j of the result is the minimum of the eight u64 lanes of
+ * k[j]: a 21-op shuffle tree (three unpack/min steps pair rows, then
+ * two rounds of 128-bit-lane shuffles and mins halve the partials).
+ */
+[[gnu::always_inline]] inline __m512i
+rowMins(const __m512i (&k)[8])
+{
+    // Even lanes of the result: a's partial minima; odd lanes: b's.
+    auto pair = [](__m512i a, __m512i b) {
+        return _mm512_min_epu64(_mm512_unpacklo_epi64(a, b),
+                                _mm512_unpackhi_epi64(a, b));
+    };
+    // 128-bit lane q of the result: min of lanes 2q, 2q+1 of a's
+    // (q < 2) or b's (q >= 2) 128-bit lanes.
+    auto halve = [](__m512i a, __m512i b) {
+        return _mm512_min_epu64(_mm512_shuffle_i64x2(a, b, 0x88),
+                                _mm512_shuffle_i64x2(a, b, 0xdd));
+    };
+    return halve(halve(pair(k[0], k[1]), pair(k[2], k[3])),
+                 halve(pair(k[4], k[5]), pair(k[6], k[7])));
+}
+
+} // namespace
+#endif
+
 template <unsigned W, bool Bitmap>
 std::size_t
 CacheArray::accessRun(const std::uint64_t *addrs, std::size_t n,
@@ -129,6 +158,94 @@ CacheArray::accessRun(const std::uint64_t *addrs, std::size_t n,
             i + static_cast<std::size_t>(
                     std::min<std::uint64_t>(n - i, stamp_mask - clock));
 
+#if defined(__AVX512F__) && defined(__AVX512CD__)
+        if constexpr (W == 8) {
+            // Lane groups: the longest prefix (up to eight lines) of
+            // the next eight whose sets are pairwise distinct —
+            // vpconflictq flags each lane whose set an earlier lane
+            // already holds. Lane j scans its own row (one aligned
+            // line), keying each way by its way index on a tag match
+            // and by (stamp << 6 | way) + 64 otherwise, so the row's
+            // minimum key is the hit way if any, else the LRU victim
+            // (scanSetFixed's argmin; keys below 128 are invalid
+            // ways). Lane j installs with stamp clock + 1 + j. Fewer
+            // than eight lines left in the chunk take the per-line
+            // loop below.
+            const __m128i shift =
+                _mm_cvtsi32_si128(static_cast<int>(line_shift));
+            const __m512i set_bits =
+                _mm512_set1_epi64(static_cast<long long>(set_mask));
+            const __m512i tag_bits =
+                _mm512_set1_epi64(static_cast<long long>(~stamp_mask));
+            const __m512i stamp_bits =
+                _mm512_set1_epi64(static_cast<long long>(stamp_mask));
+            const __m512i way = _mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7);
+            const __m512i miss_way =
+                _mm512_add_epi64(way, _mm512_set1_epi64(64));
+            const __m512i lane_stamp =
+                _mm512_add_epi64(way, _mm512_set1_epi64(1));
+            while (end - i >= 8) {
+                const __m512i a = _mm512_loadu_si512(addrs + i);
+                const __m512i row = _mm512_slli_epi64(
+                    _mm512_and_epi64(_mm512_srl_epi64(a, shift), set_bits),
+                    3);
+                const __m512i conf = _mm512_conflict_epi64(row);
+                const unsigned k = static_cast<unsigned>(__builtin_ctz(
+                    _mm512_test_epi64_mask(conf, conf) | 0x100u));
+                const __mmask8 group = static_cast<__mmask8>((1u << k) - 1);
+
+                __m512i key[8];
+#pragma GCC unroll 8
+                for (unsigned j = 0; j < 8; ++j) {
+                    const std::uint64_t aj = addrs[i + j];
+                    const __m512i r = _mm512_load_si512(row_of(aj));
+                    const __mmask8 match = _mm512_cmpeq_epi64_mask(
+                        _mm512_and_epi64(r, tag_bits),
+                        _mm512_set1_epi64(static_cast<long long>(
+                            tagWord(aj, stamp_mask))));
+                    key[j] = _mm512_mask_blend_epi64(
+                        match,
+                        _mm512_add_epi64(
+                            _mm512_slli_epi64(
+                                _mm512_and_epi64(r, stamp_bits), 6),
+                            miss_way),
+                        way);
+                }
+                const __m512i best = rowMins(key);
+
+                const __mmask8 hit =
+                    group & _mm512_cmplt_epu64_mask(best,
+                                                    _mm512_set1_epi64(64));
+                const __mmask8 miss = group & ~hit;
+                const __mmask8 fill =
+                    miss & _mm512_cmplt_epu64_mask(best,
+                                                   _mm512_set1_epi64(128));
+                const __m512i want = _mm512_add_epi64(
+                    _mm512_and_epi64(a, tag_bits),
+                    _mm512_set1_epi64(static_cast<long long>(stamp_mask + 1)));
+                const __m512i stamp = _mm512_add_epi64(
+                    _mm512_set1_epi64(static_cast<long long>(clock)),
+                    lane_stamp);
+                _mm512_mask_i64scatter_epi64(
+                    m, group,
+                    _mm512_add_epi64(
+                        row, _mm512_and_epi64(best, _mm512_set1_epi64(63))),
+                    _mm512_or_epi64(want, stamp), 8);
+                _mm512_mask_compressstoreu_epi64(miss_out + nmiss, miss, a);
+                nmiss += static_cast<unsigned>(__builtin_popcount(miss));
+                fills += static_cast<unsigned>(__builtin_popcount(fill));
+                if constexpr (Bitmap) {
+                    const unsigned bit = i & 63;
+                    hit_bitmap[i >> 6] |= std::uint64_t(hit) << bit;
+                    if (bit + k > 64)
+                        hit_bitmap[(i >> 6) + 1] |=
+                            std::uint64_t(hit) >> (64 - bit);
+                }
+                clock += k;
+                i += k;
+            }
+        }
+#endif
         for (; i < end; ++i) {
             if (wide && i + lookahead < n)
                 prefetch_set(addrs[i + lookahead]);

@@ -8,11 +8,11 @@
  * show up as reduced user-level IPC (Figures 4 and 14).
  *
  * Layout: each way is a single 64-bit word packing the tag (upper
- * bits) with its LRU stamp (lower bits), so a set scan — the hottest
- * loop in the whole simulator; every compute-burst data reference and
- * kernel-pollution touch lands here — reads exactly one densely
- * packed stream of ways and a hit updates recency in the word it
- * already loaded. Splitting tags and stamps into parallel arrays
+ * bits) with its LRU stamp (lower bits), so a set scan reads exactly
+ * one densely packed stream of ways and a hit updates recency in the
+ * word it already loaded. The words are 64-byte aligned, so an 8-way
+ * set (every L1 and L2) is one host cache line and one aligned
+ * 512-bit load. Splitting tags and stamps into parallel arrays
  * doubles the host cache lines touched per scan, which dominates the
  * simulator's wall clock on the LLC (whose metadata exceeds the host
  * L2). The stamp field is narrow, so stamps are renormalised to their
@@ -20,10 +20,12 @@
  * LRU consults — is preserved exactly. Renormalisation ranks by
  * counting, not sorting, so it is branch-free and vectorises.
  *
- * Runs of lookups (accessBatch, the pollution model's entry point)
- * go through one loop body specialised on the way count, with the
- * geometry, LRU clock and counters held in registers for the whole
- * run; the per-line access() shares its set scans.
+ * Runs of lookups (accessBatch: the pollution model's compute bursts
+ * and kernel phases) go through one loop body specialised on the way
+ * count, with the geometry, LRU clock and counters held in registers
+ * for the whole run. On AVX-512CD hosts the 8-way body scans up to
+ * eight lines at once whose sets are pairwise distinct; otherwise it
+ * shares the per-line access()'s set scans.
  *
  * Victim selection (the way with the smallest stamp; invalid ways
  * carry stamp 0 and therefore win) rides along with the hit scan so a
@@ -34,6 +36,8 @@
 #define HWDP_MEM_CACHE_ARRAY_HH
 
 #include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -55,6 +59,39 @@ class Serializer;
 }
 
 namespace hwdp::mem {
+
+/** Allocator for host-cache-line-aligned (64-byte) arrays. */
+template <class T>
+struct LineAligned
+{
+    using value_type = T;
+
+    LineAligned() = default;
+    template <class U>
+    LineAligned(const LineAligned<U> &)
+    {
+    }
+
+    T *
+    allocate(std::size_t n)
+    {
+        // aligned_alloc wants a size that is a multiple of the
+        // alignment.
+        const std::size_t bytes = (n * sizeof(T) + 63) / 64 * 64;
+        if (void *p = std::aligned_alloc(64, bytes ? bytes : 64))
+            return static_cast<T *>(p);
+        throw std::bad_alloc();
+    }
+
+    void deallocate(T *p, std::size_t) { std::free(p); }
+
+    template <class U>
+    bool
+    operator==(const LineAligned<U> &) const
+    {
+        return true;
+    }
+};
 
 class CacheArray
 {
@@ -95,10 +132,10 @@ class CacheArray
     /**
      * Look up a run of @p n line addresses, allocating on miss, with
      * identical post-state and counters to n sequential access()
-     * calls: lines are processed strictly in order through the same
-     * scan code (stamp i is position-determined, each line's scan
-     * sees every earlier line's installation, so set collisions and
-     * aliasing within the run need no special handling), and
+     * calls: line i installs with stamp useClock + i + 1 (a stamp
+     * depends only on its position), each line's scan sees every
+     * earlier line's installation in its set, so set collisions and
+     * aliasing within the run need no special handling, and
      * renormalisation fires at exactly the same access indices. The
      * wins are on the host: one call replaces n, the loop body is
      * specialised once per call on the way count (accessRun), the
@@ -106,7 +143,11 @@ class CacheArray
      * back once, misses compact directly into the next level's input
      * run, and on wide arrays (whose metadata exceeds the host cache)
      * every upcoming set is prefetched a window ahead of its scan,
-     * overlapping the latency the per-line path serialises.
+     * overlapping the latency the per-line path serialises. On
+     * AVX-512CD hosts an 8-way run is scanned in groups of up to
+     * eight consecutive lines whose sets are pairwise distinct: no
+     * line of a group can see another's installation, so scanning
+     * them side by side is the per-line order by construction.
      *
      * @param miss_out   Receives the missing addresses, in run order,
      *                   compacted; must hold @p n words. This is the
@@ -155,7 +196,11 @@ class CacheArray
      * differential tests compare this for full post-state equality
      * between the batched and per-line paths.
      */
-    const std::vector<std::uint64_t> &rawMeta() const { return meta; }
+    const std::vector<std::uint64_t, LineAligned<std::uint64_t>> &
+    rawMeta() const
+    {
+        return meta;
+    }
 
     /**
      * Checkpoint the packed tag+stamp words, the LRU clock and the
@@ -486,15 +531,15 @@ class CacheArray
 
     /**
      * The accessBatch loop, specialised on the way count (W = 8 and 20
-     * select the inlined fixed-width scans, 0 the runtime-width one)
-     * and on whether to record the test-only hit bitmap. The scans are
-     * static and take the row and stamp mask by value because a
-     * meta[] store is a uint64_t store that may alias this object's
-     * uint64_t fields: reading useClock or stampMask through `this`
-     * inside the loop would reload them after every install. So the
-     * loop keeps geometry, clock, fill count and miss cursor in
-     * locals and writes the members back once per call (and around
-     * renormalize()).
+     * select the inlined fixed-width scans, or on AVX-512CD hosts the
+     * 8-way lane groups; 0 the runtime-width scan) and on whether to
+     * record the test-only hit bitmap. The scans are static and take
+     * the row and stamp mask by value because a meta[] store is a
+     * uint64_t store that may alias this object's uint64_t fields:
+     * reading useClock or stampMask through `this` inside the loop
+     * would reload them after every install. So the loop keeps
+     * geometry, clock, fill count and miss cursor in locals and writes
+     * the members back once per call (and around renormalize()).
      */
     template <unsigned W, bool Bitmap>
     std::size_t accessRun(const std::uint64_t *addrs, std::size_t n,
@@ -519,7 +564,8 @@ class CacheArray
      */
     std::uint64_t stampMask;
 
-    std::vector<std::uint64_t> meta; // sets * ways, row-major by set
+    /** sets * ways, row-major by set. */
+    std::vector<std::uint64_t, LineAligned<std::uint64_t>> meta;
     std::uint64_t useClock = 0;
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;

@@ -79,24 +79,18 @@ CacheHierarchy::accessBatch(unsigned core, const std::uint64_t *addrs,
         mc.l1dMisses += m1;
     }
 
-    std::size_t h2 = 0, h3 = 0, m2 = 0;
+    std::size_t m2 = 0;
     if (m1 > 0) {
-        h2 = l2[core].accessBatch(batchMiss1.data(), m1,
-                                  batchMiss2.data());
-        m2 = m1 - h2;
+        m2 = m1 - l2[core].accessBatch(batchMiss1.data(), m1,
+                                       batchMiss2.data());
         r.l2Misses = m2;
         mc.l2Misses += m2;
     }
     if (m2 > 0) {
-        h3 = llc.accessBatch(batchMiss2.data(), m2, batchMiss3.data());
-        r.llcMisses = m2 - h3;
+        r.llcMisses =
+            m2 - llc.accessBatch(batchMiss2.data(), m2, batchMiss3.data());
         mc.llcMisses += r.llcMisses;
     }
-
-    r.totalLatency = static_cast<Cycles>(h1) * prm.l1Latency +
-                     static_cast<Cycles>(h2) * prm.l2Latency +
-                     static_cast<Cycles>(h3) * prm.llcLatency +
-                     static_cast<Cycles>(m2 - h3) * prm.dramLatency;
     return r;
 }
 

@@ -52,8 +52,6 @@ struct CacheBatchResult
     std::uint64_t l1Misses = 0;
     std::uint64_t l2Misses = 0;
     std::uint64_t llcMisses = 0;
-    /** Sum of the per-line service latencies. */
-    Cycles totalLatency = 0;
 
     /** Tag-array probes the run issued across all levels. */
     std::uint64_t
@@ -78,10 +76,11 @@ class CacheHierarchy
     };
 
     /**
-     * Access one line. Defined inline: every simulated data reference,
-     * instruction fetch and page-walk read lands here, so the L1-hit
-     * path must not cost a cross-TU call. The cache arrays are stored
-     * by value so the tag scan starts after a single index, not a
+     * Access one line. Defined inline: the MMU's data accesses and the
+     * page walker's reads land here one line at a time, so the L1-hit
+     * path must not cost a cross-TU call (compute bursts and kernel
+     * phases go through accessBatch). The cache arrays are stored by
+     * value so the tag scan starts after a single index, not a
      * unique_ptr chase.
      * @param core    Physical core index (selects private caches).
      * @param addr    Byte address; only the line address matters.
@@ -140,9 +139,10 @@ class CacheHierarchy
      * addresses in the same relative order (a level's access sequence
      * is a subsequence of the run, and the arrays share no state), so
      * only the interleaving *between* independent arrays changes.
-     * Used by the kernel-pollution model, whose phase footprints are
-     * natural line runs; per-line latencies are not materialised
-     * (pollution charges time by phase cycle budgets, not per line).
+     * Used by the kernel phases and the compute bursts, whose
+     * footprints are natural line runs; per-line latencies are not
+     * materialised (the phases charge time by cycle budgets, and a
+     * burst rebuilds its stall from the per-level miss counts).
      */
     CacheBatchResult accessBatch(unsigned core, const std::uint64_t *addrs,
                                  std::size_t n, bool is_inst,

@@ -31,9 +31,9 @@ class Rng
     /** Next raw 64-bit value. */
     std::uint64_t next() { return mix(state += goldenGamma); }
 
-    // The uniform distributions are defined inline: workload compute
-    // bursts draw two of them per simulated data reference, so the
-    // call overhead is measurable on the whole-simulation profile.
+    // The uniform distributions are defined inline: workloads draw
+    // several per operation, and the compute bursts map bulk draws
+    // through the same integer forms (rangeOf, chanceOf) below.
 
     /** Uniform integer in [0, bound). @pre bound > 0 */
     std::uint64_t
@@ -67,11 +67,29 @@ class Rng
     // The mappings below turn raw draws into the values range(),
     // uniform() and chance() would have produced from them, exactly.
 
-    /** Store the next @p n raw draws in @p out (bulk next()). */
+    /**
+     * Pass the next n * D raw draws (D = 1 or 2) to f in groups of D:
+     * f(i, first, last) gets draws i * D + 1 and i * D + D of the run,
+     * one draw twice when D == 1. Then advance the state past them:
+     * the same values and final state as n * D next() calls. The loop
+     * is `omp simd` (the build passes -fopenmp-simd; GCC's -O2 cost
+     * model leaves it scalar otherwise), so f runs in vector lanes and
+     * must not depend on earlier iterations; the mappings below are
+     * lane-safe.
+     */
+    template <unsigned D, class F>
     void
-    fillRaw(std::uint64_t *out, std::size_t n)
+    bulk(std::size_t n, F &&f)
     {
-        bulk(n, [out](std::size_t i, std::uint64_t z) { out[i] = z; });
+        static_assert(D == 1 || D == 2, "groups of one or two draws");
+        std::uint64_t x = state;
+#pragma omp simd
+        for (std::size_t i = 0; i < n; ++i) {
+            x += D * goldenGamma;
+            const std::uint64_t last = mix(x);
+            f(i, D == 1 ? last : mix(x - goldenGamma), last);
+        }
+        state = x;
     }
 
     /**
@@ -92,9 +110,10 @@ class Rng
             return;
         }
         const std::uint64_t t = chanceThreshold(p);
-        bulk(n, [out, t](std::size_t i, std::uint64_t z) {
-            out[i] = chanceOf(z, t);
-        });
+        bulk<1>(n,
+                [out, t](std::size_t i, std::uint64_t z, std::uint64_t) {
+                    out[i] = chanceOf(z, t);
+                });
     }
 
     /** SplitMix64's output function of an incremented state. */
@@ -109,13 +128,25 @@ class Rng
     /**
      * range(bound) of raw draw @p z: multiply-shift (Lemire), with
      * bias below 2^-64 * bound, negligible for simulation purposes.
-     * Unlike range(), a zero bound is not caught.
+     * The high word of the 64x64 product is assembled from 32-bit
+     * limbs, exactly for every z and bound: no step overflows, and
+     * unlike a 128-bit multiply it vectorises (bulk() lanes map their
+     * draws with it). Unlike range(), a zero bound is not caught.
      */
     static std::uint64_t
     rangeOf(std::uint64_t z, std::uint64_t bound)
     {
-        return static_cast<std::uint64_t>(
-            static_cast<unsigned __int128>(z) * bound >> 64);
+        const std::uint64_t z_lo = static_cast<std::uint32_t>(z);
+        const std::uint64_t z_hi = z >> 32;
+        const std::uint64_t b_lo = static_cast<std::uint32_t>(bound);
+        const std::uint64_t b_hi = bound >> 32;
+        const std::uint64_t lo_hi = z_lo * b_hi;
+        const std::uint64_t hi_lo = z_hi * b_lo;
+        // Below 3 * 2^32: the carry out of the low word.
+        const std::uint64_t mid = (z_lo * b_lo >> 32) +
+                                  static_cast<std::uint32_t>(lo_hi) +
+                                  static_cast<std::uint32_t>(hi_lo);
+        return z_hi * b_hi + (lo_hi >> 32) + (hi_lo >> 32) + (mid >> 32);
     }
 
     /** uniform() of raw draw @p z: the top 53 bits, scaled. */
@@ -170,27 +201,7 @@ class Rng
     bool haveSpare = false;
     double spare = 0.0;
 
-    /**
-     * Pass the next @p n raw draws to f(i, z), i = 0..n-1, then
-     * advance the state past them: the same values and final state as
-     * n next() calls. The loop is `omp simd` (the build passes
-     * -fopenmp-simd; GCC's -O2 cost model leaves it scalar otherwise),
-     * so f must not depend on earlier iterations.
-     */
-    template <class F>
-    void
-    bulk(std::size_t n, F &&f)
-    {
-        std::uint64_t x = state;
-#pragma omp simd
-        for (std::size_t i = 0; i < n; ++i) {
-            x += goldenGamma;
-            f(i, mix(x));
-        }
-        state = x;
-    }
-
-    /** Out-of-line so the inline fast path stays branch + mul. */
+    /** Out-of-line, off range()'s inline fast path. */
     [[noreturn]] void rangePanic() const;
 };
 

@@ -16,6 +16,7 @@
 #include <sstream>
 #include <vector>
 
+#include "cpu/thread_context.hh"
 #include "mem/branch_predictor.hh"
 #include "mem/cache_array.hh"
 #include "mem/cache_hierarchy.hh"
@@ -26,6 +27,7 @@
 #include "system/system.hh"
 #include "testing/fault_plan.hh"
 #include "testing/machine_differ.hh"
+#include "tests/reference_gshare.hh"
 #include "workloads/fio.hh"
 #include "workloads/kv_store.hh"
 #include "workloads/ycsb.hh"
@@ -35,6 +37,15 @@ using namespace hwdp::mem;
 namespace ht = hwdp::testing;
 
 namespace {
+
+template <typename T>
+std::vector<std::uint8_t>
+blobOf(T &component)
+{
+    sim::Serializer s = sim::Serializer::saver();
+    component.serialize(s);
+    return s.takeBlob();
+}
 
 /** Drive one run through both paths and require identical everything. */
 void
@@ -185,6 +196,154 @@ TEST(PollutionBatch, RenormalizationBoundariesPreserved)
     expectBatchMatchesPerLine(tiny, tiny_ref, {});
 }
 
+TEST(PollutionBatch, EightWayLaneGroupBoundaries)
+{
+    // The 8-way batch scans groups of up to eight lines whose sets are
+    // pairwise distinct (on AVX-512 builds; elsewhere these runs
+    // exercise the per-line loop). Drive every group shape against
+    // per-line access(): each conflict-prefix length, runs that end
+    // mid-group, runs that meet the renormalisation headroom inside
+    // their first group, and groups whose hit bits straddle a bitmap
+    // word.
+    CacheArray batch("b", 4096, 8); // 8 sets, stampMask 511
+    CacheArray ref("r", 4096, 8);
+    const std::uint64_t stride = batch.numSets() * batch.lineBytes();
+    sim::Rng rng(0x1a9e5);
+    // Line of set `set` with one of a few tags: hits and misses mix.
+    auto line = [&](std::uint64_t set) {
+        return rng.range(12) * stride + set * 64 + rng.range(64);
+    };
+
+    // Conflict-prefix lengths 1..8: lines 0..len-1 in distinct sets,
+    // then (len < 8) a line back in the set of line `dup`, then enough
+    // lines that the first group sees all eight lanes.
+    for (int rep = 0; rep < 4; ++rep) {
+        for (unsigned len = 1; len <= 8; ++len) {
+            for (unsigned dup = 0; dup < len; ++dup) {
+                std::vector<std::uint64_t> run;
+                const std::uint64_t first = rng.range(8);
+                for (unsigned j = 0; j < len; ++j)
+                    run.push_back(line((first + j) % 8));
+                if (len < 8)
+                    run.push_back(line((first + dup) % 8));
+                for (unsigned j = 0; j < 8; ++j)
+                    run.push_back(line(rng.range(8)));
+                expectBatchMatchesPerLine(batch, ref, run);
+            }
+        }
+    }
+
+    // Run lengths 1..17 of random sets: groups that end mid-run.
+    for (int rep = 0; rep < 20; ++rep) {
+        for (std::size_t len = 1; len <= 17; ++len) {
+            std::vector<std::uint64_t> run;
+            for (std::size_t j = 0; j < len; ++j)
+                run.push_back(line(rng.range(8)));
+            expectBatchMatchesPerLine(batch, ref, run);
+        }
+    }
+
+    // The clock's saturation inside a group's reach: after a flush the
+    // clock restarts at 0, so 511 - gap accesses leave `gap` stamps
+    // before the renormalisation, and a run of distinct sets meets it
+    // within its first eight lines (or right after the first group).
+    for (std::uint64_t gap = 1; gap <= 9; ++gap) {
+        batch.flush();
+        ref.flush();
+        std::vector<std::uint64_t> warm;
+        for (std::uint64_t j = 0; j < 511 - gap; ++j)
+            warm.push_back(line(rng.range(8)));
+        expectBatchMatchesPerLine(batch, ref, warm);
+        std::vector<std::uint64_t> run;
+        for (std::uint64_t j = 0; j < 24; ++j)
+            run.push_back(line(j % 8));
+        expectBatchMatchesPerLine(batch, ref, run);
+    }
+
+    // Groups that straddle bitmap words: single-set runs of 57..63
+    // lines (groups of one), then distinct sets, which put a group
+    // across bit 64 at most offsets.
+    for (std::size_t lead = 57; lead < 64; ++lead) {
+        std::vector<std::uint64_t> run;
+        for (std::size_t j = 0; j < lead; ++j)
+            run.push_back(line(3));
+        for (std::size_t j = 0; j < 80; ++j)
+            run.push_back(line(j % 8));
+        expectBatchMatchesPerLine(batch, ref, run);
+    }
+}
+
+TEST(PollutionBatch, BurstDrawsMatchPerDrawCalls)
+{
+    // cpu::drawBurst against one range()/chance() call per draw, in the
+    // per-reference model's order, for all four (cold drawn, taken
+    // drawn) combinations, lengths off the vector width and bounds at
+    // the limb boundaries of the high product.
+    struct Cold
+    {
+        std::uint64_t bytes;
+        double frac;
+    };
+    const std::uint64_t bounds[] = {1, (1ull << 32) - 1, 1ull << 32,
+                                    1ull << 63};
+    const std::uint32_t sites[] = {1, 0xffffffffu, 64};
+    // Drawn: a proper fraction. Not drawn: no cold region, never, or
+    // always cold.
+    const Cold colds[] = {{1ull << 32, 0.08}, {0, 0.5}, {1ull << 63, 0.0},
+                          {(1ull << 32) - 1, 1.0}};
+    const double biases[] = {0.96, 0.0, 1.0};
+    const std::size_t lengths[] = {0, 1, 7, 9, 15, 17, 100};
+
+    std::uint64_t seed = 1;
+    for (std::uint64_t hot : bounds) {
+        for (std::uint32_t nsites : sites) {
+            for (const Cold &cold : colds) {
+                for (double bias : biases) {
+                    for (std::size_t n : lengths) {
+                        workloads::ComputeSpec spec;
+                        spec.hotBytes = hot;
+                        spec.coldBytes = cold.bytes;
+                        spec.coldFrac = cold.frac;
+                        spec.staticBranches = nsites;
+                        spec.branchBias = bias;
+                        const std::size_t n_br = n + seed % 3;
+                        std::vector<std::uint64_t> addrs(n), pcs(n_br);
+                        std::vector<std::uint8_t> taken(n_br);
+                        sim::Rng fused(seed), ref(seed);
+                        ++seed;
+                        cpu::drawBurst(fused, spec, n, n_br, addrs.data(),
+                                       pcs.data(), taken.data());
+                        for (std::size_t i = 0; i < n; ++i) {
+                            bool c = spec.coldBytes > 0 &&
+                                     ref.chance(spec.coldFrac);
+                            std::uint64_t a =
+                                spec.hotBase + (c ? spec.hotBytes : 0) +
+                                (ref.range(c ? spec.coldBytes
+                                             : spec.hotBytes) &
+                                 ~7ULL);
+                            ASSERT_EQ(addrs[i], a) << "ref " << i;
+                        }
+                        for (std::size_t i = 0; i < n_br; ++i) {
+                            ASSERT_EQ(pcs[i],
+                                      spec.textBase +
+                                          ref.range(spec.staticBranches) *
+                                              16)
+                                << "branch " << i;
+                            ASSERT_EQ(taken[i] != 0,
+                                      ref.chance(spec.branchBias))
+                                << "branch " << i;
+                        }
+                        ASSERT_EQ(fused.next(), ref.next())
+                            << "hot " << hot << " sites " << nsites
+                            << " cold " << cold.bytes << "/" << cold.frac
+                            << " bias " << bias << " n " << n;
+                    }
+                }
+            }
+        }
+    }
+}
+
 TEST(PollutionBatch, HierarchyLevelMajorMatchesPerLine)
 {
     CacheParams cp;
@@ -205,18 +364,15 @@ TEST(PollutionBatch, HierarchyLevelMajorMatchesPerLine)
         CacheBatchResult br =
             batch.accessBatch(core, run.data(), len, is_inst, mode);
         std::uint64_t l1m = 0, l2m = 0, llcm = 0;
-        Cycles lat = 0;
         for (auto a : run) {
             CacheAccessResult r = ref.access(core, a, is_inst, mode);
             l1m += r.l1Miss;
             l2m += r.l2Miss;
             llcm += r.llcMiss;
-            lat += r.latency;
         }
         ASSERT_EQ(br.l1Misses, l1m);
         ASSERT_EQ(br.l2Misses, l2m);
         ASSERT_EQ(br.llcMisses, llcm);
-        ASSERT_EQ(br.totalLatency, lat);
         for (auto m : {ExecMode::user, ExecMode::kernel}) {
             const auto &bc = batch.counters(m);
             const auto &rc = ref.counters(m);
@@ -256,17 +412,29 @@ TEST(PollutionBatch, RngFillMatchesSequentialChance)
 TEST(PollutionBatch, BranchUpdateBatchMatchesSequential)
 {
     BranchPredictor batch;
-    BranchPredictor ref;
+    ht::ReferenceGshare ref;
     sim::Rng rng(314159);
     std::vector<std::uint64_t> pcs;
     for (int i = 0; i < 1024; ++i)
         pcs.push_back(0xffffffff81000000ull + i * 16);
 
-    for (int round = 0; round < 20; ++round) {
+    for (int round = 0; round < 30; ++round) {
         // Cover n < n_pcs, n == n_pcs and several-wrap n > n_pcs.
         std::size_t n = 1 + rng.range(3000);
         std::vector<std::uint8_t> taken(n);
-        rng.fill(0.5, taken.data(), n);
+        if (round % 3 == 0) {
+            // Kernel coin flips.
+            rng.fill(0.5, taken.data(), n);
+        } else if (round % 3 == 1) {
+            // The user bursts' mostly-taken history.
+            rng.fill(0.96, taken.data(), n);
+        } else {
+            // Any non-zero byte is taken.
+            for (auto &t : taken)
+                t = rng.chance(0.5)
+                        ? static_cast<std::uint8_t>(1 + rng.range(255))
+                        : 0;
+        }
         auto mode = round % 2 ? ExecMode::kernel : ExecMode::user;
 
         std::uint64_t miss =
@@ -276,25 +444,10 @@ TEST(PollutionBatch, BranchUpdateBatchMatchesSequential)
         for (std::size_t i = 0; i < n; ++i)
             ref_miss += !ref.predictAndUpdate(pcs[i % pcs.size()],
                                               taken[i] != 0, mode);
-        ASSERT_EQ(miss, ref_miss);
-        for (auto m : {ExecMode::user, ExecMode::kernel}) {
-            ASSERT_EQ(batch.lookups(m), ref.lookups(m));
-            ASSERT_EQ(batch.mispredicts(m), ref.mispredicts(m));
-        }
+        ASSERT_EQ(miss, ref_miss) << "round " << round;
+        // The whole state: GHR, every PHT counter, per-mode counts.
+        ASSERT_EQ(blobOf(batch), blobOf(ref)) << "round " << round;
     }
-    // The internal state (GHR + every PHT counter) must have tracked
-    // exactly; a shared probe stream exposes any divergence.
-    std::vector<std::uint8_t> probe(4096);
-    sim::Rng prng(999);
-    prng.fill(0.5, probe.data(), probe.size());
-    std::uint64_t m1 = batch.updateBatch(pcs.data(), pcs.size(),
-                                         probe.data(), probe.size(),
-                                         ExecMode::user);
-    std::uint64_t m2 = 0;
-    for (std::size_t i = 0; i < probe.size(); ++i)
-        m2 += !ref.predictAndUpdate(pcs[i % pcs.size()], probe[i] != 0,
-                                    ExecMode::user);
-    ASSERT_EQ(m1, m2);
 }
 
 namespace {
@@ -312,7 +465,7 @@ struct KernelPollutionOracle
         static_cast<unsigned>(os::KernelCostCat::numCats);
 
     CacheHierarchy &caches;
-    std::vector<BranchPredictor> &bps;
+    std::vector<ht::ReferenceGshare> &bps;
     sim::Rng rng;
     std::uint64_t invocation = 0;
     std::uint64_t probes[nCats] = {};
@@ -373,15 +526,6 @@ struct KernelPollutionOracle
     }
 };
 
-template <typename T>
-std::vector<std::uint8_t>
-blobOf(T &component)
-{
-    sim::Serializer s = sim::Serializer::saver();
-    component.serialize(s);
-    return s.takeBlob();
-}
-
 } // namespace
 
 TEST(PollutionBatch, KernelExecMatchesPerLineOracle)
@@ -406,7 +550,7 @@ TEST(PollutionBatch, KernelExecMatchesPerLineOracle)
     CacheHierarchy caches(2, cp);
     CacheHierarchy ref_caches(2, cp);
     std::vector<BranchPredictor> bps(2);
-    std::vector<BranchPredictor> ref_bps(2);
+    std::vector<ht::ReferenceGshare> ref_bps(2);
     os::KernelExec kexec(caches, bps, 357, sim::Rng(0x5eed));
     KernelPollutionOracle oracle{ref_caches, ref_bps, sim::Rng(0x5eed)};
 

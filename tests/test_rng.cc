@@ -138,15 +138,19 @@ INSTANTIATE_TEST_SUITE_P(Bounds, RngRangeBound,
                          ::testing::Values(1, 2, 3, 7, 100, 1 << 20,
                                            (1ULL << 40) + 17));
 
-TEST(Rng, FillRawMatchesSequentialNext)
+TEST(Rng, BulkMatchesSequentialNext)
 {
     for (std::uint64_t seed : {0ull, 1ull, 0x9e3779b97f4a7c15ull, ~0ull}) {
         for (std::size_t n : {std::size_t(0), std::size_t(1),
                               std::size_t(3), std::size_t(8),
                               std::size_t(17), std::size_t(1000)}) {
+            // Groups of one draw: first and last are that draw.
             Rng a(seed), b(seed);
             std::vector<std::uint64_t> out(n + 1, 0xcc);
-            a.fillRaw(out.data(), n);
+            a.bulk<1>(n, [&](std::size_t i, std::uint64_t z,
+                             std::uint64_t last) {
+                out[i] = z == last ? z : 0;
+            });
             for (std::size_t i = 0; i < n; ++i)
                 ASSERT_EQ(out[i], b.next())
                     << "seed " << seed << " i " << i;
@@ -154,6 +158,20 @@ TEST(Rng, FillRawMatchesSequentialNext)
             // The final state too: the next draws agree.
             ASSERT_EQ(a.next(), b.next());
             ASSERT_EQ(a.uniform(), b.uniform());
+
+            // Groups of two consecutive draws.
+            Rng c(seed), d(seed);
+            std::vector<std::uint64_t> pairs(2 * n + 1, 0xcc);
+            c.bulk<2>(n, [&](std::size_t i, std::uint64_t first,
+                             std::uint64_t last) {
+                pairs[2 * i] = first;
+                pairs[2 * i + 1] = last;
+            });
+            for (std::size_t i = 0; i < 2 * n; ++i)
+                ASSERT_EQ(pairs[i], d.next())
+                    << "seed " << seed << " i " << i;
+            ASSERT_EQ(pairs[2 * n], 0xccu);
+            ASSERT_EQ(c.next(), d.next());
         }
     }
 }
