@@ -37,12 +37,17 @@ Tlb::serialize(sim::Serializer &s)
             for (auto &e : *lvl)
                 s.io(e.reach);
         s.io(latchReach);
-        if (s.loading()) {
-            nNapot[0] = nNapot[1] = nHuge[0] = nHuge[1] = 0;
-            for (auto *lvl : {&l1, &l2})
-                for (auto &e : *lvl)
-                    if (e.valid)
-                        countWide(levelOf(*lvl), e.reach, +1);
+    }
+    if (s.loading()) {
+        nNapot[0] = nNapot[1] = nHuge[0] = nHuge[1] = 0;
+        nValid[0] = nValid[1] = 0;
+        for (auto *lvl : {&l1, &l2}) {
+            for (auto &e : *lvl) {
+                if (!e.valid)
+                    continue;
+                ++nValid[levelOf(*lvl)];
+                countWide(levelOf(*lvl), e.reach, +1);
+            }
         }
     }
 }
@@ -113,6 +118,8 @@ Tlb::fill(std::vector<Entry> &lvl, unsigned sets, unsigned assoc,
         latchIdx = npos;
     if (victim->valid)
         countWide(levelOf(lvl), victim->reach, -1);
+    else
+        ++nValid[levelOf(lvl)];
     countWide(levelOf(lvl), reach, +1);
     victim->valid = true;
     victim->vpn = key << reach;
@@ -211,6 +218,8 @@ Tlb::invalidate(VAddr vaddr)
         (vpn >> latchReach) == (latchVpn >> latchReach))
         latchIdx = npos;
     for (unsigned lv = 0; lv < 2; ++lv) {
+        if (nValid[lv] == 0)
+            continue;
         auto &arr = lv == 0 ? l1 : l2;
         unsigned sets = lv == 0 ? l1Sets : l2Sets;
         unsigned assoc = lv == 0 ? l1Assoc : l2Assoc;
@@ -222,6 +231,7 @@ Tlb::invalidate(VAddr vaddr)
                 continue;
             if (Entry *e = find(arr, sets, assoc, vpn, reach)) {
                 e->valid = false;
+                --nValid[lv];
                 countWide(lv, e->reach, -1);
             }
         }
@@ -239,6 +249,8 @@ Tlb::invalidateRange(VAddr vaddr, std::uint64_t pages)
             latchIdx = npos;
     }
     for (unsigned lv = 0; lv < 2; ++lv) {
+        if (nValid[lv] == 0)
+            continue;
         auto &arr = lv == 0 ? l1 : l2;
         for (Entry &e : arr) {
             if (!e.valid)
@@ -246,6 +258,7 @@ Tlb::invalidateRange(VAddr vaddr, std::uint64_t pages)
             std::uint64_t base = e.vpn;
             if (base < hi && lo < base + (1ULL << e.reach)) {
                 e.valid = false;
+                --nValid[lv];
                 countWide(lv, e.reach, -1);
             }
         }
@@ -262,6 +275,7 @@ Tlb::flush()
     for (Entry &e : l2)
         e.valid = false;
     nNapot[0] = nNapot[1] = nHuge[0] = nHuge[1] = 0;
+    nValid[0] = nValid[1] = 0;
 }
 
 } // namespace hwdp::cpu

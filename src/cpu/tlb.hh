@@ -117,6 +117,11 @@ class Tlb
     std::uint64_t latchHits() const { return nLatchHits; }
     /** Hits (either level or latch) served by a wide entry. */
     std::uint64_t wideHits() const { return statWideHits.value(); }
+    /** Valid entries in the L1 (@p level 0) or the L2 (1). */
+    std::uint32_t validEntries(unsigned level) const
+    {
+        return nValid[level];
+    }
 
     /** Checkpoint both arrays, the latch and the clock. */
     void serialize(sim::Serializer &s);
@@ -151,6 +156,13 @@ class Tlb
     /** Valid wide entries per level (index 0 = L1), per reach. */
     std::uint32_t nNapot[2] = {0, 0};
     std::uint32_t nHuge[2] = {0, 0};
+
+    /**
+     * Valid entries per level, so a shootdown skips the set scans of
+     * a TLB no thread filled. Host-side: recounted on restore, never
+     * serialized.
+     */
+    std::uint32_t nValid[2] = {0, 0};
 
     /**
      * Latch hits are host-side: the latch is a lookup shortcut, so a

@@ -1,5 +1,7 @@
 #include "os/file_system.hh"
 
+#include <algorithm>
+
 #include "os/pte.hh"
 #include "sim/logging.hh"
 #include "sim/serialize.hh"
@@ -16,25 +18,76 @@ FileSystem::serialize(sim::Serializer &s)
     s.check(n, "file count");
     for (auto &f : files) {
         s.check(f->fid, "file id");
-        std::uint64_t pages = f->blockMap.size();
-        s.check(pages, "file size");
-        s.ioRange(f->blockMap.begin(), f->blockMap.end());
+        s.check(f->nPages, "file size");
+        // One LBA per page, as the blob always carried it; a load
+        // rebuilds the runs from the page-by-page stream.
+        if (s.saving()) {
+            File::Cursor c = f->cursor();
+            for (std::uint64_t i = 0; i < f->nPages; ++i) {
+                Lba lba = c.lbaOf(i);
+                s.io(lba);
+            }
+        } else {
+            f->runs.clear();
+            for (std::uint64_t i = 0; i < f->nPages; ++i) {
+                Lba lba = 0;
+                s.io(lba);
+                f->appendRun(i, lba);
+            }
+        }
         s.io(f->marked);
     }
 }
 
 File::File(std::uint32_t id, std::string name, std::uint64_t n_pages,
            BlockDeviceId bdev)
-    : fid(id), fname(std::move(name)), bdev(bdev), blockMap(n_pages, 0)
+    : fid(id), fname(std::move(name)), bdev(bdev), nPages(n_pages)
 {
+}
+
+std::size_t
+File::runOf(std::uint64_t index) const
+{
+    auto it = std::upper_bound(
+        runs.begin(), runs.end(), index,
+        [](std::uint64_t i, const Run &r) { return i < r.page; });
+    return static_cast<std::size_t>(it - runs.begin()) - 1;
 }
 
 Lba
 File::lbaOf(std::uint64_t index) const
 {
-    if (index >= blockMap.size())
+    if (index >= nPages)
         panic("file '", fname, "': page index ", index, " beyond EOF");
-    return blockMap[index];
+    const Run &r = runs[runOf(index)];
+    return r.lba + (index - r.page);
+}
+
+void
+File::appendRun(std::uint64_t page, Lba lba)
+{
+    if (!runs.empty() && runs.back().lba + (page - runs.back().page) == lba)
+        return;
+    runs.push_back(Run{page, lba});
+}
+
+void
+File::setLba(std::uint64_t index, Lba lba)
+{
+    std::size_t at = runOf(index);
+    const Run old = runs[at];
+    const std::uint64_t end =
+        at + 1 < runs.size() ? runs[at + 1].page : nPages;
+    // Up to three pieces: the pages before @p index keep their slot,
+    // the page itself, and the pages after it on their old LBAs.
+    if (index == old.page)
+        runs[at].lba = lba;
+    else
+        runs.insert(runs.begin() + static_cast<std::ptrdiff_t>(++at),
+                    Run{index, lba});
+    if (index + 1 < end)
+        runs.insert(runs.begin() + static_cast<std::ptrdiff_t>(at + 1),
+                    Run{index + 1, old.lba + (index + 1 - old.page)});
 }
 
 FileSystem::FileSystem(sim::Rng rng, std::uint64_t extent_pages)
@@ -63,16 +116,15 @@ void
 FileSystem::allocateExtents(File &f)
 {
     std::uint64_t idx = 0;
-    while (idx < f.blockMap.size()) {
+    while (idx < f.nPages) {
         // Extent lengths vary around the mean; seams skip a few blocks
         // to model allocation by other files.
         std::uint64_t len = std::max<std::uint64_t>(
             1, static_cast<std::uint64_t>(
                    rng.normal(static_cast<double>(extentPages),
                               static_cast<double>(extentPages) / 4.0)));
-        len = std::min(len, f.blockMap.size() - idx);
-        for (std::uint64_t i = 0; i < len; ++i)
-            f.blockMap[idx + i] = nextLba + i;
+        len = std::min(len, f.nPages - idx);
+        f.appendRun(idx, nextLba);
         nextLba += len + rng.range(16);
         idx += len;
         // The top LBA is reserved as the anonymous zero-fill marker.
@@ -102,13 +154,14 @@ FileSystem::byId(std::uint32_t id)
 void
 FileSystem::remapPage(File &file, std::uint64_t index)
 {
-    if (index >= file.blockMap.size())
+    if (index >= file.nPages)
         panic("remapPage: index ", index, " beyond EOF of '", file.name(),
               "'");
-    file.blockMap[index] = nextLba;
+    Lba lba = nextLba;
+    file.setLba(index, lba);
     nextLba += 1 + rng.range(4);
     if (onRemap)
-        onRemap(file, index, file.blockMap[index]);
+        onRemap(file, index, lba);
 }
 
 } // namespace hwdp::os

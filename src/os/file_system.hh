@@ -5,10 +5,12 @@
  * Maps (file, page index) to an LBA on a specific block device — the
  * storage-layout knowledge the LBA-augmented page table mirrors into
  * PTEs. Files are allocated in extents with configurable fragmentation
- * so LBAs are realistic (mostly sequential with seams). Block mapping
- * changes (copy-on-write or log-structured updates, Section IV-B)
- * go through remapPage(), which notifies a registered listener so the
- * kernel can patch LBA-augmented PTEs.
+ * so LBAs are realistic (mostly sequential with seams), and a file's
+ * block map keeps those extents as runs rather than one LBA per page.
+ * Block mapping changes (copy-on-write or log-structured updates,
+ * Section IV-B) go through remapPage(), which splits the page's run and
+ * notifies a registered listener so the kernel can patch LBA-augmented
+ * PTEs.
  */
 
 #ifndef HWDP_OS_FILE_SYSTEM_HH
@@ -46,17 +48,41 @@ class File
 
     std::uint32_t id() const { return fid; }
     const std::string &name() const { return fname; }
-    std::uint64_t numPages() const { return blockMap.size(); }
+    std::uint64_t numPages() const { return nPages; }
     BlockDeviceId device() const { return bdev; }
 
     /** LBA backing page @p index. One LBA covers one 4 KB page. */
     Lba lbaOf(std::uint64_t index) const;
 
+    /** Runs in the block map: page ranges on consecutive LBAs. */
+    std::size_t extentCount() const { return runs.size(); }
+
     /**
-     * Raw page-index -> LBA table (numPages() entries), for bulk
-     * population sweeps that bounds-check once instead of per page.
+     * Forward cursor over the block map for sweeps in page order
+     * (bulk PTE population): each lbaOf() index must be below
+     * numPages() and no smaller than the previous one, and costs an
+     * amortized step instead of a search.
      */
-    const Lba *lbaTable() const { return blockMap.data(); }
+    class Cursor
+    {
+      public:
+        Lba
+        lbaOf(std::uint64_t index)
+        {
+            const std::vector<Run> &r = file->runs;
+            while (run + 1 < r.size() && r[run + 1].page <= index)
+                ++run;
+            return r[run].lba + (index - r[run].page);
+        }
+
+      private:
+        friend class File;
+        explicit Cursor(const File &f) : file(&f) {}
+
+        const File *file;
+        std::size_t run = 0;
+    };
+    Cursor cursor() const { return Cursor(*this); }
 
     /** True once the fast-mmap path has marked this file (IV-B). */
     bool lbaAugmentedMapping() const { return marked; }
@@ -65,11 +91,33 @@ class File
   private:
     friend class FileSystem;
 
+    /**
+     * Pages [page, next run's page) sit on LBAs lba, lba + 1, ...
+     * The extent layout the allocator made, split where remapPage
+     * moved single blocks: a few thousand runs for a million pages.
+     */
+    struct Run
+    {
+        std::uint64_t page;
+        Lba lba;
+    };
+
     std::uint32_t fid;
     std::string fname;
     BlockDeviceId bdev;
-    std::vector<Lba> blockMap; // page index -> LBA
+    std::uint64_t nPages;
+    std::vector<Run> runs; // sorted by page; runs[0].page == 0
     bool marked = false;
+
+    /** Index of the run holding page @p index (< numPages()). */
+    std::size_t runOf(std::uint64_t index) const;
+    /**
+     * Map pages from @p page (the first unmapped one) on to LBAs from
+     * @p lba on, continuing the last run when the LBAs follow it.
+     */
+    void appendRun(std::uint64_t page, Lba lba);
+    /** Move page @p index alone to @p lba, splitting its run. */
+    void setLba(std::uint64_t index, Lba lba);
 };
 
 class FileSystem

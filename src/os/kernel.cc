@@ -274,27 +274,28 @@ Kernel::populateFastVma(AddressSpace &as, File &file, Vma *vma)
 {
     file.markLbaAugmented();
     BlockDeviceId bdev = file.device();
+    std::uint64_t n = vma->numPages();
+    if (vma->filePageOffset + n > file.numPages())
+        panic("populateFastVma: vma extends past EOF of '", file.name(),
+              "'");
+    File::Cursor lba = file.cursor();
     if (pcache.empty()) {
         // Nothing is resident, so every per-page lookup below would
         // miss: account them in bulk and run-fill the tree one leaf
         // table at a time. Same PTEs, same table-allocation order,
         // same page-cache counters — only the host cost of a
         // million-page mmap sweep changes.
-        std::uint64_t n = vma->numPages();
         pcache.noteMissRun(n);
-        if (vma->filePageOffset + n > file.numPages())
-            panic("populateFastVma: vma extends past EOF of '",
-                  file.name(), "'");
-        const Lba *lba = file.lbaTable() + vma->filePageOffset;
         as.pageTable().writePteRun(
             vma->start, n, [&](std::uint64_t i) {
-                return pte::makeLbaAugmented(bdev.sid, bdev.dev, lba[i],
-                                             vma->prot);
+                return pte::makeLbaAugmented(
+                    bdev.sid, bdev.dev,
+                    lba.lbaOf(vma->filePageOffset + i), vma->prot);
             });
         return n;
     }
     std::uint64_t populated = 0;
-    for (std::uint64_t i = 0; i < vma->numPages(); ++i) {
+    for (std::uint64_t i = 0; i < n; ++i) {
         VAddr va = vma->start + i * pageSize;
         std::uint64_t idx = vma->filePageOffset + i;
         Pfn cached = pcache.lookup(file, idx);
@@ -309,7 +310,7 @@ Kernel::populateFastVma(AddressSpace &as, File &file, Vma *vma)
         } else {
             as.pageTable().writePte(
                 va, pte::makeLbaAugmented(bdev.sid, bdev.dev,
-                                          file.lbaOf(idx), vma->prot));
+                                          lba.lbaOf(idx), vma->prot));
         }
         ++populated;
     }

@@ -34,10 +34,10 @@ Serializer::section(const char *name)
 void
 Serializer::need(std::size_t n) const
 {
-    if (cursor + n > buf.size()) {
+    if (cursor > srcSize || n > srcSize - cursor) {
         std::ostringstream os;
         os << "checkpoint blob truncated: need " << n << " bytes at offset "
-           << cursor << " of " << buf.size();
+           << cursor << " of " << srcSize;
         throw SerializeError(os.str());
     }
 }

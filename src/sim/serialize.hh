@@ -57,16 +57,23 @@ class Serializer
     enum class Dir { save, load };
 
     /** A saving archive writing into a fresh blob. */
-    static Serializer saver() { return Serializer(Dir::save, {}); }
+    static Serializer saver() { return Serializer(Dir::save, nullptr, 0); }
 
-    /** A loading archive reading @p blob from @p offset. */
+    /**
+     * A loading archive reading @p blob from @p offset, in place: the
+     * caller keeps the blob alive and unchanged while the archive
+     * reads, and no byte of it is copied.
+     */
     static Serializer
-    loader(std::vector<std::uint8_t> blob, std::size_t offset = 0)
+    loader(const std::vector<std::uint8_t> &blob, std::size_t offset = 0)
     {
-        Serializer s(Dir::load, std::move(blob));
+        Serializer s(Dir::load, blob.data(), blob.size());
         s.cursor = offset;
         return s;
     }
+    /** A temporary blob would be gone before the archive reads it. */
+    static Serializer loader(std::vector<std::uint8_t> &&,
+                             std::size_t = 0) = delete;
 
     bool saving() const { return dir == Dir::save; }
     bool loading() const { return dir == Dir::load; }
@@ -79,7 +86,7 @@ class Serializer
     std::size_t offset() const { return cursor; }
 
     /** True when a loading archive consumed the whole blob. */
-    bool exhausted() const { return cursor == buf.size(); }
+    bool exhausted() const { return cursor == srcSize; }
 
     // ---- Scalars --------------------------------------------------------
     template <typename T>
@@ -91,7 +98,7 @@ class Serializer
             buf.insert(buf.end(), p, p + sizeof(T));
         } else {
             need(sizeof(T));
-            std::memcpy(&v, buf.data() + cursor, sizeof(T));
+            std::memcpy(&v, src + cursor, sizeof(T));
             cursor += sizeof(T);
         }
     }
@@ -114,8 +121,7 @@ class Serializer
             buf.insert(buf.end(), s.begin(), s.end());
         } else {
             need(n);
-            s.assign(reinterpret_cast<const char *>(buf.data() + cursor),
-                     n);
+            s.assign(reinterpret_cast<const char *>(src + cursor), n);
             cursor += n;
         }
     }
@@ -193,8 +199,8 @@ class Serializer
     static std::uint64_t hashName(const char *name);
 
   private:
-    Serializer(Dir d, std::vector<std::uint8_t> b)
-        : dir(d), buf(std::move(b))
+    Serializer(Dir d, const std::uint8_t *data, std::size_t size)
+        : dir(d), src(data), srcSize(size)
     {
     }
 
@@ -202,7 +208,9 @@ class Serializer
     [[noreturn]] void mismatch(const char *what) const;
 
     Dir dir;
-    std::vector<std::uint8_t> buf;
+    std::vector<std::uint8_t> buf;   ///< Saving: the blob being written.
+    const std::uint8_t *src;         ///< Loading: the caller's bytes.
+    std::size_t srcSize;
     std::size_t cursor = 0;
 };
 

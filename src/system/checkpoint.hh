@@ -84,11 +84,11 @@ class Checkpoint
 
     /**
      * Apply @p blob to @p sys, which must be built by the same boot
-     * recipe as the saved machine and never started. Verifies magic,
-     * version, config hash, every structural check in the body, and
-     * the trailing logical-state hash. Leaves the machine live
-     * (started) with stopped kthreads; call sys.resumeKthreads() to
-     * continue.
+     * recipe as the saved machine and never started. The blob is read
+     * in place, never copied or changed. Verifies magic, version,
+     * config hash, every structural check in the body, and the
+     * trailing logical-state hash. Leaves the machine live (started)
+     * with stopped kthreads; call sys.resumeKthreads() to continue.
      */
     static void restore(System &sys, const std::vector<std::uint8_t> &blob,
                         CheckpointStats *st = nullptr);

@@ -14,16 +14,21 @@
  * Frames are keyed by (block-layer device index, LBA) — the same
  * coordinates every paging mode uses to name a backing page — so the
  * SMU, the software SMU and the OSDP fault path all resolve the same
- * cached copy. The latency profile is decomposed like SsdProfile:
- * command packetization + buffer-DRAM media access + 4 KB link
- * transfer.
+ * cached copy. The frame map is flat: per device, fixed LBA chunks of
+ * one flag byte per LBA plus a presence bitmap, allocated only for the
+ * spans that hold a frame, so a probe is a short search over chunk
+ * bases and a walk in (device, LBA) order is a bitmap scan. The
+ * latency profile is decomposed like SsdProfile: command packetization
+ * + buffer-DRAM media access + 4 KB link transfer.
  */
 
 #ifndef HWDP_TIER_CXL_BUFFER_HH
 #define HWDP_TIER_CXL_BUFFER_HH
 
+#include <array>
 #include <functional>
-#include <map>
+#include <memory>
+#include <vector>
 
 #include "sim/sim_object.hh"
 
@@ -100,7 +105,7 @@ class CxlBuffer : public sim::SimObject
     void invalidate(unsigned dev, Lba lba);
 
     std::uint64_t capacity() const { return prm.frames; }
-    std::uint64_t occupancy() const { return entries.size(); }
+    std::uint64_t occupancy() const { return nResident; }
     std::uint64_t occupancyHighWater() const
     {
         return statHighWater.value();
@@ -185,16 +190,53 @@ class CxlBuffer : public sim::SimObject
     void serialize(sim::Serializer &s);
 
   private:
-    struct Entry
+    /** Per-frame flags; the checkpoint carries dirty and referenced. */
+    static constexpr std::uint8_t dirtyBit = 1;
+    static constexpr std::uint8_t referencedBit = 2;
+    static constexpr std::uint8_t writingBit = 4;
+
+    /** LBAs per chunk of the frame map. */
+    static constexpr unsigned chunkShift = 10;
+    static constexpr std::uint64_t chunkFrames = std::uint64_t(1)
+                                                 << chunkShift;
+
+    /** One chunk of a device's LBA space; freed when it empties. */
+    struct Chunk
     {
-        bool dirty = false;
-        bool referenced = false;
-        bool writing = false;
+        std::uint64_t resident = 0;
+        std::array<std::uint64_t, chunkFrames / 64> present{};
+        std::array<std::uint8_t, chunkFrames> flags{};
+
+        bool has(unsigned off) const
+        {
+            return (present[off >> 6] >> (off & 63)) & 1;
+        }
+        /** First resident offset >= @p from, or chunkFrames. */
+        unsigned nextFrom(unsigned from) const;
+    };
+
+    /** A device's chunks, sorted by base LBA (a chunkFrames multiple). */
+    struct Device
+    {
+        std::vector<Lba> bases;
+        std::vector<std::unique_ptr<Chunk>> chunks;
+
+        /** Index of the first chunk whose base is >= @p base. */
+        std::size_t firstAtOrAbove(Lba base) const;
+    };
+
+    /** A resident frame's place in (device, LBA) order. */
+    struct Pos
+    {
+        unsigned dev = 0;
+        std::size_t chunk = 0;
+        unsigned off = 0;
     };
 
     Params prm;
-    /** Ordered so clock scans and checkpoints are deterministic. */
-    std::map<std::uint64_t, Entry> entries;
+    /** Indexed by device; walked in key order for clock and checkpoint. */
+    std::vector<Device> devices;
+    std::uint64_t nResident = 0;
     std::uint64_t clockCursor = 0;
 
     std::function<void()> pressureHook;
@@ -223,6 +265,27 @@ class CxlBuffer : public sim::SimObject
     static Lba lbaOf(std::uint64_t k)
     {
         return k & ((std::uint64_t(1) << 48) - 1);
+    }
+    static Lba chunkBase(Lba lba) { return lba >> chunkShift << chunkShift; }
+
+    /** Flags of resident frame (dev, lba), or nullptr. */
+    std::uint8_t *find(unsigned dev, Lba lba) const;
+    /** Make (dev, lba), known absent, resident with @p flags. */
+    void insert(unsigned dev, Lba lba, std::uint8_t flags);
+    /** Drop resident frame (dev, lba), freeing its chunk if emptied. */
+    void erase(unsigned dev, Lba lba);
+
+    /** The first resident frame at or after key @p k; false: none. */
+    bool seek(std::uint64_t k, Pos &p) const;
+    /** Step @p p to the next resident frame; false: none. */
+    bool advance(Pos &p) const;
+    std::uint64_t keyAt(const Pos &p) const
+    {
+        return key(p.dev, devices[p.dev].bases[p.chunk] + p.off);
+    }
+    std::uint8_t &flagsAt(const Pos &p) const
+    {
+        return devices[p.dev].chunks[p.chunk]->flags[p.off];
     }
 };
 

@@ -309,13 +309,15 @@ TEST(CacheArray, MatchesStampFreeLruOracle)
                 for (std::size_t i = 0; i < n; ++i) {
                     bool hit = ref.access(run[i]);
                     ref_hits += hit;
-                    if (!hit)
+                    if (!hit) {
                         ASSERT_EQ(miss[nmiss++], run[i])
                             << "op " << op << " line " << i;
-                    if (with_bitmap)
+                    }
+                    if (with_bitmap) {
                         ASSERT_EQ(bitmap[i / 64] >> (i % 64) & 1,
                                   std::uint64_t(hit))
                             << "op " << op << " line " << i;
+                    }
                 }
                 ASSERT_EQ(hits, ref_hits) << "op " << op;
             } else if (kind < 999) {

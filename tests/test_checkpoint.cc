@@ -26,6 +26,7 @@
 #include "testing/fault_plan.hh"
 #include "testing/invariants.hh"
 #include "testing/machine_differ.hh"
+#include "tests/heap_counting.hh"
 #include "workloads/fio.hh"
 #include "workloads/kv_store.hh"
 #include "workloads/ycsb.hh"
@@ -479,6 +480,39 @@ TEST(Checkpoint, FileRoundTripAndMissingFileFallback)
     EXPECT_EQ(rst.tick, st.tick);
     EXPECT_EQ(rst.logicalHash, st.logicalHash);
     std::remove(path.c_str());
+}
+
+TEST(Checkpoint, RestoreReadsAConstBlobInPlace)
+{
+    // The loader reads the caller's bytes where they are: a restore
+    // from a const blob leaves every byte of it as it was.
+    Scenario sc{system::PagingMode::hwdp, 'A', 0.0};
+    Machine a = boot(sc);
+    ASSERT_TRUE(a.sys->runUntilThreadsDone(seconds(30.0)));
+    const std::vector<std::uint8_t> blob = system::Checkpoint::save(*a.sys);
+    const std::vector<std::uint8_t> copy = blob;
+
+    Machine b = boot(sc);
+    system::CheckpointStats st;
+    system::Checkpoint::restore(*b.sys, blob, &st);
+    EXPECT_EQ(st.blobBytes, blob.size());
+    EXPECT_EQ(blob, copy);
+}
+
+TEST(CheckpointUnit, LoaderOverABlobAllocatesNothing)
+{
+    if (!HWDP_HEAP_COUNTING)
+        GTEST_SKIP() << "counting allocator compiled out (sanitizer)";
+    const std::vector<std::uint8_t> blob(1 << 20, 0x5a);
+    const std::uint64_t before = ht::heapAllocs();
+    sim::Serializer s = sim::Serializer::loader(blob, 8);
+    std::uint64_t word = 0;
+    s.io(word);
+    const bool at16 = s.offset() == 16;
+    EXPECT_EQ(ht::heapAllocs(), before);
+    EXPECT_TRUE(at16);
+    EXPECT_EQ(word, 0x5a5a5a5a5a5a5a5aULL);
+    EXPECT_FALSE(s.exhausted());
 }
 
 TEST(Checkpoint, DescribeCarriesProvenance)

@@ -6,9 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
+#include "bench/bench_common.hh"
 #include "os/file_system.hh"
 #include "sim/logging.hh"
+#include "sim/serialize.hh"
 
 using namespace hwdp;
 using namespace hwdp::os;
@@ -19,6 +22,49 @@ FileSystem
 makeFs()
 {
     return FileSystem(sim::Rng(42));
+}
+
+/** Every page's LBA, in page order: the flat block map. */
+std::vector<Lba>
+flatMap(const File &f)
+{
+    std::vector<Lba> lbas(f.numPages());
+    for (std::uint64_t i = 0; i < f.numPages(); ++i)
+        lbas[i] = f.lbaOf(i);
+    return lbas;
+}
+
+/** The same table read through a forward cursor. */
+std::vector<Lba>
+cursorMap(const File &f)
+{
+    std::vector<Lba> lbas(f.numPages());
+    File::Cursor c = f.cursor();
+    for (std::uint64_t i = 0; i < f.numPages(); ++i)
+        lbas[i] = c.lbaOf(i);
+    return lbas;
+}
+
+/** FNV-1a over the little-endian bytes of every page's LBA. */
+std::uint64_t
+lbaHash(const std::vector<Lba> &lbas)
+{
+    std::uint64_t h = 14695981039346656037ULL;
+    for (Lba lba : lbas) {
+        for (unsigned b = 0; b < sizeof(lba); ++b) {
+            h ^= (lba >> (8 * b)) & 0xff;
+            h *= 1099511628211ULL;
+        }
+    }
+    return h;
+}
+
+std::vector<std::uint8_t>
+saveFs(FileSystem &fs)
+{
+    sim::Serializer s = sim::Serializer::saver();
+    fs.serialize(s);
+    return s.takeBlob();
 }
 
 } // namespace
@@ -118,4 +164,99 @@ TEST(FileSystem, MarkLbaAugmentedSticks)
     EXPECT_FALSE(f->lbaAugmentedMapping());
     f->markLbaAugmented();
     EXPECT_TRUE(f->lbaAugmentedMapping());
+}
+
+TEST(FileSystem, SuiteDatasetLbasMatchTheFlatTable)
+{
+    // Pins taken from the flat one-LBA-per-page table the block map
+    // replaced: the canonical suite's 1M-page fio.dat and 256K-page
+    // kv.dat, created the way its machines create them at seed 42.
+    struct Case
+    {
+        const char *name;
+        std::uint64_t pages;
+        std::uint64_t hash;
+    };
+    for (const Case &c :
+         {Case{"fio.dat", 8 * bench::defaultMemFrames,
+               0x09d656b6ffbec43aULL},
+          Case{"kv.dat", bench::defaultDatasetPages,
+               0xc99affc8143db15fULL}}) {
+        system::MachineConfig cfg =
+            bench::paperConfig(system::PagingMode::hwdp);
+        cfg.seed = 42;
+        system::System sys(cfg);
+        File *f = sys.createFile(c.name, c.pages);
+        const std::vector<Lba> flat = flatMap(*f);
+        EXPECT_EQ(lbaHash(flat), c.hash) << c.name;
+        EXPECT_EQ(cursorMap(*f), flat) << c.name;
+        // A few thousand runs stand for a million pages.
+        EXPECT_LT(f->extentCount(), c.pages / 256) << c.name;
+    }
+}
+
+TEST(FileSystem, RemapSplitsRunsPageByPage)
+{
+    auto fs = makeFs();
+    File *f = fs.createFile("f", 5000, BlockDeviceId{0, 0});
+    std::vector<Lba> ref = flatMap(*f);
+    fs.setRemapListener([&](File &, std::uint64_t idx, Lba lba) {
+        ref[idx] = lba;
+    });
+    // Run boundaries of the fresh layout.
+    std::vector<std::uint64_t> starts{0};
+    for (std::uint64_t i = 1; i < ref.size(); ++i) {
+        if (ref[i] != ref[i - 1] + 1)
+            starts.push_back(i);
+    }
+    ASSERT_GE(starts.size(), 4u);
+    ASSERT_EQ(f->extentCount(), starts.size());
+
+    // A run's first page, a middle page and its last page split it
+    // into two, three and two pieces; remapping the lone page left in
+    // the middle again moves it without another split.
+    const std::uint64_t first = starts[1];
+    const std::uint64_t middle = (starts[2] + starts[3]) / 2;
+    const std::uint64_t last = starts[3] - 1;
+    struct Step
+    {
+        std::uint64_t index;
+        std::size_t newRuns;
+    };
+    for (const Step &st : {Step{first, 1}, Step{middle, 2}, Step{last, 1},
+                           Step{middle, 0}}) {
+        const std::size_t before = f->extentCount();
+        fs.remapPage(*f, st.index);
+        EXPECT_EQ(f->extentCount(), before + st.newRuns) << st.index;
+        for (std::uint64_t i = 0; i < ref.size(); ++i)
+            ASSERT_EQ(f->lbaOf(i), ref[i]) << "page " << i;
+        EXPECT_EQ(flatMap(*f), ref);
+    }
+    // The first and the last page of the file.
+    fs.remapPage(*f, 0);
+    fs.remapPage(*f, f->numPages() - 1);
+    EXPECT_EQ(flatMap(*f), ref);
+}
+
+TEST(FileSystem, RemappedFileRoundTripsThroughACheckpoint)
+{
+    auto fs = makeFs();
+    File *f = fs.createFile("f", 3000, BlockDeviceId{0, 0});
+    fs.createFile("g", 700, BlockDeviceId{0, 1});
+    sim::Rng pick(5);
+    for (int i = 0; i < 40; ++i)
+        fs.remapPage(*f, pick.range(f->numPages()));
+    const std::vector<std::uint8_t> blob = saveFs(fs);
+
+    // The restore target is built by the same recipe, unremapped.
+    auto twin = makeFs();
+    File *tf = twin.createFile("f", 3000, BlockDeviceId{0, 0});
+    twin.createFile("g", 700, BlockDeviceId{0, 1});
+    ASSERT_NE(flatMap(*tf), flatMap(*f));
+    sim::Serializer load = sim::Serializer::loader(blob);
+    twin.serialize(load);
+    EXPECT_TRUE(load.exhausted());
+    EXPECT_EQ(flatMap(*tf), flatMap(*f));
+    EXPECT_EQ(saveFs(twin), blob);
+    EXPECT_EQ(twin.allocatedBlocks(), fs.allocatedBlocks());
 }

@@ -112,8 +112,9 @@ TEST(Behavior, MunmapWaitsForOutstandingMissesAndSyncs)
     // the SMU queue, or page-cache resident without a mapping).
     for (Pfn p = 0; p < sys.kernel().numFrames(); ++p) {
         auto &pg = sys.kernel().page(p);
-        if (pg.inUse)
+        if (pg.inUse) {
             EXPECT_EQ(pg.as, nullptr) << "pfn " << p;
+        }
     }
 
     // The fast-mmap registry must have dropped the destroyed VMA, or
@@ -157,9 +158,10 @@ TEST(Behavior, MsyncWritesBackDirtyPages)
     for (int i = 0; i < 16; ++i) {
         os::pte::Entry e = mf.as->pageTable().readPte(
             mf.vma->start + i * pageSize);
-        if (os::pte::isPresent(e))
+        if (os::pte::isPresent(e)) {
             EXPECT_FALSE(
                 sys.kernel().page(os::pte::pfnOf(e)).dirty);
+        }
     }
 }
 

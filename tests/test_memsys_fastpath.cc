@@ -14,70 +14,18 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
 #include <memory>
-#include <new>
 
 #include "system/system.hh"
 #include "testing/invariants.hh"
 #include "testing/machine_differ.hh"
+#include "tests/heap_counting.hh"
 #include "workloads/fio.hh"
 #include "workloads/kv_store.hh"
 #include "workloads/ycsb.hh"
 
 using namespace hwdp;
 namespace ht = hwdp::testing;
-
-// ---- Counting global allocator ---------------------------------------------
-// Every heap allocation in the test binary bumps this counter; the
-// zero-allocation tests read it around a window of fast-path accesses.
-//
-// ASan ships its own operator new/delete interceptors; defining the
-// global allocator alongside them makes allocations from
-// uninstrumented DSOs (libgtest) look type-mismatched. Compile the
-// override out under ASan and skip the counting assertions there —
-// the regular build keeps the proof.
-
-#ifndef HWDP_HEAP_COUNTING
-#if defined(__SANITIZE_ADDRESS__)
-#define HWDP_HEAP_COUNTING 0
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define HWDP_HEAP_COUNTING 0
-#else
-#define HWDP_HEAP_COUNTING 1
-#endif
-#else
-#define HWDP_HEAP_COUNTING 1
-#endif
-#endif
-
-static std::atomic<std::uint64_t> g_heapAllocs{0};
-
-#if HWDP_HEAP_COUNTING
-
-void *
-operator new(std::size_t n)
-{
-    ++g_heapAllocs;
-    if (void *p = std::malloc(n ? n : 1))
-        return p;
-    throw std::bad_alloc();
-}
-
-void *
-operator new[](std::size_t n)
-{
-    return operator new(n);
-}
-
-void operator delete(void *p) noexcept { std::free(p); }
-void operator delete(void *p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void *p) noexcept { std::free(p); }
-void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
-
-#endif // HWDP_HEAP_COUNTING
 
 namespace {
 
@@ -309,14 +257,14 @@ TEST(FastPathAllocation, TlbHitAccessIsAllocationFree)
     VAddr va = mf.vma->start;
     ASSERT_TRUE(mmu.access(t, *mf.as, va, false, 0, sink, info)); // warm
 
-    auto before = g_heapAllocs.load();
+    auto before = ht::heapAllocs();
     for (int i = 0; i < 1000; ++i) {
         ASSERT_TRUE(mmu.access(t, *mf.as, va + (i % 16) * pageSize,
                                (i & 1) != 0, 0, sink, info));
         ASSERT_GT(info.latency, 0u);
         ASSERT_FALSE(info.faulted);
     }
-    EXPECT_EQ(g_heapAllocs.load(), before)
+    EXPECT_EQ(ht::heapAllocs(), before)
         << "TLB-hit accesses must not touch the heap";
     EXPECT_FALSE(sink.called) << "hits complete inline, never via sink";
 }
@@ -451,14 +399,14 @@ TEST(FastPathAllocation, WalkHitAccessIsAllocationFree)
     VAddr va = mf.vma->start;
     ASSERT_TRUE(mmu.access(t, *mf.as, va, false, 0, sink, info)); // warm
 
-    auto before = g_heapAllocs.load();
+    auto before = ht::heapAllocs();
     for (int i = 0; i < 200; ++i) {
         mmu.tlb().flush(); // force the walk (present PTE) path
         ASSERT_TRUE(mmu.access(t, *mf.as, va + (i % 16) * pageSize,
                                false, 0, sink, info));
         ASSERT_FALSE(info.faulted);
     }
-    EXPECT_EQ(g_heapAllocs.load(), before)
+    EXPECT_EQ(ht::heapAllocs(), before)
         << "present-PTE walks must not touch the heap";
     EXPECT_FALSE(sink.called);
 }

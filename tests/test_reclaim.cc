@@ -294,7 +294,8 @@ TEST(LruLists, LoadRejectsARepeatedPfn)
     s.io(n); // inactive: [5]
     s.io(pfn);
     LruLists lru;
-    sim::Serializer in = sim::Serializer::loader(s.takeBlob());
+    const std::vector<std::uint8_t> blob = s.takeBlob();
+    sim::Serializer in = sim::Serializer::loader(blob);
     EXPECT_THROW(lru.serialize(in), sim::SerializeError);
 }
 

@@ -28,8 +28,9 @@ TEST(Report, AlignsColumns)
         if (next == std::string::npos)
             break;
         // Separator can be shorter; data/header rows must match.
-        if (s[pos] != '-' && s.substr(pos, 2) != "  -")
+        if (s[pos] != '-' && s.substr(pos, 2) != "  -") {
             EXPECT_LE(next - pos, w + 4);
+        }
         pos = next + 1;
         ++lines;
     }

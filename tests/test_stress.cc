@@ -53,8 +53,9 @@ TEST(Stress, EightThreadsOnTinyMemoryStayConsistent)
     // LRU-pending (hardware-handled, not yet synced), or mapped.
     for (Pfn p = 0; p < sys.kernel().numFrames(); ++p) {
         auto &pg = sys.kernel().page(p);
-        if (!pm.isAllocated(p))
+        if (!pm.isAllocated(p)) {
             EXPECT_FALSE(pg.inUse) << p;
+        }
     }
 }
 

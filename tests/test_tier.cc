@@ -12,11 +12,16 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
 #include <memory>
 #include <sstream>
+#include <tuple>
 #include <vector>
 
 #include "sim/event_queue.hh"
+#include "sim/logging.hh"
+#include "sim/rng.hh"
 #include "sim/serialize.hh"
 #include "system/checkpoint.hh"
 #include "system/system.hh"
@@ -171,6 +176,418 @@ TEST(TierUnit, LoadErrorDropsCleanFramesAndRetriesDirtyOnes)
     EXPECT_EQ(r.latency, 2 * buf.params().load4k());
     EXPECT_TRUE(buf.contains(0, 8));
     EXPECT_EQ(buf.loadErrors(), 2u);
+}
+
+// ---- Differential: the flat frame map against a std::map model ------------
+
+namespace {
+
+/**
+ * Reference model: the frame map as one std::map node per frame keyed
+ * by (device << 48 | LBA), the layout CxlBuffer had before its flat
+ * per-device chunks. Same operations, same clock order, same counters
+ * and the same checkpoint bytes.
+ */
+class RefCxlBuffer
+{
+  public:
+    explicit RefCxlBuffer(const tier::CxlBuffer::Params &p) : prm(p) {}
+
+    std::function<void()> pressureHook;
+    std::function<bool()> loadErrorHook;
+    std::function<bool()> fullWindowHook;
+
+    std::uint64_t hits = 0, misses = 0, admits = 0, rejects = 0,
+                  evictClean = 0, evictDirty = 0, absorbed = 0,
+                  loadErrors = 0, highWater = 0;
+
+    tier::CxlBuffer::LoadResult
+    tryLoad(unsigned dev, Lba lba)
+    {
+        auto it = entries.find(key(dev, lba));
+        if (it == entries.end()) {
+            ++misses;
+            return {};
+        }
+        if (loadErrorHook && loadErrorHook()) {
+            ++loadErrors;
+            if (!it->second.dirty && !it->second.writing) {
+                entries.erase(it);
+                ++misses;
+                return {};
+            }
+            it->second.referenced = true;
+            ++hits;
+            return {true, 2 * prm.load4k()};
+        }
+        it->second.referenced = true;
+        ++hits;
+        return {true, prm.load4k()};
+    }
+
+    bool
+    admit(unsigned dev, Lba lba, bool dirty)
+    {
+        auto it = entries.find(key(dev, lba));
+        if (it != entries.end()) {
+            it->second.referenced = true;
+            it->second.dirty = it->second.dirty || dirty;
+            return true;
+        }
+        if (entries.size() >= prm.frames ||
+            (fullWindowHook && fullWindowHook())) {
+            ++rejects;
+            if (pressureHook)
+                pressureHook();
+            return false;
+        }
+        entries.emplace(key(dev, lba), Entry{dirty, true, false});
+        highWater = std::max<std::uint64_t>(highWater, entries.size());
+        ++admits;
+        if (static_cast<double>(entries.size()) >
+                prm.highWatermarkFrac * static_cast<double>(prm.frames) &&
+            pressureHook)
+            pressureHook();
+        return true;
+    }
+
+    bool
+    absorbWrite(unsigned dev, Lba lba, Tick *latency)
+    {
+        auto it = entries.find(key(dev, lba));
+        if (it == entries.end())
+            return false;
+        it->second.dirty = true;
+        it->second.referenced = true;
+        *latency = prm.store4k();
+        ++absorbed;
+        return true;
+    }
+
+    bool contains(unsigned dev, Lba lba) const
+    {
+        return entries.count(key(dev, lba)) != 0;
+    }
+    void invalidate(unsigned dev, Lba lba) { entries.erase(key(dev, lba)); }
+    std::uint64_t occupancy() const { return entries.size(); }
+
+    tier::CxlBuffer::Victim
+    pickVictim()
+    {
+        if (entries.empty())
+            return {};
+        std::size_t budget = entries.size();
+        auto it = entries.lower_bound(clockCursor);
+        while (budget-- > 0) {
+            if (it == entries.end())
+                it = entries.begin();
+            if (it->second.writing) {
+                ++it;
+            } else if (it->second.referenced) {
+                it->second.referenced = false;
+                ++it;
+            } else {
+                clockCursor = it->first + 1;
+                return {true, devOf(it->first), lbaOf(it->first),
+                        it->second.dirty};
+            }
+            if (it != entries.end())
+                clockCursor = it->first;
+        }
+        return {};
+    }
+
+    void
+    dropClean(unsigned dev, Lba lba)
+    {
+        auto it = entries.find(key(dev, lba));
+        if (it == entries.end() || it->second.dirty || it->second.writing)
+            panic("ref: dropClean on a missing/dirty/writing frame");
+        entries.erase(it);
+        ++evictClean;
+    }
+
+    void
+    beginWriteback(unsigned dev, Lba lba)
+    {
+        auto it = entries.find(key(dev, lba));
+        if (it == entries.end() || !it->second.dirty || it->second.writing)
+            panic("ref: beginWriteback on a missing/clean/writing frame");
+        it->second.dirty = false;
+        it->second.writing = true;
+    }
+
+    void
+    finishWriteback(unsigned dev, Lba lba)
+    {
+        auto it = entries.find(key(dev, lba));
+        if (it == entries.end() || !it->second.writing)
+            panic("ref: finishWriteback on a missing/idle frame");
+        it->second.writing = false;
+        ++evictDirty;
+        if (!it->second.dirty)
+            entries.erase(it);
+    }
+
+    void
+    forEachEntry(const std::function<void(unsigned, Lba, bool)> &fn) const
+    {
+        for (const auto &[k, e] : entries)
+            fn(devOf(k), lbaOf(k), e.dirty);
+    }
+
+    /** CxlBuffer::serialize's layout. */
+    void
+    serialize(sim::Serializer &s)
+    {
+        s.section("cxl_buffer");
+        s.check(prm.frames, "tier capacity");
+        std::vector<std::uint64_t> keys;
+        std::vector<std::uint8_t> flags;
+        if (s.saving()) {
+            for (const auto &[k, e] : entries) {
+                if (e.writing)
+                    throw sim::SerializeError("ref: frame under writeback");
+                keys.push_back(k);
+                flags.push_back(static_cast<std::uint8_t>(
+                    (e.dirty << 0) | (e.referenced << 1)));
+            }
+        }
+        s.io(keys);
+        s.io(flags);
+        if (s.loading()) {
+            entries.clear();
+            for (std::size_t i = 0; i < keys.size(); ++i)
+                entries.emplace(keys[i], Entry{(flags[i] & 1) != 0,
+                                               (flags[i] & 2) != 0, false});
+        }
+        s.io(clockCursor);
+    }
+
+  private:
+    struct Entry
+    {
+        bool dirty = false;
+        bool referenced = false;
+        bool writing = false;
+    };
+
+    tier::CxlBuffer::Params prm;
+    std::map<std::uint64_t, Entry> entries;
+    std::uint64_t clockCursor = 0;
+
+    static std::uint64_t key(unsigned dev, Lba lba)
+    {
+        return (static_cast<std::uint64_t>(dev) << 48) | lba;
+    }
+    static unsigned devOf(std::uint64_t k)
+    {
+        return static_cast<unsigned>(k >> 48);
+    }
+    static Lba lbaOf(std::uint64_t k)
+    {
+        return k & ((std::uint64_t(1) << 48) - 1);
+    }
+};
+
+using Frames = std::vector<std::tuple<unsigned, Lba, bool>>;
+
+template <typename Buf>
+Frames
+framesOf(const Buf &b)
+{
+    Frames f;
+    b.forEachEntry([&](unsigned dev, Lba lba, bool dirty) {
+        f.emplace_back(dev, lba, dirty);
+    });
+    return f;
+}
+
+/** The serialize() bytes, or empty when the save refuses. */
+template <typename Buf>
+std::vector<std::uint8_t>
+blobOf(Buf &b)
+{
+    sim::Serializer s = sim::Serializer::saver();
+    try {
+        b.serialize(s);
+    } catch (const sim::SerializeError &) {
+        return {};
+    }
+    return s.takeBlob();
+}
+
+} // namespace
+
+TEST(TierUnit, FlatFrameMapMatchesStdMapReference)
+{
+    // Seeded mixes of every buffer operation, hooks firing, over LBAs
+    // that span several chunks of two devices — including the last
+    // LBA of device 0, whose successor key is device 1's LBA 0 — with
+    // a capacity small enough to reject and evict. After every step
+    // the return values, counters, occupancy, key-order walk and
+    // checkpoint bytes must agree with the std::map model; every so
+    // often both round-trip through their checkpoint.
+    const Lba lbaMax = (Lba(1) << 48) - 1;
+    for (std::uint64_t seed : {1u, 2u, 3u}) {
+        tier::CxlBuffer::Params p = smallParams(160);
+        sim::EventQueue eq;
+        tier::CxlBuffer buf("tier", eq, p);
+        RefCxlBuffer ref(p);
+        sim::Rng rng(seed);
+        bool loadError = false, fullWindow = false;
+        unsigned kicks = 0, refKicks = 0;
+        buf.setLoadErrorHook([&] { return loadError; });
+        buf.setFullWindowHook([&] { return fullWindow; });
+        buf.setPressureHook([&] { ++kicks; });
+        ref.loadErrorHook = [&] { return loadError; };
+        ref.fullWindowHook = [&] { return fullWindow; };
+        ref.pressureHook = [&] { ++refKicks; };
+
+        // Half the keys come from a hot window across the boundary of
+        // the first two chunks, so frames are hit, absorbed and
+        // evicted as well as admitted.
+        auto drawKey = [&]() -> std::pair<unsigned, Lba> {
+            const auto dev = static_cast<unsigned>(rng.range(2));
+            switch (rng.range(10)) {
+              case 0:
+                return {dev, lbaMax - rng.range(3)};
+              case 1:
+                return {dev, (Lba(1) << 40) + rng.range(2048)};
+              case 2:
+              case 3:
+              case 4:
+                return {dev, rng.range(4096)};
+              default:
+                return {dev, 900 + rng.range(250)};
+            }
+        };
+        std::vector<std::pair<unsigned, Lba>> writing;
+        for (int step = 0; step < 6000; ++step) {
+            loadError = rng.chance(0.1);
+            fullWindow = rng.chance(0.05);
+            auto [dev, lba] = drawKey();
+            // Admits outnumber evictions, so the buffer fills and
+            // rejects at capacity too.
+            switch (rng.range(16)) {
+              case 0:
+              case 1:
+              case 2:
+              case 3:
+              case 4: {
+                bool dirty = rng.chance(0.3);
+                ASSERT_EQ(buf.admit(dev, lba, dirty),
+                          ref.admit(dev, lba, dirty));
+                break;
+              }
+              case 5:
+              case 6:
+              case 7:
+              case 8: {
+                auto a = buf.tryLoad(dev, lba);
+                auto b = ref.tryLoad(dev, lba);
+                ASSERT_EQ(a.hit, b.hit);
+                ASSERT_EQ(a.latency, b.latency);
+                break;
+              }
+              case 9: {
+                Tick la = 0, lb = 0;
+                ASSERT_EQ(buf.absorbWrite(dev, lba, &la),
+                          ref.absorbWrite(dev, lba, &lb));
+                ASSERT_EQ(la, lb);
+                break;
+              }
+              case 10:
+                buf.invalidate(dev, lba);
+                ref.invalidate(dev, lba);
+                std::erase(writing, std::make_pair(dev, lba));
+                break;
+              case 11: {
+                auto a = buf.pickVictim();
+                auto b = ref.pickVictim();
+                ASSERT_EQ(a.valid, b.valid);
+                ASSERT_EQ(a.dev, b.dev);
+                ASSERT_EQ(a.lba, b.lba);
+                ASSERT_EQ(a.dirty, b.dirty);
+                if (!a.valid)
+                    break;
+                if (!a.dirty) {
+                    buf.dropClean(a.dev, a.lba);
+                    ref.dropClean(a.dev, a.lba);
+                } else {
+                    buf.beginWriteback(a.dev, a.lba);
+                    ref.beginWriteback(a.dev, a.lba);
+                    writing.emplace_back(a.dev, a.lba);
+                }
+                break;
+              }
+              case 12:
+                if (!writing.empty()) {
+                    auto at = rng.range(writing.size());
+                    auto [wd, wl] = writing[at];
+                    writing.erase(writing.begin() +
+                                  static_cast<std::ptrdiff_t>(at));
+                    buf.finishWriteback(wd, wl);
+                    ref.finishWriteback(wd, wl);
+                }
+                break;
+              case 13:
+                // Misuse panics in both, before anything changes.
+                if (!ref.contains(dev, lba)) {
+                    ASSERT_THROW(buf.dropClean(dev, lba), PanicError);
+                    ASSERT_THROW(ref.dropClean(dev, lba), PanicError);
+                    ASSERT_THROW(buf.finishWriteback(dev, lba),
+                                 PanicError);
+                    ASSERT_THROW(ref.finishWriteback(dev, lba),
+                                 PanicError);
+                }
+                break;
+              default:
+                if (writing.empty() && rng.chance(0.2)) {
+                    // Checkpoint round trip into fresh buffers, which
+                    // must then agree on the next clock victim.
+                    const std::vector<std::uint8_t> blob = blobOf(buf);
+                    ASSERT_FALSE(blob.empty());
+                    tier::CxlBuffer fresh("tier", eq, p);
+                    RefCxlBuffer refFresh(p);
+                    sim::Serializer l = sim::Serializer::loader(blob);
+                    fresh.serialize(l);
+                    ASSERT_TRUE(l.exhausted());
+                    sim::Serializer lr = sim::Serializer::loader(blob);
+                    refFresh.serialize(lr);
+                    ASSERT_EQ(fresh.occupancy(), buf.occupancy());
+                    ASSERT_EQ(framesOf(fresh), framesOf(buf));
+                    ASSERT_EQ(blobOf(fresh), blob);
+                    auto a = fresh.pickVictim();
+                    auto b = refFresh.pickVictim();
+                    ASSERT_EQ(a.valid, b.valid);
+                    ASSERT_EQ(a.dev, b.dev);
+                    ASSERT_EQ(a.lba, b.lba);
+                    ASSERT_EQ(blobOf(fresh), blobOf(refFresh));
+                }
+                break;
+            }
+            ASSERT_EQ(buf.occupancy(), ref.occupancy()) << "step " << step;
+            ASSERT_EQ(kicks, refKicks) << "step " << step;
+            ASSERT_EQ(buf.hits(), ref.hits);
+            ASSERT_EQ(buf.misses(), ref.misses);
+            ASSERT_EQ(buf.admits(), ref.admits);
+            ASSERT_EQ(buf.admitRejects(), ref.rejects);
+            ASSERT_EQ(buf.evictsClean(), ref.evictClean);
+            ASSERT_EQ(buf.evictsDirty(), ref.evictDirty);
+            ASSERT_EQ(buf.writesAbsorbed(), ref.absorbed);
+            ASSERT_EQ(buf.loadErrors(), ref.loadErrors);
+            ASSERT_EQ(buf.occupancyHighWater(), ref.highWater);
+            ASSERT_EQ(framesOf(buf), framesOf(ref)) << "step " << step;
+            ASSERT_EQ(blobOf(buf), blobOf(ref)) << "step " << step;
+        }
+        // The mix reached every path it is meant to cover.
+        EXPECT_GT(buf.admitRejects(), 0u);
+        EXPECT_GT(buf.evictsClean(), 0u);
+        EXPECT_GT(buf.evictsDirty(), 0u);
+        EXPECT_GT(buf.writesAbsorbed(), 0u);
+        EXPECT_GT(buf.loadErrors(), 0u);
+    }
 }
 
 // ---- Whole-machine gates ---------------------------------------------------

@@ -5,9 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <vector>
+
 #include "cpu/tlb.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
+#include "sim/serialize.hh"
 
 using namespace hwdp;
 using namespace hwdp::cpu;
@@ -216,10 +220,11 @@ TEST(Tlb, InterleavedInsertInvalidateFlush)
         // wrong PFN and never hit something invalidated or flushed.
         auto r = tlb.lookup(vpn << pageShift);
         const Pfn *want = shadowLookup(vpn);
-        if (!want)
+        if (!want) {
             EXPECT_FALSE(r.hit) << "stale hit at step " << step;
-        else if (r.hit)
+        } else if (r.hit) {
             EXPECT_EQ(r.pfn, *want) << "wrong PFN at step " << step;
+        }
     }
 }
 
@@ -236,4 +241,95 @@ TEST(Tlb, FlatL1EvictsLeastRecentlyUsed)
     EXPECT_TRUE(tlb.lookup(0ull << pageShift).l1Hit);
     EXPECT_TRUE(tlb.lookup(4ull << pageShift).l1Hit);
     EXPECT_FALSE(tlb.lookup(2ull << pageShift).l1Hit); // L2 at best
+}
+
+namespace {
+
+/**
+ * Valid entries per level, recounted from the checkpoint blob: the
+ * "tlb" section tag and geometry word, then per entry (L1 first) vpn,
+ * pfn, lastUse and the valid byte.
+ */
+std::array<std::uint32_t, 2>
+recountValid(Tlb &tlb, unsigned l1_entries, unsigned l2_entries)
+{
+    sim::Serializer s = sim::Serializer::saver();
+    tlb.serialize(s);
+    const std::vector<std::uint8_t> &b = s.blob();
+    constexpr std::size_t entryBytes = 3 * sizeof(std::uint64_t) + 1;
+    std::array<std::uint32_t, 2> n{0, 0};
+    for (unsigned i = 0; i < l1_entries + l2_entries; ++i)
+        n[i < l1_entries ? 0 : 1] += b.at(16 + i * entryBytes + 24);
+    return n;
+}
+
+} // namespace
+
+TEST(Tlb, ValidCountMatchesRecount)
+{
+    // The host-side valid counts that let a shootdown skip an empty
+    // level must equal a brute-force recount after every kind of
+    // update: fills that evict, lookups that refill the L1 from the
+    // L2, single and range invalidations of 4 KB and wide entries,
+    // flushes, and a restore into a fresh TLB.
+    constexpr unsigned l1n = 8, l2n = 32;
+    Tlb tlb(l1n, l2n, 4, 2, /*wide_capable=*/true);
+    sim::Rng rng(23);
+    auto expectCounts = [&](int step) {
+        auto n = recountValid(tlb, l1n, l2n);
+        ASSERT_EQ(tlb.validEntries(0), n[0]) << "L1 at step " << step;
+        ASSERT_EQ(tlb.validEntries(1), n[1]) << "L2 at step " << step;
+    };
+    const unsigned reaches[] = {0, napotShift, pmdLeafShift};
+    for (int step = 0; step < 4000; ++step) {
+        VAddr va = rng.range(4096) << pageShift;
+        switch (rng.range(10)) {
+          case 0:
+            tlb.invalidate(va);
+            break;
+          case 1:
+            tlb.invalidateRange(va, 1 + rng.range(64));
+            break;
+          case 2:
+            if (rng.chance(0.05))
+                tlb.flush();
+            break;
+          case 3:
+          case 4:
+            tlb.lookup(va);
+            break;
+          default:
+            tlb.insert(va, rng.range(1 << 20), reaches[rng.range(3)]);
+            break;
+        }
+        expectCounts(step);
+    }
+    ASSERT_GT(tlb.validEntries(0), 0u);
+    ASSERT_GT(tlb.validEntries(1), 0u);
+
+    // A TLB nothing filled counts zero, and its shootdown keeps it so.
+    Tlb empty(l1n, l2n, 4, 2, true);
+    empty.invalidate(0x1000);
+    EXPECT_EQ(empty.validEntries(0), 0u);
+    EXPECT_EQ(empty.validEntries(1), 0u);
+
+    // A restore recounts: the fresh TLB's counts match the blob, and a
+    // shootdown of a restored translation still reaches it.
+    tlb.insert(0x7000, 77);
+    sim::Serializer save = sim::Serializer::saver();
+    tlb.serialize(save);
+    const std::vector<std::uint8_t> blob = save.takeBlob();
+    Tlb twin(l1n, l2n, 4, 2, true);
+    sim::Serializer load = sim::Serializer::loader(blob);
+    twin.serialize(load);
+    EXPECT_EQ(twin.validEntries(0), tlb.validEntries(0));
+    EXPECT_EQ(twin.validEntries(1), tlb.validEntries(1));
+    twin.invalidate(0x7000);
+    EXPECT_FALSE(twin.lookup(0x7000).hit);
+    auto n = recountValid(twin, l1n, l2n);
+    EXPECT_EQ(twin.validEntries(0), n[0]);
+    EXPECT_EQ(twin.validEntries(1), n[1]);
+    tlb.flush();
+    expectCounts(-1);
+    EXPECT_EQ(tlb.validEntries(0) + tlb.validEntries(1), 0u);
 }
