@@ -146,9 +146,10 @@ BENCHMARK(BM_EventQueueSteadyStatePooled);
 void
 BM_EventQueueMixedHorizon(benchmark::State &state)
 {
-    // Dense near-horizon traffic (ring) with sparse far timers
-    // (heap), the fig-bench event mix: validates that the two-tier
-    // split keeps the hot path fast with long-period timers pending.
+    // One dense near event at a time while two long-period timers
+    // (kpoold's 4 ms rearm, a 16 ms kpted period) stay pending: the
+    // cost of a short-delay post and step with the queue holding
+    // timers far in the future.
     sim::EventQueue eq;
     int timers = 0;
     std::function<void()> rearm = [&] {

@@ -1,9 +1,7 @@
 #include "sim/event_queue.hh"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <tuple>
 
 #include "sim/logging.hh"
 #include "sim/serialize.hh"
@@ -50,7 +48,7 @@ EventQueue::serialize(Serializer &s)
 Event::~Event()
 {
 #ifndef NDEBUG
-    if (_scheduled) {
+    if (scheduled()) {
         // A scheduled event's queue entry points here; destruction
         // would leave that pointer dangling. We cannot throw from a
         // destructor, so fail fast and loudly in debug builds.
@@ -63,31 +61,16 @@ Event::~Event()
 #endif
 }
 
-EventQueue::EventQueue()
-    : ring(numBuckets), ringBitmap(numBuckets / 64, 0)
-{
-}
-
 EventQueue::~EventQueue()
 {
     // Mark every still-live event idle so that embedded events owned
     // by components destroyed after the queue do not trip the
     // destroyed-while-scheduled check; release pending pooled
     // callables so their captures are destroyed exactly once.
-    auto finish = [&](const Entry &e) {
-        if (tombstones.count(e.seq))
-            return; // dead entry: the event may be gone, never touch it
-        e.ev->_scheduled = false;
-        e.ev->_inRing = false;
+    for (const Entry &e : heap) {
+        e.ev->_slot = Event::noSlot;
         if (e.ev->_pooled)
             static_cast<PooledEvent *>(e.ev)->destroyCallable();
-    };
-    for (const Bucket &bucket : ring)
-        for (std::size_t i = bucket.head; i < bucket.entries.size(); ++i)
-            finish(bucket.entries[i]);
-    while (!farHeap.empty()) {
-        finish(farHeap.top());
-        farHeap.pop();
     }
     // ~PooledEvent destroys any callable we missed; the pool vector
     // frees the nodes themselves.
@@ -103,99 +86,49 @@ EventQueue::growPool()
 }
 
 void
-EventQueue::scheduleFar(Event *ev, Tick when)
-{
-    farHeap.push(Entry{when, ev->_seq, ev});
-    ev->_inRing = false;
-}
-
-void
 EventQueue::schedulePanic(const Event *ev, Tick when) const
 {
-    if (ev->_scheduled)
+    if (ev->scheduled())
         panic("event '", ev->name(), "' scheduled twice");
     panic("event '", ev->name(), "' scheduled in the past (", when,
           " < ", curTick, ")");
 }
 
 void
-EventQueue::tidyBucket(Bucket &bucket)
+EventQueue::siftDown(std::size_t i, const Entry &e)
 {
-    if (bucket.sorted == bucket.entries.size())
-        return;
-    std::sort(bucket.entries.begin() +
-                  static_cast<std::ptrdiff_t>(bucket.sorted),
-              bucket.entries.end());
-    std::inplace_merge(bucket.entries.begin() +
-                           static_cast<std::ptrdiff_t>(bucket.head),
-                       bucket.entries.begin() +
-                           static_cast<std::ptrdiff_t>(bucket.sorted),
-                       bucket.entries.end());
-    bucket.sorted = bucket.entries.size();
-}
-
-EventQueue::Entry &
-EventQueue::bucketFront(unsigned b)
-{
-    Bucket &bucket = ring[b];
-    tidyBucket(bucket);
-    return bucket.entries[bucket.head];
-}
-
-void
-EventQueue::resetBucket(unsigned b)
-{
-    Bucket &bucket = ring[b];
-    bucket.entries.clear(); // keeps capacity for the next burst
-    bucket.head = 0;
-    bucket.sorted = 0;
-    ringBitmap[b >> 6] &= ~(std::uint64_t(1) << (b & 63));
-    // This may have been the earliest occupied bucket; rescan lazily.
-    soonestSlot = invalidSlot;
-}
-
-void
-EventQueue::popBucketFront(unsigned b)
-{
-    Bucket &bucket = ring[b];
-    if (++bucket.head == bucket.entries.size())
-        resetBucket(b);
-    --ringCount;
+    const std::size_t n = heap.size();
+    for (std::size_t child = 2 * i + 1; child < n; child = 2 * i + 1) {
+        if (child + 1 < n && heap[child + 1] < heap[child])
+            ++child;
+        if (!(heap[child] < e))
+            break;
+        place(i, heap[child]);
+        i = child;
+    }
+    place(i, e);
 }
 
 void
 EventQueue::unlink(Event *ev)
 {
-    ev->_scheduled = false;
-    if (ev->_inRing) {
-        unsigned b = (ev->_when >> bucketShift) & bucketMask;
-        Bucket &bucket = ring[b];
-        std::size_t i = bucket.head;
-        for (; i < bucket.entries.size(); ++i)
-            if (bucket.entries[i].seq == ev->_seq)
-                break;
-        if (i == bucket.entries.size())
-            panic("event '", ev->name(), "' missing from ring bucket");
-        bucket.entries.erase(bucket.entries.begin() +
-                             static_cast<std::ptrdiff_t>(i));
-        if (i < bucket.sorted)
-            --bucket.sorted;
-        if (bucket.empty())
-            resetBucket(b);
-        --ringCount;
-        ev->_inRing = false;
-    } else {
-        // Far-heap entries are dropped lazily by sequence number; the
-        // event pointer is never dereferenced again, so the caller is
-        // free to destroy the event immediately after descheduling.
-        tombstones.insert(ev->_seq);
-    }
+    const std::size_t i = ev->_slot;
+    ev->_slot = Event::noSlot;
+    const Entry last = heap.back();
+    heap.pop_back();
+    if (i == heap.size())
+        return; // it was the last entry
+    // The last entry fills the hole; it may belong above it or below.
+    if (i > 0 && last < heap[(i - 1) / 2])
+        siftUp(i, last);
+    else
+        siftDown(i, last);
 }
 
 void
 EventQueue::deschedule(Event *ev)
 {
-    if (!ev->_scheduled)
+    if (!ev->scheduled())
         panic("descheduling idle event '", ev->name(), "'");
     unlink(ev);
     // A cancelled one-shot will never fire: drop its callable and
@@ -210,117 +143,25 @@ EventQueue::reschedule(Event *ev, Tick when)
     // deschedule-if-scheduled + schedule: an idle event is accepted.
     // A pooled event keeps its callable — it must not bounce through
     // the free list on its way to the new tick.
-    if (ev->_scheduled)
+    if (ev->scheduled())
         unlink(ev);
     schedule(ev, when);
-}
-
-void
-EventQueue::skipDead()
-{
-    while (!farHeap.empty() && !tombstones.empty()) {
-        auto it = tombstones.find(farHeap.top().seq);
-        if (it == tombstones.end())
-            return;
-        tombstones.erase(it);
-        farHeap.pop();
-    }
-}
-
-unsigned
-EventQueue::findOccupied(unsigned from, unsigned to) const
-{
-    // Scan the occupancy bitmap for the first set bit in [from, to).
-    unsigned w = from >> 6;
-    std::uint64_t word = ringBitmap[w] & (~std::uint64_t(0) << (from & 63));
-    while (true) {
-        if (word) {
-            unsigned b = (w << 6) +
-                         static_cast<unsigned>(__builtin_ctzll(word));
-            return b < to ? b : numBuckets;
-        }
-        ++w;
-        if ((w << 6) >= to)
-            return numBuckets;
-        word = ringBitmap[w];
-    }
-}
-
-bool
-EventQueue::ringPeek(unsigned &bucket_out) const
-{
-    if (ringCount == 0)
-        return false;
-    if (soonestSlot != invalidSlot) {
-        bucket_out = static_cast<unsigned>(soonestSlot) & bucketMask;
-        return true;
-    }
-    // Buckets wrap: indices >= the current bucket belong to this
-    // revolution, indices below it to the next, so scanning
-    // [cur, numBuckets) then [0, cur) visits windows in time order.
-    std::uint64_t cur_slot = curTick >> bucketShift;
-    unsigned cur = static_cast<unsigned>(cur_slot) & bucketMask;
-    unsigned b = findOccupied(cur, numBuckets);
-    if (b == numBuckets) {
-        b = findOccupied(0, cur);
-        if (b == numBuckets)
-            return false; // unreachable while ringCount > 0
-        soonestSlot = cur_slot + (numBuckets - cur) + b;
-    } else {
-        soonestSlot = cur_slot + (b - cur);
-    }
-    bucket_out = b;
-    return true;
-}
-
-Tick
-EventQueue::nextEventTick()
-{
-    unsigned rb = 0;
-    bool has_ring = ringPeek(rb);
-    if (!tombstones.empty())
-        skipDead();
-    bool has_far = !farHeap.empty();
-    if (!has_ring && !has_far)
-        return maxTick;
-    if (has_ring && (!has_far || bucketFront(rb) < farHeap.top()))
-        return bucketFront(rb).when;
-    return farHeap.top().when;
 }
 
 EventQueue::StepOutcome
 EventQueue::tryStep(Tick limit)
 {
-    unsigned rb = 0;
-    bool has_ring = ringPeek(rb);
-    if (!tombstones.empty())
-        skipDead();
-    bool has_far = !farHeap.empty();
-    if (!has_ring && !has_far)
+    if (heap.empty())
         return StepOutcome::drained;
-
-    bool use_ring = has_ring;
-    if (has_ring && has_far)
-        use_ring = bucketFront(rb) < farHeap.top();
-
-    Tick when = use_ring ? bucketFront(rb).when : farHeap.top().when;
-    if (when >= limit) {
+    const Entry e = heap.front();
+    if (e.when >= limit) {
         curTick = limit;
         return StepOutcome::atLimit;
     }
-
-    Entry e;
-    if (use_ring) {
-        e = bucketFront(rb);
-        popBucketFront(rb);
-        e.ev->_inRing = false;
-    } else {
-        e = farHeap.top();
-        farHeap.pop();
-    }
+    unlink(e.ev);
 #ifndef NDEBUG
     // Simulated time is monotonic; firing into the past means the
-    // two-tier bookkeeping lost track of an earlier pending event.
+    // heap lost track of an earlier pending event.
     if (e.when < curTick)
         panic("event '", e.ev->name(), "' fired at tick ", e.when,
               " with simulated time already at ", curTick);
@@ -328,7 +169,6 @@ EventQueue::tryStep(Tick limit)
     curTick = e.when;
 
     Event *ev = e.ev;
-    ev->_scheduled = false;
     ++nProcessed;
     bool pooled = ev->_pooled;
     // Devirtualized dispatch for the pooled fast path: one indirect
@@ -340,7 +180,7 @@ EventQueue::tryStep(Tick limit)
         ev->process();
     // The event may have (re)scheduled itself inside process(); only
     // recycle a pooled event once it is really done.
-    if (pooled && !ev->_scheduled)
+    if (pooled && !ev->scheduled())
         releasePooled(static_cast<PooledEvent *>(ev));
     return StepOutcome::fired;
 }

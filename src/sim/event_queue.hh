@@ -11,17 +11,13 @@
  * path (post()/postIn()): those events belong to the queue's free-list
  * pool and are recycled after firing.
  *
- * The scheduler is two-tier. A bucketed near-horizon ring absorbs the
- * dense short-delay events that dominate the simulation (cache/DRAM
- * accesses, kernel-phase completions, SMU pipeline steps); each bucket
- * is a sorted-drain vector: in-order appends (the overwhelmingly
- * common case — components schedule forward in time) cost a push_back,
- * out-of-order appends accumulate in an unsorted appendix that is
- * sorted and merged once when the bucket starts draining. Far-future
- * timers (kpted/kpoold periods, multi-millisecond device latencies)
- * spill to a conventional binary heap and are merged at pop time by
- * (tick, seq) comparison, which preserves exact FIFO order across the
- * ring/heap boundary.
+ * The scheduler is one binary min-heap of (tick, seq) entries. Memory
+ * accesses, walks and fault-chain hops run inline, so only a handful
+ * of events is ever pending (DESIGN.md §6c) and a heap of that depth
+ * is a few cache lines. Each scheduled event records its heap slot, so
+ * deschedule() and reschedule() remove it in place: nothing stale is
+ * left behind, and once the heap's vector has grown to the peak
+ * number of pending events the queue allocates nothing.
  */
 
 #ifndef HWDP_SIM_EVENT_QUEUE_HH
@@ -32,10 +28,8 @@
 #include <functional>
 #include <memory>
 #include <new>
-#include <queue>
 #include <string>
 #include <type_traits>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -86,7 +80,7 @@ class Event
     virtual void process() = 0;
 
     /** True while the event sits on a queue awaiting processing. */
-    bool scheduled() const { return _scheduled; }
+    bool scheduled() const { return _slot != noSlot; }
 
     /** The tick this event will fire at; valid only when scheduled. */
     Tick when() const { return _when; }
@@ -96,16 +90,16 @@ class Event
   private:
     friend class EventQueue;
 
+    static constexpr std::size_t noSlot = ~std::size_t(0);
+
     const char *_name;
     /** Only set for dynamically named events; _name points into it. */
     std::unique_ptr<std::string> _ownedName;
-    bool _scheduled = false;
     /** Owned by an EventQueue's free-list pool (post()/postIn()). */
     bool _pooled = false;
-    /** Lives in the near-horizon ring (else the far heap). */
-    bool _inRing = false;
     Tick _when = 0;
-    std::uint64_t _seq = 0;
+    /** Slot of this event's entry in its queue's heap; noSlot while idle. */
+    std::size_t _slot = noSlot;
 };
 
 /**
@@ -192,7 +186,7 @@ class PooledEvent final : public Event
 class EventQueue
 {
   public:
-    EventQueue();
+    EventQueue() = default;
     ~EventQueue();
 
     EventQueue(const EventQueue &) = delete;
@@ -206,9 +200,13 @@ class EventQueue
      * is empty. Work run synchronously at logical times strictly
      * before this tick cannot be reordered against any scheduled
      * event: it is the inline-execution batch horizon and hop()'s
-     * gate. May tidy internal buckets (not const).
+     * gate.
      */
-    Tick nextEventTick();
+    Tick
+    nextEventTick() const
+    {
+        return heap.empty() ? maxTick : heap.front().when;
+    }
 
     /**
      * Schedule @p ev at absolute tick @p when.
@@ -292,13 +290,8 @@ class EventQueue
     /** True when no events remain. */
     bool empty() const { return size() == 0; }
 
-    /** Number of events awaiting processing (tombstoned far-heap
-     *  entries are already cancelled and do not count). */
-    std::size_t
-    size() const
-    {
-        return ringCount + farHeap.size() - tombstones.size();
-    }
+    /** Number of events awaiting processing. */
+    std::size_t size() const { return heap.size(); }
 
     /** Process a single event; returns false if the queue was empty. */
     bool step();
@@ -350,14 +343,6 @@ class EventQueue
      */
     StatRegistry &statRegistry() { return statGroups; }
 
-    // Two-tier scheduler geometry. Bucket width 2^10 ticks ~ 1 ns;
-    // 8192 buckets give a ~8.4 us near horizon, wide enough for every
-    // microarchitectural and kernel-phase delay in the tree while
-    // kpted/kpoold periods and device latencies go to the far heap.
-    static constexpr unsigned bucketShift = 10;
-    static constexpr unsigned numBuckets = 8192;
-    static constexpr unsigned bucketMask = numBuckets - 1;
-
   private:
     struct Entry
     {
@@ -372,55 +357,13 @@ class EventQueue
                 return when < o.when;
             return seq < o.seq;
         }
-
-        bool operator>(const Entry &o) const { return o < *this; }
     };
 
     /**
-     * One ring bucket: entries[head, sorted) is ascending by
-     * (when, seq) and drains from head; [sorted, end) is an unsorted
-     * appendix folded in lazily (tidy()) when the bucket is next
-     * inspected. Popping everything resets the vector but keeps its
-     * capacity, so steady-state bursts reuse the allocation.
+     * Pending events, a binary min-heap by (when, seq): the children
+     * of slot i are 2i+1 and 2i+2, and heap[i].ev->_slot == i.
      */
-    struct Bucket
-    {
-        std::vector<Entry> entries;
-        std::size_t head = 0;
-        std::size_t sorted = 0;
-
-        bool empty() const { return head == entries.size(); }
-    };
-
-    /** Near-horizon ring: sorted-drain buckets ordered by (when, seq). */
-    std::vector<Bucket> ring;
-    /** One occupancy bit per bucket; scanning 64 buckets per load. */
-    std::vector<std::uint64_t> ringBitmap;
-    std::size_t ringCount = 0;
-
-    static constexpr std::uint64_t invalidSlot = ~std::uint64_t(0);
-    /**
-     * Absolute slot (when >> bucketShift) of the ring's earliest
-     * occupied bucket, or invalidSlot when unknown. Inserts lower it
-     * while it is valid (an unknown minimum must stay unknown — other
-     * occupied buckets may be earlier than any new insert); draining
-     * a bucket invalidates it and the next ringPeek rescans. While
-     * valid, ringPeek is a mask instead of a bitmap scan.
-     */
-    mutable std::uint64_t soonestSlot = invalidSlot;
-
-    /** Far-future events, min-heap by (when, seq). */
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>>
-        farHeap;
-
-    /**
-     * Sequence numbers of descheduled far-heap entries. Dead entries
-     * are dropped by seq lookup alone — the Event pointer is never
-     * dereferenced, so an event may be descheduled and destroyed
-     * without leaving a dangling read in the queue. Ring entries are
-     * removed eagerly and never need a tombstone.
-     */
-    std::unordered_set<std::uint64_t> tombstones;
+    std::vector<Entry> heap;
 
     Tick curTick = 0;
     std::uint64_t nextSeq = 0;
@@ -437,35 +380,24 @@ class EventQueue
     /** Slow path of acquirePooled(): allocate a new pool node. */
     PooledEvent *growPool();
 
-    /** Slow path of schedule(): far-heap insertion. */
-    void scheduleFar(Event *ev, Tick when);
-
     /** Diagnose and report a schedule() precondition violation. */
     void schedulePanic(const Event *ev, Tick when) const;
 
+    /** Store @p e at slot @p i and tell its event where it is. */
+    void
+    place(std::size_t i, const Entry &e)
+    {
+        heap[i] = e;
+        e.ev->_slot = i;
+    }
 
-    /** Drop dead (tombstoned) far-heap entries from the top. */
-    void skipDead();
+    /** Fill the hole at slot @p i with @p e, moving parents down. */
+    inline void siftUp(std::size_t i, const Entry &e);
 
-    /** Locate the ring's earliest bucket; false when the ring is empty. */
-    bool ringPeek(unsigned &bucket_out) const;
+    /** Fill the hole at slot @p i with @p e, moving children up. */
+    void siftDown(std::size_t i, const Entry &e);
 
-    /** First occupied bucket index in [from, to), or numBuckets. */
-    unsigned findOccupied(unsigned from, unsigned to) const;
-
-    /** Fold a bucket's unsorted appendix into its sorted run. */
-    void tidyBucket(Bucket &bucket);
-
-    /** The bucket's earliest entry (tidies first). */
-    Entry &bucketFront(unsigned b);
-
-    /** Drop the front entry of a tidied bucket @p b. */
-    void popBucketFront(unsigned b);
-
-    /** Clear a drained bucket and its occupancy bit. */
-    void resetBucket(unsigned b);
-
-    /** Detach a scheduled event from ring/heap bookkeeping. */
+    /** Take a scheduled event's entry out of the heap. */
     void unlink(Event *ev);
 
     enum class StepOutcome { fired, drained, atLimit };
@@ -476,50 +408,30 @@ class EventQueue
 
 // The schedule and pool hot paths are defined inline so that post()
 // and scheduleIn() call sites compile down to straight-line code: the
-// one-shot fast path (acquire + emplace + ring insert) performs no
+// one-shot fast path (acquire + emplace + heap insert) performs no
 // out-of-line calls at all.
+
+inline void
+EventQueue::siftUp(std::size_t i, const Entry &e)
+{
+    while (i > 0) {
+        std::size_t parent = (i - 1) / 2;
+        if (!(e < heap[parent]))
+            break;
+        place(i, heap[parent]);
+        i = parent;
+    }
+    place(i, e);
+}
 
 inline void
 EventQueue::schedule(Event *ev, Tick when)
 {
-    if (ev->_scheduled || when < curTick) [[unlikely]]
+    if (ev->scheduled() || when < curTick) [[unlikely]]
         schedulePanic(ev, when);
-    ev->_scheduled = true;
     ev->_when = when;
-    ev->_seq = nextSeq++;
-    // All ring-resident events satisfy slot(when) < slot(now) + B at
-    // insertion, and time only moves forward, so each bucket holds
-    // entries of exactly one horizon window and bucket scan order is
-    // time order.
-    std::uint64_t slot = when >> bucketShift;
-    if (slot < (curTick >> bucketShift) + numBuckets) [[likely]] {
-        unsigned b = static_cast<unsigned>(slot) & bucketMask;
-        Bucket &bucket = ring[b];
-        bucket.entries.push_back(Entry{when, ev->_seq, ev});
-        // In-order append (the common case: components schedule
-        // forward in time and seq grows monotonically) extends the
-        // sorted run; anything else lands in the appendix for
-        // tidyBucket() to fold in at drain time.
-        std::size_t sz = bucket.entries.size();
-        if (bucket.sorted + 1 == sz &&
-            (bucket.sorted == bucket.head ||
-             bucket.entries[sz - 2] < bucket.entries[sz - 1]))
-            bucket.sorted = sz;
-        ringBitmap[b >> 6] |= std::uint64_t(1) << (b & 63);
-        ev->_inRing = true;
-        ++ringCount;
-        // Keep the cached minimum. An empty ring makes the new slot
-        // the minimum by construction; otherwise only lower a VALID
-        // cache — the sentinel means "unknown", and an unknown
-        // minimum cannot be lowered, other occupied buckets may be
-        // earlier still.
-        if (ringCount == 1)
-            soonestSlot = slot;
-        else if (soonestSlot != invalidSlot && slot < soonestSlot)
-            soonestSlot = slot;
-    } else {
-        scheduleFar(ev, when);
-    }
+    heap.emplace_back();
+    siftUp(heap.size() - 1, Entry{when, nextSeq++, ev});
 }
 
 inline PooledEvent *

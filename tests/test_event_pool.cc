@@ -3,7 +3,8 @@
  * Unit tests for the pooled one-shot event fast path: free-list
  * reuse, the no-steady-state-allocation guarantee, self-reschedule
  * from inside process(), cancellation, destruction with pending
- * pooled events, and the large-capture heap fallback.
+ * pooled events, the large-capture heap fallback, and the
+ * allocation-free reschedule and cancel paths.
  */
 
 #include <gtest/gtest.h>
@@ -14,9 +15,12 @@
 
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
+#include "tests/heap_counting.hh"
 
 using namespace hwdp;
 using namespace hwdp::sim;
+
+namespace ht = hwdp::testing;
 
 TEST(EventPool, SequentialOneShotsReuseASingleNode)
 {
@@ -84,7 +88,7 @@ TEST(EventPool, QueueDestructionReleasesPendingCallables)
     {
         EventQueue eq;
         eq.post(100, [shared] { (void)*shared; });
-        eq.post(seconds(10.0), [shared] { (void)*shared; }); // far heap
+        eq.post(seconds(10.0), [shared] { (void)*shared; });
         EXPECT_EQ(shared.use_count(), 3);
     }
     EXPECT_EQ(shared.use_count(), 1);
@@ -121,6 +125,38 @@ TEST(EventPool, DescheduleCancelsAndRecyclesOneShot)
     const auto &ps = eq.poolStats();
     EXPECT_EQ(ps.acquired, 2u);
     EXPECT_EQ(ps.created, 1u); // the cancelled node was reused
+}
+
+TEST(EventPool, RescheduleAndCancelAllocateNothing)
+{
+    if (!HWDP_HEAP_COUNTING)
+        GTEST_SKIP() << "counting allocator compiled out (sanitizer)";
+    // Each round has the SSD drain's shape (SsdDevice::scheduleDrain):
+    // a one-shot posted 20 us out and pulled in to 12 us, a 4 ms timer
+    // armed and cancelled, and a 3 ns one-shot.
+    EventQueue eq;
+    int fired = 0;
+    auto round = [&] {
+        Event *drain =
+            eq.postIn(microseconds(20.0), [&] { ++fired; }, "ssd.drain");
+        eq.reschedule(drain, eq.now() + microseconds(12.0));
+        Event *timer =
+            eq.postIn(milliseconds(4.0), [&] { ++fired; }, "timer");
+        eq.deschedule(timer);
+        eq.postIn(nanoseconds(3.0), [&] { ++fired; }, "near");
+        eq.run();
+    };
+    // Warm-up: the pool's nodes and the queue's storage reach their
+    // peak here.
+    for (int i = 0; i < 16; ++i)
+        round();
+    const std::uint64_t before = ht::heapAllocs();
+    for (int i = 0; i < 4096; ++i)
+        round();
+    const std::uint64_t allocs = ht::heapAllocs() - before;
+    EXPECT_EQ(allocs, 0u);
+    EXPECT_EQ(fired, 2 * (16 + 4096));
+    EXPECT_EQ(eq.poolStats().created, 2u);
 }
 
 TEST(EventPool, LargeCapturesFallBackToHeapAndStillWork)

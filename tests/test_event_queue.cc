@@ -5,11 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
+#include "sim/rng.hh"
 
 using namespace hwdp;
 using namespace hwdp::sim;
@@ -166,17 +170,17 @@ TEST(EventQueue, RescheduleAcceptsUnscheduledEvent)
 
 TEST(EventQueue, DescheduledEventCanBeDestroyedImmediately)
 {
-    // Regression for the skipDead() dangling-pointer hazard: a
-    // descheduled far-future event may be destroyed straight away;
-    // the queue must drop its stale entry without touching it.
+    // A descheduled event may be destroyed straight away: deschedule()
+    // takes its entry out of the queue, so nothing left behind points
+    // at it. Under ASan a stale entry would be a use-after-free.
     EventQueue eq;
     std::vector<int> log;
     auto *far = new RecordingEvent(log, 9);
-    eq.schedule(far, seconds(1.0)); // far beyond the ring horizon
+    eq.schedule(far, seconds(1.0));
     RecordingEvent near_ev(log, 1);
     eq.schedule(&near_ev, 10);
     eq.deschedule(far);
-    delete far; // entry for seq still sits in the far heap
+    delete far;
     eq.run();
     EXPECT_EQ(log, (std::vector<int>{1}));
     EXPECT_TRUE(eq.empty());
@@ -328,14 +332,17 @@ TEST(EventQueue, HopIntoThePastPanics)
     EXPECT_TRUE(ran);
 }
 
-// ---- Two-tier scheduler (near-horizon ring + far heap) --------------
+// ---- Ordering across short and long delays ---------------------------
+// Named for the two-tier scheduler (a near-horizon ring in front of a
+// far heap) these cases were written against; they stay as black-box
+// ordering tests for delays from nanoseconds to milliseconds.
 
 TEST(TwoTier, FarEventsBeyondHorizonStillFireInOrder)
 {
     EventQueue eq;
     std::vector<int> log;
     RecordingEvent near_a(log, 1), far_b(log, 2), far_c(log, 3);
-    // Beyond the ~8.4 us ring horizon -> far heap.
+    // Millisecond timers scheduled before a nanosecond one.
     eq.schedule(&far_c, milliseconds(2.0));
     eq.schedule(&far_b, milliseconds(1.0));
     eq.schedule(&near_a, nanoseconds(5.0));
@@ -346,16 +353,15 @@ TEST(TwoTier, FarEventsBeyondHorizonStillFireInOrder)
 
 TEST(TwoTier, SameTickFifoAcrossRingHeapBoundary)
 {
-    // An event scheduled long in advance lands in the far heap; a
-    // second event for the same tick scheduled shortly before lands in
-    // the ring. Scheduling (seq) order must still decide the tie.
+    // One event scheduled a millisecond in advance and a second one
+    // for the same tick scheduled 100 ns before it: scheduling (seq)
+    // order must still decide the tie.
     EventQueue eq;
     std::vector<int> log;
     const Tick w = milliseconds(1.0);
     RecordingEvent first(log, 1), second(log, 2);
-    eq.schedule(&first, w); // far heap (horizon is ~8.4 us)
-    eq.post(w - nanoseconds(100.0),
-            [&] { eq.schedule(&second, w); }); // ring by then
+    eq.schedule(&first, w);
+    eq.post(w - nanoseconds(100.0), [&] { eq.schedule(&second, w); });
     eq.run();
     EXPECT_TRUE(second.scheduled() == false);
     EXPECT_EQ(log, (std::vector<int>{1, 2}));
@@ -365,8 +371,8 @@ TEST(TwoTier, RunLimitStopsAcrossBothTiers)
 {
     EventQueue eq;
     int fired = 0;
-    eq.post(nanoseconds(1.0), [&] { ++fired; });        // ring
-    eq.post(milliseconds(5.0), [&] { ++fired; });       // far heap
+    eq.post(nanoseconds(1.0), [&] { ++fired; });
+    eq.post(milliseconds(5.0), [&] { ++fired; });
     eq.run(microseconds(1.0));
     EXPECT_EQ(fired, 1);
     EXPECT_EQ(eq.now(), microseconds(1.0));
@@ -377,13 +383,13 @@ TEST(TwoTier, RunLimitStopsAcrossBothTiers)
 
 TEST(TwoTier, DenseSameBucketBurstKeepsFifo)
 {
-    // Many events in one bucket window exercise the per-bucket heap.
+    // Many events at one tick fire in scheduling order.
     EventQueue eq;
     std::vector<int> log;
     std::vector<std::unique_ptr<RecordingEvent>> evs;
     for (int i = 0; i < 256; ++i) {
         evs.push_back(std::make_unique<RecordingEvent>(log, i));
-        eq.schedule(evs.back().get(), 500); // same tick, same bucket
+        eq.schedule(evs.back().get(), 500);
     }
     eq.run();
     ASSERT_EQ(log.size(), 256u);
@@ -393,10 +399,10 @@ TEST(TwoTier, DenseSameBucketBurstKeepsFifo)
 
 TEST(TwoTier, WrapAroundKeepsTickOrder)
 {
-    // March time far enough that ring buckets wrap several times.
+    // A chain of 64 steps of 3 us each keeps exact tick order.
     EventQueue eq;
     std::vector<Tick> fired;
-    const Tick step = microseconds(3.0); // ~1/3 of the ring horizon
+    const Tick step = microseconds(3.0);
     std::function<void()> chain = [&] {
         fired.push_back(eq.now());
         if (fired.size() < 64)
@@ -418,11 +424,259 @@ TEST(TwoTier, InterleavedNearAndFarRespectGlobalOrder)
         evs.push_back(std::make_unique<RecordingEvent>(log, id));
         eq.schedule(evs.back().get(), when);
     };
-    add(4, milliseconds(1.0));    // far
-    add(2, microseconds(2.0));    // ring
-    add(1, nanoseconds(50.0));    // ring
-    add(5, milliseconds(2.0));    // far
-    add(3, microseconds(7.0));    // ring
+    add(4, milliseconds(1.0));
+    add(2, microseconds(2.0));
+    add(1, nanoseconds(50.0));
+    add(5, milliseconds(2.0));
+    add(3, microseconds(7.0));
     eq.run();
     EXPECT_EQ(log, (std::vector<int>{1, 2, 3, 4, 5}));
+}
+
+// ---- Differential fuzz against a flat-list reference model ----------
+
+namespace {
+
+constexpr Tick noChain = maxTick;
+
+using FiredLog = std::vector<std::pair<int, Tick>>;
+using Handles = std::map<int, Event *>;
+
+/**
+ * The reference scheduler: one vector kept sorted by (when, seq) that
+ * fires its front. It numbers schedules exactly as the queue does
+ * (every schedule, post and reschedule takes the next seq), so it
+ * predicts every firing, size() and nextEventTick().
+ */
+struct RefQueue
+{
+    struct Item
+    {
+        Tick when;
+        std::uint64_t seq;
+        int id;
+        Tick chain; // a fired item posts -id this much later
+    };
+
+    std::vector<Item> items;
+    std::uint64_t nextSeq = 0;
+    Tick now = 0;
+    FiredLog fired;
+
+    void
+    add(int id, Tick when, Tick chain = noChain)
+    {
+        Item it{when, nextSeq++, id, chain};
+        auto pos = std::upper_bound(
+            items.begin(), items.end(), it, [](const Item &a, const Item &b) {
+                return a.when != b.when ? a.when < b.when : a.seq < b.seq;
+            });
+        items.insert(pos, it);
+    }
+
+    Item
+    remove(int id)
+    {
+        auto it = std::find_if(items.begin(), items.end(),
+                               [id](const Item &i) { return i.id == id; });
+        Item out = *it;
+        items.erase(it);
+        return out;
+    }
+
+    bool
+    pending(int id) const
+    {
+        return std::any_of(items.begin(), items.end(),
+                           [id](const Item &i) { return i.id == id; });
+    }
+
+    Tick nextTick() const { return items.empty() ? maxTick : items[0].when; }
+
+    bool
+    step()
+    {
+        if (items.empty())
+            return false;
+        Item it = items.front();
+        items.erase(items.begin());
+        now = it.when;
+        fired.emplace_back(it.id, now);
+        if (it.chain != noChain)
+            add(-it.id, now + it.chain);
+        return true;
+    }
+
+    /** EventQueue::run(limit): fire everything before @p limit. */
+    void
+    run(Tick limit)
+    {
+        while (!items.empty()) {
+            if (items.front().when >= limit) {
+                now = limit;
+                return;
+            }
+            step();
+        }
+    }
+};
+
+class FuzzEvent : public Event
+{
+  public:
+    FuzzEvent(EventQueue &eq, FiredLog &fired, int id)
+        : Event("fuzz.embedded"), eq(eq), fired(fired), id(id)
+    {
+    }
+    void process() override { fired.emplace_back(id, eq.now()); }
+
+  private:
+    EventQueue &eq;
+    FiredLog &fired;
+    int id;
+};
+
+/** A recorded one-shot; when it fires it may post its follow-up -id. */
+Event *
+postRecorded(EventQueue &eq, FiredLog &fired, Handles &handles, int id,
+             Tick when, Tick chain)
+{
+    return eq.post(
+        when,
+        [&eq, &fired, &handles, id, chain] {
+            fired.emplace_back(id, eq.now());
+            handles.erase(id);
+            if (chain != noChain)
+                handles[-id] = postRecorded(eq, fired, handles, -id,
+                                            eq.now() + chain, noChain);
+        },
+        "fuzz.post");
+}
+
+} // namespace
+
+TEST(EventQueue, RandomMixMatchesFlatListReference)
+{
+    constexpr int nEmbedded = 16;
+    for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+        sim::Rng rng(seed);
+        FiredLog fired;
+        Handles handles;
+        // Declared before the queue so that they outlive it.
+        std::vector<std::unique_ptr<FuzzEvent>> embedded;
+        EventQueue eq;
+        for (int i = 0; i < nEmbedded; ++i)
+            embedded.push_back(std::make_unique<FuzzEvent>(eq, fired, i));
+        RefQueue ref;
+        int nextPostId = 1000;
+        // Each seed draws its own balance of adds and removals, so
+        // some mixes keep a handful of events pending and others
+        // hundreds.
+        const std::uint64_t addWeight = 20 + rng.range(120);
+        const std::uint64_t runWeight = 1 + rng.range(10);
+
+        auto delay = [&]() -> Tick {
+            switch (rng.range(4)) {
+              case 0:
+                return 0;
+              case 1: // the tick of a pending event: a FIFO tie
+                if (ref.items.empty())
+                    return 0;
+                return ref.items[rng.range(ref.items.size())].when -
+                       ref.now;
+              case 2: // near: inside and past a nanosecond-scale window
+                return rng.range(2) ? 1 + rng.range(2048)
+                                    : 1 + rng.range(microseconds(20.0));
+              default:
+                return milliseconds(1.0) + rng.range(milliseconds(16.0));
+            }
+        };
+        // The root, the last-firing entry, a middle one or the newest.
+        auto pickPending = [&]() -> int {
+            const auto &items = ref.items;
+            switch (rng.range(4)) {
+              case 0:
+                return items.front().id;
+              case 1:
+                return items.back().id;
+              case 2:
+                return items[rng.range(items.size())].id;
+              default:
+                return std::max_element(items.begin(), items.end(),
+                                        [](const auto &a, const auto &b) {
+                                            return a.seq < b.seq;
+                                        })
+                    ->id;
+            }
+        };
+        auto eventOf = [&](int id) -> Event * {
+            return id >= 0 && id < nEmbedded ? embedded[id].get()
+                                             : handles.at(id);
+        };
+
+        std::size_t checked = 0;
+        for (int op = 0; op < 3000; ++op) {
+            const std::uint64_t roll = rng.range(addWeight + 60 + runWeight);
+            const bool full = ref.items.size() >= 400;
+            if (roll < addWeight && !full) {
+                const Tick when = eq.now() + delay();
+                const int idle = static_cast<int>(rng.range(nEmbedded));
+                if (rng.range(4) == 0 && !embedded[idle]->scheduled()) {
+                    eq.schedule(embedded[idle].get(), when);
+                    ref.add(idle, when);
+                } else {
+                    const int id = nextPostId++;
+                    const Tick chain = rng.range(3) == 0 ? delay() : noChain;
+                    handles[id] =
+                        postRecorded(eq, fired, handles, id, when, chain);
+                    ref.add(id, when, chain);
+                }
+            } else if (roll < addWeight + 15 && !ref.items.empty()) {
+                const int id = pickPending();
+                eq.deschedule(eventOf(id));
+                ref.remove(id);
+                handles.erase(id);
+            } else if (roll < addWeight + 35 && !ref.items.empty()) {
+                const int id = pickPending();
+                Event *ev = eventOf(id);
+                const Tick was = ev->when();
+                const Tick when =
+                    rng.range(2) ? eq.now() + rng.range(was - eq.now() + 1)
+                                 : was + delay();
+                eq.reschedule(ev, when);
+                ref.add(id, when, ref.remove(id).chain);
+            } else if (roll < addWeight + 40) {
+                // reschedule() of an idle embedded event schedules it.
+                const int id = static_cast<int>(rng.range(nEmbedded));
+                if (!ref.pending(id)) {
+                    const Tick when = eq.now() + delay();
+                    eq.reschedule(embedded[id].get(), when);
+                    ref.add(id, when);
+                }
+            } else if (roll < addWeight + 60) {
+                ASSERT_EQ(eq.step(), ref.step()) << "seed " << seed;
+            } else {
+                const Tick limit = eq.now() + delay();
+                eq.run(limit);
+                ref.run(limit);
+            }
+
+            ASSERT_EQ(fired.size(), ref.fired.size())
+                << "seed " << seed << " op " << op;
+            for (; checked < fired.size(); ++checked)
+                ASSERT_EQ(fired[checked], ref.fired[checked])
+                    << "seed " << seed << " op " << op << " firing "
+                    << checked;
+            ASSERT_EQ(eq.size(), ref.items.size())
+                << "seed " << seed << " op " << op;
+            ASSERT_EQ(eq.nextEventTick(), ref.nextTick())
+                << "seed " << seed << " op " << op;
+            ASSERT_EQ(eq.now(), ref.now) << "seed " << seed << " op " << op;
+        }
+        eq.run();
+        ref.run(maxTick);
+        ASSERT_EQ(fired, ref.fired) << "seed " << seed;
+        EXPECT_TRUE(eq.empty());
+        EXPECT_TRUE(handles.empty());
+    }
 }
