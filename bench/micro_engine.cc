@@ -20,58 +20,6 @@ using namespace hwdp;
 namespace {
 
 void
-BM_EventQueueScheduleStep(benchmark::State &state)
-{
-    sim::EventQueue eq;
-    class Noop : public sim::Event
-    {
-      public:
-        void process() override {}
-    } ev;
-    Tick t = 0;
-    for (auto _ : state) {
-        eq.schedule(&ev, ++t);
-        eq.step();
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_EventQueueScheduleStep);
-
-/**
- * The seed's one-shot continuation path, kept as the "before" baseline
- * for the pooled API: a heap-allocated wrapper event holding a
- * std::function and a std::string name, deleted after firing. Every
- * scheduleLambda call site used to pay exactly this.
- */
-class HeapLambdaEvent : public sim::Event
-{
-  public:
-    HeapLambdaEvent(std::function<void()> fn, std::string name)
-        : Event(std::move(name)), fn(std::move(fn))
-    {
-    }
-    void process() override { fn(); }
-
-  private:
-    std::function<void()> fn;
-};
-
-void
-BM_EventQueueOneShotHeapLambda(benchmark::State &state)
-{
-    sim::EventQueue eq;
-    Tick t = 0;
-    for (auto _ : state) {
-        auto *ev = new HeapLambdaEvent([] {}, "lambda");
-        eq.schedule(ev, ++t);
-        eq.step();
-        delete ev;
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_EventQueueOneShotHeapLambda);
-
-void
 BM_EventQueueOneShotPooled(benchmark::State &state)
 {
     sim::EventQueue eq;
@@ -85,33 +33,10 @@ BM_EventQueueOneShotPooled(benchmark::State &state)
 BENCHMARK(BM_EventQueueOneShotPooled);
 
 void
-BM_EventQueueFanoutHeapLambda(benchmark::State &state)
-{
-    // A System owns one queue for its whole run, so the queue lives
-    // across rounds; each round schedules and fires a 1024-event
-    // burst the way the seed's scheduleLambda call sites did.
-    sim::EventQueue eq;
-    std::uint64_t events = 0;
-    for (auto _ : state) {
-        Tick base = eq.now();
-        std::vector<HeapLambdaEvent *> evs;
-        evs.reserve(1024);
-        for (int i = 0; i < 1024; ++i) {
-            evs.push_back(new HeapLambdaEvent([] {}, "lambda"));
-            eq.schedule(evs.back(), base + static_cast<Tick>(i + 1));
-        }
-        eq.run();
-        for (auto *ev : evs)
-            delete ev;
-        events += 1024;
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(events));
-}
-BENCHMARK(BM_EventQueueFanoutHeapLambda);
-
-void
 BM_EventQueueFanoutPooled(benchmark::State &state)
 {
+    // A System owns one queue for its whole run, so the queue lives
+    // across rounds; each round posts and fires a 1024-event burst.
     sim::EventQueue eq;
     std::uint64_t events = 0;
     for (auto _ : state) {

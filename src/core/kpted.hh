@@ -39,7 +39,6 @@ class Kpted : public os::KThread
 
     std::uint64_t pagesSynced() const { return statSynced.value(); }
     std::uint64_t entriesVisited() const { return statVisited.value(); }
-    bool guidedScan() const { return guided; }
 
     /**
      * Multi-socket: every sync batch that rewrote at least one PTE

@@ -101,7 +101,9 @@ SoftwareSmu::intercept(os::Thread &t, os::AddressSpace &as, VAddr vaddr,
     auto &sched = kernel.scheduler();
 
     // Outstanding miss to the same page? Join it: this faulter also
-    // runs the emulation entry code, then mwaits alongside.
+    // runs the emulation entry code, then mwaits alongside. A miss
+    // that finished while the entry code ran has installed its PTE
+    // (or bounced): resume at once and re-walk.
     auto pit = byPage.find(pageKey(as, vaddr));
     if (pit != byPage.end()) {
         ++statCoalesced;
@@ -109,8 +111,13 @@ SoftwareSmu::intercept(os::Thread &t, os::AddressSpace &as, VAddr vaddr,
         sched.runPhases(core, {&os::phases::swSmuSubmit},
                         [this, &t, core, cid,
                          resume = std::move(resume)]() mutable {
+                            auto it = inflight.find(cid);
+                            if (it == inflight.end()) {
+                                resume();
+                                return;
+                            }
                             kernel.scheduler().setHwStalled(core, true);
-                            inflight[cid].waiters.emplace_back(
+                            it->second.waiters.emplace_back(
                                 &t, std::move(resume));
                         });
         return true;
@@ -225,16 +232,13 @@ SoftwareSmu::onInterrupt(std::uint16_t cid, std::uint16_t status)
         // every coalesced waiter down the normal OS fault path, like
         // the hardware bounce (the block layer owns retries there).
         ++statRejectIoError;
-        Inflight inf = std::move(it->second);
-        inflight.erase(it);
-        byPage.erase(pageKey(*inf.as, inf.vaddr));
-        fpq.push(inf.pfn);
+        fpq.push(it->second.pfn);
 
-        unsigned core = inf.t->core();
+        unsigned core = it->second.t->core();
         kernel.scheduler().setHwStalled(core, false);
         kernel.scheduler().runPhases(
-            core, {&os::phases::swSmuWake},
-            [this, inf = std::move(inf)]() mutable {
+            core, {&os::phases::swSmuWake}, [this, cid] {
+                Inflight inf = retire(cid);
                 kernel.handlePageFault(*inf.t, *inf.as, inf.vaddr,
                                        false, true,
                                        std::move(inf.resume));
@@ -251,21 +255,20 @@ SoftwareSmu::onInterrupt(std::uint16_t cid, std::uint16_t status)
     // The emulation resumes on the faulting core: wake from mwait,
     // run the emulated completion (CQ protocol + PTE update), then
     // return to user. Metadata stays for kpted, as in hardware.
-    Inflight inf = std::move(it->second);
-    inflight.erase(it);
-    byPage.erase(pageKey(*inf.as, inf.vaddr));
+    const Inflight &done = it->second;
 
     // Install the SSD-fetched page into the tier (inclusion on read).
     // A full buffer rejects and kicks ktierd; eviction never runs on
     // the fault path.
-    if (tierBuf && !inf.fromTier && tierBuf->admitOnMiss() &&
-        inf.lba != os::pte::zeroFillLba)
-        tierBuf->admit(tierDevBase + inf.devId, inf.lba, false);
+    if (tierBuf && !done.fromTier && tierBuf->admitOnMiss() &&
+        done.lba != os::pte::zeroFillLba)
+        tierBuf->admit(tierDevBase + done.devId, done.lba, false);
 
-    unsigned core = inf.t->core();
+    unsigned core = done.t->core();
     kernel.scheduler().runPhases(
         core, {&os::phases::swSmuWake, &os::phases::swSmuComplete},
-        [this, inf = std::move(inf)]() mutable {
+        [this, cid] {
+            Inflight inf = retire(cid);
             os::Vma *vma = inf.as->findVma(inf.vaddr);
             if (!vma)
                 panic("software smu: VMA vanished under a miss");
@@ -281,6 +284,16 @@ SoftwareSmu::onInterrupt(std::uint16_t cid, std::uint16_t status)
                 wresume();
             }
         });
+}
+
+SoftwareSmu::Inflight
+SoftwareSmu::retire(std::uint16_t cid)
+{
+    auto it = inflight.find(cid);
+    Inflight inf = std::move(it->second);
+    inflight.erase(it);
+    byPage.erase(pageKey(*inf.as, inf.vaddr));
+    return inf;
 }
 
 } // namespace hwdp::core

@@ -141,6 +141,13 @@ class SoftwareSmu : public sim::SimObject
                    os::pte::Entry e, std::function<void()> resume);
     void onInterrupt(std::uint16_t cid, std::uint16_t status);
 
+    /**
+     * Take miss @p cid out of both tables. Called from the callback
+     * that resumes its waiters, so until then a new faulter on the
+     * page still joins the miss instead of issuing a second read.
+     */
+    Inflight retire(std::uint16_t cid);
+
     /** Build + submit the read command, then mwait on @p core. */
     void submitRead(unsigned dev_id, std::uint16_t cid, Lba lba,
                     Pfn pfn, unsigned core);

@@ -5,9 +5,6 @@ namespace hwdp::cpu {
 Core::Core(unsigned logical_id, sim::EventQueue &eq,
            mem::CacheHierarchy &caches, os::Kernel &kernel,
            Tick cycle_period, unsigned pwc_entries)
-    : lid(logical_id),
-      pid(kernel.scheduler().physCoreOf(logical_id)),
-      sibling(kernel.scheduler().siblingOf(logical_id))
 {
     mmuUnit = std::make_unique<Mmu>("mmu" + std::to_string(logical_id),
                                     eq, logical_id, caches, kernel,

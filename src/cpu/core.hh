@@ -25,10 +25,6 @@ class Core
          mem::CacheHierarchy &caches, os::Kernel &kernel,
          Tick cycle_period, unsigned pwc_entries = 16);
 
-    unsigned logicalId() const { return lid; }
-    unsigned physicalId() const { return pid; }
-    unsigned smtSibling() const { return sibling; }
-
     Mmu &mmu() { return *mmuUnit; }
     const Mmu &mmu() const { return *mmuUnit; }
 
@@ -39,9 +35,6 @@ class Core
     }
 
   private:
-    unsigned lid;
-    unsigned pid;
-    unsigned sibling;
     std::unique_ptr<Mmu> mmuUnit;
 };
 

@@ -181,37 +181,6 @@ Mmu::access(os::Thread &t, os::AddressSpace &as, VAddr vaddr,
 }
 
 void
-Mmu::access(os::Thread &t, os::AddressSpace &as, VAddr vaddr,
-            bool is_write, std::function<void(AccessInfo)> done)
-{
-    // Adapter for callback-style callers: a self-deleting sink that
-    // delivers the synchronous-completion case through an event, so
-    // the callback always runs after the access latency has elapsed
-    // (the pre-fast-path contract).
-    struct FnSink final : AccessSink
-    {
-        std::function<void(AccessInfo)> fn;
-
-        void
-        accessDone(const AccessInfo &info) override
-        {
-            auto f = std::move(fn);
-            delete this;
-            f(info);
-        }
-    };
-    auto *s = new FnSink;
-    s->fn = std::move(done);
-
-    AccessInfo out;
-    if (access(t, as, vaddr, is_write, 0, *s, out)) {
-        eq.postIn(out.latency,
-                  [s, out] { s->accessDone(out); },
-                  "mmu.hit");
-    }
-}
-
-void
 Mmu::startMiss(Pending *p, const Walker::Outcome &out, Tick defer)
 {
     Tick wl = out.latency;

@@ -112,7 +112,6 @@ class Mmu : public sim::SimObject
      * context-switch; the completion wakes the thread. 0 disables.
      */
     void setStallTimeout(Tick t) { stallTimeout = t; }
-    Tick stallTimeoutTicks() const { return stallTimeout; }
 
     std::uint64_t stallTimeouts() const { return statTimeout.value(); }
 
@@ -148,14 +147,6 @@ class Mmu : public sim::SimObject
     bool access(os::Thread &t, os::AddressSpace &as, VAddr vaddr,
                 bool is_write, Tick defer, AccessSink &sink,
                 AccessInfo &out);
-
-    /**
-     * Callback-style access (tests and non-batching callers): the
-     * completion is always delivered through a posted event after the
-     * access latency has elapsed.
-     */
-    void access(os::Thread &t, os::AddressSpace &as, VAddr vaddr,
-                bool is_write, std::function<void(AccessInfo)> done);
 
     Tlb &tlb() { return tlbUnit; }
     Walker &walker() { return walkUnit; }

@@ -110,16 +110,6 @@ BranchPredictor::mispredicts(ExecMode mode) const
     return nMiss[static_cast<unsigned>(mode)];
 }
 
-double
-BranchPredictor::missRate(ExecMode mode) const
-{
-    auto m = static_cast<unsigned>(mode);
-    return nLookups[m]
-               ? static_cast<double>(nMiss[m]) /
-                     static_cast<double>(nLookups[m])
-               : 0.0;
-}
-
 void
 BranchPredictor::reset()
 {

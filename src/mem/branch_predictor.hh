@@ -52,9 +52,6 @@ class BranchPredictor
     std::uint64_t lookups(ExecMode mode) const;
     std::uint64_t mispredicts(ExecMode mode) const;
 
-    /** Fraction of mispredicted branches in @p mode. */
-    double missRate(ExecMode mode) const;
-
     /** Reset tables and counters. */
     void reset();
 

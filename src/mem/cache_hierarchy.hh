@@ -156,7 +156,6 @@ class CacheHierarchy
     void resetCounters();
 
     const CacheParams &params() const { return prm; }
-    unsigned numCores() const { return static_cast<unsigned>(l1d.size()); }
 
     CacheArray &llcArray() { return llc; }
 

@@ -39,8 +39,6 @@ class QueuePair
     std::uint16_t qid() const { return id; }
     std::uint16_t depth() const { return nEntries; }
     Priority priority() const { return prio; }
-    PAddr sqBase() const { return sqBaseAddr; }
-    PAddr cqBase() const { return cqBaseAddr; }
 
     /** Host-memory address the next CQ entry will be written to. */
     PAddr cqHeadAddr() const;

@@ -51,10 +51,6 @@ class BlockLayer : public sim::SimObject
     unsigned attachDevice(ssd::SsdDevice *dev);
 
     ssd::SsdDevice &device(unsigned idx) { return *devices[idx].dev; }
-    unsigned numDevices() const
-    {
-        return static_cast<unsigned>(devices.size());
-    }
 
     /**
      * Submit a 4 KB I/O on behalf of @p core. The caller charges the

@@ -33,7 +33,6 @@ KThread::KThread(std::string name, unsigned core, Scheduler &sched,
       grp(this->name(), &eq.statRegistry()),
       statBatches(grp, "batches", "batches run")
 {
-    kthread = true;
     if (period == 0)
         fatal("kthread '", this->name(), "': zero period");
 }

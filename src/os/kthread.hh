@@ -42,11 +42,9 @@ class KThread : public Thread
     virtual void batch(std::function<void()> done) = 0;
 
     Tick period() const { return per; }
-    void setPeriod(Tick p) { per = p; }
 
     /** Stop re-arming the wake timer (lets the simulation drain). */
     void stop() { stopped = true; }
-    bool isStopped() const { return stopped; }
 
     /** Force an immediate wakeup (e.g. SMU queue ran dry). */
     void kick();

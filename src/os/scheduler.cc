@@ -84,13 +84,6 @@ Scheduler::start()
     }
 }
 
-bool
-Scheduler::coreBusy(unsigned core) const
-{
-    const CoreState &cs = cores[core];
-    return cs.cur != nullptr || cs.inKernelWork;
-}
-
 void
 Scheduler::setHwStalled(unsigned core, bool stalled)
 {

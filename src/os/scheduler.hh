@@ -57,7 +57,6 @@ class Thread
     const std::string &name() const { return nm; }
     unsigned core() const { return coreIdx; }
     State state() const { return st; }
-    bool isKthread() const { return kthread; }
 
     /**
      * Install a continuation to run on the next dispatch (the fault
@@ -88,8 +87,6 @@ class Thread
     void serializeState(sim::Serializer &s);
 
   protected:
-    bool kthread = false;
-
     std::function<void()>
     takeResumeAction()
     {
@@ -120,7 +117,6 @@ class Scheduler : public sim::SimObject
               KernelExec &kexec, double smt_share = 0.6);
 
     unsigned numLogical() const { return nLogical; }
-    unsigned numPhysical() const { return nPhys; }
     unsigned physCoreOf(unsigned logical) const { return logical % nPhys; }
     unsigned siblingOf(unsigned logical) const
     {
@@ -175,11 +171,9 @@ class Scheduler : public sim::SimObject
 
     // ---- State queries -------------------------------------------------
     Thread *current(unsigned core) const { return cores[core].cur; }
-    bool coreBusy(unsigned core) const;
 
     /** Mark/unmark an HWDP pipeline stall on @p core (SMT modelling). */
     void setHwStalled(unsigned core, bool stalled);
-    bool hwStalled(unsigned core) const { return cores[core].hwStall; }
 
     /**
      * Fraction of the physical core's issue slots available to a

@@ -1,8 +1,5 @@
 #include "sim/event_queue.hh"
 
-#include <cstdio>
-#include <cstdlib>
-
 #include "sim/logging.hh"
 #include "sim/serialize.hh"
 
@@ -33,10 +30,8 @@ EventQueue::serialize(Serializer &s)
         if (pool.size() > pstats.created)
             throw SerializeError(
                 "restore target's event pool exceeds the checkpoint's");
-        while (pool.size() < pstats.created) {
+        while (pool.size() < pstats.created)
             pool.push_back(std::make_unique<PooledEvent>());
-            pool.back()->_pooled = true;
-        }
         freeList = nullptr;
         for (auto &node : pool) {
             node->nextFree = freeList;
@@ -45,53 +40,19 @@ EventQueue::serialize(Serializer &s)
     }
 }
 
-Event::~Event()
-{
-#ifndef NDEBUG
-    if (scheduled()) {
-        // A scheduled event's queue entry points here; destruction
-        // would leave that pointer dangling. We cannot throw from a
-        // destructor, so fail fast and loudly in debug builds.
-        std::fprintf(stderr,
-                     "panic: event '%s' destroyed while scheduled "
-                     "(tick %llu)\n",
-                     _name, static_cast<unsigned long long>(_when));
-        std::abort();
-    }
-#endif
-}
-
-EventQueue::~EventQueue()
-{
-    // Mark every still-live event idle so that embedded events owned
-    // by components destroyed after the queue do not trip the
-    // destroyed-while-scheduled check; release pending pooled
-    // callables so their captures are destroyed exactly once.
-    for (const Entry &e : heap) {
-        e.ev->_slot = Event::noSlot;
-        if (e.ev->_pooled)
-            static_cast<PooledEvent *>(e.ev)->destroyCallable();
-    }
-    // ~PooledEvent destroys any callable we missed; the pool vector
-    // frees the nodes themselves.
-}
-
 PooledEvent *
 EventQueue::growPool()
 {
     ++pstats.created;
     pool.push_back(std::make_unique<PooledEvent>());
-    pool.back()->_pooled = true;
     return pool.back().get();
 }
 
 void
-EventQueue::schedulePanic(const Event *ev, Tick when) const
+EventQueue::postPanic(const char *name, Tick when) const
 {
-    if (ev->scheduled())
-        panic("event '", ev->name(), "' scheduled twice");
-    panic("event '", ev->name(), "' scheduled in the past (", when,
-          " < ", curTick, ")");
+    panic("event '", name, "' posted in the past (", when, " < ", curTick,
+          ")");
 }
 
 void
@@ -103,49 +64,10 @@ EventQueue::siftDown(std::size_t i, const Entry &e)
             ++child;
         if (!(heap[child] < e))
             break;
-        place(i, heap[child]);
+        heap[i] = heap[child];
         i = child;
     }
-    place(i, e);
-}
-
-void
-EventQueue::unlink(Event *ev)
-{
-    const std::size_t i = ev->_slot;
-    ev->_slot = Event::noSlot;
-    const Entry last = heap.back();
-    heap.pop_back();
-    if (i == heap.size())
-        return; // it was the last entry
-    // The last entry fills the hole; it may belong above it or below.
-    if (i > 0 && last < heap[(i - 1) / 2])
-        siftUp(i, last);
-    else
-        siftDown(i, last);
-}
-
-void
-EventQueue::deschedule(Event *ev)
-{
-    if (!ev->scheduled())
-        panic("descheduling idle event '", ev->name(), "'");
-    unlink(ev);
-    // A cancelled one-shot will never fire: drop its callable and
-    // recycle the node now.
-    if (ev->_pooled)
-        releasePooled(static_cast<PooledEvent *>(ev));
-}
-
-void
-EventQueue::reschedule(Event *ev, Tick when)
-{
-    // deschedule-if-scheduled + schedule: an idle event is accepted.
-    // A pooled event keeps its callable — it must not bounce through
-    // the free list on its way to the new tick.
-    if (ev->scheduled())
-        unlink(ev);
-    schedule(ev, when);
+    heap[i] = e;
 }
 
 EventQueue::StepOutcome
@@ -155,33 +77,26 @@ EventQueue::tryStep(Tick limit)
         return StepOutcome::drained;
     const Entry e = heap.front();
     if (e.when >= limit) {
-        curTick = limit;
+        // The clock runs up to the limit, never back.
+        if (limit > curTick)
+            curTick = limit;
         return StepOutcome::atLimit;
     }
-    unlink(e.ev);
+    const Entry last = heap.back();
+    heap.pop_back();
+    if (!heap.empty())
+        siftDown(0, last);
 #ifndef NDEBUG
     // Simulated time is monotonic; firing into the past means the
     // heap lost track of an earlier pending event.
     if (e.when < curTick)
-        panic("event '", e.ev->name(), "' fired at tick ", e.when,
+        panic("event '", e.ev->name, "' fired at tick ", e.when,
               " with simulated time already at ", curTick);
 #endif
     curTick = e.when;
-
-    Event *ev = e.ev;
     ++nProcessed;
-    bool pooled = ev->_pooled;
-    // Devirtualized dispatch for the pooled fast path: one indirect
-    // call instead of a vtable hop into the same function pointer.
-    if (pooled)
-        static_cast<PooledEvent *>(ev)->invokeFn(
-            static_cast<PooledEvent *>(ev));
-    else
-        ev->process();
-    // The event may have (re)scheduled itself inside process(); only
-    // recycle a pooled event once it is really done.
-    if (pooled && !ev->scheduled())
-        releasePooled(static_cast<PooledEvent *>(ev));
+    e.ev->invokeFn(e.ev);
+    releasePooled(e.ev);
     return StepOutcome::fired;
 }
 

@@ -1,23 +1,20 @@
 /**
  * @file
- * Discrete-event simulation core: Event, EventQueue and the pooled
- * one-shot event fast path.
+ * Discrete-event simulation core: EventQueue and its pooled one-shot
+ * events.
  *
- * Events are scheduled at absolute ticks and processed in tick order;
- * events at the same tick run in scheduling (FIFO) order, which keeps
- * component interactions deterministic. Events are externally owned:
- * the queue never deletes them, so components can embed events as
- * members (the gem5 pattern). The exception is the pooled one-shot
- * path (post()/postIn()): those events belong to the queue's free-list
- * pool and are recycled after firing.
+ * Every event is a one-shot posted at an absolute tick (post()/postIn())
+ * that fires exactly once: nothing cancels it, moves it or holds it
+ * from outside the queue. Events at the same tick fire in posting
+ * (FIFO) order, which keeps component interactions deterministic. The
+ * queue owns the events: each is a node of its free-list pool,
+ * recycled after firing, so once the pool and the heap have grown to
+ * the peak number of pending events the queue allocates nothing.
  *
- * The scheduler is one binary min-heap of (tick, seq) entries. Memory
- * accesses, walks and fault-chain hops run inline, so only a handful
- * of events is ever pending (DESIGN.md §6c) and a heap of that depth
- * is a few cache lines. Each scheduled event records its heap slot, so
- * deschedule() and reschedule() remove it in place: nothing stale is
- * left behind, and once the heap's vector has grown to the peak
- * number of pending events the queue allocates nothing.
+ * The scheduler is one binary min-heap of (tick, seq, node) entries.
+ * Memory accesses, walks and fault-chain hops run inline, so only a
+ * handful of events is ever pending (DESIGN.md §6c) and a heap of that
+ * depth is a few cache lines.
  */
 
 #ifndef HWDP_SIM_EVENT_QUEUE_HH
@@ -28,7 +25,6 @@
 #include <functional>
 #include <memory>
 #include <new>
-#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -38,87 +34,26 @@
 
 namespace hwdp::sim {
 
-class EventQueue;
-class PooledEvent;
 class Serializer;
-
-/**
- * An occurrence scheduled on an EventQueue. Subclasses implement
- * process(). An event may be scheduled on at most one queue at a time.
- *
- * Names: the common constructor takes a string literal (or other
- * pointer with static storage duration) and stores only the pointer —
- * the fast path never allocates. The std::string overload exists for
- * dynamically named events (tests, debugging) and owns its copy.
- */
-class Event
-{
-  public:
-    explicit Event(const char *static_name = "event")
-        : _name(static_name)
-    {
-    }
-
-    /** Dynamically named event: owns a copy of @p name (slow path). */
-    explicit Event(std::string name)
-        : _ownedName(std::make_unique<std::string>(std::move(name)))
-    {
-        _name = _ownedName->c_str();
-    }
-
-    /**
-     * Destroying a still-scheduled event would leave a dangling
-     * pointer in the queue; debug builds abort loudly instead of
-     * corrupting memory later. Deschedule before destruction.
-     */
-    virtual ~Event();
-
-    Event(const Event &) = delete;
-    Event &operator=(const Event &) = delete;
-
-    /** Invoked when simulated time reaches the scheduled tick. */
-    virtual void process() = 0;
-
-    /** True while the event sits on a queue awaiting processing. */
-    bool scheduled() const { return _slot != noSlot; }
-
-    /** The tick this event will fire at; valid only when scheduled. */
-    Tick when() const { return _when; }
-
-    const char *name() const { return _name; }
-
-  private:
-    friend class EventQueue;
-
-    static constexpr std::size_t noSlot = ~std::size_t(0);
-
-    const char *_name;
-    /** Only set for dynamically named events; _name points into it. */
-    std::unique_ptr<std::string> _ownedName;
-    /** Owned by an EventQueue's free-list pool (post()/postIn()). */
-    bool _pooled = false;
-    Tick _when = 0;
-    /** Slot of this event's entry in its queue's heap; noSlot while idle. */
-    std::size_t _slot = noSlot;
-};
 
 /**
  * A reusable one-shot event carrying a type-erased callable in an
  * inline small-buffer (captures larger than inlineCapacity fall back
  * to a heap allocation, counted in PoolStats::heapFallbacks). Only
  * EventQueue creates these; they recycle through the queue's free
- * list, so the steady-state one-shot path performs no allocation.
+ * list, so the steady-state path performs no allocation.
  */
-class PooledEvent final : public Event
+class PooledEvent
 {
   public:
     /** Sized to hold every capture in the tree (see PoolStats). */
     static constexpr std::size_t inlineCapacity = 192;
 
-    PooledEvent() : Event("pooled.idle") {}
-    ~PooledEvent() override { destroyCallable(); }
+    PooledEvent() = default;
+    ~PooledEvent() { destroyCallable(); }
 
-    void process() override { invokeFn(this); }
+    PooledEvent(const PooledEvent &) = delete;
+    PooledEvent &operator=(const PooledEvent &) = delete;
 
   private:
     friend class EventQueue;
@@ -170,11 +105,15 @@ class PooledEvent final : public Event
         invokeFn = nullptr;
     }
 
-    alignas(std::max_align_t) unsigned char storage[inlineCapacity];
-    void *heapFn = nullptr;
+    // The hooks and links come first, so that a small capture shares
+    // their cache line.
     void (*invokeFn)(PooledEvent *) = nullptr;
     void (*destroyFn)(PooledEvent *) = nullptr;
     PooledEvent *nextFree = nullptr;
+    void *heapFn = nullptr;
+    /** A string literal, stored by pointer (diagnostics only). */
+    const char *name = "pooled.idle";
+    alignas(std::max_align_t) unsigned char storage[inlineCapacity];
 };
 
 /**
@@ -187,7 +126,6 @@ class EventQueue
 {
   public:
     EventQueue() = default;
-    ~EventQueue();
 
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
@@ -198,9 +136,8 @@ class EventQueue
     /**
      * Tick of the earliest pending event, or maxTick when the queue
      * is empty. Work run synchronously at logical times strictly
-     * before this tick cannot be reordered against any scheduled
-     * event: it is the inline-execution batch horizon and hop()'s
-     * gate.
+     * before this tick cannot be reordered against any pending event:
+     * it is the inline-execution batch horizon and hop()'s gate.
      */
     Tick
     nextEventTick() const
@@ -209,63 +146,37 @@ class EventQueue
     }
 
     /**
-     * Schedule @p ev at absolute tick @p when.
-     * @pre !ev->scheduled() && when >= now()
-     */
-    inline void schedule(Event *ev, Tick when);
-
-    /** Schedule @p ev @p delta ticks from now. */
-    void scheduleIn(Event *ev, Tick delta) { schedule(ev, now() + delta); }
-
-    /**
-     * Remove a scheduled event from the queue without processing it.
-     * @pre ev->scheduled() — descheduling an idle event is a bug.
-     */
-    void deschedule(Event *ev);
-
-    /**
-     * Move an event to a new (future) tick. Explicit semantics:
-     * deschedule-if-scheduled, then schedule — an unscheduled event is
-     * accepted and simply scheduled, so periodic events may reschedule
-     * themselves from inside process() without checking scheduled().
-     */
-    void reschedule(Event *ev, Tick when);
-
-    /**
-     * One-shot continuation at absolute tick @p when: the callable is
-     * moved into a pooled event recycled after firing. @p name must be
-     * a string literal (it is stored by pointer, never copied). The
-     * returned handle stays valid until the event fires or is
-     * descheduled; use it with reschedule()/deschedule() only.
+     * One-shot event at absolute tick @p when: the callable is moved
+     * into a pooled event that fires once and is then recycled.
+     * @p name must be a string literal (it is stored by pointer, never
+     * copied).
+     * @pre when >= now()
      */
     template <typename F>
-    Event *
+    void
     post(Tick when, F &&fn, const char *name = "lambda")
     {
+        if (when < curTick) [[unlikely]]
+            postPanic(name, when);
         PooledEvent *ev = acquirePooled();
         if (!ev->emplace(std::forward<F>(fn)))
             ++pstats.heapFallbacks;
-        ev->_name = name;
-        try {
-            schedule(ev, when);
-        } catch (...) {
-            releasePooled(ev);
-            throw;
-        }
-        return ev;
+        ev->name = name;
+        heap.emplace_back();
+        siftUp(heap.size() - 1, Entry{when, nextSeq++, ev});
     }
 
-    /** One-shot continuation @p delta ticks from now. */
+    /** One-shot event @p delta ticks from now. */
     template <typename F>
-    Event *
+    void
     postIn(Tick delta, F &&fn, const char *name = "lambda")
     {
-        return post(now() + delta, std::forward<F>(fn), name);
+        post(now() + delta, std::forward<F>(fn), name);
     }
 
     /**
      * One hop of a chain that runs on a logical clock: @p fn(t) runs
-     * right here when @p inline_ok and @p t is before every scheduled
+     * right here when @p inline_ok and @p t is before every pending
      * event — nothing can execute between now() and @p t, so running
      * it early is indistinguishable from the event firing there.
      * Otherwise @p fn(t) is posted as event @p name at @p t, where it
@@ -316,7 +227,7 @@ class EventQueue
         std::uint64_t created = 0;
         /** post() calls served; acquired - created = reuses. */
         std::uint64_t acquired = 0;
-        /** Events returned to the free list after firing/cancel. */
+        /** Events returned to the free list after firing. */
         std::uint64_t released = 0;
         /** Captures too large for the inline buffer (heap path). */
         std::uint64_t heapFallbacks = 0;
@@ -348,7 +259,7 @@ class EventQueue
     {
         Tick when;
         std::uint64_t seq;
-        Event *ev;
+        PooledEvent *ev;
 
         bool
         operator<(const Entry &o) const
@@ -361,7 +272,7 @@ class EventQueue
 
     /**
      * Pending events, a binary min-heap by (when, seq): the children
-     * of slot i are 2i+1 and 2i+2, and heap[i].ev->_slot == i.
+     * of slot i are 2i+1 and 2i+2.
      */
     std::vector<Entry> heap;
 
@@ -380,16 +291,8 @@ class EventQueue
     /** Slow path of acquirePooled(): allocate a new pool node. */
     PooledEvent *growPool();
 
-    /** Diagnose and report a schedule() precondition violation. */
-    void schedulePanic(const Event *ev, Tick when) const;
-
-    /** Store @p e at slot @p i and tell its event where it is. */
-    void
-    place(std::size_t i, const Entry &e)
-    {
-        heap[i] = e;
-        e.ev->_slot = i;
-    }
+    /** Report a post() into the past. */
+    [[noreturn]] void postPanic(const char *name, Tick when) const;
 
     /** Fill the hole at slot @p i with @p e, moving parents down. */
     inline void siftUp(std::size_t i, const Entry &e);
@@ -397,19 +300,16 @@ class EventQueue
     /** Fill the hole at slot @p i with @p e, moving children up. */
     void siftDown(std::size_t i, const Entry &e);
 
-    /** Take a scheduled event's entry out of the heap. */
-    void unlink(Event *ev);
-
     enum class StepOutcome { fired, drained, atLimit };
     StepOutcome tryStep(Tick limit);
 
     StatRegistry statGroups;
 };
 
-// The schedule and pool hot paths are defined inline so that post()
-// and scheduleIn() call sites compile down to straight-line code: the
-// one-shot fast path (acquire + emplace + heap insert) performs no
-// out-of-line calls at all.
+// The post and pool hot paths are defined inline so that post() call
+// sites compile down to straight-line code: the one-shot fast path
+// (acquire + emplace + heap insert) performs no out-of-line calls at
+// all.
 
 inline void
 EventQueue::siftUp(std::size_t i, const Entry &e)
@@ -418,20 +318,10 @@ EventQueue::siftUp(std::size_t i, const Entry &e)
         std::size_t parent = (i - 1) / 2;
         if (!(e < heap[parent]))
             break;
-        place(i, heap[parent]);
+        heap[i] = heap[parent];
         i = parent;
     }
-    place(i, e);
-}
-
-inline void
-EventQueue::schedule(Event *ev, Tick when)
-{
-    if (ev->scheduled() || when < curTick) [[unlikely]]
-        schedulePanic(ev, when);
-    ev->_when = when;
-    heap.emplace_back();
-    siftUp(heap.size() - 1, Entry{when, nextSeq++, ev});
+    heap[i] = e;
 }
 
 inline PooledEvent *

@@ -16,13 +16,6 @@ SsdDevice::serialize(sim::Serializer &s)
             throw sim::SerializeError(
                 "checkpoint: ssd '" + name() +
                 "' has commands in flight; quiesce the machine first");
-        // Pooled completions count as in flight too: a live pending
-        // node is a command between service and its CQ write.
-        if (!livePending.empty() || drainEv)
-            throw sim::SerializeError(
-                "checkpoint: ssd '" + name() +
-                "' has pooled completions pending; quiesce the "
-                "machine first");
         for (auto &qs : queues)
             if (qs.doorbellPending)
                 throw sim::SerializeError(
@@ -44,13 +37,6 @@ SsdDevice::serialize(sim::Serializer &s)
         fetchScheduled = false;
         for (auto &qs : queues)
             qs.doorbellPending = false;
-        livePending.clear();
-        cmdFree.clear();
-        cmdPool.clear();
-        if (drainEv) {
-            eq.deschedule(drainEv);
-            drainEv = nullptr;
-        }
     }
 }
 
@@ -197,14 +183,6 @@ SsdDevice::fetchCommandsAt(Tick at)
             serviceOne(sqe, qi, fault, at);
         }
     }
-
-    // Snooped-queue completions landed in the pending pool: keep the
-    // drain scheduled for the earliest due.
-    Tick min_due = maxTick;
-    for (std::uint32_t n : livePending)
-        min_due = std::min(min_due, cmdPool[n].due);
-    if (min_due != maxTick)
-        scheduleDrain(min_due);
 }
 
 void
@@ -244,94 +222,13 @@ SsdDevice::serviceOne(const nvme::SubmissionEntry &sqe, std::size_t qidx,
         media_done + prof.xfer4k + prof.cqeWrite + fault.extraLatency;
     Tick issued = at >= prof.cmdFetch ? at - prof.cmdFetch : 0;
 
-    if (!queues[qidx].interrupts) {
-        // Snooped queue: pool the completion; the drain event writes
-        // the CQE at the due tick. Steady state allocates nothing.
-        std::uint32_t n;
-        if (!cmdFree.empty()) {
-            n = cmdFree.back();
-            cmdFree.pop_back();
-        } else {
-            n = static_cast<std::uint32_t>(cmdPool.size());
-            cmdPool.emplace_back();
-        }
-        cmdPool[n] = PendingCmd{sqe, static_cast<std::uint32_t>(qidx),
-                                fault.status, issued, cqe_written};
-        livePending.push_back(n);
-        pendingHighWater =
-            std::max<std::uint64_t>(pendingHighWater, livePending.size());
-        return;
-    }
-
-    // Interrupt-driven queue: one completion event per command.
+    // One completion event per command, at its CQ write.
     auto status = fault.status;
     eq.post(cqe_written,
             [this, qidx, sqe, issued, status] {
                 complete(qidx, sqe, issued, status);
             },
             "ssd.complete");
-}
-
-void
-SsdDevice::scheduleDrain(Tick t)
-{
-    if (drainEv) {
-        if (t < drainAt) {
-            eq.reschedule(drainEv, t);
-            drainAt = t;
-        }
-        return;
-    }
-    drainAt = t;
-    drainEv = eq.post(
-        t,
-        [this] {
-            drainEv = nullptr;
-            drainFired();
-        },
-        "ssd.drain");
-}
-
-void
-SsdDevice::drainFired()
-{
-    if (livePending.empty())
-        return;
-    Tick d = maxTick;
-    for (std::uint32_t n : livePending)
-        d = std::min(d, cmdPool[n].due);
-    if (d != now())
-        panic("ssd '", name(), "': earliest pooled completion due ", d,
-              " but the drain fired at ", now());
-
-    // Pop every command due now, preserving service order (the order
-    // per-command completion events would have been posted in), and
-    // reschedule for the remainder BEFORE completing anything: the
-    // inline-completion gate downstream must see the next pending due
-    // as a scheduled event.
-    dueBatch.clear();
-    std::size_t w = 0;
-    for (std::size_t r = 0; r < livePending.size(); ++r) {
-        std::uint32_t n = livePending[r];
-        if (cmdPool[n].due == d) {
-            dueBatch.push_back(cmdPool[n]);
-            cmdFree.push_back(n);
-        } else {
-            livePending[w++] = n;
-        }
-    }
-    livePending.resize(w);
-    Tick next = maxTick;
-    for (std::uint32_t n : livePending)
-        next = std::min(next, cmdPool[n].due);
-    if (next != maxTick)
-        scheduleDrain(next);
-
-    // complete() may re-enter the device inline (an SMU retry rings
-    // the doorbell again); dueBatch holds values, not pool references,
-    // so reentrant staging is safe.
-    for (const PendingCmd &pc : dueBatch)
-        complete(pc.qidx, pc.sqe, pc.issued, pc.status);
 }
 
 void
@@ -363,8 +260,7 @@ SsdDevice::complete(std::size_t qidx, const nvme::SubmissionEntry &sqe,
         auto listener = qs.listener;
         auto qid = qs.qp->qid();
         eq.postIn(prof.interruptLatency,
-                            [listener, qid, cqe] { listener(qid, cqe); },
-                            "ssd.irq");
+                  [listener, qid, cqe] { listener(qid, cqe); }, "ssd.irq");
     } else {
         // The SMU completion unit snoops the CQ memory write itself:
         // no interrupt, the listener sees it immediately.

@@ -8,7 +8,9 @@
  * set of parallel internal channels, DMAs the data, writes a CQ entry
  * and then either raises an interrupt (the kernel's queues) or lets
  * the registered listener observe the CQ write directly (the SMU's
- * snooping completion unit, Section III-C).
+ * snooping completion unit, Section III-C). Every serviced command,
+ * on either kind of queue, is one "ssd.complete" event at its CQ-write
+ * tick.
  */
 
 #ifndef HWDP_SSD_SSD_DEVICE_HH
@@ -134,16 +136,11 @@ class SsdDevice : public sim::SimObject
         return nDoorbellsCoalesced;
     }
     std::uint64_t inlineFetches() const { return nInlineFetches; }
-    std::uint64_t pooledPendingHighWater() const
-    {
-        return pendingHighWater;
-    }
-    std::uint64_t pooledNodesCreated() const { return cmdPool.size(); }
 
     /**
      * Checkpoint the device: RNG, channel busy horizon and queue
-     * rings. The device must be idle (no in-flight commands,
-     * no pending doorbells or pooled completions, no scheduled fetch).
+     * rings. The device must be idle (no in-flight commands, no
+     * pending doorbells, no scheduled fetch).
      */
     void serialize(sim::Serializer &s);
 
@@ -165,28 +162,9 @@ class SsdDevice : public sim::SimObject
     bool fetchScheduled = false;
     IoFaultInjector *injector = nullptr;
 
-    // ---- Snooped-queue completion pool (host-side) -----------------
-
-    /** One serviced snooped-queue command awaiting its CQ write. */
-    struct PendingCmd
-    {
-        nvme::SubmissionEntry sqe;
-        std::uint32_t qidx = 0;
-        std::uint16_t status = 0;
-        Tick issued = 0;
-        Tick due = 0;
-    };
-    std::vector<PendingCmd> cmdPool;       ///< Node storage.
-    std::vector<std::uint32_t> cmdFree;    ///< Free node indices.
-    std::vector<std::uint32_t> livePending; ///< Nodes in service order.
-    std::vector<PendingCmd> dueBatch;      ///< Reused drain scratch.
-    sim::Event *drainEv = nullptr;
-    Tick drainAt = 0;
-
     std::uint64_t nDoorbellRings = 0;
     std::uint64_t nDoorbellsCoalesced = 0;
     std::uint64_t nInlineFetches = 0;
-    std::uint64_t pendingHighWater = 0;
 
     sim::Counter statReads;
     sim::Counter statWrites;
@@ -201,18 +179,11 @@ class SsdDevice : public sim::SimObject
 
     /**
      * Service one fetched command of queue index @p qidx at logical
-     * time @p at: media jitter, channel serialisation, then route the
-     * completion (pooled for snooped queues, an "ssd.complete" event
-     * for interrupt queues).
+     * time @p at: media jitter, channel serialisation, then one
+     * "ssd.complete" event at the command's CQ-write tick.
      */
     void serviceOne(const nvme::SubmissionEntry &sqe, std::size_t qidx,
                     const IoFaultDecision &fault, Tick at);
-
-    /** Keep the drain event scheduled no later than @p t. */
-    void scheduleDrain(Tick t);
-
-    /** Drain event body: complete every pooled command now due. */
-    void drainFired();
 
     /** Finish a command: CQ write, then interrupt or snoop delivery. */
     void complete(std::size_t qidx, const nvme::SubmissionEntry &sqe,

@@ -87,12 +87,6 @@ struct Socket
     sim::Counter shootdownsDropped;
     sim::Counter shootdownsDelayed;
 
-    bool
-    containsCore(unsigned core_id) const
-    {
-        return core_id >= firstCore && core_id < firstCore + nCores;
-    }
-
     /** The socket's free-page queues, whichever SMU flavour it runs. */
     std::vector<core::FreePageQueue *>
     freePageQueues() const

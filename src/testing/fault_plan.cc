@@ -90,20 +90,6 @@ FaultPlan::FaultPlan(std::string name, sim::EventQueue &eq,
 }
 
 void
-FaultPlan::armAll()
-{
-    for (auto &st : states)
-        st.armed = true;
-}
-
-void
-FaultPlan::disarmAll()
-{
-    for (auto &st : states)
-        st.armed = false;
-}
-
-void
 FaultPlan::armAllAtRate(double rate)
 {
     for (auto &st : states) {

@@ -109,9 +109,6 @@ class FaultPlan : public ssd::IoFaultInjector
     SiteConfig &site(FaultSite s) { return states[idx(s)].cfg; }
 
     void arm(FaultSite s) { states[idx(s)].armed = true; }
-    void disarm(FaultSite s) { states[idx(s)].armed = false; }
-    void armAll();
-    void disarmAll();
     bool armed(FaultSite s) const { return states[idx(s)].armed; }
 
     /** Arm every SSD-facing site + queue sites at a uniform rate. */

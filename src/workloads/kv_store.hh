@@ -48,8 +48,6 @@ class KvStore
                   unsigned length) const;
     void emitReadModifyWrite(std::deque<Op> &ops, std::uint64_t key);
 
-    os::Vma *dataVma() const { return data; }
-
     /** Checkpoint the mutable store state (key count, WAL cursor). */
     void serialize(sim::Serializer &s);
 

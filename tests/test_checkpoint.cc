@@ -625,25 +625,15 @@ TEST(CheckpointUnit, RngBlobRoundTrip)
         EXPECT_EQ(a.next(), b.next());
 }
 
-namespace {
-
-struct CountingEvent : sim::Event
-{
-    int fired = 0;
-    void process() override { ++fired; }
-};
-
-} // namespace
-
 TEST(CheckpointUnit, EventQueueBlobRoundTrip)
 {
     sim::EventQueue a;
-    CountingEvent ev;
-    a.schedule(&ev, 100);
+    int fired = 0;
+    a.post(100, [&] { ++fired; });
     a.run();
-    a.schedule(&ev, 250);
+    a.post(250, [&] { ++fired; });
     a.run();
-    ASSERT_EQ(ev.fired, 2);
+    ASSERT_EQ(fired, 2);
     ASSERT_EQ(a.now(), 250u);
 
     sim::Serializer s = sim::Serializer::saver();
@@ -654,25 +644,25 @@ TEST(CheckpointUnit, EventQueueBlobRoundTrip)
     sim::Serializer l = sim::Serializer::loader(blob);
     b.serialize(l);
     EXPECT_EQ(b.now(), a.now());
+    EXPECT_EQ(b.processedCount(), a.processedCount());
+    EXPECT_EQ(b.poolStats().created, a.poolStats().created);
 
     // Same-tick ordering is by sequence number; a restored queue must
-    // continue the saved sequence, so two queues that each schedule
-    // the same next event process it at the same tick.
-    CountingEvent e2;
-    b.schedule(&e2, 300);
+    // continue the saved sequence, so two queues that each post the
+    // same next event process it at the same tick.
+    int fired2 = 0;
+    b.post(300, [&] { ++fired2; });
     b.run();
-    EXPECT_EQ(e2.fired, 1);
+    EXPECT_EQ(fired2, 1);
     EXPECT_EQ(b.now(), 300u);
 }
 
 TEST(CheckpointUnit, EventQueueRefusesPendingEvents)
 {
     sim::EventQueue a;
-    CountingEvent ev;
-    a.schedule(&ev, 100);
+    a.post(100, [] {});
     sim::Serializer s = sim::Serializer::saver();
     EXPECT_THROW(a.serialize(s), sim::SerializeError);
-    a.deschedule(&ev);
 }
 
 TEST(CheckpointUnit, StatGroupBlobRoundTrip)

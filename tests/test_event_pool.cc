@@ -1,17 +1,15 @@
 /**
  * @file
- * Unit tests for the pooled one-shot event fast path: free-list
- * reuse, the no-steady-state-allocation guarantee, self-reschedule
- * from inside process(), cancellation, destruction with pending
- * pooled events, the large-capture heap fallback, and the
- * allocation-free reschedule and cancel paths.
+ * Unit tests for the pooled one-shot events: free-list reuse, the
+ * no-steady-state-allocation guarantee, destruction with pending
+ * events, the large-capture heap fallback and the past-post panic.
  */
 
 #include <gtest/gtest.h>
 
 #include <array>
-#include <cstring>
 #include <memory>
+#include <string>
 
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
@@ -94,56 +92,18 @@ TEST(EventPool, QueueDestructionReleasesPendingCallables)
     EXPECT_EQ(shared.use_count(), 1);
 }
 
-TEST(EventPool, SelfRescheduleInsideProcessKeepsCallable)
-{
-    EventQueue eq;
-    int count = 0;
-    Event *handle = nullptr;
-    handle = eq.post(10, [&] {
-        if (++count < 5)
-            eq.reschedule(handle, eq.now() + 10);
-    });
-    eq.run();
-    EXPECT_EQ(count, 5);
-    EXPECT_EQ(eq.now(), 50u);
-    const auto &ps = eq.poolStats();
-    EXPECT_EQ(ps.acquired, 1u);
-    EXPECT_EQ(ps.created, 1u);
-    EXPECT_EQ(ps.released, 1u); // recycled only after the final firing
-}
-
-TEST(EventPool, DescheduleCancelsAndRecyclesOneShot)
-{
-    EventQueue eq;
-    int fired = 0;
-    Event *h = eq.post(50, [&] { ++fired; });
-    EXPECT_TRUE(h->scheduled());
-    eq.deschedule(h);
-    eq.post(60, [&] { fired += 10; });
-    eq.run();
-    EXPECT_EQ(fired, 10);
-    const auto &ps = eq.poolStats();
-    EXPECT_EQ(ps.acquired, 2u);
-    EXPECT_EQ(ps.created, 1u); // the cancelled node was reused
-}
-
-TEST(EventPool, RescheduleAndCancelAllocateNothing)
+TEST(EventPool, PostAndFireAllocateNothing)
 {
     if (!HWDP_HEAP_COUNTING)
         GTEST_SKIP() << "counting allocator compiled out (sanitizer)";
-    // Each round has the SSD drain's shape (SsdDevice::scheduleDrain):
-    // a one-shot posted 20 us out and pulled in to 12 us, a 4 ms timer
-    // armed and cancelled, and a 3 ns one-shot.
+    // Each round posts a 3 ns, a 12 us and a 4 ms one-shot (a cache
+    // fill, an SSD completion, a kthread period) and fires them all.
     EventQueue eq;
     int fired = 0;
     auto round = [&] {
-        Event *drain =
-            eq.postIn(microseconds(20.0), [&] { ++fired; }, "ssd.drain");
-        eq.reschedule(drain, eq.now() + microseconds(12.0));
-        Event *timer =
-            eq.postIn(milliseconds(4.0), [&] { ++fired; }, "timer");
-        eq.deschedule(timer);
         eq.postIn(nanoseconds(3.0), [&] { ++fired; }, "near");
+        eq.postIn(microseconds(12.0), [&] { ++fired; }, "ssd.complete");
+        eq.postIn(milliseconds(4.0), [&] { ++fired; }, "timer");
         eq.run();
     };
     // Warm-up: the pool's nodes and the queue's storage reach their
@@ -155,8 +115,8 @@ TEST(EventPool, RescheduleAndCancelAllocateNothing)
         round();
     const std::uint64_t allocs = ht::heapAllocs() - before;
     EXPECT_EQ(allocs, 0u);
-    EXPECT_EQ(fired, 2 * (16 + 4096));
-    EXPECT_EQ(eq.poolStats().created, 2u);
+    EXPECT_EQ(fired, 3 * (16 + 4096));
+    EXPECT_EQ(eq.poolStats().created, 3u);
 }
 
 TEST(EventPool, LargeCapturesFallBackToHeapAndStillWork)
@@ -180,34 +140,23 @@ TEST(EventPool, PostIntoThePastPanicsWithoutLeaking)
     eq.post(100, [] {});
     eq.run();
     EXPECT_THROW(eq.post(50, [] {}), PanicError);
-    // The node acquired for the failed post was recycled.
-    EXPECT_EQ(eq.poolStats().acquired, 2u);
-    EXPECT_EQ(eq.poolStats().released, 2u);
+    // The failed post is refused before it takes a node.
+    EXPECT_EQ(eq.poolStats().acquired, 1u);
+    EXPECT_EQ(eq.poolStats().released, 1u);
+    EXPECT_TRUE(eq.empty());
 }
 
 TEST(EventPool, PostedNameIsInternedNotCopied)
 {
     EventQueue eq;
-    Event *h = eq.post(10, [] {}, "mmu.walked");
-    EXPECT_STREQ(h->name(), "mmu.walked");
+    eq.post(100, [] {});
     eq.run();
+    try {
+        eq.post(10, [] {}, "mmu.walked");
+        FAIL() << "a post into the past must panic";
+    } catch (const PanicError &e) {
+        EXPECT_NE(std::string(e.what()).find("'mmu.walked'"),
+                  std::string::npos)
+            << e.what();
+    }
 }
-
-#ifndef NDEBUG
-TEST(EventPoolDeathTest, DestroyingScheduledEventAborts)
-{
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    EXPECT_DEATH(
-        {
-            EventQueue eq;
-            struct Noop : Event
-            {
-                void process() override {}
-            };
-            auto ev = std::make_unique<Noop>();
-            eq.schedule(ev.get(), 10);
-            ev.reset(); // destroyed while scheduled: must abort
-        },
-        "destroyed while scheduled");
-}
-#endif

@@ -2,8 +2,8 @@
  * @file
  * The demand-paging fault fast path.
  *
- * Device level: directed tests for the pooled NVMe command/completion
- * nodes (exhaustion, recycling, zero steady-state growth), doorbell
+ * Device level: directed tests for the per-command completion events
+ * (their pooled nodes recycle, with zero steady-state growth), doorbell
  * coalescing, the inline-fetch gate, and golden completion records of
  * a mixed snooped/interrupt storm, clean and under fault-injection
  * sites (dropped doorbells, channel stalls, error completions).
@@ -17,8 +17,9 @@
  * NVMe and SSD hop); the StormParity and FastVsLegacy names record
  * that agreement.
  *
- * Checkpoint level: a device holding live pooled completions must
- * refuse to serialize; after draining, the blob round-trips.
+ * Checkpoint level: a device holding a command between fetch and its
+ * CQ write must refuse to serialize; after draining, the blob
+ * round-trips.
  */
 
 #include <gtest/gtest.h>
@@ -297,17 +298,16 @@ TEST(PagingFastPath, CommandPoolGrowsOnceAndRecycles)
     DeviceHarness h(flatProfile());
     std::uint16_t snoop = h.makeQueue(nvme::Priority::urgent, false);
 
-    // First storm: 32 simultaneous snooped commands grow the pool to
-    // the batch's width.
+    // First storm: 32 simultaneous snooped commands grow the event
+    // pool to the storm's width: one completion event per command,
+    // posted from the fetch event that is still firing.
     for (std::uint16_t c = 0; c < 32; ++c)
         h.push(snoop, c, c);
     h.dev.ringSqDoorbell(snoop);
     h.eq.run();
     ASSERT_EQ(h.completions.size(), 32u);
-    std::uint64_t nodes = h.dev.pooledNodesCreated();
-    EXPECT_GT(nodes, 0u);
-    EXPECT_LE(nodes, 32u);
-    EXPECT_EQ(h.dev.pooledPendingHighWater(), nodes);
+    const std::uint64_t nodes = h.eq.poolStats().created;
+    EXPECT_EQ(nodes, 33u);
 
     // Steady state: storm after storm, the pool never grows again.
     for (int round = 0; round < 8; ++round) {
@@ -315,7 +315,7 @@ TEST(PagingFastPath, CommandPoolGrowsOnceAndRecycles)
             h.push(snoop, c, static_cast<Lba>(c + round));
         h.dev.ringSqDoorbell(snoop);
         h.eq.run();
-        EXPECT_EQ(h.dev.pooledNodesCreated(), nodes)
+        EXPECT_EQ(h.eq.poolStats().created, nodes)
             << "pool grew in steady state (round " << round << ")";
     }
     EXPECT_EQ(h.completions.size(), 32u * 9);
@@ -430,9 +430,10 @@ TEST(PagingFastPath, SerializeRefusesLivePooledCommands)
     std::uint16_t snoop = h.makeQueue(nvme::Priority::urgent, false);
     h.push(snoop, 1, 1);
     h.dev.ringSqDoorbellAt(snoop, 1);
-    // The inline fetch already serviced the command into the pending
-    // pool; its CQ write still waits on the drain event.
-    EXPECT_GT(h.dev.pooledPendingHighWater(), 0u);
+    // The inline fetch already serviced the command; its CQ write
+    // still waits on its completion event.
+    EXPECT_EQ(h.dev.inflight(), 1u);
+    EXPECT_EQ(h.eq.size(), 1u);
     sim::Serializer s = sim::Serializer::saver();
     EXPECT_THROW(h.dev.serialize(s), sim::SerializeError);
 

@@ -7,6 +7,7 @@
 
 #include "sim/logging.hh"
 #include "system/system.hh"
+#include "testing/invariants.hh"
 #include "workloads/fio.hh"
 
 using namespace hwdp;
@@ -136,4 +137,30 @@ TEST(SoftwareSmu, EmptyQueueFallsThroughToNormalPath)
                               seconds(1.0));
     EXPECT_EQ(sys.softwareSmu()->handled(), 0u);
     EXPECT_EQ(sys.kernel().majorFaults(), 1u);
+}
+
+TEST(SoftwareSmu, CoalescedFaulterWakesWhenItsMissCompletesFirst)
+{
+    // Two sockets, two FIO threads on each, all over one dataset: a
+    // faulter that joins an outstanding miss can still be running the
+    // emulation entry code when that miss completes. It must then
+    // resume and re-walk, not wait on a miss that nothing will finish.
+    system::MachineConfig cfg;
+    cfg.mode = system::PagingMode::swsmu;
+    cfg.sockets = 2;
+    cfg.nLogical = 8;
+    cfg.nPhysical = 4;
+    cfg.memFrames = 32 * 1024;
+    cfg.smu.freeQueueCapacity = 512;
+    cfg.seed = 42;
+    system::System sys(cfg);
+    auto mf = sys.mapDataset("f", 2048);
+    for (unsigned core : {0u, 1u, 4u, 5u}) {
+        auto *wl = sys.makeWorkload<workloads::FioWorkload>(mf.vma, 2000);
+        sys.addThread(*wl, core, *mf.as);
+    }
+    EXPECT_TRUE(sys.runUntilThreadsDone(seconds(1.0)));
+    EXPECT_EQ(sys.totalAppOps(), 4u * 2000);
+    auto inv = hwdp::testing::checkInvariants(sys);
+    EXPECT_TRUE(inv.empty()) << inv.front();
 }
