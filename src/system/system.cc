@@ -175,11 +175,16 @@ System::System(const MachineConfig &cfg_in) : cfg(cfg_in), rng(cfg.seed)
             } else {
                 // One emulation per socket; dispatch by the PTE's
                 // socket-id field (anonymous zero-fill PTEs carry
-                // socket 0 and deterministically land there).
+                // socket 0 and deterministically land there). Only an
+                // LBA-augmented entry has that field: on a present one
+                // (another socket's emulation installed it after the
+                // fault read it) the same bits hold the PFN.
                 kern->setFaultInterceptor(
                     [this](os::Thread &t, os::AddressSpace &as,
                            VAddr va, os::pte::Entry e,
                            std::function<void()> resume) {
+                        if (!os::pte::isLbaAugmented(e))
+                            return false;
                         unsigned sid = os::pte::socketIdOf(e);
                         return swSmus.at(sid)->tryIntercept(
                             t, as, va, e, std::move(resume));

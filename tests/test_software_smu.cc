@@ -7,6 +7,7 @@
 
 #include "sim/logging.hh"
 #include "system/system.hh"
+#include "testing/fault_plan.hh"
 #include "testing/invariants.hh"
 #include "workloads/fio.hh"
 
@@ -161,6 +162,36 @@ TEST(SoftwareSmu, CoalescedFaulterWakesWhenItsMissCompletesFirst)
     }
     EXPECT_TRUE(sys.runUntilThreadsDone(seconds(1.0)));
     EXPECT_EQ(sys.totalAppOps(), 4u * 2000);
+    auto inv = hwdp::testing::checkInvariants(sys);
+    EXPECT_TRUE(inv.empty()) << inv.front();
+}
+
+TEST(SoftwareSmu, MultiSocketInterceptorPassesOnAPresentEntry)
+{
+    // A faulter on one socket can read its PTE after another socket's
+    // emulation has installed it. The per-socket dispatch must then
+    // hand the fault back to the normal path instead of decoding the
+    // PFN bits as a socket id. This machine hit that race under a 1%
+    // fault plan and ended with std::out_of_range.
+    system::MachineConfig cfg;
+    cfg.mode = system::PagingMode::swsmu;
+    cfg.sockets = 2;
+    cfg.nLogical = 8;
+    cfg.nPhysical = 8;
+    cfg.memFrames = 32 * 1024;
+    cfg.smu.freeQueueCapacity = 512;
+    cfg.seed = 42;
+    system::System sys(cfg);
+    hwdp::testing::FaultPlan plan("plan", sys.eventQueue(), 3);
+    auto mf = sys.mapDataset("f", 64);
+    plan.attach(sys);
+    plan.armAllAtRate(0.01);
+    for (unsigned core = 0; core < 8; ++core) {
+        auto *wl = sys.makeWorkload<workloads::FioWorkload>(mf.vma, 2000);
+        sys.addThread(*wl, core, *mf.as);
+    }
+    EXPECT_TRUE(sys.runUntilThreadsDone(seconds(30.0)));
+    EXPECT_EQ(sys.totalAppOps(), 8u * 2000);
     auto inv = hwdp::testing::checkInvariants(sys);
     EXPECT_TRUE(inv.empty()) << inv.front();
 }
