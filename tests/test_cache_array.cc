@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <vector>
 
 #include "mem/cache_array.hh"
@@ -344,6 +345,15 @@ struct CacheGeom
     std::uint64_t size;
     unsigned assoc;
 };
+
+// gtest names each case after its printed parameter. Without this it
+// prints the struct's 16 bytes, and the 4 padding bytes after assoc
+// differ from build to build.
+void
+PrintTo(const CacheGeom &g, std::ostream *os)
+{
+    *os << g.size / 1024 << "KiB-" << g.assoc << "way";
+}
 
 class CacheArrayProperty : public ::testing::TestWithParam<CacheGeom>
 {
