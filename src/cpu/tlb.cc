@@ -16,13 +16,18 @@ Tlb::serialize(sim::Serializer &s)
                          (static_cast<std::uint64_t>(l2Sets) << 16) |
                          l2Assoc;
     s.check(geom, "tlb geometry");
+    // Only entries that differ from an untouched slot go out. Wide
+    // state rides only in wide-capable machines; elsewhere reach is 0.
     for (auto *lvl : {&l1, &l2}) {
-        for (auto &e : *lvl) {
-            s.io(e.vpn);
-            s.io(e.pfn);
-            s.io(e.lastUse);
-            s.io(e.valid);
-        }
+        s.sparse(*lvl, [](const Entry &) { return Entry{}; },
+                 [&](Entry &e) {
+                     s.io(e.vpn);
+                     s.io(e.pfn);
+                     s.io(e.lastUse);
+                     s.io(e.valid);
+                     if (wideCapable)
+                         s.io(e.reach);
+                 });
     }
     s.io(useClock);
     s.io(latchVpn);
@@ -30,14 +35,8 @@ Tlb::serialize(sim::Serializer &s)
     s.io(latch);
     if (s.loading())
         latchIdx = latch == ~0ULL ? npos : static_cast<std::size_t>(latch);
-    // Wide state rides only in wide-capable machines, so a pageMode =
-    // off blob keeps the pre-huge-page layout byte for byte.
-    if (wideCapable) {
-        for (auto *lvl : {&l1, &l2})
-            for (auto &e : *lvl)
-                s.io(e.reach);
+    if (wideCapable)
         s.io(latchReach);
-    }
     if (s.loading()) {
         nNapot[0] = nNapot[1] = nHuge[0] = nHuge[1] = 0;
         nValid[0] = nValid[1] = 0;

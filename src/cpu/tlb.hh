@@ -134,6 +134,8 @@ class Tlb
         std::uint64_t lastUse = 0;
         bool valid = false;
         std::uint8_t reach = 0; ///< log2(pages) covered.
+
+        bool operator==(const Entry &) const = default;
     };
 
     static constexpr std::size_t npos = ~std::size_t(0);

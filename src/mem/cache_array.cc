@@ -17,11 +17,18 @@ CacheArray::serialize(sim::Serializer &s)
     s.check(line, "cache line size");
     std::uint64_t n = meta.size();
     s.check(n, "cache meta words");
-    s.ioRange(meta.begin(), meta.end());
+    // Only valid ways go out; an invalid way's word is 0.
+    std::uint64_t valid = s.sparse(
+        meta, [](std::uint64_t) { return std::uint64_t(0); },
+        [&](std::uint64_t &w) { s.io(w); });
     s.io(useClock);
     s.io(hits);
     s.io(misses);
     s.io(nValid);
+    if (valid != nValid)
+        throw sim::SerializeError(
+            "cache '" + label + "': " + std::to_string(valid) +
+            " valid ways but an occupancy of " + std::to_string(nValid));
 }
 
 CacheArray::CacheArray(std::string name, std::uint64_t size_bytes,

@@ -19,22 +19,19 @@ FileSystem::serialize(sim::Serializer &s)
     for (auto &f : files) {
         s.check(f->fid, "file id");
         s.check(f->nPages, "file size");
-        // One LBA per page, as the blob always carried it; a load
-        // rebuilds the runs from the page-by-page stream.
-        if (s.saving()) {
-            File::Cursor c = f->cursor();
-            for (std::uint64_t i = 0; i < f->nPages; ++i) {
-                Lba lba = c.lbaOf(i);
-                s.io(lba);
-            }
-        } else {
-            f->runs.clear();
-            for (std::uint64_t i = 0; i < f->nPages; ++i) {
-                Lba lba = 0;
-                s.io(lba);
-                f->appendRun(i, lba);
-            }
+        std::uint64_t nr = f->runs.size();
+        s.io(nr);
+        if (s.loading()) {
+            if (nr == 0 || nr > f->nPages)
+                f->badRuns("holds " + std::to_string(nr) + " runs");
+            f->runs.resize(nr);
         }
+        for (File::Run &r : f->runs) {
+            s.io(r.page);
+            s.io(r.lba);
+        }
+        if (s.loading())
+            f->checkRuns(nextLba);
         s.io(f->marked);
     }
 }
@@ -61,6 +58,36 @@ File::lbaOf(std::uint64_t index) const
         panic("file '", fname, "': page index ", index, " beyond EOF");
     const Run &r = runs[runOf(index)];
     return r.lba + (index - r.page);
+}
+
+void
+File::checkRuns(Lba lba_end) const
+{
+    if (runs.front().page != 0)
+        badRuns("starts at page " + std::to_string(runs.front().page));
+    if (runs.back().page >= nPages)
+        badRuns("has a run at page " + std::to_string(runs.back().page) +
+                ", past EOF at " + std::to_string(nPages));
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+        const bool last = i + 1 == runs.size();
+        if (!last && runs[i + 1].page <= runs[i].page)
+            badRuns("has a run at page " +
+                    std::to_string(runs[i + 1].page) + " after one at " +
+                    std::to_string(runs[i].page));
+        const std::uint64_t len =
+            (last ? nPages : runs[i + 1].page) - runs[i].page;
+        if (runs[i].lba > lba_end || len > lba_end - runs[i].lba)
+            badRuns("has a run at LBA " + std::to_string(runs[i].lba) +
+                    " reaching past the next free LBA " +
+                    std::to_string(lba_end));
+    }
+}
+
+void
+File::badRuns(const std::string &what) const
+{
+    throw sim::SerializeError("restore: block map of '" + fname + "' " +
+                              what);
 }
 
 void

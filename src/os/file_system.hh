@@ -118,6 +118,13 @@ class File
     void appendRun(std::uint64_t page, Lba lba);
     /** Move page @p index alone to @p lba, splitting its run. */
     void setLba(std::uint64_t index, Lba lba);
+    /**
+     * Refuse restored runs that leave page 0 unmapped, are out of
+     * order or overlap, start past EOF, or reach LBA @p lba_end (the
+     * allocator's next one).
+     */
+    void checkRuns(Lba lba_end) const;
+    [[noreturn]] void badRuns(const std::string &what) const;
 };
 
 class FileSystem
@@ -150,9 +157,9 @@ class FileSystem
     std::uint64_t allocatedBlocks() const { return nextLba; }
 
     /**
-     * Checkpoint the allocator stream and every file's block map
-     * (remapPage mutates maps after creation). File identities are
-     * boot structure and only verified.
+     * Checkpoint the allocator stream and every file's block map as
+     * its runs (remapPage mutates maps after creation). File
+     * identities are boot structure and only verified.
      */
     void serialize(sim::Serializer &s);
 

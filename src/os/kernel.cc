@@ -20,15 +20,21 @@ Kernel::serialize(sim::Serializer &s)
     blk->serialize(s);
     reclaim->serialize(s);
     faults->serialize(s);
-    pcache.serialize(s);
 
     // Per-frame metadata: pointers become (file id, asid) pairs the
     // identically-booted restore target resolves back. Flag bit 3 is
     // active-list membership, read from the LRU (restored above) on
-    // save and ignored on load.
+    // save and ignored on load. Only frames whose metadata differs
+    // from a free frame's go out. The page cache is not written: it
+    // indexes exactly the frames flagged inPageCache, each under its
+    // own (file, index), and a load rebuilds it from them.
     std::uint64_t nf = framePages.size();
     s.check(nf, "frame count");
-    for (auto &pg : framePages) {
+    if (s.loading())
+        pcache.clear();
+    std::uint64_t cached = 0;
+    auto freed = [](const Page &pg) { return Page::freed(pg.pfn); };
+    s.sparse(framePages, freed, [&](Page &pg) {
         std::uint32_t fileId = pg.file ? pg.file->id() : ~0u;
         std::uint32_t asid = pg.as ? pg.as->id() : ~0u;
         s.io(fileId);
@@ -61,15 +67,28 @@ Kernel::serialize(sim::Serializer &s)
             pg.inPageCache = flags & (1 << 5);
             pg.underWriteback = flags & (1 << 6);
             pg.inSmuQueue = flags & (1 << 7);
+            if (pg.inPageCache) {
+                if (!pg.file || pcache.contains(*pg.file, pg.index))
+                    throw sim::SerializeError(
+                        "restore: frame " + std::to_string(pg.pfn) +
+                        " is cached without a file or under another "
+                        "frame's page");
+                pcache.insert(*pg.file, pg.index, pg.pfn);
+            }
         }
-        // Guarded so pageMode = off blobs keep the pre-huge-page
-        // layout byte for byte.
+        cached += pg.inPageCache;
+        // Guarded so pageMode = off blobs carry no compound shape.
         if (prm.pageMode != PageMode::off) {
             s.io(pg.order);
             s.io(pg.tail);
             s.io(pg.headPfn);
         }
-    }
+    });
+    if (cached != pcache.size())
+        throw sim::SerializeError(
+            "checkpoint: " + std::to_string(pcache.size()) +
+            " page-cache entries but " + std::to_string(cached) +
+            " frames flagged inPageCache");
 
     std::uint64_t nas = spaces.size();
     s.check(nas, "address space count");
@@ -729,10 +748,8 @@ Kernel::reclaimHugeUnit(Page &head)
             reclaim->lru().remove(pg);
         if (pg.inPageCache && pg.file)
             pcache.remove(*pg.file, pg.index);
-        Pfn pfn = pg.pfn;
         pg.resetMetadata();
-        pg.pfn = pfn;
-        pm.free(pfn);
+        pm.free(pg.pfn);
     }
     ++statHugeReclaims;
 }
@@ -869,10 +886,8 @@ Kernel::freePage(Page &pg)
         reclaim->lru().remove(pg);
     if (pg.inPageCache && pg.file)
         pcache.remove(*pg.file, pg.index);
-    Pfn pfn = pg.pfn;
     pg.resetMetadata();
-    pg.pfn = pfn;
-    pm.free(pfn);
+    pm.free(pg.pfn);
 }
 
 } // namespace hwdp::os

@@ -54,24 +54,18 @@ struct Page
 
     bool isCompoundHead() const { return order > 0; }
 
-    void
-    resetMetadata()
+    bool operator==(const Page &) const = default;
+
+    /** A free frame's metadata: every field but the PFN at its default. */
+    static Page
+    freed(Pfn pfn)
     {
-        file = nullptr;
-        index = 0;
-        as = nullptr;
-        vaddr = 0;
-        inUse = false;
-        dirty = false;
-        referenced = false;
-        lruLinked = false;
-        inPageCache = false;
-        underWriteback = false;
-        inSmuQueue = false;
-        order = 0;
-        tail = false;
-        headPfn = 0;
+        Page pg;
+        pg.pfn = pfn;
+        return pg;
     }
+
+    void resetMetadata() { *this = freed(pfn); }
 };
 
 } // namespace hwdp::os

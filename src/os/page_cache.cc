@@ -1,10 +1,7 @@
 #include "os/page_cache.hh"
 
-#include <algorithm>
-
 #include "os/file_system.hh"
 #include "sim/logging.hh"
-#include "sim/serialize.hh"
 
 namespace hwdp::os {
 
@@ -13,20 +10,6 @@ PageCache::PageCache(sim::StatRegistry *reg)
       statLookups(grp, "lookups", "page-cache lookups"),
       statHits(grp, "hits", "page-cache lookups that found the page")
 {
-}
-
-void
-PageCache::serialize(sim::Serializer &s)
-{
-    s.section("pagecache");
-    std::vector<std::pair<std::uint64_t, Pfn>> flat(map.begin(),
-                                                    map.end());
-    std::sort(flat.begin(), flat.end());
-    s.io(flat);
-    if (s.loading()) {
-        map.clear();
-        map.insert(flat.begin(), flat.end());
-    }
 }
 
 std::uint64_t

@@ -17,10 +17,6 @@
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
-namespace hwdp::sim {
-class Serializer;
-}
-
 namespace hwdp::os {
 
 class File;
@@ -72,8 +68,11 @@ class PageCache
      */
     void reserve(std::uint64_t n) { map.reserve(n); }
 
-    /** Checkpoint the index (key-sorted for a deterministic blob). */
-    void serialize(sim::Serializer &s);
+    /**
+     * Drop every mapping (a checkpoint restore refills the index from
+     * the restored frames; the blob carries no page-cache section).
+     */
+    void clear() { map.clear(); }
 
   private:
     static std::uint64_t key(const File &file, std::uint64_t index);

@@ -33,6 +33,8 @@
 #include <cstdint>
 #include <cstring>
 #include <deque>
+#include <iterator>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -56,8 +58,26 @@ class Serializer
   public:
     enum class Dir { save, load };
 
-    /** A saving archive writing into a fresh blob. */
-    static Serializer saver() { return Serializer(Dir::save, nullptr, 0); }
+    /** A saving archive writing into a fresh blob of @p capacity. */
+    static Serializer
+    saver(std::size_t capacity = 0)
+    {
+        Serializer s(Dir::save, nullptr, 0);
+        s.buf.reserve(capacity);
+        return s;
+    }
+
+    /**
+     * A saving archive that keeps no bytes: offset() counts the bytes
+     * a saver would write, so the real blob can be allocated once.
+     */
+    static Serializer
+    sizer()
+    {
+        Serializer s(Dir::save, nullptr, 0);
+        s.sizing = true;
+        return s;
+    }
 
     /**
      * A loading archive reading @p blob from @p offset, in place: the
@@ -82,7 +102,7 @@ class Serializer
     const std::vector<std::uint8_t> &blob() const { return buf; }
     std::vector<std::uint8_t> takeBlob() { return std::move(buf); }
 
-    /** Read cursor (loading archives). */
+    /** Read cursor (loading archives) or bytes counted (sizers). */
     std::size_t offset() const { return cursor; }
 
     /** True when a loading archive consumed the whole blob. */
@@ -93,14 +113,7 @@ class Serializer
     std::enable_if_t<std::is_arithmetic_v<T> || std::is_enum_v<T>>
     io(T &v)
     {
-        if (saving()) {
-            const auto *p = reinterpret_cast<const std::uint8_t *>(&v);
-            buf.insert(buf.end(), p, p + sizeof(T));
-        } else {
-            need(sizeof(T));
-            std::memcpy(&v, src + cursor, sizeof(T));
-            cursor += sizeof(T);
-        }
+        ioBytes(&v, sizeof(T));
     }
 
     void
@@ -118,7 +131,7 @@ class Serializer
         std::uint64_t n = s.size();
         io(n);
         if (saving()) {
-            buf.insert(buf.end(), s.begin(), s.end());
+            ioBytes(s.data(), n);
         } else {
             need(n);
             s.assign(reinterpret_cast<const char *>(src + cursor), n);
@@ -127,14 +140,18 @@ class Serializer
     }
 
     // ---- Containers -----------------------------------------------------
+    // A load checks a stored count against the bytes left before it
+    // allocates: every element takes at least one byte.
     template <typename T>
     void
     io(std::vector<T> &v)
     {
         std::uint64_t n = v.size();
         io(n);
-        if (loading())
+        if (loading()) {
+            need(n);
             v.resize(n);
+        }
         ioRange(v.begin(), v.end());
     }
 
@@ -144,8 +161,10 @@ class Serializer
     {
         std::uint64_t n = v.size();
         io(n);
-        if (loading())
+        if (loading()) {
+            need(n);
             v.resize(n);
+        }
         ioRange(v.begin(), v.end());
     }
 
@@ -164,12 +183,62 @@ class Serializer
         io(p.second);
     }
 
+    /**
+     * A contiguous range of arithmetic elements (page-table entries,
+     * predictor counters, bitmap words) moves in one copy; any other
+     * range goes element by element. The bytes are the same either
+     * way.
+     */
     template <typename It>
     void
     ioRange(It first, It last)
     {
-        for (; first != last; ++first)
-            io(*first);
+        using T = std::iter_value_t<It>;
+        if constexpr (std::contiguous_iterator<It> &&
+                      std::is_arithmetic_v<T> && !std::is_same_v<T, bool>) {
+            ioBytes(std::to_address(first),
+                    static_cast<std::size_t>(last - first) * sizeof(T));
+        } else {
+            for (; first != last; ++first)
+                io(*first);
+        }
+    }
+
+    /**
+     * Sparse records: a presence bitmap over @p records, then only the
+     * records that differ from their blank, each through @p body. A
+     * load sets every absent record to its blank. @p blank maps a
+     * record to its blank (an empty slot's value, which may keep
+     * fields of the slot itself, such as a frame's PFN). Returns the
+     * number of present records.
+     */
+    template <typename Range, typename Blank, typename Body>
+    std::uint64_t
+    sparse(Range &records, Blank blank, Body body)
+    {
+        const std::size_t n = std::size(records);
+        std::vector<std::uint64_t> present((n + 63) / 64);
+        if (saving()) {
+            std::size_t i = 0;
+            for (const auto &r : records) {
+                if (!(r == blank(r)))
+                    present[i / 64] |= std::uint64_t(1) << (i % 64);
+                ++i;
+            }
+        }
+        ioRange(present.begin(), present.end());
+        std::uint64_t count = 0;
+        std::size_t i = 0;
+        for (auto &r : records) {
+            if (present[i / 64] >> (i % 64) & 1) {
+                body(r);
+                ++count;
+            } else if (loading()) {
+                r = blank(r);
+            }
+            ++i;
+        }
+        return count;
     }
 
     // ---- Structure guards ------------------------------------------------
@@ -204,6 +273,24 @@ class Serializer
     {
     }
 
+    /** Append or read @p n raw bytes at @p p. */
+    void
+    ioBytes(void *p, std::size_t n)
+    {
+        if (n == 0)
+            return;
+        if (sizing) {
+            cursor += n;
+        } else if (saving()) {
+            const auto *b = static_cast<const std::uint8_t *>(p);
+            buf.insert(buf.end(), b, b + n);
+        } else {
+            need(n);
+            std::memcpy(p, src + cursor, n);
+            cursor += n;
+        }
+    }
+
     void need(std::size_t n) const;
     [[noreturn]] void mismatch(const char *what) const;
 
@@ -212,6 +299,7 @@ class Serializer
     const std::uint8_t *src;         ///< Loading: the caller's bytes.
     std::size_t srcSize;
     std::size_t cursor = 0;
+    bool sizing = false;             ///< Saving, but only counting.
 };
 
 /** Optional interface for caller-owned checkpoint state (workload

@@ -57,20 +57,33 @@ Checkpoint::save(System &sys, CheckpointStats *st)
 {
     sys.quiesce();
 
-    sim::Serializer s = sim::Serializer::saver();
-    std::uint32_t magic = magicWord;
-    std::uint32_t version = formatVersion;
-    std::uint64_t cfg_hash = configHash(sys.config());
-    Tick tick = sys.now();
-    s.io(magic);
-    s.io(version);
-    s.io(cfg_hash);
-    s.io(tick);
-
-    sys.serialize(s);
-
-    std::uint64_t logical = testing::logicalStateHash(sys);
-    s.io(logical);
+    const Tick tick = sys.now();
+    const std::uint64_t logical = testing::logicalStateHash(sys);
+    auto write = [&](sim::Serializer &s) {
+        std::uint32_t magic = magicWord;
+        std::uint32_t version = formatVersion;
+        std::uint64_t cfg_hash = configHash(sys.config());
+        Tick t = tick;
+        std::uint64_t footer = logical;
+        s.io(magic);
+        s.io(version);
+        s.io(cfg_hash);
+        s.io(t);
+        sys.serialize(s);
+        s.io(footer);
+    };
+    // Count the bytes first and allocate the blob once at its size: a
+    // blob grown by doubling holds its old and new buffers at once,
+    // and that copy set the process's peak memory.
+    sim::Serializer sizer = sim::Serializer::sizer();
+    write(sizer);
+    sim::Serializer s = sim::Serializer::saver(sizer.offset());
+    write(s);
+    if (s.blob().size() != sizer.offset())
+        throw sim::SerializeError(
+            "checkpoint: the machine wrote " +
+            std::to_string(s.blob().size()) + " bytes after counting " +
+            std::to_string(sizer.offset()));
 
     if (st) {
         st->blobBytes = s.blob().size();

@@ -59,18 +59,21 @@ class Checkpoint
     /** 'HDPC' little-endian. */
     static constexpr std::uint32_t magicWord = 0x43504448;
     /**
-     * v4: counters left the component sections. Every registered
-     * stat rides in one trailing "stats" section, written by walking
-     * the machine's stat list; host-side values (TLB latch hits, SMU
-     * tier-hit split) are gone from the blob. v1-v3 blobs are
-     * rejected up front.
+     * v5: each fact once, and no empty records. The page cache has no
+     * section (a load rebuilds it from the frames flagged
+     * inPageCache); a file's block map is its extent runs, not one LBA
+     * per page; cache tag words, TLB entries and frame records go out
+     * as a presence bitmap plus the records that differ from an empty
+     * slot (sim::Serializer::sparse). v1-v4 blobs are rejected up
+     * front.
      *
-     * v3 added CXL-tier state (per-socket buffer contents, clock
-     * cursors) with tierMode in the config hash via describe(); v2
-     * added translation-reach state (compound-page metadata,
+     * v4 moved every registered stat into one trailing "stats"
+     * section; v3 added CXL-tier state (per-socket buffer contents,
+     * clock cursors) with tierMode in the config hash via describe();
+     * v2 added translation-reach state (compound-page metadata,
      * kcoalesced) with the page mode in the hash.
      */
-    static constexpr std::uint32_t formatVersion = 4;
+    static constexpr std::uint32_t formatVersion = 5;
 
     /**
      * Quiesce @p sys and serialize it into a blob. The caller resumes

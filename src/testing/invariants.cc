@@ -181,11 +181,26 @@ checkInvariants(system::System &sys)
     }
 
     // ---- 4. Frame flag composition --------------------------------------
+    // The page cache indexes exactly the frames flagged inPageCache,
+    // each under its own (file, index): a checkpoint stores only the
+    // flags and rebuilds the index from them.
+    std::uint64_t cached = 0;
     for (Pfn pfn = 0; pfn < kern.numFrames(); ++pfn) {
         const os::Page &pg = kern.page(pfn);
         std::string where = "frame " + std::to_string(pfn);
         if (pg.inPageCache && !pg.file)
             v.push_back(where + ": inPageCache without a file");
+        if (pg.inPageCache && pg.file) {
+            ++cached;
+            Pfn in_cache = kern.pageCache().peek(*pg.file, pg.index);
+            if (in_cache != pfn)
+                v.push_back(where + ": flagged inPageCache, but the page "
+                                    "cache maps " + pg.file->name() + ":" +
+                            std::to_string(pg.index) + " to " +
+                            (in_cache == os::PageCache::noFrame
+                                 ? std::string("nothing")
+                                 : "frame " + std::to_string(in_cache)));
+        }
         if (pg.lruLinked != kern.reclaimer().lru().contains(pfn))
             v.push_back(where + ": lruLinked disagrees with the LRU");
         if (pg.lruLinked && !pg.inUse)
@@ -193,6 +208,11 @@ checkInvariants(system::System &sys)
         if (pg.inSmuQueue && pg.lruLinked)
             v.push_back(where + ": inSmuQueue and on an LRU list");
     }
+    if (kern.pageCache().size() != cached)
+        v.push_back("page cache holds " +
+                    std::to_string(kern.pageCache().size()) +
+                    " pages, but " + std::to_string(cached) +
+                    " frames are flagged inPageCache");
 
     // ---- 5. Translation-reach audits -------------------------------------
     // Wide PTEs promise the hardware contiguity; a promotion that lied

@@ -16,7 +16,8 @@
  *     never carry more commands than the PMSHR has entries in flight.
  *  4. Frame flags compose: inPageCache implies a file identity,
  *     lruLinked matches LRU membership and implies inUse, inSmuQueue
- *     excludes lruLinked.
+ *     excludes lruLinked. The page cache holds exactly the frames
+ *     flagged inPageCache, each under its own (file, index).
  *  5. Socket topology is coherent (multi-socket machines): every PTE
  *     routes to an existing socket and carries its file's device
  *     socket id; free-page queues hold only home-socket frames;

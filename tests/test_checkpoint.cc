@@ -12,11 +12,14 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <sstream>
 #include <vector>
 
+#include "os/kernel.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
 #include "sim/serialize.hh"
@@ -242,10 +245,11 @@ TEST(Checkpoint, RejectsForeignStaleAndMisconfiguredBlobs)
         }
     }
 
-    // Version mismatch: a blob from a different format generation.
+    // Version mismatch: a v4 blob, from before the format stored each
+    // fact once.
     {
         auto bad = blob;
-        bad[4] ^= 0x01; // version field follows the 4-byte magic
+        bad[4] = 4; // version field follows the 4-byte magic
         Machine b = boot(sc);
         try {
             system::Checkpoint::restore(*b.sys, bad);
@@ -403,39 +407,50 @@ fnv1a(const std::vector<std::uint8_t> &blob)
 }
 
 /**
- * Blob of a machine whose dataset is over five times its memory,
- * saved after the warm-up: reclaim has evicted, demoted and
- * second-chanced pages, so the LRU lists, page tables and frame
- * metadata all carry churn.
+ * A machine whose dataset is over five times its memory. Warmed up,
+ * reclaim has evicted, demoted and second-chanced pages, so the LRU
+ * lists, page tables and frame metadata all carry churn.
  */
+struct ReclaimedMachine
+{
+    std::unique_ptr<system::System> sys;
+    std::unique_ptr<workloads::KvStore> store;
+
+    ReclaimedMachine(system::PagingMode mode, char wl)
+    {
+        system::MachineConfig cfg = smallConfig({mode, wl, 0.0});
+        cfg.memFrames = 1536;
+        cfg.smu.freeQueueCapacity = 128;
+        cfg.kpooldBatch = 128;
+        sys = std::make_unique<system::System>(cfg);
+        system::System::MappedFile mf;
+        workloads::Workload *w;
+        if (wl == 'I') {
+            mf = sys->mapDataset("f", 8 * 1024);
+            w = sys->makeWorkload<workloads::FioWorkload>(mf.vma, 10000);
+        } else {
+            mf = sys->mapDataset("data", 16 * 1024);
+            auto *wal = sys->createFile("wal", 2 * 1024);
+            store = std::make_unique<workloads::KvStore>(mf.vma, wal,
+                                                         16 * 1024);
+            w = sys->makeWorkload<workloads::YcsbWorkload>('A', *store,
+                                                           10000);
+        }
+        sys->addThread(*w, 0, *mf.as);
+    }
+};
+
+/** Blob of a warmed-up ReclaimedMachine. */
 std::vector<std::uint8_t>
 reclaimedBlob(system::PagingMode mode, char wl)
 {
-    system::MachineConfig cfg = smallConfig({mode, wl, 0.0});
-    cfg.memFrames = 1536;
-    cfg.smu.freeQueueCapacity = 128;
-    cfg.kpooldBatch = 128;
-    system::System sys(cfg);
-    system::System::MappedFile mf;
-    std::unique_ptr<workloads::KvStore> store;
-    workloads::Workload *w;
-    if (wl == 'I') {
-        mf = sys.mapDataset("f", 8 * 1024);
-        w = sys.makeWorkload<workloads::FioWorkload>(mf.vma, 10000);
-    } else {
-        mf = sys.mapDataset("data", 16 * 1024);
-        auto *wal = sys.createFile("wal", 2 * 1024);
-        store = std::make_unique<workloads::KvStore>(mf.vma, wal,
-                                                     16 * 1024);
-        w = sys.makeWorkload<workloads::YcsbWorkload>('A', *store, 10000);
-    }
-    sys.addThread(*w, 0, *mf.as);
-    EXPECT_TRUE(sys.runUntilThreadsDone(seconds(30.0)));
-    auto &rc = sys.kernel().reclaimer();
+    ReclaimedMachine m(mode, wl);
+    EXPECT_TRUE(m.sys->runUntilThreadsDone(seconds(30.0)));
+    auto &rc = m.sys->kernel().reclaimer();
     EXPECT_GT(rc.pagesEvicted(), 0u);
     EXPECT_GT(rc.lru().activeCount(), 0u);
     EXPECT_GT(rc.lru().inactiveCount(), 0u);
-    return system::Checkpoint::save(sys);
+    return system::Checkpoint::save(*m.sys);
 }
 
 } // namespace
@@ -459,6 +474,69 @@ TEST(Checkpoint, GoldenBlobHashes)
               0xa86dba696de4359eULL);
     EXPECT_EQ(fnv1a(reclaimedBlob(PagingMode::swsmu, 'A')),
               0x3fc105ae0feafaf4ULL);
+}
+
+TEST(Checkpoint, GoldenBlobSizesAndResaveIdentity)
+{
+    // The sizes of GoldenBlobHashes' blobs, and the round trip the
+    // format closes: a twin restored from a blob saves the same bytes.
+    using system::PagingMode;
+    struct Pin
+    {
+        PagingMode mode;
+        char wl;
+        std::size_t bytes;
+    };
+    for (const Pin &p : {Pin{PagingMode::osdp, 'I', 2521853},
+                         Pin{PagingMode::hwdp, 'I', 2473334},
+                         Pin{PagingMode::swsmu, 'I', 2524366},
+                         Pin{PagingMode::osdp, 'A', 1380520},
+                         Pin{PagingMode::hwdp, 'A', 1327735},
+                         Pin{PagingMode::swsmu, 'A', 1379879}}) {
+        SCOPED_TRACE(scenarioName({p.mode, p.wl, 0.0}));
+        const std::vector<std::uint8_t> blob = reclaimedBlob(p.mode, p.wl);
+        EXPECT_EQ(blob.size(), p.bytes);
+        ReclaimedMachine twin(p.mode, p.wl);
+        system::Checkpoint::restore(*twin.sys, blob);
+        EXPECT_TRUE(system::Checkpoint::save(*twin.sys) == blob);
+    }
+}
+
+TEST(Checkpoint, PageCacheFlagMismatchIsReportedAndNotSaved)
+{
+    // A blob keeps the frames' inPageCache flags, not the page cache:
+    // a restore rebuilds the index from them. The audit reports a flag
+    // that disagrees with the index either way, and a save refuses a
+    // machine whose flag count and index size differ.
+    Scenario sc{system::PagingMode::osdp, 'I', 0.0};
+    Machine m = boot(sc);
+    ASSERT_TRUE(m.sys->runUntilThreadsDone(seconds(30.0)));
+    ASSERT_TRUE(ht::checkInvariants(*m.sys).empty());
+    os::Kernel &k = m.sys->kernel();
+    Pfn pfn = 0;
+    while (pfn < k.numFrames() && !k.page(pfn).inPageCache)
+        ++pfn;
+    ASSERT_LT(pfn, k.numFrames());
+    os::Page &pg = k.page(pfn);
+    auto reports = [&](const std::string &what) {
+        for (const std::string &r : ht::checkInvariants(*m.sys)) {
+            if (r.find(what) != std::string::npos)
+                return true;
+        }
+        return false;
+    };
+
+    // A cached frame that lost its flag.
+    pg.inPageCache = false;
+    EXPECT_TRUE(reports("frames are flagged inPageCache"));
+    EXPECT_THROW(system::Checkpoint::save(*m.sys), sim::SerializeError);
+    pg.inPageCache = true;
+    EXPECT_TRUE(ht::checkInvariants(*m.sys).empty());
+
+    // A flagged frame the index holds under no page of its own.
+    pg.index += k.numFrames();
+    EXPECT_TRUE(reports("frame " + std::to_string(pfn) +
+                        ": flagged inPageCache, but the page cache maps"));
 }
 
 TEST(Checkpoint, FileRoundTripAndMissingFileFallback)
@@ -608,6 +686,90 @@ TEST(Checkpoint, RestoreReproducesEveryRegisteredStat)
 }
 
 // ---- Leaf blob round-trips ---------------------------------------------
+
+TEST(CheckpointUnit, BulkRangesWriteThePerElementBytes)
+{
+    // Contiguous arithmetic ranges go out in one copy; the bytes must
+    // be those of one io() per element, and a load must read them
+    // back.
+    sim::Rng rng(7);
+    std::vector<std::uint64_t> words(1000);
+    for (auto &w : words)
+        w = rng.next();
+    std::array<std::uint64_t, 37> table{};
+    for (auto &w : table)
+        w = rng.next();
+    std::vector<std::uint8_t> counters(301);
+    for (auto &c : counters)
+        c = static_cast<std::uint8_t>(rng.range(4));
+
+    sim::Serializer bulk = sim::Serializer::saver();
+    bulk.io(words);
+    bulk.io(table);
+    bulk.io(counters);
+    sim::Serializer each = sim::Serializer::saver();
+    std::uint64_t n = words.size();
+    each.io(n);
+    for (auto &w : words)
+        each.io(w);
+    for (auto &w : table)
+        each.io(w);
+    n = counters.size();
+    each.io(n);
+    for (auto &c : counters)
+        each.io(c);
+    EXPECT_EQ(bulk.blob(), each.blob());
+
+    std::vector<std::uint64_t> words2;
+    std::array<std::uint64_t, 37> table2{};
+    std::vector<std::uint8_t> counters2;
+    sim::Serializer l = sim::Serializer::loader(bulk.blob());
+    l.io(words2);
+    l.io(table2);
+    l.io(counters2);
+    EXPECT_TRUE(l.exhausted());
+    EXPECT_EQ(words2, words);
+    EXPECT_EQ(table2, table);
+    EXPECT_EQ(counters2, counters);
+
+    // A stored count beyond the bytes left is refused before the load
+    // allocates for it.
+    std::vector<std::uint8_t> bad = bulk.blob();
+    const std::uint64_t huge = std::uint64_t(1) << 60;
+    std::memcpy(bad.data(), &huge, sizeof(huge));
+    sim::Serializer lb = sim::Serializer::loader(bad);
+    EXPECT_THROW(lb.io(words2), sim::SerializeError);
+}
+
+TEST(CheckpointUnit, SparseRecordsSkipBlanksAndResetThemOnLoad)
+{
+    // 130 records over three bitmap words; 1 in 5 differs from its
+    // blank (0) and goes out.
+    std::vector<std::uint64_t> recs(130, 0);
+    for (std::size_t i = 0; i < recs.size(); i += 5)
+        recs[i] = 1000 + i;
+    auto blank = [](std::uint64_t) { return std::uint64_t(0); };
+    sim::Serializer s = sim::Serializer::saver();
+    const std::uint64_t saved =
+        s.sparse(recs, blank, [&](std::uint64_t &r) { s.io(r); });
+    EXPECT_EQ(saved, 26u);
+    EXPECT_EQ(s.blob().size(), (3 + 26) * sizeof(std::uint64_t));
+
+    // The twin's stale values in absent slots are reset.
+    std::vector<std::uint64_t> twin(130, 77);
+    sim::Serializer l = sim::Serializer::loader(s.blob());
+    const std::uint64_t loaded =
+        l.sparse(twin, blank, [&](std::uint64_t &r) { l.io(r); });
+    EXPECT_EQ(loaded, saved);
+    EXPECT_TRUE(l.exhausted());
+    EXPECT_EQ(twin, recs);
+
+    // A sizer counts exactly what the saver wrote, and keeps nothing.
+    sim::Serializer z = sim::Serializer::sizer();
+    z.sparse(recs, blank, [&](std::uint64_t &r) { z.io(r); });
+    EXPECT_EQ(z.offset(), s.blob().size());
+    EXPECT_TRUE(z.blob().empty());
+}
 
 TEST(CheckpointUnit, RngBlobRoundTrip)
 {

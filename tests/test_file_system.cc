@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
 #include <vector>
 
@@ -257,6 +258,58 @@ TEST(FileSystem, RemappedFileRoundTripsThroughACheckpoint)
     twin.serialize(load);
     EXPECT_TRUE(load.exhausted());
     EXPECT_EQ(flatMap(*tf), flatMap(*f));
+    EXPECT_EQ(tf->extentCount(), f->extentCount());
     EXPECT_EQ(saveFs(twin), blob);
     EXPECT_EQ(twin.allocatedBlocks(), fs.allocatedBlocks());
+}
+
+TEST(FileSystem, RestoreRefusesRunsOutOfOrderOverlappingOrPastEof)
+{
+    // One file's block map goes out as its run count and runs of
+    // (first page, first LBA), followed by the file's mark byte.
+    auto fs = makeFs();
+    File *f = fs.createFile("f", 3000, BlockDeviceId{0, 0});
+    const std::uint64_t nr = f->extentCount();
+    ASSERT_GE(nr, 3u);
+    const std::vector<std::uint8_t> blob = saveFs(fs);
+    const std::size_t runs = blob.size() - 1 - 16 * nr;
+    auto word = [&](std::size_t at) {
+        std::uint64_t v = 0;
+        std::memcpy(&v, &blob[at], sizeof(v));
+        return v;
+    };
+    ASSERT_EQ(word(runs - 8), nr);
+    ASSERT_EQ(word(runs), 0u);
+    const std::uint64_t page1 = word(runs + 16);
+
+    struct Tamper
+    {
+        const char *what;
+        std::size_t at;
+        std::uint64_t value;
+    };
+    for (const Tamper &t :
+         {Tamper{"no runs", runs - 8, 0},
+          Tamper{"more runs than pages", runs - 8, 3001},
+          Tamper{"page 0 unmapped", runs, 1},
+          Tamper{"out of order", runs + 32, page1 - 1},
+          Tamper{"overlapping", runs + 32, page1},
+          Tamper{"past EOF", runs + 16 * (nr - 1), 3000},
+          Tamper{"past the next free LBA", runs + 16 * (nr - 1) + 8,
+                 fs.allocatedBlocks()}}) {
+        SCOPED_TRACE(t.what);
+        std::vector<std::uint8_t> bad = blob;
+        std::memcpy(&bad[t.at], &t.value, sizeof(t.value));
+        auto twin = makeFs();
+        twin.createFile("f", 3000, BlockDeviceId{0, 0});
+        sim::Serializer load = sim::Serializer::loader(bad);
+        try {
+            twin.serialize(load);
+            ADD_FAILURE() << "tampered block map accepted";
+        } catch (const sim::SerializeError &e) {
+            EXPECT_NE(std::string(e.what()).find("block map of 'f'"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <vector>
 
 #include "cpu/tlb.hh"
@@ -247,8 +248,9 @@ namespace {
 
 /**
  * Valid entries per level, recounted from the checkpoint blob: the
- * "tlb" section tag and geometry word, then per entry (L1 first) vpn,
- * pfn, lastUse and the valid byte.
+ * "tlb" section tag and geometry word, then per level (L1 first) a
+ * presence bitmap and each present entry as vpn, pfn, lastUse, the
+ * valid byte and the reach byte (wide-capable TLBs).
  */
 std::array<std::uint32_t, 2>
 recountValid(Tlb &tlb, unsigned l1_entries, unsigned l2_entries)
@@ -256,10 +258,21 @@ recountValid(Tlb &tlb, unsigned l1_entries, unsigned l2_entries)
     sim::Serializer s = sim::Serializer::saver();
     tlb.serialize(s);
     const std::vector<std::uint8_t> &b = s.blob();
-    constexpr std::size_t entryBytes = 3 * sizeof(std::uint64_t) + 1;
+    constexpr std::size_t entryBytes = 3 * sizeof(std::uint64_t) + 2;
+    std::size_t at = 2 * sizeof(std::uint64_t);
     std::array<std::uint32_t, 2> n{0, 0};
-    for (unsigned i = 0; i < l1_entries + l2_entries; ++i)
-        n[i < l1_entries ? 0 : 1] += b.at(16 + i * entryBytes + 24);
+    for (unsigned lv = 0; lv < 2; ++lv) {
+        const unsigned entries = lv == 0 ? l1_entries : l2_entries;
+        int present = 0;
+        for (unsigned w = 0; w < (entries + 63) / 64; ++w) {
+            std::uint64_t word = 0;
+            for (unsigned k = 0; k < 8; ++k)
+                word |= std::uint64_t(b.at(at++)) << (8 * k);
+            present += std::popcount(word);
+        }
+        for (int i = 0; i < present; ++i, at += entryBytes)
+            n[lv] += b.at(at + 3 * sizeof(std::uint64_t));
+    }
     return n;
 }
 
