@@ -463,17 +463,17 @@ TEST(Checkpoint, GoldenBlobHashes)
     // Checkpoint::formatVersion or says which bytes moved.
     using system::PagingMode;
     EXPECT_EQ(fnv1a(reclaimedBlob(PagingMode::osdp, 'I')),
-              0x0f39a455c5d6d265ULL);
+              0x98fb1ed70b334c4aULL);
     EXPECT_EQ(fnv1a(reclaimedBlob(PagingMode::hwdp, 'I')),
-              0xad8cf9789d23558dULL);
+              0x1a2823b7a5a3cca2ULL);
     EXPECT_EQ(fnv1a(reclaimedBlob(PagingMode::swsmu, 'I')),
-              0xaf89be52d2ca4d21ULL);
+              0x286ec17cfa4876a3ULL);
     EXPECT_EQ(fnv1a(reclaimedBlob(PagingMode::osdp, 'A')),
-              0xbe53eb15f4339e0dULL);
+              0xb2e7eed98f07dd01ULL);
     EXPECT_EQ(fnv1a(reclaimedBlob(PagingMode::hwdp, 'A')),
-              0xa86dba696de4359eULL);
+              0xebf08f6fb6aa6ae0ULL);
     EXPECT_EQ(fnv1a(reclaimedBlob(PagingMode::swsmu, 'A')),
-              0x3fc105ae0feafaf4ULL);
+              0xb42b6419d66006c5ULL);
 }
 
 TEST(Checkpoint, GoldenBlobSizesAndResaveIdentity)
