@@ -31,8 +31,9 @@ main()
 
     pte::Entry e_lba = pte::makeLbaAugmented(1, 2, 0x1234,
                                              pte::writableBit);
-    if (!pte::isLbaAugmented(e_lba) || pte::lbaOf(e_lba) != 0x1234 ||
-        pte::socketIdOf(e_lba) != 1 || pte::deviceIdOf(e_lba) != 2)
+    auto target = pte::lbaTargetOf(e_lba);
+    if (!target || target->lba != 0x1234 || target->sid != 1 ||
+        target->dev != 2)
         fatal("encoding check failed: LBA-augmented PTE");
     t.addRow({"PTE", "1", "0", "SID|dev|LBA",
               "non-resident, augmented: hardware handles the miss"});

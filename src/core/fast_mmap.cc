@@ -47,16 +47,22 @@ HwdpOsSupport::unregisterFastVma(os::Vma *vma)
 }
 
 void
+HwdpOsSupport::attachEngine(MissEngine *e)
+{
+    engines.push_back(e);
+    installHooks();
+}
+
+void
 HwdpOsSupport::attachSmu(Smu *s)
 {
-    smus.push_back(s);
     s->setQueueEmptyCallback([this] {
         // Wake kpoold early so the queue refills before the next miss
         // where possible.
         if (kpoold)
             kpoold->kick();
     });
-    installHooks();
+    attachEngine(&s->missEngine());
 }
 
 void
@@ -89,19 +95,12 @@ HwdpOsSupport::installHooks()
             kt->syncRange(as, lo, hi, core, std::move(done));
         };
     }
-    if (smus.size() == 1) {
-        // Single socket: hand the barrier straight through, exactly
-        // the pre-NUMA hook.
-        Smu *s = smus.front();
-        hooks.smuBarrier = [s](std::function<void()> done) {
-            s->barrier(std::move(done));
-        };
-    } else if (!smus.empty()) {
-        // Multi-socket: an unmap barrier must cover every socket's
-        // SMU — a miss in flight on any of them may still write the
-        // PTEs being torn down. Chained in socket order so the
-        // completion sequence is deterministic.
-        std::vector<Smu *> list = smus;
+    if (!engines.empty()) {
+        // An unmap barrier must cover every socket's engine — a miss
+        // in flight on any of them may still write the PTEs being torn
+        // down. Chained in socket order so the completion sequence is
+        // deterministic.
+        std::vector<MissEngine *> list = engines;
         hooks.smuBarrier = [list](std::function<void()> done) {
             barrierChain(list, 0, std::move(done));
         };
@@ -112,17 +111,17 @@ HwdpOsSupport::installHooks()
 }
 
 void
-HwdpOsSupport::barrierChain(std::vector<Smu *> smus, std::size_t i,
+HwdpOsSupport::barrierChain(std::vector<MissEngine *> list, std::size_t i,
                             std::function<void()> done)
 {
-    if (i == smus.size()) {
+    if (i == list.size()) {
         done();
         return;
     }
-    Smu *s = smus[i];
-    s->barrier([smus = std::move(smus), i,
+    MissEngine *e = list[i];
+    e->barrier([list = std::move(list), i,
                 done = std::move(done)]() mutable {
-        barrierChain(std::move(smus), i + 1, std::move(done));
+        barrierChain(std::move(list), i + 1, std::move(done));
     });
 }
 

@@ -22,6 +22,7 @@ namespace hwdp::core {
 
 class Kpoold;
 class Kpted;
+class MissEngine;
 class Smu;
 
 struct FastVma
@@ -41,11 +42,10 @@ class HwdpOsSupport
 
     const std::vector<FastVma> &fastVmas() const { return vmas; }
 
-    /**
-     * Install the SMU barrier hook and the queue-empty kick. Called
-     * once per socket on multi-socket machines; the barrier hook then
-     * waits on every attached SMU in socket order.
-     */
+    /** Add a socket's miss engine (either mode) to the munmap barrier. */
+    void attachEngine(MissEngine *engine);
+
+    /** attachEngine() for the SMU's engine, plus the queue-empty kick. */
     void attachSmu(Smu *smu);
 
     /** Install the metadata-sync hook (munmap/msync barriers). */
@@ -66,15 +66,15 @@ class HwdpOsSupport
   private:
     os::Kernel &k;
     std::vector<FastVma> vmas;
-    std::vector<Smu *> smus; ///< One per socket, attach order = socket order.
+    std::vector<MissEngine *> engines; ///< In socket order.
     Kpted *kpted = nullptr;
     Kpoold *kpoold = nullptr;
 
     void installHooks();
 
-    /** Barrier on smus[i..): each completes before the next starts. */
-    static void barrierChain(std::vector<Smu *> smus, std::size_t i,
-                             std::function<void()> done);
+    /** Barrier on list[i..): each completes before the next starts. */
+    static void barrierChain(std::vector<MissEngine *> list,
+                             std::size_t i, std::function<void()> done);
 };
 
 } // namespace hwdp::core

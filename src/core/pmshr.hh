@@ -26,6 +26,8 @@ class Serializer;
 
 namespace hwdp::core {
 
+class FreePageQueue;
+
 class Pmshr
 {
   public:
@@ -40,6 +42,8 @@ class Pmshr
         bool retried = false;
         /** Served by the CXL tier buffer (no NVMe command issued). */
         bool fromTier = false;
+        /** The free page queue the frame came from; a bounce returns it. */
+        FreePageQueue *fpq = nullptr;
         /** Coalesced waiters (pending page-table walks). */
         std::vector<std::function<void(bool)>> waiters;
     };

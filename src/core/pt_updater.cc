@@ -4,7 +4,7 @@
 
 namespace hwdp::core {
 
-Tick
+void
 PageTableUpdater::update(const cpu::PageMissRequest &req, Pfn pfn)
 {
     using namespace os::pte;
@@ -26,8 +26,6 @@ PageTableUpdater::update(const cpu::PageMissRequest &req, Pfn pfn)
         req.refs.pmd.write(setLbaBit(req.refs.pmd.value()));
         req.refs.pud.write(setLbaBit(req.refs.pud.value()));
     }
-
-    return updateCycles * period;
 }
 
 } // namespace hwdp::core

@@ -8,7 +8,7 @@
  * Crucially the PTE's own LBA bit is NOT cleared: present + LBA means
  * "resident, OS metadata pending" (Table I). The three entry accesses
  * rarely miss the LLC; the paper charges 97 cycles (three LLC
- * read+writes, Figure 11(b)).
+ * read+writes, Figure 11(b)), which the SMU adds to its other costs.
  */
 
 #ifndef HWDP_CORE_PT_UPDATER_HH
@@ -22,21 +22,8 @@ namespace hwdp::core {
 class PageTableUpdater
 {
   public:
-    /**
-     * @param update_cycles Latency of the three entry read+writes.
-     */
-    PageTableUpdater(Cycles update_cycles, Tick cycle_period)
-        : updateCycles(update_cycles), period(cycle_period)
-    {
-    }
-
-    /**
-     * Perform the updates for a completed miss.
-     * @return the latency charged.
-     */
-    Tick update(const cpu::PageMissRequest &req, Pfn pfn);
-
-    Cycles cost() const { return updateCycles; }
+    /** Perform the updates for a completed miss. */
+    void update(const cpu::PageMissRequest &req, Pfn pfn);
 
     /**
      * TEST ONLY: skip marking the upper-level (PMD/PUD) LBA bits.
@@ -48,8 +35,6 @@ class PageTableUpdater
     void setSkipUpperMarkForTest(bool skip) { skipUpperMark = skip; }
 
   private:
-    Cycles updateCycles;
-    Tick period;
     bool skipUpperMark = false;
 };
 

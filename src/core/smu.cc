@@ -4,7 +4,6 @@
 
 #include "sim/logging.hh"
 #include "sim/serialize.hh"
-#include "tier/cxl_buffer.hh"
 
 namespace hwdp::core {
 
@@ -12,42 +11,31 @@ void
 Smu::serialize(sim::Serializer &s)
 {
     s.section("smu");
-    if (!barrierWaiters.empty())
-        throw sim::SerializeError(
-            "checkpoint: SMU barrier outstanding; quiesce the machine "
-            "first");
     std::uint64_t nq = fpqs.size();
     s.check(nq, "free page queue count");
     for (auto &q : fpqs)
         q->serialize(s);
-    pmshrUnit.serialize(s);
+    engine.serialize(s);
     nvme.serialize(s);
 }
 
 Smu::Smu(std::string name, sim::EventQueue &eq, unsigned sid,
          const Params &params, os::Kernel &kernel)
     : sim::SimObject(std::move(name), eq), socketId(sid), prm(params),
-      kernel(kernel), pmshrUnit(params.pmshrEntries),
+      kernel(kernel),
+      engine(kernel, params.pmshrEntries, false),
       nvme(this->name() + ".nvme", eq, smuCosts.nvme,
            kernel.params().cyclePeriod),
-      updater(smuCosts.ptUpdateCycles, kernel.params().cyclePeriod),
-      statHandled(stats(), "handled", "page misses completed in hardware"),
-      statZeroFill(stats(), "zero_fills",
-                   "anonymous first-touch misses zero-filled"),
-      statPrefetch(stats(), "prefetches", "sequential next-page prefetches"),
-      statCoalesced(stats(), "coalesced", "duplicate misses coalesced"),
-      statRejectEmpty(stats(), "rejected_queue_empty",
-                      "bounces: free page queue empty"),
-      statRejectFull(stats(), "rejected_pmshr_full", "bounces: PMSHR full"),
-      statIoRetry(stats(), "io_retries",
-                  "NVMe error completions retried once"),
-      statRejectIoError(stats(), "rejected_io_error",
-                        "bounces: NVMe error persisted after retry"),
-      statLatency(stats(), "miss_latency_us",
-                  "hardware miss handling latency (us)", 0.5, 400),
+      statPrefetch("prefetches", "sequential next-page prefetches"),
       statRemoteRequests("remote_requests",
                          "misses delivered from a core on another socket")
 {
+    MissEngine::Stats &ms = engine.stats();
+    for (sim::StatBase *st : std::initializer_list<sim::StatBase *>{
+             &ms.handled, &ms.zeroFills, &statPrefetch, &ms.coalesced,
+             &ms.queueEmpty, &ms.full, &ms.ioRetries,
+             &ms.rejectedIoError, &ms.latencyUs})
+        stats().add(*st);
     if (kernel.params().sockets > 1)
         stats().add(statRemoteRequests);
     unsigned n_queues = prm.perCoreFreeQueues
@@ -130,80 +118,50 @@ Smu::handleMiss(cpu::PageMissRequest req, Tick at)
 void
 Smu::lookupStepAt(cpu::PageMissRequest req, Tick started, Tick at)
 {
-    // (1) Outstanding miss to the same page? Coalesce: the walk goes
-    // pending and resumes on the broadcast.
-    int idx = pmshrUnit.lookup(req.refs.pte.addr);
-    if (idx >= 0) {
-        ++statCoalesced;
-        pmshrUnit.entry(idx).waiters.push_back(std::move(req.done));
+    // (1)-(3): coalesce, allocate a PMSHR entry, fetch a free frame
+    // from the requesting core's queue.
+    MissEngine::Start st = engine.start(req, freePageQueue(req.core),
+                                        smuCosts.memRoundTrip, started);
+    if (st.route == MissEngine::Route::coalesce) {
+        // The walk goes pending and resumes on the broadcast.
+        engine.join(st.slot, std::move(req.done));
         return;
     }
-
-    // (2) Allocate a PMSHR entry.
-    idx = pmshrUnit.allocate(req.refs.pte.addr);
-    if (idx < 0) {
-        ++statRejectFull;
+    if (st.route == MissEngine::Route::full) {
         callAt(at, [done = std::move(req.done)] { done(false); });
         return;
     }
-
-    // (3) Fetch a free page frame from the requesting core's queue.
-    FreePageQueue &fpq = freePageQueue(req.core);
-    auto pop = fpq.pop(smuCosts.memRoundTrip);
-    if (!pop.ok) {
-        pmshrUnit.invalidate(idx);
-        ++statRejectEmpty;
+    if (st.route == MissEngine::Route::queueEmpty) {
         callAt(at, [this, done = std::move(req.done)] {
             if (onQueueEmpty)
                 onQueueEmpty();
             done(false);
-            checkBarrier();
+            engine.checkBarrier();
         });
         return;
     }
 
-    // (4) Complete the entry with the PFN, then (5) issue the I/O.
-    Pmshr::Entry &e = pmshrUnit.entry(idx);
-    e.pfn = pop.pfn;
-    e.started = started;
-    unsigned dev = req.dev;
-    Lba lba = req.lba;
-    e.req = std::move(req);
-
-    PAddr dma = static_cast<PAddr>(pop.pfn) << pageShift;
-    Tick delay = pop.latency + cycles(smuCosts.pfnWrite);
-    auto tag = static_cast<std::uint16_t>(idx);
+    // (4) Complete the entry with the PFN, then (5) fill the frame.
+    const Pmshr::Entry &e = engine.miss(st.slot);
+    Tick t = at + st.latency + cycles(smuCosts.pfnWrite);
+    auto tag = static_cast<std::uint16_t>(st.slot);
     unsigned req_core = e.req.core;
-    // Completion without an NVMe command (zero-fill, tier hit).
-    auto complete = [this, tag, req_core](Tick t) {
-        freePageQueue(req_core).refillPrefetch();
-        onIoCompleteAt(tag, 0, t);
-    };
-
-    // First-touch anonymous page: the reserved LBA tells the SMU to
-    // bypass I/O processing entirely and zero-fill the frame
-    // (Section V).
-    if (lba == os::pte::zeroFillLba) {
-        ++statZeroFill;
-        eq.hop(at + delay + smuCosts.zeroFillLatency, inlineOk(), complete,
-               "smu.zerofill");
+    if (st.route != MissEngine::Route::device) {
+        // No NVMe command: the zero engine or one buffer load.
+        bool zero = st.route == MissEngine::Route::zeroFill;
+        eq.hop(zero ? t + smuCosts.zeroFillLatency : t, inlineOk(),
+               [this, tag, req_core](Tick t) {
+                   freePageQueue(req_core).refillPrefetch();
+                   onIoCompleteAt(tag, 0, t);
+               },
+               zero ? "smu.zerofill" : "smu.tierhit");
         return;
     }
 
-    // CXL tier probe (tierMode=cxl): a resident page is served by a
-    // buffer load with no NVMe command at all — the completion rides
-    // the zero-fill-shaped path into onIoCompleteAt.
-    if (tierBuf) {
-        auto tl = tierBuf->tryLoad(tierDevBase + dev, lba);
-        if (tl.hit) {
-            e.fromTier = true;
-            eq.hop(at + delay + tl.latency, inlineOk(), complete,
-                   "smu.tierhit");
-            return;
-        }
-    }
-
-    eq.hop(at + delay, inlineOk(),
+    unsigned dev = e.req.dev;
+    Lba lba = e.req.lba;
+    PAddr dma = static_cast<PAddr>(e.pfn) << pageShift;
+    eq.hop(t, inlineOk(),
            [this, dev, lba, dma, tag, req_core](Tick t) {
                nvme.issueRead(
                    dev, lba, dma, tag,
@@ -232,11 +190,10 @@ Smu::maybePrefetchNext(const cpu::PageMissRequest &req)
     os::WalkRefs refs = req.as->pageTable().walkRefs(next, false);
     if (!refs.pte.valid())
         return;
-    os::pte::Entry e = refs.pte.value();
-    if (!os::pte::isLbaAugmented(e) ||
-        os::pte::lbaOf(e) == os::pte::zeroFillLba)
+    auto target = os::pte::lbaTargetOf(refs.pte.value());
+    if (!target || target->lba == os::pte::zeroFillLba)
         return;
-    if (pmshrUnit.full() || pmshrUnit.lookup(refs.pte.addr) >= 0)
+    if (engine.pmshr().full() || engine.find(refs.pte.addr) >= 0)
         return;
     // Never starve demand misses of free pages: prefetch only from
     // surplus.
@@ -244,15 +201,9 @@ Smu::maybePrefetchNext(const cpu::PageMissRequest &req)
         return;
 
     ++statPrefetch;
-    cpu::PageMissRequest pf;
+    cpu::PageMissRequest pf =
+        cpu::makeMissRequest(refs, *target, req.as, next, req.core);
     pf.isPrefetch = true;
-    pf.refs = refs;
-    pf.sid = os::pte::socketIdOf(e);
-    pf.dev = os::pte::deviceIdOf(e);
-    pf.lba = os::pte::lbaOf(e);
-    pf.as = req.as;
-    pf.vaddr = next;
-    pf.core = req.core;
     pf.done = [](bool) {}; // nobody waits; a late touch coalesces
     // Skip the request-transfer cycles: the prefetch is generated
     // inside the SMU itself.
@@ -262,47 +213,25 @@ Smu::maybePrefetchNext(const cpu::PageMissRequest &req)
 void
 Smu::onIoCompleteAt(std::uint16_t tag, std::uint16_t status, Tick at)
 {
-    Pmshr::Entry &e = pmshrUnit.entry(tag);
-
-    if (status != 0) {
-        // Error completions are never delivered ahead of the clock
-        // (the completion unit only inlines successes): at == now()
-        // on this branch, so the direct calls below see the event
-        // time.
-        if (!e.retried) {
-            // Media errors are frequently transient: retry once on
-            // the same isolated queue. The PMSHR entry stays live so
-            // duplicate misses keep coalescing onto it meanwhile.
-            e.retried = true;
-            ++statIoRetry;
-            PAddr dma = static_cast<PAddr>(e.pfn) << pageShift;
-            nvme.issueRead(e.req.dev, e.req.lba, dma, tag, nullptr, at);
-            return;
-        }
-        // Persistent error: bounce to the OS exactly like the queue
-        // rejects (Section IV-D) — software owns the recovery policy.
-        // The frame goes back to the free page queue untouched.
-        ++statRejectIoError;
-        freePageQueue(e.req.core).push(e.pfn);
-        auto done = std::move(e.req.done);
-        auto waiters = std::move(e.waiters);
-        pmshrUnit.invalidate(tag);
-        done(false);
-        for (auto &w : waiters)
-            w(false);
-        checkBarrier();
+    // Error completions are never delivered ahead of the clock (the
+    // completion unit only inlines successes): at == now() on the
+    // retry and bounce branches, so the calls there see event time.
+    switch (engine.complete(tag, status)) {
+      case MissEngine::Completion::retry: {
+        // Same isolated queue, same frame.
+        const Pmshr::Entry &e = engine.miss(tag);
+        PAddr dma = static_cast<PAddr>(e.pfn) << pageShift;
+        nvme.issueRead(e.req.dev, e.req.lba, dma, tag, nullptr, at);
         return;
+      }
+      case MissEngine::Completion::bounce:
+        // Bounce to the OS exactly like the queue rejects (Section
+        // IV-D): software owns the recovery policy.
+        engine.retire(tag, false, at);
+        return;
+      case MissEngine::Completion::filled:
+        break;
     }
-
-    // Tier admission (inclusion on read): an SSD-fetched page installs
-    // into the buffer so the next miss to it is a sub-us load. A full
-    // buffer rejects and kicks ktierd — eviction is never performed
-    // here on the fault path. Safe at an inline `at` ahead of now()
-    // for the same reason the PT update below is: nothing executes
-    // before `at` to observe the buffer early.
-    if (tierBuf && !e.fromTier && tierBuf->admitOnMiss() &&
-        e.req.lba != os::pte::zeroFillLba)
-        tierBuf->admit(tierDevBase + e.req.dev, e.req.lba, false);
 
     // (6) I/O complete: (7) update PTE/PMD/PUD in place, then (8)
     // broadcast completion and invalidate the entry. The update is
@@ -311,51 +240,10 @@ Smu::onIoCompleteAt(std::uint16_t tag, std::uint16_t status, Tick at)
     // `at` to observe the PTE early. The broadcast stays an event —
     // it resumes walkers and samples the latency histogram, which
     // need real event time.
-    Tick update_lat = updater.update(e.req, e.pfn);
-    Tick delay = update_lat + cycles(smuCosts.notifyCycles);
-
-    eq.post(
-        at + delay,
-        [this, tag] {
-            Pmshr::Entry &entry = pmshrUnit.entry(tag);
-            // Model bookkeeping: the frame left the SMU queue (the OS
-            // flag exists so reclaim never touches donated frames).
-            kernel.page(entry.pfn).inSmuQueue = false;
-
-            ++statHandled;
-            statLatency.sample(toMicroseconds(now() - entry.started));
-
-            auto done = std::move(entry.req.done);
-            auto waiters = std::move(entry.waiters);
-            pmshrUnit.invalidate(tag);
-
-            done(true);
-            for (auto &w : waiters)
-                w(true);
-            checkBarrier();
-        },
-        "smu.broadcast");
-}
-
-void
-Smu::barrier(std::function<void()> done)
-{
-    if (pmshrUnit.occupancy() == 0) {
-        done();
-        return;
-    }
-    barrierWaiters.push_back(std::move(done));
-}
-
-void
-Smu::checkBarrier()
-{
-    if (pmshrUnit.occupancy() != 0 || barrierWaiters.empty())
-        return;
-    auto waiters = std::move(barrierWaiters);
-    barrierWaiters.clear();
-    for (auto &w : waiters)
-        w();
+    engine.updatePageTable(tag);
+    Tick delay = cycles(smuCosts.ptUpdateCycles + smuCosts.notifyCycles);
+    eq.post(at + delay, [this, tag] { engine.retire(tag, true, now()); },
+            "smu.broadcast");
 }
 
 } // namespace hwdp::core

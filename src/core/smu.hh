@@ -13,6 +13,9 @@
  * When the PMSHR is full or the free page queue is empty the miss is
  * bounced back to the MMU, which raises a conventional page fault
  * (the OS then also refills the queue, Section IV-D).
+ *
+ * The lifecycle is the MissEngine the software emulation drives too;
+ * the SMU adds its Fig. 11b costs and delivery (DESIGN.md §6k).
  */
 
 #ifndef HWDP_CORE_SMU_HH
@@ -23,15 +26,10 @@
 #include <vector>
 
 #include "core/free_page_queue.hh"
+#include "core/miss_engine.hh"
 #include "core/nvme_host_controller.hh"
-#include "core/pmshr.hh"
-#include "core/pt_updater.hh"
 #include "cpu/mmu.hh"
 #include "os/kernel.hh"
-
-namespace hwdp::tier {
-class CxlBuffer;
-}
 
 namespace hwdp::core {
 
@@ -127,9 +125,9 @@ class Smu : public sim::SimObject, public cpu::PageMissHandlerIface
     /** All queues (kpoold refills every one). */
     std::vector<FreePageQueue *> freePageQueues();
 
-    Pmshr &pmshr() { return pmshrUnit; }
+    MissEngine &missEngine() { return engine; }
+    Pmshr &pmshr() { return engine.pmshr(); }
     NvmeHostController &hostController() { return nvme; }
-    PageTableUpdater &ptUpdater() { return updater; }
     unsigned sid() const { return socketId; }
 
     /** Invoked when a pop finds the free page queue empty. */
@@ -138,50 +136,24 @@ class Smu : public sim::SimObject, public cpu::PageMissHandlerIface
         onQueueEmpty = std::move(fn);
     }
 
-    /**
-     * Attach the socket's CXL memory-buffer tier (tierMode=cxl). The
-     * SMU's device ids are socket-local; @p dev_base maps them onto
-     * the tier's global block-layer indices (global = dev_base +
-     * local). A miss probes the buffer after the free-frame fetch and
-     * a hit completes through the zero-fill-shaped path: buffer load,
-     * PTE update, broadcast — no NVMe command, no SSD channel work.
-     */
-    void setTier(tier::CxlBuffer *t, unsigned dev_base)
-    {
-        tierBuf = t;
-        tierDevBase = dev_base;
-    }
+    /** SMU barrier (Section IV-C), as munmap waits on it. */
+    void barrier(std::function<void()> done) { engine.barrier(std::move(done)); }
 
-    /**
-     * SMU barrier (Section IV-C): fires @p done once no page miss is
-     * outstanding. Used by munmap before tearing PTEs down.
-     */
-    void barrier(std::function<void()> done);
-
-    std::uint64_t handled() const { return statHandled.value(); }
-    std::uint64_t zeroFills() const { return statZeroFill.value(); }
+    std::uint64_t handled() const { return ms().handled.value(); }
+    std::uint64_t zeroFills() const { return ms().zeroFills.value(); }
     std::uint64_t prefetches() const { return statPrefetch.value(); }
-    std::uint64_t coalesced() const { return statCoalesced.value(); }
-    std::uint64_t rejectedQueueEmpty() const
-    {
-        return statRejectEmpty.value();
-    }
-    std::uint64_t rejectedPmshrFull() const
-    {
-        return statRejectFull.value();
-    }
-    std::uint64_t ioRetries() const { return statIoRetry.value(); }
+    std::uint64_t coalesced() const { return ms().coalesced.value(); }
+    std::uint64_t rejectedQueueEmpty() const { return ms().queueEmpty.value(); }
+    std::uint64_t rejectedPmshrFull() const { return ms().full.value(); }
+    std::uint64_t ioRetries() const { return ms().ioRetries.value(); }
 
     /**
      * Misses whose lookup ran inline instead of via the smu.lookup
      * event (host-side observability; never part of simulated state).
      */
     std::uint64_t inlineMisses() const { return nInlineMisses; }
-    std::uint64_t rejectedIoError() const
-    {
-        return statRejectIoError.value();
-    }
-    sim::Histogram &missLatencyUs() { return statLatency; }
+    std::uint64_t rejectedIoError() const { return ms().rejectedIoError.value(); }
+    sim::Histogram &missLatencyUs() { return engine.stats().latencyUs; }
 
     /**
      * Checkpoint the free page queues, PMSHR bookkeeping and host
@@ -193,30 +165,18 @@ class Smu : public sim::SimObject, public cpu::PageMissHandlerIface
     unsigned socketId;
     Params prm;
     os::Kernel &kernel;
-    Pmshr pmshrUnit;
+    MissEngine engine;
     std::vector<std::unique_ptr<FreePageQueue>> fpqs;
     NvmeHostController nvme;
-    PageTableUpdater updater;
     std::function<void()> onQueueEmpty;
-    std::vector<std::function<void()>> barrierWaiters;
 
     /** Host-side inline-request count; never serialized. */
     std::uint64_t nInlineMisses = 0;
 
-    /** CXL tier (nullptr at tierMode=off — zero behavior change). */
-    tier::CxlBuffer *tierBuf = nullptr;
-    unsigned tierDevBase = 0;
-
-    sim::Counter statHandled;
-    sim::Counter statZeroFill;
     sim::Counter statPrefetch;
-    sim::Counter statCoalesced;
-    sim::Counter statRejectEmpty;
-    sim::Counter statRejectFull;
-    sim::Counter statIoRetry;
-    sim::Counter statRejectIoError;
-    sim::Histogram statLatency;
     sim::Counter statRemoteRequests; ///< Registered at sockets > 1.
+
+    const MissEngine::Stats &ms() const { return engine.stats(); }
 
     /**
      * Whether an SMU hop may run inline. Not with sequentialPrefetch:
@@ -263,7 +223,6 @@ class Smu : public sim::SimObject, public cpu::PageMissHandlerIface
      */
     void onIoCompleteAt(std::uint16_t tag, std::uint16_t status,
                         Tick at);
-    void checkBarrier();
 
     /** Issue a next-page prefetch fill for the page after @p req. */
     void maybePrefetchNext(const cpu::PageMissRequest &req);

@@ -11,85 +11,56 @@
  * completion with monitor/mwait. The interrupt handler merely touches
  * the monitored address; the emulation resumes, completes the miss
  * and updates the PTE exactly as the hardware would (LBA bit kept,
- * metadata deferred to kpted).
+ * metadata deferred to kpted). It drives the hardware's own
+ * MissEngine and adds only its costs and delivery (DESIGN.md §6k).
  */
 
 #ifndef HWDP_CORE_SOFTWARE_SMU_HH
 #define HWDP_CORE_SOFTWARE_SMU_HH
 
-#include <unordered_map>
+#include <memory>
 #include <vector>
 
 #include "core/free_page_queue.hh"
+#include "core/miss_engine.hh"
 #include "os/kernel.hh"
 #include "ssd/ssd_device.hh"
-
-namespace hwdp::tier {
-class CxlBuffer;
-}
 
 namespace hwdp::core {
 
 class SoftwareSmu : public sim::SimObject
 {
   public:
+    /** @p fpq is built first, so its stat group precedes ours. */
     SoftwareSmu(std::string name, sim::EventQueue &eq, os::Kernel &kernel,
-                FreePageQueue &fpq);
+                std::unique_ptr<FreePageQueue> fpq);
 
     /** Allocate this emulation's isolated queue pair on a device. */
     void configureDevice(unsigned dev_id, ssd::SsdDevice *dev,
                          std::uint16_t queue_depth = 1024);
 
-    /** Register as the kernel's early-fault interceptor. */
-    void install();
-
     /**
-     * One emulated-SMU fault check, callable by an external
-     * dispatcher: multi-socket machines run one emulation per socket
-     * and System installs a single interceptor that routes by the
-     * PTE's socket-id field instead of calling install() on any one
-     * of them. Semantics identical to the installed interceptor.
+     * Take a fault on an LBA-augmented PTE of this socket, @p req as
+     * the MMU would build it; false sends it down the normal path.
      */
-    bool
-    tryIntercept(os::Thread &t, os::AddressSpace &as, VAddr vaddr,
-                 os::pte::Entry e, std::function<void()> resume)
-    {
-        return intercept(t, as, vaddr, e, std::move(resume));
-    }
+    bool handleFault(os::Thread &t, cpu::PageMissRequest req,
+                     std::function<void()> resume);
 
-    /**
-     * Attach the socket's CXL memory-buffer tier (tierMode=cxl). The
-     * emulation's device ids are socket-local; @p dev_base maps them
-     * onto the tier's global block-layer indices. A hit skips the NVMe
-     * command entirely: the emulation mwaits on the buffer load and
-     * the completion runs the same wake + PTE-update phases.
-     */
+    /** Attach the socket's CXL buffer (tierMode=cxl). */
     void setTier(tier::CxlBuffer *t, unsigned dev_base);
 
-    /**
-     * Tier-served misses: a registered counter once a tier is
-     * attached, so it is dumped and checkpointed with the others.
-     */
-    std::uint64_t tierHits() const { return statTierHits.value(); }
+    FreePageQueue &freePageQueue() { return *fpq; }
+    MissEngine &missEngine() { return engine; }
+    const Pmshr &pmshr() const { return engine.pmshr(); }
 
-    std::uint64_t handled() const { return statHandled.value(); }
-    std::uint64_t coalesced() const { return statCoalesced.value(); }
-    std::uint64_t queueEmptyBounces() const
-    {
-        return statQueueEmpty.value();
-    }
-    std::uint64_t ioRetries() const { return statIoRetry.value(); }
-    std::uint64_t rejectedIoError() const
-    {
-        return statRejectIoError.value();
-    }
-    sim::Histogram &missLatencyUs() { return statLatency; }
+    /** Whether local device @p d has a queue pair; its id. */
+    bool deviceConfigured(unsigned d) const { return devices.at(d).valid; }
+    std::uint16_t queueIdOf(unsigned d) const { return devices.at(d).qid; }
 
-    /**
-     * Checkpoint the cid allocator. In-flight emulated
-     * misses hold closures, so both tables must be empty (quiesced);
-     * the device slots are verified.
-     */
+    std::uint64_t handled() const { return engine.stats().handled.value(); }
+    sim::Histogram &missLatencyUs() { return engine.stats().latencyUs; }
+
+    /** Checkpoint the queue; the table must be empty (quiesced). */
     void serialize(sim::Serializer &s);
 
   private:
@@ -100,59 +71,17 @@ class SoftwareSmu : public sim::SimObject
         std::uint16_t qid = 0;
     };
 
-    struct Inflight
-    {
-        os::Thread *t;
-        os::AddressSpace *as;
-        VAddr vaddr;
-        Pfn pfn;
-        Tick started;
-        unsigned devId = 0;
-        Lba lba = 0;
-        bool retried = false;
-        /** Served by the CXL tier buffer (no NVMe command issued). */
-        bool fromTier = false;
-        std::function<void()> resume;
-        /** Coalesced faulters: (thread, resume). */
-        std::vector<std::pair<os::Thread *, std::function<void()>>>
-            waiters;
-    };
-
     os::Kernel &kernel;
-    FreePageQueue &fpq;
+    std::unique_ptr<FreePageQueue> fpq;
+    MissEngine engine;
     std::vector<DeviceSlot> devices;
-    std::unordered_map<std::uint16_t, Inflight> inflight; // by cid
-    std::unordered_map<std::uint64_t, std::uint16_t> byPage;
-    std::uint16_t nextCid = 0;
 
-    /** CXL tier (nullptr at tierMode=off — zero behavior change). */
-    tier::CxlBuffer *tierBuf = nullptr;
-    unsigned tierDevBase = 0;
-
-    sim::Counter statHandled;
-    sim::Counter statCoalesced;
-    sim::Counter statQueueEmpty;
-    sim::Counter statIoRetry;
-    sim::Counter statRejectIoError;
-    sim::Histogram statLatency;
-    sim::Counter statTierHits; ///< Registered when a tier is attached.
-
-    bool intercept(os::Thread &t, os::AddressSpace &as, VAddr vaddr,
-                   os::pte::Entry e, std::function<void()> resume);
-    void onInterrupt(std::uint16_t cid, std::uint16_t status);
-
-    /**
-     * Take miss @p cid out of both tables. Called from the callback
-     * that resumes its waiters, so until then a new faulter on the
-     * page still joins the miss instead of issuing a second read.
-     */
-    Inflight retire(std::uint16_t cid);
-
-    /** Build + submit the read command, then mwait on @p core. */
-    void submitRead(unsigned dev_id, std::uint16_t cid, Lba lba,
-                    Pfn pfn, unsigned core);
-
-    static std::uint64_t pageKey(const os::AddressSpace &as, VAddr va);
+    /** A fill's completion; @p slot is the NVMe command id. */
+    void onInterrupt(int slot, std::uint16_t status);
+    /** Build + submit the miss's read command, then mwait. */
+    void submitRead(int slot);
+    /** Update the page table and resume the miss's waiters. */
+    void finish(int slot);
 };
 
 } // namespace hwdp::core

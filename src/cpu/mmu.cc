@@ -185,10 +185,9 @@ Mmu::startMiss(Pending *p, const Walker::Outcome &out, Tick defer)
 {
     Tick wl = out.latency;
 
-    if (out.kind == Walker::Classification::hwMiss) {
-        unsigned sid = os::pte::socketIdOf(out.entry);
-        PageMissHandlerIface *smu = sid < smus.size() ? smus[sid]
-                                                      : nullptr;
+    if (auto target = os::pte::lbaTargetOf(out.entry)) {
+        PageMissHandlerIface *smu =
+            target->sid < smus.size() ? smus[target->sid] : nullptr;
         if (smu) {
             ++statHwMiss;
             p->info.faulted = true;
@@ -198,14 +197,8 @@ Mmu::startMiss(Pending *p, const Walker::Outcome &out, Tick defer)
             p->completed = false;
             p->switched = false;
 
-            PageMissRequest req;
-            req.refs = out.refs;
-            req.sid = sid;
-            req.dev = os::pte::deviceIdOf(out.entry);
-            req.lba = os::pte::lbaOf(out.entry);
-            req.as = p->as;
-            req.vaddr = p->vaddr & ~pageOffsetMask;
-            req.core = core;
+            PageMissRequest req =
+                makeMissRequest(out.refs, *target, p->as, p->vaddr, core);
             req.done = [this, p](bool success) { missDone(p, success); };
 
             // Posted before the request is delivered: the timeout's

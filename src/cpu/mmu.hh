@@ -55,6 +55,22 @@ struct PageMissRequest
     std::function<void(bool success)> done;
 };
 
+/** The request for a miss whose PTE (@p refs) decodes to @p target. */
+inline PageMissRequest
+makeMissRequest(const os::WalkRefs &refs, const os::pte::LbaTarget &target,
+                os::AddressSpace *as, VAddr vaddr, unsigned core)
+{
+    PageMissRequest req;
+    req.refs = refs;
+    req.sid = target.sid;
+    req.dev = target.dev;
+    req.lba = target.lba;
+    req.as = as;
+    req.vaddr = vaddr & ~pageOffsetMask;
+    req.core = core;
+    return req;
+}
+
 /** Implemented by core::Smu. */
 class PageMissHandlerIface
 {

@@ -58,8 +58,8 @@ FaultHandler::afterEntry(CtxPtr c)
     // (Section VI-A): when the PTE carries the LBA bit, a software
     // SMU routine takes over and the normal path never runs.
     if (k.interceptor && !c->fallback) {
-        pte::Entry e = c->as->pageTable().readPte(c->vaddr);
-        if (k.interceptor(*c->t, *c->as, c->vaddr, e, c->resume))
+        WalkRefs refs = c->as->pageTable().walkRefs(c->vaddr, false);
+        if (k.interceptor(*c->t, *c->as, c->vaddr, refs, c->resume))
             return;
     }
     k.scheduler().runPhases(c->t->core(), {&phases::vmaLookup},

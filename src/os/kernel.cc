@@ -586,21 +586,6 @@ Kernel::installPage(AddressSpace &as, Vma &vma, VAddr vaddr, Pfn pfn,
 }
 
 void
-Kernel::installHardwareHandled(AddressSpace &as, Vma &vma, VAddr vaddr,
-                               Pfn pfn)
-{
-    // Only what the hardware writes: PTE (present, LBA bit preserved)
-    // and the upper-level LBA bits. OS metadata stays stale until
-    // kpted visits this PTE.
-    Page &pg = page(pfn);
-    pg.inUse = true;
-    pg.inSmuQueue = false;
-    as.pageTable().writePte(vaddr,
-                            pte::makePresent(pfn, vma.prot, true));
-    as.pageTable().markUpperLba(vaddr);
-}
-
-void
 Kernel::syncHardwareHandledPte(AddressSpace &as, VAddr vaddr,
                                EntryRef ref)
 {

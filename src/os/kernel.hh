@@ -207,16 +207,6 @@ class Kernel : public sim::SimObject
     /** Release a frame and reset its metadata. */
     void freePage(Page &page);
 
-    /**
-     * Install a page the way the hardware does it: PTE written with
-     * the LBA bit kept set, upper-level LBA bits marked, and *no* OS
-     * metadata touched (that is kpted's job, Table I row 3). Used by
-     * the software-emulated SMU; the real SMU's page-table updater
-     * performs the same writes through its entry references.
-     */
-    void installHardwareHandled(AddressSpace &as, Vma &vma, VAddr vaddr,
-                                Pfn pfn);
-
     /** Metadata-only synchronisation of one hardware-handled PTE. */
     void syncHardwareHandledPte(AddressSpace &as, VAddr vaddr,
                                 EntryRef ref);
@@ -323,11 +313,11 @@ class Kernel : public sim::SimObject
 
     // ---- HWDP hook points -------------------------------------------------
     /**
-     * Early-fault interceptor (the SW-emulated SMU). Returns true when
-     * it takes ownership of the fault.
+     * Early-fault interceptor (the SW-emulated SMU), given the fault's
+     * walk references. Returns true when it takes ownership.
      */
     using FaultInterceptor = std::function<bool(
-        Thread &, AddressSpace &, VAddr, pte::Entry,
+        Thread &, AddressSpace &, VAddr, const WalkRefs &,
         std::function<void()>)>;
     void setFaultInterceptor(FaultInterceptor fn)
     {

@@ -23,6 +23,7 @@
 #define HWDP_OS_PTE_HH
 
 #include <cstdint>
+#include <optional>
 
 #include "sim/types.hh"
 
@@ -106,6 +107,9 @@ pfnOf(Entry e)
     return (e & pfnMask) >> pfnShift;
 }
 
+/** Raw field readers: on a resident entry they read PFN bits. */
+namespace detail {
+
 inline unsigned
 socketIdOf(Entry e)
 {
@@ -122,6 +126,29 @@ inline Lba
 lbaOf(Entry e)
 {
     return (e & lbaFieldMask) >> lbaShift;
+}
+
+} // namespace detail
+
+/** Where an LBA-augmented entry's page lives: socket, device, LBA. */
+struct LbaTarget
+{
+    unsigned sid = 0;
+    unsigned dev = 0;
+    Lba lba = 0;
+};
+
+/**
+ * The one checked reader of the fields: empty unless the entry is
+ * LBA-augmented, the only shape Table I gives them meaning in.
+ */
+inline std::optional<LbaTarget>
+lbaTargetOf(Entry e)
+{
+    if (!isLbaAugmented(e))
+        return std::nullopt;
+    return LbaTarget{detail::socketIdOf(e), detail::deviceIdOf(e),
+                     detail::lbaOf(e)};
 }
 
 /** Non-PFN, non-LBA-field bits (protection and friends). */

@@ -61,9 +61,8 @@ struct Socket
     /** This socket's SMU (hwdp mode; owns PMSHR, FPQs, NVMe host ctrl). */
     core::Smu *smu = nullptr;
 
-    /** This socket's software SMU + its free-page queue (swsmu mode). */
+    /** This socket's software SMU (swsmu mode; owns its queue). */
     core::SoftwareSmu *swSmu = nullptr;
-    core::FreePageQueue *swFpq = nullptr;
 
     /** Locally attached block devices (global ssd index order). */
     std::vector<ssd::SsdDevice *> devices;
@@ -93,8 +92,8 @@ struct Socket
     {
         if (smu)
             return smu->freePageQueues();
-        if (swFpq)
-            return {swFpq};
+        if (swSmu)
+            return {&swSmu->freePageQueue()};
         return {};
     }
 };

@@ -146,7 +146,8 @@ System::System(const MachineConfig &cfg_in) : cfg(cfg_in), rng(cfg.seed)
                     c->attachSmu(s, u);
                 support->attachSmu(u);
                 if (!tiers.empty())
-                    u->setTier(tiers[s].get(), s * cfg.nDevices);
+                    u->missEngine().setTier(tiers[s].get(),
+                                            s * cfg.nDevices);
                 for (core::FreePageQueue *q : u->freePageQueues()) {
                     fpq_set.push_back(q);
                     fpq_tags.push_back(s);
@@ -156,40 +157,42 @@ System::System(const MachineConfig &cfg_in) : cfg(cfg_in), rng(cfg.seed)
             for (unsigned s = 0; s < cfg.sockets; ++s) {
                 std::string sw = s == 0 ? "swsmu"
                                         : "swsmu" + std::to_string(s);
-                swFpqs.push_back(std::make_unique<core::FreePageQueue>(
+                auto fpq = std::make_unique<core::FreePageQueue>(
                     cfg.smu.freeQueueCapacity, cfg.smu.prefetchDepth,
-                    &eq.statRegistry(), sw + ".fpq"));
+                    &eq.statRegistry(), sw + ".fpq");
                 swSmus.push_back(std::make_unique<core::SoftwareSmu>(
-                    sw, eq, *kern, *swFpqs.back()));
+                    sw, eq, *kern, std::move(fpq)));
+                core::SoftwareSmu *u = swSmus.back().get();
                 for (unsigned d = 0; d < cfg.nDevices; ++d)
-                    swSmus.back()->configureDevice(
-                        d, ssds[s * cfg.nDevices + d].get());
+                    u->configureDevice(d,
+                                       ssds[s * cfg.nDevices + d].get());
+                support->attachEngine(&u->missEngine());
                 if (!tiers.empty())
-                    swSmus.back()->setTier(tiers[s].get(),
-                                           s * cfg.nDevices);
-                fpq_set.push_back(swFpqs.back().get());
+                    u->setTier(tiers[s].get(), s * cfg.nDevices);
+                fpq_set.push_back(&u->freePageQueue());
                 fpq_tags.push_back(s);
             }
-            if (cfg.sockets == 1) {
-                swSmus[0]->install();
-            } else {
-                // One emulation per socket; dispatch by the PTE's
-                // socket-id field (anonymous zero-fill PTEs carry
-                // socket 0 and deterministically land there). Only an
-                // LBA-augmented entry has that field: on a present one
-                // (another socket's emulation installed it after the
-                // fault read it) the same bits hold the PFN.
-                kern->setFaultInterceptor(
-                    [this](os::Thread &t, os::AddressSpace &as,
-                           VAddr va, os::pte::Entry e,
-                           std::function<void()> resume) {
-                        if (!os::pte::isLbaAugmented(e))
-                            return false;
-                        unsigned sid = os::pte::socketIdOf(e);
-                        return swSmus.at(sid)->tryIntercept(
-                            t, as, va, e, std::move(resume));
-                    });
-            }
+            // One emulation per socket, dispatched by the PTE's
+            // socket-id field as the MMU dispatches to the SMUs
+            // (anonymous zero-fill PTEs carry socket 0). The decoder
+            // answers only for an LBA-augmented entry: a present one
+            // (another faulter's miss installed it after this fault
+            // trapped) takes the normal path.
+            kern->setFaultInterceptor(
+                [this](os::Thread &t, os::AddressSpace &as, VAddr va,
+                       const os::WalkRefs &refs,
+                       std::function<void()> resume) {
+                    auto target =
+                        refs.pte.valid()
+                            ? os::pte::lbaTargetOf(refs.pte.value())
+                            : std::nullopt;
+                    if (!target || target->sid >= swSmus.size())
+                        return false;
+                    return swSmus[target->sid]->handleFault(
+                        t, cpu::makeMissRequest(refs, *target, &as, va,
+                                                t.core()),
+                        std::move(resume));
+                });
         }
 
         kptedThread = std::make_unique<core::Kpted>(
@@ -244,7 +247,6 @@ System::System(const MachineConfig &cfg_in) : cfg(cfg_in), rng(cfg.seed)
         sk.nCores = cfg.coresPerSocket();
         sk.smu = smuAt(s);
         sk.swSmu = softwareSmuAt(s);
-        sk.swFpq = s < swFpqs.size() ? swFpqs[s].get() : nullptr;
         sk.tier = tierAt(s);
         for (unsigned d = 0; d < cfg.nDevices; ++d)
             sk.devices.push_back(ssds[s * cfg.nDevices + d].get());
@@ -404,7 +406,7 @@ System::freePageQueue()
 {
     if (!smuUnits.empty())
         return &smuUnits.front()->freePageQueue();
-    return swFpqs.empty() ? nullptr : swFpqs.front().get();
+    return swSmus.empty() ? nullptr : &swSmus.front()->freePageQueue();
 }
 
 os::File *
@@ -595,8 +597,6 @@ System::serialize(sim::Serializer &s)
         c->mmu().serialize(s);
     for (auto &u : smuUnits)
         u->serialize(s);
-    for (auto &q : swFpqs)
-        q->serialize(s);
     for (auto &u : swSmus)
         u->serialize(s);
     if (support)

@@ -286,7 +286,6 @@ class System
     /** One per socket, index = socket id (hwdp mode). */
     std::vector<std::unique_ptr<core::Smu>> smuUnits;
     /** One per socket, index = socket id (swsmu mode only). */
-    std::vector<std::unique_ptr<core::FreePageQueue>> swFpqs;
     std::vector<std::unique_ptr<core::SoftwareSmu>> swSmus;
     std::unique_ptr<core::HwdpOsSupport> support;
 

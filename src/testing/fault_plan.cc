@@ -111,6 +111,8 @@ FaultPlan::attach(system::System &sys)
         bool remote = sk.id != 0;
         for (core::FreePageQueue *q : sk.freePageQueues())
             attachFpq(*q, remote);
+        // PMSHR-full sites exist on hwdp tables only: the emulation's
+        // table holds one entry per core at most and never fills.
         if (sk.smu)
             attachPmshr(sk.smu->pmshr(), remote);
     }

@@ -63,41 +63,41 @@ checkInvariants(system::System &sys)
                         v.push_back("frame " + std::to_string(pfn) +
                                     " mapped twice: " + it->second +
                                     " and " + where);
-                } else if (hasLbaBit(e)) {
+                } else if (auto t = lbaTargetOf(e)) {
                     if (vma->file) {
                         Lba want =
                             vma->file->lbaOf(vma->fileIndexOf(va));
-                        if (lbaOf(e) != want)
+                        if (t->lba != want)
                             v.push_back(
                                 where + ": LBA-augmented PTE lba " +
-                                std::to_string(lbaOf(e)) +
+                                std::to_string(t->lba) +
                                 " != file lba " + std::to_string(want));
-                        if (deviceIdOf(e) != vma->file->device().dev)
+                        if (t->dev != vma->file->device().dev)
                             v.push_back(
                                 where + ": PTE device id " +
-                                std::to_string(deviceIdOf(e)) +
+                                std::to_string(t->dev) +
                                 " != file device " +
                                 std::to_string(vma->file->device().dev));
-                        if (socketIdOf(e) != vma->file->device().sid)
+                        if (t->sid != vma->file->device().sid)
                             v.push_back(
                                 where + ": PTE socket id " +
-                                std::to_string(socketIdOf(e)) +
+                                std::to_string(t->sid) +
                                 " != file device socket " +
                                 std::to_string(vma->file->device().sid));
-                    } else if (lbaOf(e) != zeroFillLba) {
+                    } else if (t->lba != zeroFillLba) {
                         v.push_back(where +
                                     ": anonymous PTE carries lba " +
-                                    std::to_string(lbaOf(e)) +
+                                    std::to_string(t->lba) +
                                     " instead of the zero-fill LBA");
-                    } else if (socketIdOf(e) != 0) {
+                    } else if (t->sid != 0) {
                         v.push_back(where +
                                     ": anonymous PTE carries socket id " +
-                                    std::to_string(socketIdOf(e)) +
+                                    std::to_string(t->sid) +
                                     " instead of 0");
                     }
-                    if (socketIdOf(e) >= sys.numSockets())
+                    if (t->sid >= sys.numSockets())
                         v.push_back(where + ": PTE routes to socket " +
-                                    std::to_string(socketIdOf(e)) +
+                                    std::to_string(t->sid) +
                                     " beyond the machine's " +
                                     std::to_string(sys.numSockets()));
                 }
@@ -139,12 +139,12 @@ checkInvariants(system::System &sys)
                 checkFpq(*q, qi++, sk.id);
     }
 
-    // ---- 3. PMSHR <-> in-flight NVMe commands ---------------------------
-    for (const system::Socket &sk : sys.socketTopology()) {
-        if (!sk.smu)
-            continue;
-        const core::Pmshr &p = sk.smu->pmshr();
-        std::string tag = "socket " + std::to_string(sk.id) + " pmshr";
+    // ---- 3. Miss tables <-> in-flight NVMe commands --------------------
+    // Both paging modes keep a socket's misses in one table (the SMU's
+    // PMSHR or the emulation's), and every command on the unit's
+    // device queues belongs to one of its entries.
+    auto checkTable = [&](const system::Socket &sk, const core::Pmshr &p,
+                          const std::string &tag, auto &queues) {
         std::unordered_set<PAddr> pteAddrs;
         unsigned valid = 0;
         for (unsigned i = 0; i < p.capacity(); ++i) {
@@ -160,24 +160,30 @@ checkInvariants(system::System &sys)
             v.push_back(tag + ": occupancy " +
                         std::to_string(p.occupancy()) + " != " +
                         std::to_string(valid) + " valid entries");
-        // The host controller numbers devices locally; sk.devices holds
-        // the same local order.
+        // Units number devices locally; sk.devices holds the same
+        // local order.
         for (unsigned d = 0; d < sk.devices.size(); ++d) {
-            if (!sk.smu->hostController().deviceConfigured(d))
+            if (!queues.deviceConfigured(d))
                 continue;
-            std::uint16_t qid = sk.smu->hostController().queueIdOf(d);
+            std::uint16_t qid = queues.queueIdOf(d);
             ssd::SsdDevice &dev = *sk.devices[d];
             std::uint64_t cmds = dev.queuePair(qid).sqOccupancy() +
                                  dev.queueInflight(qid);
             if (cmds > p.occupancy())
-                v.push_back("socket " + std::to_string(sk.id) +
-                            " smu queue on local device " +
-                            std::to_string(d) + ": " +
-                            std::to_string(cmds) +
-                            " commands in flight but only " +
-                            std::to_string(p.occupancy()) +
-                            " pmshr entries");
+                v.push_back(tag + ": " + std::to_string(cmds) +
+                            " commands in flight on local device " +
+                            std::to_string(d) + " but only " +
+                            std::to_string(p.occupancy()) + " entries");
         }
+    };
+    for (const system::Socket &sk : sys.socketTopology()) {
+        std::string tag = "socket " + std::to_string(sk.id);
+        if (sk.smu)
+            checkTable(sk, sk.smu->pmshr(), tag + " pmshr",
+                       sk.smu->hostController());
+        else if (sk.swSmu)
+            checkTable(sk, sk.swSmu->pmshr(), tag + " emulated pmshr",
+                       *sk.swSmu);
     }
 
     // ---- 4. Frame flag composition --------------------------------------

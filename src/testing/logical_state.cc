@@ -124,10 +124,12 @@ walk(system::System &sys, const std::string &label, bool keep_pages)
     ms.totalAppOps = sys.totalAppOps();
     ms.oomKills = kern.oomKills();
     ms.faultsServiced = kern.majorFaults() + kern.minorFaults();
-    if (sys.smu())
-        ms.faultsServiced += sys.smu()->handled();
-    if (sys.softwareSmu())
-        ms.faultsServiced += sys.softwareSmu()->handled();
+    for (const system::Socket &sk : sys.socketTopology()) {
+        if (sk.smu)
+            ms.faultsServiced += sk.smu->handled();
+        if (sk.swSmu)
+            ms.faultsServiced += sk.swSmu->handled();
+    }
     return ms;
 }
 

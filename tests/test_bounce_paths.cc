@@ -155,8 +155,8 @@ TEST(BouncePaths, SoftwareSmuRetriesThenBouncesOnNvmeErrors)
         plan.arm(ht::FaultSite::ssdReadError);
 
         ASSERT_TRUE(sys.runUntilThreadsDone(seconds(30.0)));
-        EXPECT_EQ(sys.softwareSmu()->ioRetries(), 1u);
-        EXPECT_EQ(sys.softwareSmu()->rejectedIoError(), 0u);
+        EXPECT_EQ(sys.softwareSmu()->missEngine().stats().ioRetries.value(), 1u);
+        EXPECT_EQ(sys.softwareSmu()->missEngine().stats().rejectedIoError.value(), 0u);
         EXPECT_EQ(sys.totalAppOps(), 1000u);
     }
     {
@@ -172,8 +172,8 @@ TEST(BouncePaths, SoftwareSmuRetriesThenBouncesOnNvmeErrors)
         plan.arm(ht::FaultSite::ssdReadError);
 
         ASSERT_TRUE(sys.runUntilThreadsDone(seconds(30.0)));
-        EXPECT_EQ(sys.softwareSmu()->ioRetries(), 1u);
-        EXPECT_EQ(sys.softwareSmu()->rejectedIoError(), 1u);
+        EXPECT_EQ(sys.softwareSmu()->missEngine().stats().ioRetries.value(), 1u);
+        EXPECT_EQ(sys.softwareSmu()->missEngine().stats().rejectedIoError.value(), 1u);
         EXPECT_EQ(sys.totalAppOps(), 1000u);
     }
 }
@@ -191,7 +191,7 @@ TEST(BouncePaths, SoftwareSmuQueueDryFallsBackToOs)
     plan.arm(ht::FaultSite::fpqDry);
 
     ASSERT_TRUE(sys.runUntilThreadsDone(seconds(30.0)));
-    EXPECT_GE(sys.softwareSmu()->queueEmptyBounces(), 8u);
+    EXPECT_GE(sys.softwareSmu()->missEngine().stats().queueEmpty.value(), 8u);
     EXPECT_EQ(sys.totalAppOps(), 1200u);
 }
 

@@ -55,7 +55,7 @@ runFio(system::PagingMode mode, double fault_rate = 0.0,
         plan.armAllAtRate(fault_rate);
     }
     if (break_pt_updater)
-        sys.smu()->ptUpdater().setSkipUpperMarkForTest(true);
+        sys.smu()->missEngine().ptUpdater().setSkipUpperMarkForTest(true);
 
     EXPECT_TRUE(sys.runUntilThreadsDone(seconds(30.0)));
     ht::quiesce(sys);
@@ -171,4 +171,46 @@ TEST(Differential, SnapshotHashIsStableAcrossIdenticalRuns)
     EXPECT_EQ(a.stateHash, b.stateHash);
     auto d = ht::diff(a, b);
     EXPECT_TRUE(d.equivalent) << d.report;
+}
+
+TEST(Differential, FaultsServicedCountsEverySocket)
+{
+    // Two sockets, each with its own dataset and device, so each
+    // socket's unit services misses. Without reclaim or prefetch
+    // every serviced fault made exactly one page resident, in either
+    // paging mode.
+    for (auto mode : {system::PagingMode::hwdp, system::PagingMode::swsmu}) {
+        system::MachineConfig cfg;
+        cfg.mode = mode;
+        cfg.sockets = 2;
+        cfg.nLogical = 8;
+        cfg.nPhysical = 4;
+        cfg.memFrames = 32 * 1024;
+        cfg.smu.freeQueueCapacity = 512;
+        system::System sys(cfg);
+        for (unsigned s = 0; s < 2; ++s) {
+            auto mf = sys.mapDataset("f" + std::to_string(s), 2048,
+                                     nullptr, s);
+            for (unsigned c = 0; c < 2; ++c) {
+                auto *wl =
+                    sys.makeWorkload<workloads::FioWorkload>(mf.vma, 500);
+                sys.addThread(*wl, s * cfg.coresPerSocket() + c, *mf.as);
+            }
+        }
+        ASSERT_TRUE(sys.runUntilThreadsDone(seconds(10.0)));
+
+        ht::MachineState st = ht::captureLogicalState(sys, "two-socket");
+        std::uint64_t resident = 0;
+        for (const auto &as : st.spaces)
+            for (const auto &vma : as.vmas)
+                for (const auto &pg : vma.pages)
+                    resident += pg.resident;
+        const char *name = pagingModeName(mode);
+        EXPECT_GT(resident, 1000u) << name;
+        EXPECT_EQ(st.faultsServiced, resident) << name;
+        std::uint64_t remote = mode == system::PagingMode::hwdp
+                                   ? sys.smuAt(1)->handled()
+                                   : sys.softwareSmuAt(1)->handled();
+        EXPECT_GT(remote, 0u) << name;
+    }
 }

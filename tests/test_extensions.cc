@@ -58,7 +58,7 @@ TEST(AnonZeroFill, FastAnonMmapCarriesZeroFillLba)
         os::pte::Entry e =
             mf.as->pageTable().readPte(mf.vma->start + i * pageSize);
         ASSERT_TRUE(os::pte::isLbaAugmented(e));
-        EXPECT_EQ(os::pte::lbaOf(e), os::pte::zeroFillLba);
+        EXPECT_EQ(os::pte::lbaTargetOf(e)->lba, os::pte::zeroFillLba);
     }
     EXPECT_EQ(mf.vma->file, nullptr);
 }

@@ -28,6 +28,20 @@ tinyConfig(system::PagingMode mode)
     return cfg;
 }
 
+/**
+ * Make @p pfn resident at @p va the way the SMU does: only the
+ * page-table updater's writes (PTE with the LBA bit kept, upper-level
+ * LBA bits), no OS metadata.
+ */
+void
+installLikeTheSmu(system::System &sys, os::AddressSpace &as, VAddr va,
+                  Pfn pfn)
+{
+    cpu::PageMissRequest req;
+    req.refs = as.pageTable().walkRefs(va, false);
+    sys.smu()->missEngine().ptUpdater().update(req, pfn);
+}
+
 } // namespace
 
 TEST(Kernel, FastMmapPopulatesLbaPtes)
@@ -38,8 +52,9 @@ TEST(Kernel, FastMmapPopulatesLbaPtes)
         pte::Entry e =
             mf.as->pageTable().readPte(mf.vma->start + i * pageSize);
         ASSERT_TRUE(pte::isLbaAugmented(e)) << "page " << i;
-        EXPECT_EQ(pte::lbaOf(e), mf.file->lbaOf(i));
-        EXPECT_EQ(pte::socketIdOf(e), 0u);
+        auto target = pte::lbaTargetOf(e);
+        EXPECT_EQ(target->lba, mf.file->lbaOf(i));
+        EXPECT_EQ(target->sid, 0u);
     }
     EXPECT_TRUE(mf.file->lbaAugmentedMapping());
 }
@@ -103,7 +118,7 @@ TEST(Kernel, InstallHardwareHandledDefersMetadata)
     auto mf = sys.mapDataset("f", 64);
     Pfn pfn = sys.physMem().alloc();
     VAddr va = mf.vma->start + 3 * pageSize;
-    k.installHardwareHandled(*mf.as, *mf.vma, va, pfn);
+    installLikeTheSmu(sys, *mf.as, va, pfn);
 
     // PTE present with LBA bit kept; upper levels marked; *no* OS
     // metadata yet (Table I row 3).
@@ -179,7 +194,7 @@ TEST(Kernel, RemapListenerPatchesLbaPtes)
     k.fs().remapPage(*mf.file, 9);
     pte::Entry e = mf.as->pageTable().readPte(va);
     EXPECT_TRUE(pte::isLbaAugmented(e));
-    EXPECT_EQ(pte::lbaOf(e), mf.file->lbaOf(9));
+    EXPECT_EQ(pte::lbaTargetOf(e)->lba, mf.file->lbaOf(9));
 }
 
 TEST(Kernel, ForkRevertsLbaPtes)
@@ -190,7 +205,7 @@ TEST(Kernel, ForkRevertsLbaPtes)
 
     // One page resident via the hardware path (unsynced).
     Pfn pfn = sys.physMem().alloc();
-    k.installHardwareHandled(*mf.as, *mf.vma, mf.vma->start, pfn);
+    installLikeTheSmu(sys, *mf.as, mf.vma->start, pfn);
 
     k.forkRevert(*mf.as);
 

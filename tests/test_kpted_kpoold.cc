@@ -118,11 +118,13 @@ TEST(Kpted, SyncRangeServesMunmapBarrier)
     auto mf = sys.mapDataset("f", 256);
     sys.start();
 
-    // Install two pages the hardware way.
+    // Install two pages the hardware way: the SMU's PTE update.
     for (int i = 0; i < 2; ++i) {
-        Pfn pfn = sys.physMem().alloc();
-        sys.kernel().installHardwareHandled(
-            *mf.as, *mf.vma, mf.vma->start + i * pageSize, pfn);
+        cpu::PageMissRequest req;
+        req.refs =
+            mf.as->pageTable().walkRefs(mf.vma->start + i * pageSize, false);
+        sys.smu()->missEngine().ptUpdater().update(req,
+                                                   sys.physMem().alloc());
     }
     bool done = false;
     sys.kpted()->syncRange(*mf.as, mf.vma->start, mf.vma->end, 0,

@@ -51,12 +51,11 @@ TEST(MultiDevice, PtesCarryTheDeviceId)
     system::System sys(tinyConfig(2));
     auto a = sys.mapDataset("a", 64, nullptr, 0);
     auto b = sys.mapDataset("b", 64, a.as, 1);
-    EXPECT_EQ(os::pte::deviceIdOf(
-                  a.as->pageTable().readPte(a.vma->start)),
-              0u);
-    EXPECT_EQ(os::pte::deviceIdOf(
-                  b.as->pageTable().readPte(b.vma->start)),
-              1u);
+    auto ta = os::pte::lbaTargetOf(a.as->pageTable().readPte(a.vma->start));
+    auto tb = os::pte::lbaTargetOf(b.as->pageTable().readPte(b.vma->start));
+    ASSERT_TRUE(ta && tb);
+    EXPECT_EQ(ta->dev, 0u);
+    EXPECT_EQ(tb->dev, 1u);
 }
 
 TEST(MultiDevice, SmuRoutesMissesToTheRightDevice)

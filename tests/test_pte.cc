@@ -54,10 +54,26 @@ TEST(Pte, LbaAugmentedFieldWidths)
 {
     // 3-bit SID, 3-bit device id, 41-bit LBA (Section III-B).
     Entry e = makeLbaAugmented(7, 7, maxLba, 0);
-    EXPECT_EQ(socketIdOf(e), 7u);
-    EXPECT_EQ(deviceIdOf(e), 7u);
-    EXPECT_EQ(lbaOf(e), maxLba);
+    auto t = lbaTargetOf(e);
+    ASSERT_TRUE(t);
+    EXPECT_EQ(t->sid, 7u);
+    EXPECT_EQ(t->dev, 7u);
+    EXPECT_EQ(t->lba, maxLba);
     EXPECT_EQ(maxLba, (1ULL << 41) - 1);
+}
+
+TEST(Pte, DecoderRefusesAPresentEntry)
+{
+    // On a resident entry the <SID, device, LBA> bits hold the PFN:
+    // this one's would read as socket 7, device 7. Table I gives the
+    // fields meaning only when P=0 and LBA=1, so nothing decodes.
+    Entry e = makePresent(0x3f, writableBit, true);
+    ASSERT_EQ(detail::socketIdOf(e), 7u);
+    ASSERT_EQ(detail::deviceIdOf(e), 7u);
+    EXPECT_FALSE(lbaTargetOf(e).has_value());
+    EXPECT_FALSE(lbaTargetOf(clearLbaBit(e)).has_value());
+    // Nor does a non-present entry without the LBA bit.
+    EXPECT_FALSE(lbaTargetOf(clearLbaBit(e) & ~presentBit).has_value());
 }
 
 TEST(Pte, LbaAugmentedPreservesProtection)
@@ -118,9 +134,11 @@ TEST_P(PteRoundTrip, EncodeDecode)
 {
     auto [sid, dev, lba] = GetParam();
     Entry e = makeLbaAugmented(sid, dev, lba, writableBit);
-    EXPECT_EQ(socketIdOf(e), sid);
-    EXPECT_EQ(deviceIdOf(e), dev);
-    EXPECT_EQ(lbaOf(e), lba);
+    auto t = lbaTargetOf(e);
+    ASSERT_TRUE(t);
+    EXPECT_EQ(t->sid, sid);
+    EXPECT_EQ(t->dev, dev);
+    EXPECT_EQ(t->lba, lba);
     EXPECT_TRUE(isLbaAugmented(e));
 }
 
@@ -139,9 +157,11 @@ TEST(Pte, RandomRoundTrips)
         unsigned dev = static_cast<unsigned>(rng.range(8));
         Lba lba = rng.range(maxLba + 1);
         Entry e = makeLbaAugmented(sid, dev, lba, userBit);
-        ASSERT_EQ(socketIdOf(e), sid);
-        ASSERT_EQ(deviceIdOf(e), dev);
-        ASSERT_EQ(lbaOf(e), lba);
+        auto t = lbaTargetOf(e);
+        ASSERT_TRUE(t);
+        ASSERT_EQ(t->sid, sid);
+        ASSERT_EQ(t->dev, dev);
+        ASSERT_EQ(t->lba, lba);
     }
 }
 

@@ -71,9 +71,10 @@ struct Harness
 
         cpu::PageMissRequest req;
         req.refs = refs;
-        req.sid = os::pte::socketIdOf(e);
-        req.dev = os::pte::deviceIdOf(e);
-        req.lba = os::pte::lbaOf(e);
+        os::pte::LbaTarget target = os::pte::lbaTargetOf(e).value();
+        req.sid = target.sid;
+        req.dev = target.dev;
+        req.lba = target.lba;
         req.as = as;
         req.vaddr = va;
         req.core = 0;
@@ -365,9 +366,10 @@ missTicks(system::MachineConfig cfg, unsigned core)
     req.vaddr = mf.vma->start;
     req.refs = mf.as->pageTable().walkRefs(req.vaddr, false);
     os::pte::Entry e = req.refs.pte.value();
-    req.sid = os::pte::socketIdOf(e);
-    req.dev = os::pte::deviceIdOf(e);
-    req.lba = os::pte::lbaOf(e);
+    os::pte::LbaTarget target = os::pte::lbaTargetOf(e).value();
+    req.sid = target.sid;
+    req.dev = target.dev;
+    req.lba = target.lba;
     req.as = mf.as;
     req.core = core;
     Tick start = sys.now(), done_at = 0;

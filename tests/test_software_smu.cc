@@ -44,6 +44,45 @@ struct OneRead : workloads::Workload
     const char *label() const override { return "oneread"; }
 };
 
+/** A thread with no work: a context for syscalls the test issues. */
+struct Idle : workloads::Workload
+{
+    workloads::Op
+    next(sim::Rng &) override
+    {
+        return workloads::Op::makeDone();
+    }
+    const char *label() const override { return "idle"; }
+};
+
+/**
+ * Two sockets, two FIO threads on each, all over one dataset: the
+ * machine where coalesced faulters race their misses' completion.
+ */
+system::MachineConfig
+coalescingConfig()
+{
+    system::MachineConfig cfg;
+    cfg.mode = system::PagingMode::swsmu;
+    cfg.sockets = 2;
+    cfg.nLogical = 8;
+    cfg.nPhysical = 4;
+    cfg.memFrames = 32 * 1024;
+    cfg.smu.freeQueueCapacity = 512;
+    cfg.seed = 42;
+    return cfg;
+}
+
+void
+addCoalescingThreads(system::System &sys)
+{
+    auto mf = sys.mapDataset("f", 2048);
+    for (unsigned core : {0u, 1u, 4u, 5u}) {
+        auto *wl = sys.makeWorkload<workloads::FioWorkload>(mf.vma, 2000);
+        sys.addThread(*wl, core, *mf.as);
+    }
+}
+
 } // namespace
 
 TEST(SoftwareSmu, HandlesLbaFaultWithoutBlockLayer)
@@ -142,24 +181,11 @@ TEST(SoftwareSmu, EmptyQueueFallsThroughToNormalPath)
 
 TEST(SoftwareSmu, CoalescedFaulterWakesWhenItsMissCompletesFirst)
 {
-    // Two sockets, two FIO threads on each, all over one dataset: a
-    // faulter that joins an outstanding miss can still be running the
-    // emulation entry code when that miss completes. It must then
+    // A faulter that joins an outstanding miss can still be running
+    // the emulation entry code when that miss completes. It must then
     // resume and re-walk, not wait on a miss that nothing will finish.
-    system::MachineConfig cfg;
-    cfg.mode = system::PagingMode::swsmu;
-    cfg.sockets = 2;
-    cfg.nLogical = 8;
-    cfg.nPhysical = 4;
-    cfg.memFrames = 32 * 1024;
-    cfg.smu.freeQueueCapacity = 512;
-    cfg.seed = 42;
-    system::System sys(cfg);
-    auto mf = sys.mapDataset("f", 2048);
-    for (unsigned core : {0u, 1u, 4u, 5u}) {
-        auto *wl = sys.makeWorkload<workloads::FioWorkload>(mf.vma, 2000);
-        sys.addThread(*wl, core, *mf.as);
-    }
+    system::System sys(coalescingConfig());
+    addCoalescingThreads(sys);
     EXPECT_TRUE(sys.runUntilThreadsDone(seconds(1.0)));
     EXPECT_EQ(sys.totalAppOps(), 4u * 2000);
     auto inv = hwdp::testing::checkInvariants(sys);
@@ -194,4 +220,85 @@ TEST(SoftwareSmu, MultiSocketInterceptorPassesOnAPresentEntry)
     EXPECT_EQ(sys.totalAppOps(), 8u * 2000);
     auto inv = hwdp::testing::checkInvariants(sys);
     EXPECT_TRUE(inv.empty()) << inv.front();
+}
+
+TEST(SoftwareSmu, InvariantsHoldWhileMissesAreInFlight)
+{
+    // The emulation's table is audited as the PMSHR is: no duplicate
+    // PTE address, occupancy matching its valid entries, and no more
+    // commands on its queues than entries. Check mid-run, with misses
+    // in flight on both sockets' emulations.
+    system::System sys(coalescingConfig());
+    addCoalescingThreads(sys);
+    sys.start();
+    auto &eq = sys.eventQueue();
+    unsigned audits = 0;
+    while (sys.totalAppOps() < 4u * 2000 && eq.now() < seconds(1.0)) {
+        eq.run(eq.now() + microseconds(20.0));
+        unsigned in_flight = 0;
+        for (unsigned s = 0; s < sys.numSockets(); ++s)
+            in_flight += sys.softwareSmuAt(s)->pmshr().occupancy();
+        if (in_flight == 0)
+            continue;
+        ++audits;
+        auto inv = hwdp::testing::checkInvariants(sys);
+        ASSERT_TRUE(inv.empty()) << inv.front();
+    }
+    EXPECT_EQ(sys.totalAppOps(), 4u * 2000);
+    EXPECT_GT(audits, 100u);
+}
+
+TEST(SoftwareSmu, MunmapWaitsForAnInFlightMiss)
+{
+    // munmap waits on the emulation's misses as on the SMU's (the
+    // Section IV-C barrier): a miss in flight still writes the PTE it
+    // is tearing down. Issued 2 and 10 us into thread 0's miss.
+    for (double at_us : {2.0, 10.0}) {
+        system::System sys(tinyConfig());
+        auto mf = sys.mapDataset("f", 64);
+        VAddr va = mf.vma->start;
+        auto *reader = sys.makeWorkload<OneRead>(mf.vma, va);
+        sys.addThread(*reader, 0, *mf.as);
+        auto *idle = sys.makeWorkload<Idle>();
+        auto *tc = sys.addThread(*idle, 1, *mf.as);
+        sys.start();
+
+        bool in_flight = false, unmapped = false;
+        sys.eventQueue().postIn(
+            microseconds(at_us),
+            [&] {
+                in_flight = sys.softwareSmu()->pmshr().occupancy() > 0;
+                sys.kernel().munmapVma(*tc, *mf.as, mf.vma,
+                                       [&] { unmapped = true; });
+            },
+            "test.munmap");
+        sys.eventQueue().run(sys.now() + milliseconds(1.0));
+
+        EXPECT_TRUE(in_flight) << at_us << " us";
+        EXPECT_TRUE(unmapped) << at_us << " us";
+        EXPECT_EQ(sys.softwareSmu()->handled(), 1u);
+        EXPECT_EQ(mf.as->pageTable().readPte(va), 0u);
+        auto inv = hwdp::testing::checkInvariants(sys);
+        EXPECT_TRUE(inv.empty()) << inv.front();
+    }
+}
+
+TEST(SoftwareSmu, AnonymousFirstTouchZeroFillsWithoutIo)
+{
+    // The reserved zero-fill LBA routes the miss to a zeroed frame, as
+    // in hardware: no NVMe command, no mwait.
+    system::System sys(tinyConfig());
+    auto mf = sys.mapAnon(64);
+    auto *wl = sys.makeWorkload<OneRead>(mf.vma, mf.vma->start);
+    sys.addThread(*wl, 0, *mf.as);
+    ASSERT_TRUE(sys.runUntilThreadsDone(seconds(1.0)));
+
+    EXPECT_EQ(sys.ssd().readsCompleted(), 0u);
+    EXPECT_EQ(sys.softwareSmu()->handled(), 1u);
+    EXPECT_EQ(sys.kernel().majorFaults() + sys.kernel().minorFaults(), 0u);
+    os::pte::Entry e = mf.as->pageTable().readPte(mf.vma->start);
+    EXPECT_TRUE(os::pte::isPresent(e));
+    EXPECT_TRUE(os::pte::hasLbaBit(e)); // metadata deferred to kpted
+    // Software costs only: far below a device read.
+    EXPECT_LT(sys.softwareSmu()->missLatencyUs().mean(), 3.0);
 }

@@ -101,10 +101,11 @@ TEST_F(VmaTest, EvictionOfFastMmapPageWritesLbaPte)
     EXPECT_EQ(pg.as, nullptr);
 
     pte::Entry e = as.pageTable().readPte(va);
-    EXPECT_TRUE(pte::isLbaAugmented(e));
-    EXPECT_EQ(pte::lbaOf(e), file->lbaOf(4));
-    EXPECT_EQ(pte::socketIdOf(e), 2u);
-    EXPECT_EQ(pte::deviceIdOf(e), 3u);
+    auto target = pte::lbaTargetOf(e);
+    ASSERT_TRUE(target);
+    EXPECT_EQ(target->lba, file->lbaOf(4));
+    EXPECT_EQ(target->sid, 2u);
+    EXPECT_EQ(target->dev, 3u);
     EXPECT_EQ(rmap.evictionsToLba(), 1u);
 }
 

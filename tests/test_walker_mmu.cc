@@ -282,9 +282,10 @@ TEST(WalkerPwc, KptedMetadataSyncInvalidates)
     // walker must re-read (and re-charge) those entries afterwards.
     system::System sys(tinyConfig(system::PagingMode::hwdp));
     auto mf = sys.mapDataset("f", 16);
-    Pfn pfn = sys.physMem().alloc();
-    sys.kernel().installHardwareHandled(*mf.as, *mf.vma, mf.vma->start,
-                                        pfn);
+    cpu::PageMissRequest req;
+    req.refs = mf.as->pageTable().walkRefs(mf.vma->start, false);
+    sys.smu()->missEngine().ptUpdater().update(req,
+                                               sys.physMem().alloc());
 
     auto &w = sys.core(0).mmu().walker();
     ASSERT_EQ(w.walk(*mf.as, mf.vma->start).kind,
