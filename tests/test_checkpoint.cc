@@ -467,13 +467,13 @@ TEST(Checkpoint, GoldenBlobHashes)
     EXPECT_EQ(fnv1a(reclaimedBlob(PagingMode::hwdp, 'I')),
               0x1a2823b7a5a3cca2ULL);
     EXPECT_EQ(fnv1a(reclaimedBlob(PagingMode::swsmu, 'I')),
-              0x286ec17cfa4876a3ULL);
+              0x8e542e1fb0ae6edeULL);
     EXPECT_EQ(fnv1a(reclaimedBlob(PagingMode::osdp, 'A')),
               0xb2e7eed98f07dd01ULL);
     EXPECT_EQ(fnv1a(reclaimedBlob(PagingMode::hwdp, 'A')),
               0xebf08f6fb6aa6ae0ULL);
     EXPECT_EQ(fnv1a(reclaimedBlob(PagingMode::swsmu, 'A')),
-              0xb42b6419d66006c5ULL);
+              0xde23575183a4f990ULL);
 }
 
 TEST(Checkpoint, GoldenBlobSizesAndResaveIdentity)
@@ -489,10 +489,10 @@ TEST(Checkpoint, GoldenBlobSizesAndResaveIdentity)
     };
     for (const Pin &p : {Pin{PagingMode::osdp, 'I', 2521853},
                          Pin{PagingMode::hwdp, 'I', 2473334},
-                         Pin{PagingMode::swsmu, 'I', 2524366},
+                         Pin{PagingMode::swsmu, 'I', 2524380},
                          Pin{PagingMode::osdp, 'A', 1380520},
                          Pin{PagingMode::hwdp, 'A', 1327735},
-                         Pin{PagingMode::swsmu, 'A', 1379879}}) {
+                         Pin{PagingMode::swsmu, 'A', 1379893}}) {
         SCOPED_TRACE(scenarioName({p.mode, p.wl, 0.0}));
         const std::vector<std::uint8_t> blob = reclaimedBlob(p.mode, p.wl);
         EXPECT_EQ(blob.size(), p.bytes);
