@@ -84,12 +84,6 @@ MissEngine::start(cpu::PageMissRequest &req, FreePageQueue &fpq,
     return s;
 }
 
-void
-MissEngine::join(int slot, Waiter w)
-{
-    table.entry(slot).waiters.push_back(std::move(w));
-}
-
 MissEngine::Completion
 MissEngine::complete(int slot, std::uint16_t status)
 {
@@ -118,13 +112,6 @@ MissEngine::complete(int slot, std::uint16_t status)
         e.req.lba != os::pte::zeroFillLba)
         tierBuf->admit(tierDevBase + e.req.dev, e.req.lba, false);
     return Completion::filled;
-}
-
-void
-MissEngine::updatePageTable(int slot)
-{
-    const Pmshr::Entry &e = table.entry(slot);
-    updater.update(e.req, e.pfn);
 }
 
 void

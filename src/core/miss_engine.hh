@@ -34,7 +34,7 @@ class MissEngine
 
     struct Start
     {
-        Route route;
+        Route route = Route::device;
         int slot = -1;
         Tick latency = 0; ///< Frame pop, plus the load on a tier hit.
     };
@@ -81,7 +81,10 @@ class MissEngine
     int find(PAddr pte_addr) const { return table.lookup(pte_addr); }
 
     /** @p w runs when the miss in @p slot retires. */
-    void join(int slot, Waiter w);
+    void join(int slot, Waiter w)
+    {
+        table.entry(slot).waiters.push_back(std::move(w));
+    }
 
     /**
      * A fill finished with NVMe @p status: an error retries once, then
@@ -91,17 +94,20 @@ class MissEngine
     Completion complete(int slot, std::uint16_t status);
 
     /** Write the PTE (LBA bit kept for kpted) and mark PMD/PUD. */
-    void updatePageTable(int slot);
+    void updatePageTable(int slot)
+    {
+        const Pmshr::Entry &e = table.entry(slot);
+        updater.update(e.req, e.pfn);
+    }
 
     /**
-     * Take the miss out of the table, then resume its faulter and
-     * waiters with @p ok: until then a new faulter on the page joins.
+     * Take the miss out of the table, resume its waiters with @p ok,
+     * then release a barrier; until then new faulters join the miss.
      */
     void retire(int slot, bool ok, Tick at);
 
     /** Section IV-C: @p done fires once no miss is outstanding. */
     void barrier(std::function<void()> done);
-    void checkBarrier();
 
     /** CXL buffer; @p dev_base maps local device ids to its indices. */
     void setTier(tier::CxlBuffer *t, unsigned dev_base)
@@ -128,6 +134,8 @@ class MissEngine
     tier::CxlBuffer *tierBuf = nullptr; ///< nullptr at tierMode=off.
     unsigned tierDevBase = 0;
     Stats st;
+
+    void checkBarrier();
 };
 
 } // namespace hwdp::core

@@ -136,20 +136,20 @@ Smu::lookupStepAt(cpu::PageMissRequest req, Tick started, Tick at)
             if (onQueueEmpty)
                 onQueueEmpty();
             done(false);
-            engine.checkBarrier();
         });
         return;
     }
 
     // (4) Complete the entry with the PFN, then (5) fill the frame.
     const Pmshr::Entry &e = engine.miss(st.slot);
-    Tick t = at + st.latency + cycles(smuCosts.pfnWrite);
+    Tick fill_at = at + st.latency + cycles(smuCosts.pfnWrite);
     auto tag = static_cast<std::uint16_t>(st.slot);
     unsigned req_core = e.req.core;
     if (st.route != MissEngine::Route::device) {
         // No NVMe command: the zero engine or one buffer load.
         bool zero = st.route == MissEngine::Route::zeroFill;
-        eq.hop(zero ? t + smuCosts.zeroFillLatency : t, inlineOk(),
+        eq.hop(zero ? fill_at + smuCosts.zeroFillLatency : fill_at,
+               inlineOk(),
                [this, tag, req_core](Tick t) {
                    freePageQueue(req_core).refillPrefetch();
                    onIoCompleteAt(tag, 0, t);
@@ -161,7 +161,7 @@ Smu::lookupStepAt(cpu::PageMissRequest req, Tick started, Tick at)
     unsigned dev = e.req.dev;
     Lba lba = e.req.lba;
     PAddr dma = static_cast<PAddr>(e.pfn) << pageShift;
-    eq.hop(t, inlineOk(),
+    eq.hop(fill_at, inlineOk(),
            [this, dev, lba, dma, tag, req_core](Tick t) {
                nvme.issueRead(
                    dev, lba, dma, tag,

@@ -128,7 +128,6 @@ class Smu : public sim::SimObject, public cpu::PageMissHandlerIface
     MissEngine &missEngine() { return engine; }
     Pmshr &pmshr() { return engine.pmshr(); }
     NvmeHostController &hostController() { return nvme; }
-    unsigned sid() const { return socketId; }
 
     /** Invoked when a pop finds the free page queue empty. */
     void setQueueEmptyCallback(std::function<void()> fn)
@@ -137,7 +136,10 @@ class Smu : public sim::SimObject, public cpu::PageMissHandlerIface
     }
 
     /** SMU barrier (Section IV-C), as munmap waits on it. */
-    void barrier(std::function<void()> done) { engine.barrier(std::move(done)); }
+    void barrier(std::function<void()> done)
+    {
+        engine.barrier(std::move(done));
+    }
 
     std::uint64_t handled() const { return ms().handled.value(); }
     std::uint64_t zeroFills() const { return ms().zeroFills.value(); }
@@ -152,7 +154,10 @@ class Smu : public sim::SimObject, public cpu::PageMissHandlerIface
      * event (host-side observability; never part of simulated state).
      */
     std::uint64_t inlineMisses() const { return nInlineMisses; }
-    std::uint64_t rejectedIoError() const { return ms().rejectedIoError.value(); }
+    std::uint64_t rejectedIoError() const
+    {
+        return ms().rejectedIoError.value();
+    }
     sim::Histogram &missLatencyUs() { return engine.stats().latencyUs; }
 
     /**

@@ -31,9 +31,9 @@ namespace hwdp::core {
 class SoftwareSmu : public sim::SimObject
 {
   public:
-    /** @p fpq is built first, so its stat group precedes ours. */
+    /** @p queue is built first, so its stat group precedes ours. */
     SoftwareSmu(std::string name, sim::EventQueue &eq, os::Kernel &kernel,
-                std::unique_ptr<FreePageQueue> fpq);
+                std::unique_ptr<FreePageQueue> queue);
 
     /** Allocate this emulation's isolated queue pair on a device. */
     void configureDevice(unsigned dev_id, ssd::SsdDevice *dev,

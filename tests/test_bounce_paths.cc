@@ -155,8 +155,9 @@ TEST(BouncePaths, SoftwareSmuRetriesThenBouncesOnNvmeErrors)
         plan.arm(ht::FaultSite::ssdReadError);
 
         ASSERT_TRUE(sys.runUntilThreadsDone(seconds(30.0)));
-        EXPECT_EQ(sys.softwareSmu()->missEngine().stats().ioRetries.value(), 1u);
-        EXPECT_EQ(sys.softwareSmu()->missEngine().stats().rejectedIoError.value(), 0u);
+        const auto &ms = sys.softwareSmu()->missEngine().stats();
+        EXPECT_EQ(ms.ioRetries.value(), 1u);
+        EXPECT_EQ(ms.rejectedIoError.value(), 0u);
         EXPECT_EQ(sys.totalAppOps(), 1000u);
     }
     {
@@ -172,8 +173,9 @@ TEST(BouncePaths, SoftwareSmuRetriesThenBouncesOnNvmeErrors)
         plan.arm(ht::FaultSite::ssdReadError);
 
         ASSERT_TRUE(sys.runUntilThreadsDone(seconds(30.0)));
-        EXPECT_EQ(sys.softwareSmu()->missEngine().stats().ioRetries.value(), 1u);
-        EXPECT_EQ(sys.softwareSmu()->missEngine().stats().rejectedIoError.value(), 1u);
+        const auto &ms = sys.softwareSmu()->missEngine().stats();
+        EXPECT_EQ(ms.ioRetries.value(), 1u);
+        EXPECT_EQ(ms.rejectedIoError.value(), 1u);
         EXPECT_EQ(sys.totalAppOps(), 1000u);
     }
 }
