@@ -222,7 +222,6 @@ main(int argc, char **argv)
                 const Cfg &qc = grid[i];
                 auto cfg = bench::paperConfig(system::PagingMode::hwdp);
                 cfg.smu.perCoreFreeQueues = qc.perCore;
-                cfg.smu.nFreeQueues = 16;
                 cfg.smu.freeQueueCapacity = qc.capacity;
                 cfg.kpooldPeriod = milliseconds(8.0); // slow: storms bite
                 system::System sys(cfg);

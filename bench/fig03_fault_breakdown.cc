@@ -28,7 +28,6 @@ main()
 
     auto prof = ssd::profileByName("zssd");
     double dev_us = toMicroseconds(prof.unloadedRead4k());
-    const Tick period = 357;
 
     struct Row
     {
@@ -55,7 +54,7 @@ main()
     double total_us = 0;
     int i = 0;
     for (const Row &r : rows) {
-        double us = toMicroseconds(r.phase->cycles * period);
+        double us = toMicroseconds(r.phase->cycles * cyclePeriod);
         // The switch-out (row index 4) overlaps the device I/O and is
         // off the fault's critical path; everything else adds latency.
         bool overlapped = i == 4;

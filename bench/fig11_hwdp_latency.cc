@@ -25,8 +25,7 @@ using namespace hwdp::os;
 int
 main()
 {
-    const Tick period = system::MachineConfig{}.cyclePeriod;
-    auto cyc_us = [&](Cycles c) { return toMicroseconds(c * period); };
+    auto cyc_us = [](Cycles c) { return toMicroseconds(c * cyclePeriod); };
     const core::SmuCosts &hw = core::smuCosts;
     const Tick device = ssd::profileByName("zssd").unloadedRead4k();
 

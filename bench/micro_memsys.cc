@@ -126,8 +126,7 @@ BM_WalkerPresentWalk(benchmark::State &state)
                                  mf.vma->start + i * pageSize, pfn,
                                  true);
     }
-    cpu::Walker w(sys.caches(), 0, 357,
-                  static_cast<unsigned>(state.range(0)));
+    cpu::Walker w(sys.caches(), 0, static_cast<unsigned>(state.range(0)));
     sim::Rng rng(13);
     for (auto _ : state)
         benchmark::DoNotOptimize(

@@ -39,7 +39,7 @@ BM_PollutionPhaseMixBatched(benchmark::State &state)
 {
     mem::CacheHierarchy caches(1, mem::CacheParams{});
     std::vector<mem::BranchPredictor> bps(1);
-    KernelExec kexec(caches, bps, 357, sim::Rng(2));
+    KernelExec kexec(caches, bps, sim::Rng(2));
     for (int warm = 0; warm < 64; ++warm)
         for (const KernelPhase *p : faultMix)
             kexec.run(0, *p);
@@ -147,7 +147,7 @@ main(int argc, char **argv)
     // category (the accounting the batched engine surfaces).
     mem::CacheHierarchy caches(1, mem::CacheParams{});
     std::vector<mem::BranchPredictor> bps(1);
-    KernelExec kexec(caches, bps, 357, sim::Rng(2));
+    KernelExec kexec(caches, bps, sim::Rng(2));
     for (int r = 0; r < 1000; ++r)
         for (const KernelPhase *p : faultMix)
             kexec.run(0, *p);

@@ -32,12 +32,16 @@ namespace hwdp::core {
 class FreePageQueue
 {
   public:
+    /** The SMU-internal prefetch buffer's entries (Section III-C). */
+    static constexpr unsigned prefetchEntries = 16;
+
     /**
      * @param capacity       Ring entries (the paper uses 4096).
-     * @param prefetch_depth SMU-internal buffer entries (16).
+     * @param prefetch_depth SMU-internal buffer entries.
      * @param reg            The machine's stat list (nullptr: on none).
      */
-    FreePageQueue(std::uint64_t capacity, unsigned prefetch_depth = 16,
+    FreePageQueue(std::uint64_t capacity,
+                  unsigned prefetch_depth = prefetchEntries,
                   sim::StatRegistry *reg = nullptr,
                   std::string name = "fpq");
 

@@ -108,8 +108,7 @@ MissEngine::complete(int slot, std::uint16_t status)
     // into the buffer so the next miss to it is a sub-us load. A full
     // buffer rejects and kicks ktierd; eviction never runs on the
     // fault path.
-    if (tierBuf && !e.fromTier && tierBuf->admitOnMiss() &&
-        e.req.lba != os::pte::zeroFillLba)
+    if (tierBuf && !e.fromTier && e.req.lba != os::pte::zeroFillLba)
         tierBuf->admit(tierDevBase + e.req.dev, e.req.lba, false);
     return Completion::filled;
 }

@@ -17,10 +17,8 @@ NvmeHostController::serialize(sim::Serializer &s)
 
 NvmeHostController::NvmeHostController(std::string name,
                                        sim::EventQueue &eq,
-                                       const Timing &timing,
-                                       Tick cycle_period)
+                                       const Timing &timing)
     : sim::SimObject(std::move(name), eq), tm(timing),
-      clock(cycle_period),
       statIssued(stats(), "reads_issued", "NVMe read commands issued"),
       statCompleted(stats(), "completions_snooped",
                     "CQ writes snooped and handled"),
@@ -115,7 +113,7 @@ NvmeHostController::onCqWrite(unsigned dev_id,
     // gate; error completions always take the event (the handler's
     // bounce path runs kernel code that needs real event time).
     bool inl = eq.hop(
-        now() + tm.completionCycles * clock,
+        now() + tm.completionCycles * cyclePeriod,
         status == 0 && onComplete,
         [this, tag, status](Tick t) {
             if (onComplete)

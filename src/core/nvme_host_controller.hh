@@ -43,9 +43,8 @@ class NvmeHostController : public sim::SimObject
     /** Bits per descriptor register set (for the area model). */
     static constexpr unsigned descriptorBits = 352;
 
-    /** @param cycle_period The machine clock, from the owning SMU. */
     NvmeHostController(std::string name, sim::EventQueue &eq,
-                       const Timing &timing, Tick cycle_period);
+                       const Timing &timing);
 
     /**
      * Install the queue descriptor registers for @p dev_id: allocates
@@ -121,7 +120,6 @@ class NvmeHostController : public sim::SimObject
     };
 
     Timing tm;
-    Tick clock;
     std::array<Descriptor, maxDevices> descs;
     std::function<void(std::uint16_t, std::uint16_t, Tick)> onComplete;
 

@@ -24,8 +24,7 @@ Smu::Smu(std::string name, sim::EventQueue &eq, unsigned sid,
     : sim::SimObject(std::move(name), eq), socketId(sid), prm(params),
       kernel(kernel),
       engine(kernel, params.pmshrEntries, false),
-      nvme(this->name() + ".nvme", eq, smuCosts.nvme,
-           kernel.params().cyclePeriod),
+      nvme(this->name() + ".nvme", eq, smuCosts.nvme),
       statPrefetch("prefetches", "sequential next-page prefetches"),
       statRemoteRequests("remote_requests",
                          "misses delivered from a core on another socket")
@@ -38,14 +37,13 @@ Smu::Smu(std::string name, sim::EventQueue &eq, unsigned sid,
         stats().add(*st);
     if (kernel.params().sockets > 1)
         stats().add(statRemoteRequests);
-    unsigned n_queues = prm.perCoreFreeQueues
-                            ? std::max(prm.nFreeQueues, 1u)
-                            : 1u;
+    const os::KernelParams &kp = kernel.params();
+    unsigned n_queues = prm.perCoreFreeQueues ? kp.nLogical / kp.sockets : 1;
     std::uint64_t per_queue = std::max<std::uint64_t>(
         prm.freeQueueCapacity / n_queues, 16);
     for (unsigned q = 0; q < n_queues; ++q) {
         fpqs.push_back(std::make_unique<FreePageQueue>(
-            per_queue, prm.prefetchDepth, &eq.statRegistry(),
+            per_queue, FreePageQueue::prefetchEntries, &eq.statRegistry(),
             this->name() + ".fpq" + std::to_string(q)));
     }
 
@@ -89,7 +87,7 @@ Smu::handleMiss(cpu::PageMissRequest req, Tick at)
     // interconnect to this socket's SMU and the completion broadcast
     // crosses back — charged once as a round-trip premium.
     if (kernel.socketOfCore(req.core) != socketId) {
-        delay += prm.remoteRequestLatency;
+        delay += smuCosts.remoteRequest;
         ++statRemoteRequests;
     }
     // Request gate: with the lookup tick before the next scheduled
@@ -197,7 +195,7 @@ Smu::maybePrefetchNext(const cpu::PageMissRequest &req)
         return;
     // Never starve demand misses of free pages: prefetch only from
     // surplus.
-    if (freePageQueue(req.core).size() < prm.prefetchDepth)
+    if (freePageQueue(req.core).size() < FreePageQueue::prefetchEntries)
         return;
 
     ++statPrefetch;

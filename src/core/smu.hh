@@ -36,8 +36,7 @@ namespace hwdp::core {
 /**
  * Fig. 11b's hardware costs: calibration constants of the SMU and its
  * NVMe host controller, not machine facts, so no MachineConfig field
- * sets them. Cycle counts run on the machine clock, which the SMU
- * reads from its kernel and hands to the host controller.
+ * sets them. Cycle counts run on the machine clock (cyclePeriod).
  */
 struct SmuCosts
 {
@@ -62,6 +61,14 @@ struct SmuCosts
      */
     Tick zeroFillLatency = nanoseconds(300);
 
+    /**
+     * Cross-socket request round trip. The SMU is per-socket, so a
+     * miss from a core on another socket (the kernel's core-to-socket
+     * map) routes across the interconnect to the owning SMU and pays
+     * this on top of the register-write delivery.
+     */
+    Tick remoteRequest = nanoseconds(120.0);
+
     /** 64 B command write, SQ doorbell, 2-cycle completion unit. */
     NvmeHostController::Timing nvme{nanoseconds(77.16),
                                     nanoseconds(1.60), 2};
@@ -76,7 +83,6 @@ class Smu : public sim::SimObject, public cpu::PageMissHandlerIface
     {
         unsigned pmshrEntries = 32;
         std::uint64_t freeQueueCapacity = 4096;
-        unsigned prefetchDepth = 16;
 
         /**
          * Sequential next-page prefetch (Section V, "Prefetching
@@ -89,22 +95,13 @@ class Smu : public sim::SimObject, public cpu::PageMissHandlerIface
 
         /**
          * Per-core free page queues (Section V, "Enforcing OS-level
-         * Resource Management Policy", future work in the paper):
-         * each thread context draws from its own queue so an OS
-         * memory policy (NUMA, cgroups, coloring) can be enforced
-         * per core. freeQueueCapacity is split across the queues.
+         * Resource Management Policy", future work in the paper): one
+         * queue per core the socket serves, each thread context
+         * drawing from its own, so an OS memory policy (NUMA, cgroups,
+         * coloring) can be enforced per core. freeQueueCapacity is
+         * split across the queues.
          */
         bool perCoreFreeQueues = false;
-        unsigned nFreeQueues = 16;
-
-        /**
-         * Cross-socket request round-trip premium. The paper's SMU is
-         * per-socket, so a miss from a core on another socket (the
-         * kernel's core-to-socket map) routes across the interconnect
-         * to the owning SMU and pays this on top of the register-write
-         * delivery. Inert on one socket.
-         */
-        Tick remoteRequestLatency = nanoseconds(120.0);
     };
 
     Smu(std::string name, sim::EventQueue &eq, unsigned sid,
@@ -192,7 +189,7 @@ class Smu : public sim::SimObject, public cpu::PageMissHandlerIface
     bool inlineOk() const { return !prm.sequentialPrefetch; }
 
     /** @p c cycles of the machine clock. */
-    Tick cycles(Cycles c) const { return c * kernel.params().cyclePeriod; }
+    static Tick cycles(Cycles c) { return c * cyclePeriod; }
 
     /**
      * The lookup at logical time @p at: == now() from the smu.lookup

@@ -22,8 +22,7 @@ class Core
 {
   public:
     Core(unsigned logical_id, sim::EventQueue &eq,
-         mem::CacheHierarchy &caches, os::Kernel &kernel,
-         Tick cycle_period, unsigned pwc_entries = 16);
+         mem::CacheHierarchy &caches, os::Kernel &kernel);
 
     Mmu &mmu() { return *mmuUnit; }
     const Mmu &mmu() const { return *mmuUnit; }

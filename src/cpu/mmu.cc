@@ -56,17 +56,16 @@ Mmu::serialize(sim::Serializer &s)
 }
 
 Mmu::Mmu(std::string name, sim::EventQueue &eq, unsigned logical_core,
-         mem::CacheHierarchy &caches, os::Kernel &kernel,
-         Tick cycle_period, unsigned pwc_entries)
+         mem::CacheHierarchy &caches, os::Kernel &kernel)
     : sim::SimObject(std::move(name), eq), core(logical_core),
       physCore(kernel.scheduler().physCoreOf(logical_core)),
-      caches(caches), kernel(kernel), period(cycle_period),
+      caches(caches), kernel(kernel),
       // Wide (NAPOT / 2 MB) TLB entries exist only when the kernel can
       // produce wide PTEs; off keeps the 4 KB-only TLB bit for bit.
       tlbUnit(64, 1536, 8, 8, kernel.pageMode() != PageMode::off,
               &eq.statRegistry(), this->name() + ".tlb"),
-      walkUnit(caches, physCore, cycle_period, pwc_entries,
-               &eq.statRegistry(), this->name() + ".walker"),
+      walkUnit(caches, physCore, Walker::pwcEntries, &eq.statRegistry(),
+               this->name() + ".walker"),
       smus(8, nullptr),
       statAccesses(stats(), "accesses", "memory accesses"),
       statHwMiss(stats(), "hw_misses", "page misses sent to an SMU"),
@@ -100,7 +99,7 @@ Mmu::dataAccess(VAddr vaddr, Pfn pfn, bool is_write)
     // pays the interconnect hop. Single-socket machines never wire
     // numaPm, leaving this path untouched.
     if (numaPm && res.llcMiss && numaPm->socketOf(pfn) != mySocket) {
-        lat += numaRemoteExtra;
+        lat += numaRemoteExtraCycles;
         ++statRemoteDram;
     }
     if (is_write) {
@@ -108,7 +107,7 @@ Mmu::dataAccess(VAddr vaddr, Pfn pfn, bool is_write)
         // write; the model tracks it on the page for reclaim.
         kernel.page(pfn).dirty = true;
     }
-    return lat * period;
+    return lat * cyclePeriod;
 }
 
 Mmu::Pending *
@@ -144,7 +143,7 @@ Mmu::access(os::Thread &t, os::AddressSpace &as, VAddr vaddr,
     Tlb::Result tr = tlbUnit.lookup(vaddr);
     if (tr.hit) {
         out = AccessInfo{};
-        out.latency = (tr.l1Hit ? Tick(0) : 4 * period) + // L2 STLB
+        out.latency = (tr.l1Hit ? Tick(0) : 4 * cyclePeriod) + // L2 STLB
                       dataAccess(vaddr, tr.pfn, is_write);
         return true;
     }
@@ -241,7 +240,7 @@ Mmu::retry(Pending *p)
 
     Tlb::Result tr = tlbUnit.lookup(p->vaddr);
     if (tr.hit) {
-        Tick lat = (tr.l1Hit ? Tick(0) : 4 * period) +
+        Tick lat = (tr.l1Hit ? Tick(0) : 4 * cyclePeriod) +
                    dataAccess(p->vaddr, tr.pfn, p->write);
         complete(p, lat, "mmu.hit");
         return;

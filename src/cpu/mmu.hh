@@ -113,8 +113,7 @@ class Mmu : public sim::SimObject
 {
   public:
     Mmu(std::string name, sim::EventQueue &eq, unsigned logical_core,
-        mem::CacheHierarchy &caches, os::Kernel &kernel,
-        Tick cycle_period, unsigned pwc_entries = 16);
+        mem::CacheHierarchy &caches, os::Kernel &kernel);
 
     /**
      * Register the SMU responsible for socket @p sid (PTEs carry the
@@ -132,20 +131,19 @@ class Mmu : public sim::SimObject
     std::uint64_t stallTimeouts() const { return statTimeout.value(); }
 
     /**
-     * NUMA wiring for data accesses: the core's socket, the frame
-     * partition (frame -> home node), and the extra cycles an
-     * LLC-missing access pays when the frame is on a remote node.
-     * Forwards the walk-step model to the walker. Not called on
-     * single-socket machines — the access path is then unchanged.
+     * NUMA wiring for data accesses: the core's socket and the frame
+     * partition (frame -> home node); an LLC-missing access to a
+     * frame on a remote node pays numaRemoteExtraCycles. Forwards the
+     * walk-step model to the walker. Not called on single-socket
+     * machines — the access path is then unchanged.
      */
     void
     setNuma(unsigned my_socket, const mem::PhysMem *frame_map,
-            unsigned n_sockets, Cycles remote_extra)
+            unsigned n_sockets)
     {
         mySocket = my_socket;
         numaPm = frame_map;
-        numaRemoteExtra = remote_extra;
-        walkUnit.setNuma(my_socket, n_sockets, remote_extra);
+        walkUnit.setNuma(my_socket, n_sockets);
         stats().add(statRemoteDram);
     }
 
@@ -205,12 +203,10 @@ class Mmu : public sim::SimObject
     unsigned physCore;
     mem::CacheHierarchy &caches;
     os::Kernel &kernel;
-    Tick period;
     Tick stallTimeout = 0;
 
     unsigned mySocket = 0;
     const mem::PhysMem *numaPm = nullptr; ///< nullptr: single socket.
-    Cycles numaRemoteExtra = 0;
     Tlb tlbUnit;
     Walker walkUnit;
     std::vector<PageMissHandlerIface *> smus; // by socket id

@@ -61,7 +61,6 @@ ThreadContext::ThreadContext(std::string name, unsigned core,
     : os::Thread(std::move(name), core), kernel(kernel), mmuRef(mmu),
       caches(caches), bp(bp), as(as), workload(workload), prm(params),
       rng(rng), physCore(kernel.scheduler().physCoreOf(core)),
-      period(kernel.params().cyclePeriod),
       memLat("mem_latency_us", "per-access latency (us)", 0.5, 400),
       faultedOpLat("faulted_op_latency_us",
                    "app-op latency when a page miss occurred (us)", 0.5,
@@ -183,8 +182,8 @@ ThreadContext::opLoop()
                               *this, info)) {
                 // Hit: complete inline.
                 memLat.sample(toMicroseconds(info.latency));
-                uCycles += info.latency / period;
-                mCycles += info.latency / period;
+                uCycles += info.latency / cyclePeriod;
+                mCycles += info.latency / cyclePeriod;
                 accrued += info.latency;
                 ++batched;
                 if (memOpEndsApp)
@@ -252,8 +251,8 @@ ThreadContext::accessDone(const AccessInfo &info)
         if (info.hwHandled)
             ++nHwHandled;
     } else {
-        uCycles += info.latency / period;
-        mCycles += info.latency / period;
+        uCycles += info.latency / cyclePeriod;
+        mCycles += info.latency / cyclePeriod;
     }
     if (memOpEndsApp)
         finishOp(kernel.now());
@@ -416,11 +415,11 @@ ThreadContext::computeBurst(const workloads::ComputeSpec &spec)
         static_cast<double>(spec.instructions) * baseCpi);
     Cycles cycles = base + extra + mispred * mispredPenalty;
     auto duration = static_cast<Tick>(
-        static_cast<double>(cycles * period) / share);
+        static_cast<double>(cycles * cyclePeriod) / share);
 
     uInstr += spec.instructions;
-    uCycles += duration / period;
-    cCycles += duration / period;
+    uCycles += duration / cyclePeriod;
+    cCycles += duration / cyclePeriod;
 
     return duration;
 }

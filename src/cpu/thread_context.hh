@@ -142,8 +142,6 @@ class ThreadContext : public os::Thread, public AccessSink
     CoreParams prm;
     sim::Rng rng;
     unsigned physCore;
-    /** The machine's one clock, KernelParams::cyclePeriod. */
-    Tick period;
 
     std::function<void()> onFinished;
 

@@ -20,10 +20,9 @@ Walker::serialize(sim::Serializer &s)
 }
 
 Walker::Walker(mem::CacheHierarchy &caches, unsigned phys_core,
-               Tick cycle_period, unsigned pwc_entries,
-               sim::StatRegistry *reg, std::string name)
-    : caches(caches), physCore(phys_core), period(cycle_period),
-      pwc(pwc_entries), grp(std::move(name), reg),
+               unsigned pwc_entries, sim::StatRegistry *reg,
+               std::string name)
+    : caches(caches), physCore(phys_core), pwc(pwc_entries), grp(std::move(name), reg),
       statWalks(grp, "walks", "page-table walks"),
       statPwcHits(grp, "pwc_hits", "upper-entry reads the PWC served"),
       statPwcMisses(grp, "pwc_misses",
@@ -111,7 +110,7 @@ Walker::walk(os::AddressSpace &as, VAddr vaddr)
         Cycles c = res.latency;
         if (numaSockets > 1 && res.llcMiss &&
             (addr >> pageShift) % numaSockets != mySocket) {
-            c += numaRemoteExtra;
+            c += numaRemoteExtraCycles;
             ++statRemoteSteps;
         }
         return c;
@@ -133,7 +132,7 @@ Walker::walk(os::AddressSpace &as, VAddr vaddr)
     // translation, and no leaf PTE read exists to charge — the
     // latency edge huge pages give a hardware walker.
     if (refs.pmd.valid() && os::pte::isHugeLeaf(refs.pmd.value())) {
-        out.latency = cycles * period;
+        out.latency = cycles * cyclePeriod;
         os::pte::Entry leaf = refs.pmd.value();
         if (!os::pte::isAccessed(leaf))
             refs.pmd.write(leaf | os::pte::accessedBit);
@@ -143,7 +142,7 @@ Walker::walk(os::AddressSpace &as, VAddr vaddr)
     }
     if (refs.pmd.valid() && refs.pte.valid())
         cycles += charge(refs.pte.addr);
-    out.latency = cycles * period;
+    out.latency = cycles * cyclePeriod;
 
     if (!refs.pte.valid()) {
         out.kind = Classification::osFault;

@@ -39,9 +39,19 @@ class Serializer;
 
 namespace hwdp::cpu {
 
+/**
+ * Extra core cycles an LLC-missing access pays when its frame (a data
+ * page or a page-table page) lives on a remote socket: the QPI/UPI
+ * hop. Charged only on multi-socket machines.
+ */
+inline constexpr Cycles numaRemoteExtraCycles = 170;
+
 class Walker
 {
   public:
+    /** Page-walk-cache entries per walker. */
+    static constexpr unsigned pwcEntries = 16;
+
     enum class Classification {
         present,  ///< Translation available; PTE (or a 2 MB PMD
                   ///  leaf — test pte::isHugeLeaf) returned.
@@ -59,11 +69,12 @@ class Walker
 
     /**
      * @param pwc_entries Fully-associative page-walk-cache capacity
-     *                    over PUD/PMD entries; 0 disables the PWC.
+     *                    over PUD/PMD entries; 0 disables the PWC
+     *                    (micro_memsys times a walk without it).
      * @param reg         The machine's stat list (nullptr: on none).
      */
     Walker(mem::CacheHierarchy &caches, unsigned phys_core,
-           Tick cycle_period, unsigned pwc_entries = 16,
+           unsigned pwc_entries = pwcEntries,
            sim::StatRegistry *reg = nullptr, std::string name = "walker");
 
     /**
@@ -93,15 +104,14 @@ class Walker
      * NUMA model for walk steps. Page-table pages are kernel
      * allocations interleaved across sockets (the entry address —
      * page-granular — picks the node); a walk step that misses the
-     * LLC and lands on a remote node pays @p remote_extra cycles.
+     * LLC and lands on a remote node pays numaRemoteExtraCycles.
      * Default (n_sockets 1) charges nothing extra.
      */
     void
-    setNuma(unsigned my_socket, unsigned n_sockets, Cycles remote_extra)
+    setNuma(unsigned my_socket, unsigned n_sockets)
     {
         mySocket = my_socket;
         numaSockets = n_sockets;
-        numaRemoteExtra = remote_extra;
         if (n_sockets > 1)
             grp.add(statRemoteSteps);
     }
@@ -119,14 +129,12 @@ class Walker
 
     mem::CacheHierarchy &caches;
     unsigned physCore;
-    Tick period;
     std::vector<PwcEntry> pwc;
     std::uint64_t pwcClock = 0;
     unsigned nPwcValid = 0;
 
     unsigned mySocket = 0;
     unsigned numaSockets = 1;
-    Cycles numaRemoteExtra = 0;
 
     sim::StatGroup grp;
     sim::Counter statWalks;

@@ -34,6 +34,12 @@ class PhysMem : public sim::SimObject
     static constexpr Pfn invalidPfn = ~Pfn(0);
 
     /**
+     * Frames a System reserves above its allocatable memory for the
+     * kernel image and fixed structures (2 MB).
+     */
+    static constexpr std::uint64_t systemReserved = 512;
+
+    /**
      * @param n_frames Total number of 4 KB frames in the machine.
      * @param reserved Frames set aside for the kernel image / fixed
      *                 structures; never allocatable.

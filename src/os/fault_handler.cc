@@ -345,8 +345,7 @@ FaultHandler::ioFinished(CtxPtr c)
     // are already resident; a full buffer rejects and kicks ktierd.
     if (!c->hugeWin && !c->fromTier) {
         unsigned dev_idx = k.deviceIndexOf(c->vma->file->device());
-        if (tier::CxlBuffer *tb = k.tierForDevice(dev_idx);
-            tb && tb->admitOnMiss())
+        if (tier::CxlBuffer *tb = k.tierForDevice(dev_idx))
             tb->admit(dev_idx,
                       c->vma->file->lbaOf(c->vma->fileIndexOf(c->vaddr)),
                       false);

@@ -103,22 +103,6 @@ Kernel::serialize(sim::Serializer &s)
         walDirtyBytes.clear();
         walDirtyBytes.insert(wal.begin(), wal.end());
     }
-
-    // Guarded so single-socket blobs keep the pre-NUMA layout.
-    if (prm.sockets > 1)
-        s.io(numaRrCursor);
-}
-
-Pfn
-Kernel::allocFrameFor(unsigned core_id)
-{
-    if (prm.sockets <= 1)
-        return pm.alloc();
-    unsigned socket = prm.numaRoundRobin
-                          ? static_cast<unsigned>(numaRrCursor++ %
-                                                  prm.sockets)
-                          : socketOfCore(core_id);
-    return pm.alloc(socket);
 }
 
 Kernel::Kernel(sim::EventQueue &eq, const KernelParams &params,
@@ -153,8 +137,7 @@ Kernel::Kernel(sim::EventQueue &eq, const KernelParams &params,
             stats().add(*c);
     }
 
-    kernelExec = std::make_unique<KernelExec>(caches, bps, prm.cyclePeriod,
-                                              this->rng.fork());
+    kernelExec = std::make_unique<KernelExec>(caches, bps, this->rng.fork());
     sched = std::make_unique<Scheduler>(eq, prm.nLogical, prm.nPhysical,
                                         *kernelExec, prm.smtShare);
     fileSystem = std::make_unique<FileSystem>(this->rng.fork());
@@ -650,8 +633,7 @@ Kernel::hugeFaultWindow(AddressSpace &as, Vma &vma, VAddr vaddr)
 Pfn
 Kernel::allocContigFor(unsigned core_id)
 {
-    unsigned socket = prm.sockets <= 1 ? 0 : socketOfCore(core_id);
-    return pm.allocContig(socket, pmdLeafShift);
+    return pm.allocContig(socketOfCore(core_id), pmdLeafShift);
 }
 
 void

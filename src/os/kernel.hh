@@ -42,7 +42,6 @@ struct KernelParams
 {
     unsigned nLogical = 16;
     unsigned nPhysical = 8;
-    Tick cyclePeriod = 357; // 2.8 GHz in ps
 
     /** Watermarks as fractions of allocatable frames. */
     double lowWatermarkFrac = 0.04;
@@ -64,9 +63,6 @@ struct KernelParams
      * behavior exactly.
      */
     unsigned sockets = 1;
-
-    /** Round-robin fault placement instead of first-touch. */
-    bool numaRoundRobin = false;
 
     /**
      * Translation-reach mode (2 MB THP / NAPOT / transparent
@@ -113,13 +109,14 @@ class Kernel : public sim::SimObject
     }
 
     /**
-     * Allocate a frame for a fault taken on @p core_id under the
-     * configured placement policy (first-touch homes the frame on the
-     * faulting core's socket, round-robin interleaves; both fall back
-     * to the next socket when the preferred node is dry). Single-socket
-     * kernels take the plain allocator path unchanged.
+     * Allocate a frame for a fault taken on @p core_id, first-touch:
+     * homed on the faulting core's socket, falling back to the next
+     * socket when that node is dry.
      */
-    Pfn allocFrameFor(unsigned core_id);
+    Pfn allocFrameFor(unsigned core_id)
+    {
+        return pm.alloc(socketOfCore(core_id));
+    }
 
     // ---- Page-frame metadata -------------------------------------------
     Page &page(Pfn pfn);
@@ -420,9 +417,6 @@ class Kernel : public sim::SimObject
 
     /** Per-file partially filled writeback chunk (in pages). */
     std::unordered_map<std::uint32_t, std::uint64_t> walDirtyBytes;
-
-    /** Next socket for round-robin placement (serialized when >1 socket). */
-    std::uint64_t numaRrCursor = 0;
 
     FaultInterceptor interceptor;
     std::function<void(unsigned)> refillHook;

@@ -44,8 +44,8 @@ kernelCostCatName(KernelCostCat cat)
 
 namespace phases {
 
-// Cycle budgets assume the evaluation machine's 2.8 GHz clock
-// (2800 cycles ~ 1 us). The before-device sum (exceptionEntry +
+// Cycle budgets run on the machine clock (hwdp::cyclePeriod, 2.8 GHz:
+// 2800 cycles ~ 1 us). The before-device sum (exceptionEntry +
 // vmaLookup + pageAlloc + ioSubmit) is ~2.2 us and the after-device
 // critical path (irqDeliver + ioComplete + wakeupSched + contextSwitch
 // + metadataUpdate + pteUpdateReturn) is ~6.1 us, matching the
@@ -143,12 +143,9 @@ const KernelPhase swSmuComplete =
 } // namespace phases
 
 KernelExec::KernelExec(mem::CacheHierarchy &caches,
-                       std::vector<mem::BranchPredictor> &bps,
-                       Tick cycle_period, sim::Rng rng)
-    : caches(caches), bps(bps), period(cycle_period), rng(rng)
+                       std::vector<mem::BranchPredictor> &bps, sim::Rng rng)
+    : caches(caches), bps(bps), rng(rng)
 {
-    if (cycle_period == 0)
-        fatal("KernelExec: zero cycle period");
 }
 
 Tick
@@ -157,35 +154,30 @@ KernelExec::run(unsigned phys_core, const KernelPhase &phase)
     auto c = static_cast<unsigned>(phase.cat);
     instrByCat[c] += phase.instructions;
     cyclesByCat[c] += phase.cycles;
-    if (pollute)
-        applyPollution(phys_core, phase);
-    return phase.cycles * period;
+    applyPollution(phys_core, phase);
+    return phase.cycles * cyclePeriod;
 }
 
 Tick
 KernelExec::runBatch(unsigned phys_core, const KernelPhase &phase,
                      std::uint64_t n)
 {
-    Tick total = 0;
     auto c = static_cast<unsigned>(phase.cat);
     instrByCat[c] += phase.instructions * n;
     cyclesByCat[c] += phase.cycles * n;
-    total = phase.cycles * n * period;
-    if (pollute) {
-        // Batched work reuses the same code lines; pollute once per
-        // batch for instructions but scale data touches (each page has
-        // its own struct page / PTE line), capped to keep batches
-        // cheap to simulate.
-        KernelPhase scaled = phase;
-        std::uint64_t dc = static_cast<std::uint64_t>(phase.dcLines) * n;
-        scaled.dcLines = static_cast<std::uint16_t>(std::min<std::uint64_t>(
-            dc, 4096));
-        std::uint64_t br = static_cast<std::uint64_t>(phase.branches) * n;
-        scaled.branches = static_cast<std::uint16_t>(
-            std::min<std::uint64_t>(br, 8192));
-        applyPollution(phys_core, scaled);
-    }
-    return total;
+    // Batched work reuses the same code lines; pollute once per batch
+    // for instructions but scale data touches (each page has its own
+    // struct page / PTE line), capped to keep batches cheap to
+    // simulate.
+    KernelPhase scaled = phase;
+    std::uint64_t dc = static_cast<std::uint64_t>(phase.dcLines) * n;
+    scaled.dcLines =
+        static_cast<std::uint16_t>(std::min<std::uint64_t>(dc, 4096));
+    std::uint64_t br = static_cast<std::uint64_t>(phase.branches) * n;
+    scaled.branches =
+        static_cast<std::uint16_t>(std::min<std::uint64_t>(br, 8192));
+    applyPollution(phys_core, scaled);
+    return phase.cycles * n * cyclePeriod;
 }
 
 KernelExec::Footprint &

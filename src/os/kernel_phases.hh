@@ -120,8 +120,7 @@ class KernelExec
 {
   public:
     KernelExec(mem::CacheHierarchy &caches,
-               std::vector<mem::BranchPredictor> &bps, Tick cycle_period,
-               sim::Rng rng);
+               std::vector<mem::BranchPredictor> &bps, sim::Rng rng);
 
     /**
      * Run @p phase on physical core @p phys_core.
@@ -139,11 +138,6 @@ class KernelExec
     Cycles totalCycles() const;
 
     void resetAccounting();
-
-    Tick cyclePeriod() const { return period; }
-
-    /** Pollution can be disabled for pure-latency experiments. */
-    void setPollutionEnabled(bool on) { pollute = on; }
 
     /**
      * Cache tag-array probes (across all three levels) issued by
@@ -168,9 +162,7 @@ class KernelExec
   private:
     mem::CacheHierarchy &caches;
     std::vector<mem::BranchPredictor> &bps;
-    Tick period;
     sim::Rng rng;
-    bool pollute = true;
 
     std::uint64_t instrByCat[static_cast<unsigned>(KernelCostCat::numCats)] =
         {};

@@ -80,6 +80,14 @@ inline constexpr std::uint64_t lineSize = 1ULL << lineShift;
 /** One picosecond is one tick. */
 inline constexpr Tick tickPerPs = 1;
 
+/**
+ * The machine's one CPU clock, in ticks per cycle: the evaluation
+ * machine's 2.8 GHz Xeon (Table II). Kernel phases, cache and walk
+ * latencies, the SMU's Fig. 11b cycle costs and user compute all
+ * convert cycles to time at this period.
+ */
+inline constexpr Tick cyclePeriod = 357;
+
 /** Convert common time units to ticks. */
 constexpr Tick
 nanoseconds(double ns)

@@ -33,8 +33,6 @@ Checkpoint::configHash(const MachineConfig &cfg)
     std::string d = cfg.describe();
     std::uint64_t h = fnv1a(d.data(), d.size(), 14695981039346656037ULL);
     h = fnv1a(&cfg.seed, sizeof(cfg.seed), h);
-    h = fnv1a(&cfg.reservedFrames, sizeof(cfg.reservedFrames), h);
-    h = fnv1a(&cfg.pwcEntries, sizeof(cfg.pwcEntries), h);
     h = fnv1a(&cfg.hwStallTimeout, sizeof(cfg.hwStallTimeout), h);
     h = fnv1a(&cfg.kpooldBatch, sizeof(cfg.kpooldBatch), h);
     // describe() prints the device count only on multi-socket
@@ -44,11 +42,8 @@ Checkpoint::configHash(const MachineConfig &cfg)
     h = fnv1a(&cfg.nDevices, sizeof(cfg.nDevices), h);
     std::uint8_t per_core = cfg.smu.perCoreFreeQueues ? 1 : 0;
     h = fnv1a(&per_core, sizeof(per_core), h);
-    h = fnv1a(&cfg.smu.nFreeQueues, sizeof(cfg.smu.nFreeQueues), h);
     std::uint8_t seq_pf = cfg.smu.sequentialPrefetch ? 1 : 0;
     h = fnv1a(&seq_pf, sizeof(seq_pf), h);
-    std::uint8_t pollution = cfg.pollutionEnabled ? 1 : 0;
-    h = fnv1a(&pollution, sizeof(pollution), h);
     return h;
 }
 

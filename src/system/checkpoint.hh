@@ -59,13 +59,19 @@ class Checkpoint
     /** 'HDPC' little-endian. */
     static constexpr std::uint32_t magicWord = 0x43504448;
     /**
+     * v6: the LRU lists write each frame as its 32-bit link index, the
+     * multi-socket kernel section has no placement cursor (placement
+     * is first-touch only), and the config hash no longer folds in
+     * the reserved frames, PWC size, free-queue count or pollution
+     * switch, which are constants now. v1-v5 blobs are rejected up
+     * front.
+     *
      * v5: each fact once, and no empty records. The page cache has no
      * section (a load rebuilds it from the frames flagged
      * inPageCache); a file's block map is its extent runs, not one LBA
      * per page; cache tag words, TLB entries and frame records go out
      * as a presence bitmap plus the records that differ from an empty
-     * slot (sim::Serializer::sparse). v1-v4 blobs are rejected up
-     * front.
+     * slot (sim::Serializer::sparse).
      *
      * v4 moved every registered stat into one trailing "stats"
      * section; v3 added CXL-tier state (per-socket buffer contents,
@@ -73,7 +79,7 @@ class Checkpoint
      * v2 added translation-reach state (compound-page metadata,
      * kcoalesced) with the page mode in the hash.
      */
-    static constexpr std::uint32_t formatVersion = 5;
+    static constexpr std::uint32_t formatVersion = 6;
 
     /**
      * Quiesce @p sys and serialize it into a blob. The caller resumes

@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "core/kcoalesced.hh"
+#include "cpu/walker.hh"
 #include "mem/cache_hierarchy.hh"
 #include "ssd/ssd_profile.hh"
 #include "tier/ktierd.hh"
@@ -16,16 +17,6 @@ pagingModeName(PagingMode mode)
       case PagingMode::osdp: return "OSDP";
       case PagingMode::hwdp: return "HWDP";
       case PagingMode::swsmu: return "SW-only";
-    }
-    return "?";
-}
-
-const char *
-numaPlacementName(NumaPlacement p)
-{
-    switch (p) {
-      case NumaPlacement::firstTouch: return "first-touch";
-      case NumaPlacement::roundRobin: return "round-robin";
     }
     return "?";
 }
@@ -73,7 +64,8 @@ MachineConfig::describe() const
        << prof.channels << " channels\n"
        << "PMSHR            : " << smu.pmshrEntries << " entries\n"
        << "free page queue  : " << smu.freeQueueCapacity
-       << " entries, prefetch buffer " << smu.prefetchDepth << '\n'
+       << " entries, prefetch buffer "
+       << core::FreePageQueue::prefetchEntries << '\n'
        << "kpoold           : "
        << (kpooldEnabled ? "enabled" : "disabled") << ", period "
        << toMicroseconds(kpooldPeriod) / 1000.0 << " ms\n"
@@ -86,10 +78,10 @@ MachineConfig::describe() const
     if (sockets > 1)
         os << "sockets          : " << sockets << " x "
            << coresPerSocket() << " cores, " << nDevices
-           << " NVMe/socket, remote DRAM +" << numaRemoteExtraCycles
+           << " NVMe/socket, remote DRAM +" << cpu::numaRemoteExtraCycles
            << " cyc, remote SMU +"
-           << toNanoseconds(smu.remoteRequestLatency) << " ns, "
-           << numaPlacementName(numaPlacement) << " placement\n";
+           << toNanoseconds(core::smuCosts.remoteRequest)
+           << " ns, first-touch placement\n";
     // Shown only when engaged, keeping the default dump (and the
     // checkpoint config hash) identical to the 4 KB-only machine.
     if (pageMode != PageMode::off) {
@@ -108,9 +100,8 @@ MachineConfig::describe() const
         os << "cxl tier         : " << tierFrames
            << " frames/socket, load "
            << toMicroseconds(cxl.load4k()) << " us, store "
-           << toMicroseconds(cxl.store4k()) << " us, "
-           << (cxl.admitOnMiss ? "admit-on-miss" : "no-admit")
-           << ", ktierd period "
+           << toMicroseconds(cxl.store4k())
+           << " us, admit-on-miss, ktierd period "
            << toMicroseconds(tier::Ktierd::wakePeriod) / 1000.0
            << " ms, " << tier::Ktierd::maxBatch
            << " frames/pass, watermarks " << cxl.lowWatermarkFrac << "/"

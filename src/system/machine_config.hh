@@ -28,14 +28,6 @@ enum class PagingMode {
 
 const char *pagingModeName(PagingMode mode);
 
-/** Where the kernel homes a freshly faulted anonymous/file frame. */
-enum class NumaPlacement {
-    firstTouch, ///< Frame on the faulting core's socket (Linux default).
-    roundRobin, ///< Interleave frames across sockets in fault order.
-};
-
-const char *numaPlacementName(NumaPlacement p);
-
 const char *pageModeName(PageMode mode);
 
 /** Backing-store tiering in front of the NVMe devices. */
@@ -47,10 +39,11 @@ enum class TierMode {
 const char *tierModeName(TierMode mode);
 
 /**
- * The values a caller sets to shape a machine, each in one place.
- * Calibration constants live beside the model that charges them
- * (DESIGN.md §4), and System derives the rest. Every field feeds
- * Checkpoint::configHash or is host-only, so a new field joins
+ * The values a caller sets to shape a machine, each in one place. A
+ * value stays only while a bench or suite workload sets it (DESIGN.md
+ * §4); calibration constants live beside the model that charges them,
+ * and System derives the rest. Every field feeds Checkpoint::configHash
+ * or is host-only (quiet, core.memQuantum), so a new field joins
  * Checkpoint.ConfigHashSeparatesEverySettableValue's table.
  */
 struct MachineConfig
@@ -60,7 +53,6 @@ struct MachineConfig
     // ---- CPU ----------------------------------------------------------
     unsigned nLogical = 16;
     unsigned nPhysical = 8;
-    Tick cyclePeriod = 357; // ps, 2.8 GHz
     cpu::CoreParams core{};
 
     // ---- Topology -------------------------------------------------------
@@ -72,23 +64,14 @@ struct MachineConfig
      * explicitly per-socket (Section III). 1 (the default) builds a
      * machine byte-identical to the pre-NUMA simulator: same object
      * names, same RNG fork order, same stats dump, same checkpoint
-     * blob. The PTE's 3-bit socket-id field caps this at 8.
+     * blob. The PTE's 3-bit socket-id field caps this at 8. Faults
+     * place frames first-touch; a remote access pays
+     * cpu::numaRemoteExtraCycles and a remote SMU request
+     * core::smuCosts.remoteRequest.
      */
     unsigned sockets = 1;
 
-    /**
-     * Extra core cycles an LLC-missing data access pays when the frame
-     * lives on a remote socket (the QPI/UPI hop). Inert at sockets=1.
-     */
-    unsigned numaRemoteExtraCycles = 170;
-
-    /** Frame placement policy for kernel-side fault allocation. */
-    NumaPlacement numaPlacement = NumaPlacement::firstTouch;
-
     unsigned coresPerSocket() const { return nLogical / sockets; }
-
-    /** Per-walker page-walk-cache entries (0 disables the PWC). */
-    unsigned pwcEntries = 16;
 
     // ---- Translation reach ----------------------------------------------
     /**
@@ -105,9 +88,11 @@ struct MachineConfig
     PageMode pageMode = PageMode::off;
 
     // ---- Memory ---------------------------------------------------------
-    /** Allocatable DRAM in 4 KB frames (default 512 MB scaled). */
+    /**
+     * Allocatable DRAM in 4 KB frames (default 512 MB scaled), above
+     * mem::PhysMem::systemReserved frames the kernel keeps.
+     */
     std::uint64_t memFrames = 128 * 1024;
-    std::uint64_t reservedFrames = 512;
 
     // ---- Storage ---------------------------------------------------------
     std::string ssdProfile = "zssd";
@@ -156,7 +141,6 @@ struct MachineConfig
 
     // ---- Simulation ---------------------------------------------------------
     std::uint64_t seed = 42;
-    bool pollutionEnabled = true;
     bool quiet = true;
 
     /**

@@ -24,9 +24,9 @@ System::System(const MachineConfig &cfg_in) : cfg(cfg_in), rng(cfg.seed)
         fatal("system: nPhysical (", cfg.nPhysical,
               ") must divide evenly across ", cfg.sockets, " sockets");
 
-    pm = std::make_unique<mem::PhysMem>(eq,
-                                        cfg.memFrames + cfg.reservedFrames,
-                                        cfg.reservedFrames, cfg.sockets);
+    pm = std::make_unique<mem::PhysMem>(
+        eq, cfg.memFrames + mem::PhysMem::systemReserved,
+        mem::PhysMem::systemReserved, cfg.sockets);
     hierarchy = std::make_unique<mem::CacheHierarchy>(
         cfg.nPhysical, mem::CacheParams{});
     bps.reserve(cfg.nPhysical);
@@ -36,14 +36,11 @@ System::System(const MachineConfig &cfg_in) : cfg(cfg_in), rng(cfg.seed)
     os::KernelParams kp;
     kp.nLogical = cfg.nLogical;
     kp.nPhysical = cfg.nPhysical;
-    kp.cyclePeriod = cfg.cyclePeriod;
     kp.reclaimCore = cfg.reclaimCore();
     kp.sockets = cfg.sockets;
-    kp.numaRoundRobin = cfg.numaPlacement == NumaPlacement::roundRobin;
     kp.pageMode = cfg.pageMode;
     kern = std::make_unique<os::Kernel>(eq, kp, *pm, *hierarchy, bps,
                                         rng.fork());
-    kern->kexec().setPollutionEnabled(cfg.pollutionEnabled);
 
     // Block devices (the paper's machine has one; the PTE device-id
     // field supports up to 8 per socket).
@@ -115,16 +112,15 @@ System::System(const MachineConfig &cfg_in) : cfg(cfg_in), rng(cfg.seed)
     }
 
     for (unsigned i = 0; i < cfg.nLogical; ++i) {
-        cores.push_back(std::make_unique<cpu::Core>(
-            i, eq, *hierarchy, *kern, cfg.cyclePeriod, cfg.pwcEntries));
+        cores.push_back(
+            std::make_unique<cpu::Core>(i, eq, *hierarchy, *kern));
         if (cfg.hwStallTimeout > 0)
             cores.back()->mmu().setStallTimeout(cfg.hwStallTimeout);
     }
     if (cfg.sockets > 1) {
         for (unsigned i = 0; i < cfg.nLogical; ++i)
             cores[i]->mmu().setNuma(kern->socketOfCore(i), pm.get(),
-                                    cfg.sockets,
-                                    cfg.numaRemoteExtraCycles);
+                                    cfg.sockets);
     }
 
     if (cfg.mode != PagingMode::osdp) {
@@ -158,7 +154,8 @@ System::System(const MachineConfig &cfg_in) : cfg(cfg_in), rng(cfg.seed)
                 std::string sw = s == 0 ? "swsmu"
                                         : "swsmu" + std::to_string(s);
                 auto fpq = std::make_unique<core::FreePageQueue>(
-                    cfg.smu.freeQueueCapacity, cfg.smu.prefetchDepth,
+                    cfg.smu.freeQueueCapacity,
+                    core::FreePageQueue::prefetchEntries,
                     &eq.statRegistry(), sw + ".fpq");
                 swSmus.push_back(std::make_unique<core::SoftwareSmu>(
                     sw, eq, *kern, std::move(fpq)));

@@ -55,8 +55,6 @@ class CxlBuffer : public sim::SimObject
         Tick mediaWrite = nanoseconds(400.0);
         Tick xfer4k = nanoseconds(250.0);
 
-        /** Admit SSD-fetched pages into the tier on miss completion. */
-        bool admitOnMiss = true;
         /** ktierd starts evicting above high, stops below low. */
         double highWatermarkFrac = 0.90;
         double lowWatermarkFrac = 0.75;
@@ -122,7 +120,6 @@ class CxlBuffer : public sim::SimObject
     }
 
     const Params &params() const { return prm; }
-    bool admitOnMiss() const { return prm.admitOnMiss; }
 
     // ---- Eviction (driven by ktierd) --------------------------------
     struct Victim

@@ -318,9 +318,7 @@ TEST(Checkpoint, ConfigHashSeparatesEverySettableValue)
     // with different results restore each other's blobs.
     using Cfg = system::MachineConfig;
     auto one = [](Cfg &) {};
-    auto two_sockets = [](Cfg &c) { c.sockets = 2; };
     auto cxl = [](Cfg &c) { c.tierMode = system::TierMode::cxl; };
-    auto per_core = [](Cfg &c) { c.smu.perCoreFreeQueues = true; };
     struct Row
     {
         const char *name;
@@ -331,18 +329,9 @@ TEST(Checkpoint, ConfigHashSeparatesEverySettableValue)
         {"mode", one, [](Cfg &c) { c.mode = system::PagingMode::hwdp; }},
         {"nLogical", one, [](Cfg &c) { c.nLogical = 8; }},
         {"nPhysical", one, [](Cfg &c) { c.nPhysical = 4; }},
-        {"cyclePeriod", one, [](Cfg &c) { c.cyclePeriod = 714; }},
-        {"sockets", one, two_sockets},
-        {"numaRemoteExtraCycles", two_sockets,
-         [](Cfg &c) { ++c.numaRemoteExtraCycles; }},
-        {"numaPlacement", two_sockets,
-         [](Cfg &c) {
-             c.numaPlacement = system::NumaPlacement::roundRobin;
-         }},
-        {"pwcEntries", one, [](Cfg &c) { c.pwcEntries = 0; }},
+        {"sockets", one, [](Cfg &c) { c.sockets = 2; }},
         {"pageMode", one, [](Cfg &c) { c.pageMode = PageMode::napot; }},
         {"memFrames", one, [](Cfg &c) { c.memFrames *= 2; }},
-        {"reservedFrames", one, [](Cfg &c) { ++c.reservedFrames; }},
         {"ssdProfile", one, [](Cfg &c) { c.ssdProfile = "optane_ssd"; }},
         {"nDevices", one, [](Cfg &c) { c.nDevices = 2; }},
         {"tierMode", one, cxl},
@@ -350,13 +339,10 @@ TEST(Checkpoint, ConfigHashSeparatesEverySettableValue)
         {"smu.pmshrEntries", one, [](Cfg &c) { c.smu.pmshrEntries = 16; }},
         {"smu.freeQueueCapacity", one,
          [](Cfg &c) { c.smu.freeQueueCapacity = 1024; }},
-        {"smu.prefetchDepth", one, [](Cfg &c) { c.smu.prefetchDepth = 8; }},
         {"smu.sequentialPrefetch", one,
          [](Cfg &c) { c.smu.sequentialPrefetch = true; }},
-        {"smu.perCoreFreeQueues", one, per_core},
-        {"smu.nFreeQueues", per_core, [](Cfg &c) { c.smu.nFreeQueues = 4; }},
-        {"smu.remoteRequestLatency", two_sockets,
-         [](Cfg &c) { c.smu.remoteRequestLatency += nanoseconds(1.0); }},
+        {"smu.perCoreFreeQueues", one,
+         [](Cfg &c) { c.smu.perCoreFreeQueues = true; }},
         {"hwStallTimeout", one,
          [](Cfg &c) { c.hwStallTimeout = microseconds(10.0); }},
         {"kpooldEnabled", one, [](Cfg &c) { c.kpooldEnabled = false; }},
@@ -367,8 +353,6 @@ TEST(Checkpoint, ConfigHashSeparatesEverySettableValue)
          [](Cfg &c) { c.kptedPeriod = milliseconds(50.0); }},
         {"kptedGuidedScan", one, [](Cfg &c) { c.kptedGuidedScan = false; }},
         {"seed", one, [](Cfg &c) { ++c.seed; }},
-        {"pollutionEnabled", one,
-         [](Cfg &c) { c.pollutionEnabled = false; }},
     };
     for (const Row &r : rows) {
         SCOPED_TRACE(r.name);

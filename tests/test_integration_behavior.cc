@@ -255,15 +255,3 @@ TEST(Behavior, YcsbAGeneratesSsdWriteTraffic)
     // ~50% updates, each cutting WAL + compaction writes.
     EXPECT_GT(sys.ssd().writesCompleted(), 800u);
 }
-
-TEST(Behavior, PollutionDisableRemovesKernelCacheTraffic)
-{
-    auto cfg = smallConfig(system::PagingMode::osdp);
-    cfg.pollutionEnabled = false;
-    system::System sys(cfg);
-    auto mf = sys.mapDataset("f", 8 * 1024);
-    auto *wl = sys.makeWorkload<workloads::FioWorkload>(mf.vma, 500);
-    sys.addThread(*wl, 0, *mf.as);
-    ASSERT_TRUE(sys.runUntilThreadsDone(seconds(10.0)));
-    EXPECT_EQ(sys.caches().counters(ExecMode::kernel).l1dAccesses, 0u);
-}

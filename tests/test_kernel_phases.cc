@@ -20,10 +20,10 @@ struct Harness
 {
     mem::CacheHierarchy caches{1, mem::CacheParams{}};
     std::vector<mem::BranchPredictor> bps{1};
-    KernelExec kexec{caches, bps, 357, sim::Rng(2)};
+    KernelExec kexec{caches, bps, sim::Rng(2)};
 };
 
-constexpr double cyclesToUs = 357.0 / 1e6;
+constexpr double cyclesToUs = cyclePeriod / 1e6;
 
 } // namespace
 
@@ -89,7 +89,7 @@ TEST(KernelPhases, RunChargesTimeAndAccounting)
 {
     Harness h;
     Tick d = h.kexec.run(0, phases::ioSubmit);
-    EXPECT_EQ(d, phases::ioSubmit.cycles * 357);
+    EXPECT_EQ(d, phases::ioSubmit.cycles * cyclePeriod);
     EXPECT_EQ(h.kexec.instructions(KernelCostCat::ioStack),
               phases::ioSubmit.instructions);
     EXPECT_EQ(h.kexec.cycles(KernelCostCat::ioStack),
@@ -100,7 +100,7 @@ TEST(KernelPhases, RunBatchScalesLinearly)
 {
     Harness h;
     Tick d = h.kexec.runBatch(0, phases::kptedPerPage, 10);
-    EXPECT_EQ(d, phases::kptedPerPage.cycles * 10 * 357);
+    EXPECT_EQ(d, phases::kptedPerPage.cycles * 10 * cyclePeriod);
     EXPECT_EQ(h.kexec.instructions(KernelCostCat::kpted),
               phases::kptedPerPage.instructions * 10);
 }
@@ -115,16 +115,6 @@ TEST(KernelPhases, PollutionTouchesKernelModeCaches)
     EXPECT_GT(h.bps[0].lookups(ExecMode::kernel), 0u);
     // User counters untouched.
     EXPECT_EQ(h.caches.counters(ExecMode::user).l1dAccesses, 0u);
-}
-
-TEST(KernelPhases, PollutionCanBeDisabled)
-{
-    Harness h;
-    h.kexec.setPollutionEnabled(false);
-    h.kexec.run(0, phases::ioComplete);
-    EXPECT_EQ(h.caches.counters(ExecMode::kernel).l1dAccesses, 0u);
-    // Accounting still happens.
-    EXPECT_GT(h.kexec.instructions(KernelCostCat::ioStack), 0u);
 }
 
 TEST(KernelPhases, ResetAccountingZeroes)

@@ -136,7 +136,6 @@ TEST(PerCoreQueues, EachCoreDrawsFromItsOwnQueue)
 {
     auto cfg = tinyConfig(1);
     cfg.smu.perCoreFreeQueues = true;
-    cfg.smu.nFreeQueues = 4;
     cfg.smu.freeQueueCapacity = 256; // 64 per core
     system::System sys(cfg);
     auto mf = sys.mapDataset("f", 4096);
@@ -154,7 +153,6 @@ TEST(PerCoreQueues, KpooldRefillsAllQueues)
 {
     auto cfg = tinyConfig(1);
     cfg.smu.perCoreFreeQueues = true;
-    cfg.smu.nFreeQueues = 4;
     cfg.smu.freeQueueCapacity = 256;
     system::System sys(cfg);
     sys.start();
@@ -168,7 +166,6 @@ TEST(PerCoreQueues, OneCoreCannotStarveAnother)
     // miss still succeeds in hardware immediately.
     auto cfg = tinyConfig(1);
     cfg.smu.perCoreFreeQueues = true;
-    cfg.smu.nFreeQueues = 4;
     cfg.smu.freeQueueCapacity = 128; // 32 per core: storm drains it
     cfg.kpooldEnabled = true;
     cfg.kpooldPeriod = seconds(1.0); // too slow to mask the storm

@@ -37,7 +37,7 @@ struct Harness
 {
     sim::EventQueue eq;
     ssd::SsdDevice dev{"ssd", eq, flatProfile(), sim::Rng(3)};
-    NvmeHostController hc{"hc", eq, smuCosts.nvme, 357};
+    NvmeHostController hc{"hc", eq, smuCosts.nvme};
 };
 
 } // namespace
@@ -112,7 +112,7 @@ TEST(NvmeHostController, CompletionSnoopDeliversTag)
     // Doorbell + device time + 2-cycle completion handling, as the
     // callback's logical time: an inline delivery runs before now()
     // reaches it.
-    Tick expect = nanoseconds(78.76) + 1160 + 2 * 357;
+    Tick expect = nanoseconds(78.76) + 1160 + 2 * cyclePeriod;
     EXPECT_EQ(when, expect);
     EXPECT_EQ(h.hc.readsIssued(), 1u);
 }

@@ -551,7 +551,7 @@ TEST(PollutionBatch, KernelExecMatchesPerLineOracle)
     CacheHierarchy ref_caches(2, cp);
     std::vector<BranchPredictor> bps(2);
     std::vector<ht::ReferenceGshare> ref_bps(2);
-    os::KernelExec kexec(caches, bps, 357, sim::Rng(0x5eed));
+    os::KernelExec kexec(caches, bps, sim::Rng(0x5eed));
     KernelPollutionOracle oracle{ref_caches, ref_bps, sim::Rng(0x5eed)};
 
     sim::Rng rng(0xfacade);

@@ -23,7 +23,7 @@ struct Harness
     sim::EventQueue eq;
     mem::CacheHierarchy caches{2, mem::CacheParams{}};
     std::vector<mem::BranchPredictor> bps{2};
-    KernelExec kexec{caches, bps, 357, sim::Rng(1)};
+    KernelExec kexec{caches, bps, sim::Rng(1)};
     Scheduler sched{eq, 4, 2, kexec};
 };
 
@@ -179,7 +179,7 @@ TEST(Scheduler, KernelWorkChargesPhaseTime)
                             [&] { when = h.eq.now(); });
     h.eq.run();
     Tick expected = (phases::irqDeliver.cycles +
-                     phases::ioComplete.cycles) * 357;
+                     phases::ioComplete.cycles) * cyclePeriod;
     EXPECT_EQ(when, expected);
 }
 
@@ -251,7 +251,7 @@ TEST(Scheduler, RunPhasesSequencesDurations)
                       [&] { when = h.eq.now(); });
     h.eq.run();
     EXPECT_EQ(when, (phases::exceptionEntry.cycles +
-                     phases::vmaLookup.cycles) * 357);
+                     phases::vmaLookup.cycles) * cyclePeriod);
 }
 
 TEST(Scheduler, BadTopologyRejected)

@@ -8,7 +8,6 @@
 #include "sim/logging.hh"
 #include "system/system.hh"
 #include "workloads/fio.hh"
-#include "workloads/spec_like.hh"
 
 using namespace hwdp;
 
@@ -154,49 +153,3 @@ TEST(System, PagingModeNames)
                  "SW-only");
 }
 
-TEST(System, CyclePeriodClocksEveryThread)
-{
-    // MachineConfig::cyclePeriod is the machine's one clock: the
-    // kernel, the MMUs, the SMU and every ThreadContext run on it.
-    // Doubling it doubles a compute thread's ticks at identical cycle
-    // counts, and the cycles a FIO thread stalls on memory hits stay
-    // the same.
-    struct Clocked
-    {
-        Tick ticks;
-        Cycles user;
-        Cycles compute;
-        Cycles memStall;
-    };
-    auto run = [](Tick period, bool fio) {
-        auto cfg = tinyConfig(system::PagingMode::hwdp);
-        cfg.cyclePeriod = period;
-        system::System sys(cfg);
-        workloads::Workload *wl = nullptr;
-        os::AddressSpace *as = nullptr;
-        if (fio) {
-            auto mf = sys.mapDataset("f", 4096);
-            wl = sys.makeWorkload<workloads::FioWorkload>(mf.vma, 100);
-            as = mf.as;
-        } else {
-            wl = sys.makeWorkload<workloads::SpecLikeWorkload>(
-                workloads::SpecLikeWorkload::kernelNames().front(), 20);
-            as = sys.kernel().createAddressSpace();
-        }
-        cpu::ThreadContext *tc = sys.addThread(*wl, 0, *as);
-        EXPECT_TRUE(sys.runUntilThreadsDone(seconds(1.0)));
-        return Clocked{tc->finishTick() - tc->startTick(),
-                       tc->userCycles(), tc->computeCycles(),
-                       tc->memStallCycles()};
-    };
-
-    Clocked c1 = run(357, false), c2 = run(714, false);
-    ASSERT_GT(c1.compute, 0u);
-    EXPECT_EQ(c2.ticks, 2 * c1.ticks);
-    EXPECT_EQ(c2.user, c1.user);
-    EXPECT_EQ(c2.compute, c1.compute);
-
-    Clocked f1 = run(357, true), f2 = run(714, true);
-    ASSERT_GT(f1.memStall, 0u);
-    EXPECT_EQ(f2.memStall, f1.memStall);
-}

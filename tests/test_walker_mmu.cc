@@ -36,7 +36,7 @@ TEST(Walker, ClassifiesPresent)
     Pfn pfn = sys.physMem().alloc();
     sys.kernel().installPage(*mf.as, *mf.vma, mf.vma->start, pfn, true);
 
-    Walker w(sys.caches(), 0, 357);
+    Walker w(sys.caches(), 0);
     auto out = w.walk(*mf.as, mf.vma->start);
     EXPECT_EQ(out.kind, Walker::Classification::present);
     EXPECT_EQ(os::pte::pfnOf(out.entry), pfn);
@@ -50,7 +50,7 @@ TEST(Walker, SetsAccessedBit)
     Pfn pfn = sys.physMem().alloc();
     sys.kernel().installPage(*mf.as, *mf.vma, mf.vma->start, pfn, true);
 
-    Walker w(sys.caches(), 0, 357);
+    Walker w(sys.caches(), 0);
     w.walk(*mf.as, mf.vma->start);
     EXPECT_TRUE(os::pte::isAccessed(
         mf.as->pageTable().readPte(mf.vma->start)));
@@ -60,7 +60,7 @@ TEST(Walker, ClassifiesOsFault)
 {
     system::System sys(tinyConfig(system::PagingMode::osdp));
     auto mf = sys.mapDataset("f", 16); // plain mmap: empty PTEs
-    Walker w(sys.caches(), 0, 357);
+    Walker w(sys.caches(), 0);
     auto out = w.walk(*mf.as, mf.vma->start);
     EXPECT_EQ(out.kind, Walker::Classification::osFault);
 }
@@ -69,7 +69,7 @@ TEST(Walker, ClassifiesHwMiss)
 {
     system::System sys(tinyConfig(system::PagingMode::hwdp));
     auto mf = sys.mapDataset("f", 16); // fast mmap: LBA PTEs
-    Walker w(sys.caches(), 0, 357);
+    Walker w(sys.caches(), 0);
     auto out = w.walk(*mf.as, mf.vma->start);
     EXPECT_EQ(out.kind, Walker::Classification::hwMiss);
     EXPECT_TRUE(os::pte::isLbaAugmented(out.entry));
@@ -225,7 +225,7 @@ TEST(WalkerPwc, UpperLevelWalksHitAfterFirstWalk)
                                  mf.vma->start + i * pageSize, pfn, true);
     }
 
-    Walker w(sys.caches(), 0, 357);
+    Walker w(sys.caches(), 0);
     auto o1 = w.walk(*mf.as, mf.vma->start);
     ASSERT_EQ(o1.kind, Walker::Classification::present);
     EXPECT_EQ(w.pwcMisses(), 2u); // PUD and PMD entries
@@ -247,7 +247,7 @@ TEST(WalkerPwc, ZeroEntriesDisablesCaching)
     Pfn pfn = sys.physMem().alloc();
     sys.kernel().installPage(*mf.as, *mf.vma, mf.vma->start, pfn, true);
 
-    Walker w(sys.caches(), 0, 357, 0);
+    Walker w(sys.caches(), 0, 0);
     for (int i = 0; i < 3; ++i) {
         auto out = w.walk(*mf.as, mf.vma->start);
         EXPECT_EQ(out.kind, Walker::Classification::present);
