@@ -22,24 +22,23 @@ LruLists::serialize(sim::Serializer &s)
             k = Link{};
         lists = {};
     }
+    // Each listed frame goes out as its 32-bit link index.
     for (ListId id : {activeList, inactiveList}) {
         std::uint64_t n = lists[id].count;
         s.io(n);
         if (s.saving()) {
             for (std::uint32_t p = lists[id].head; p != nil;
-                 p = links[p].next) {
-                Pfn pfn = p;
-                s.io(pfn);
-            }
+                 p = links[p].next)
+                s.io(p);
             continue;
         }
         for (std::uint64_t i = 0; i < n; ++i) {
-            Pfn pfn = 0;
-            s.io(pfn);
-            if (pfn >= nil || contains(pfn))
+            std::uint32_t p = 0;
+            s.io(p);
+            if (p == nil || contains(p))
                 throw sim::SerializeError("lru: bad or repeated pfn " +
-                                          std::to_string(pfn));
-            linkAfter(id, pfn, lists[id].tail);
+                                          std::to_string(p));
+            linkAfter(id, p, lists[id].tail);
         }
     }
 }

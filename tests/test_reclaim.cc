@@ -110,7 +110,10 @@ class RefLru
         return act ? active : inactive;
     }
 
-    /** Per list: the count, then the PFNs most recent first. */
+    /**
+     * Per list: the count, then the PFNs most recent first, each as a
+     * 32-bit index.
+     */
     void
     serialize(sim::Serializer &s)
     {
@@ -120,8 +123,11 @@ class RefLru
             s.io(n);
             if (s.loading())
                 l->resize(n);
-            for (Pfn &pfn : *l)
-                s.io(pfn);
+            for (Pfn &pfn : *l) {
+                auto idx = static_cast<std::uint32_t>(pfn);
+                s.io(idx);
+                pfn = idx;
+            }
         }
         if (s.loading()) {
             where.clear();
