@@ -245,11 +245,11 @@ TEST(Checkpoint, RejectsForeignStaleAndMisconfiguredBlobs)
         }
     }
 
-    // Version mismatch: a v4 blob, from before the format stored each
-    // fact once.
+    // Version mismatch: a v5 blob, from before the LRU lists wrote
+    // 32-bit link indices.
     {
         auto bad = blob;
-        bad[4] = 4; // version field follows the 4-byte magic
+        bad[4] = 5; // version field follows the 4-byte magic
         Machine b = boot(sc);
         try {
             system::Checkpoint::restore(*b.sys, bad);
@@ -273,29 +273,29 @@ TEST(Checkpoint, RejectsForeignStaleAndMisconfiguredBlobs)
 
 TEST(Checkpoint, ConfigHashGoldenValues)
 {
-    // The hashes v3 blobs carry. A change here orphans every saved
+    // The hashes v6 blobs carry. A change here orphans every saved
     // blob of that shape: bump Checkpoint::formatVersion instead of
     // updating a value.
     system::MachineConfig def;
-    EXPECT_EQ(system::Checkpoint::configHash(def), 0x28e3e14aa8b956d7ULL);
+    EXPECT_EQ(system::Checkpoint::configHash(def), 0xade34e89647bb0d6ULL);
 
     system::MachineConfig two_socket = def;
     two_socket.sockets = 2;
     EXPECT_EQ(system::Checkpoint::configHash(two_socket),
-              0xa1dee7122c530319ULL);
+              0x60c4c27537673598ULL);
 
     system::MachineConfig cxl = def;
     cxl.tierMode = system::TierMode::cxl;
-    EXPECT_EQ(system::Checkpoint::configHash(cxl), 0x6bbbbeeae3b712c5ULL);
+    EXPECT_EQ(system::Checkpoint::configHash(cxl), 0xd91e42712732883cULL);
 
     system::MachineConfig thp = def;
     thp.pageMode = PageMode::thp;
-    EXPECT_EQ(system::Checkpoint::configHash(thp), 0x2645849fadcb26baULL);
+    EXPECT_EQ(system::Checkpoint::configHash(thp), 0x3cb02cca6ba504a9ULL);
 
     system::MachineConfig coalesce = def;
     coalesce.pageMode = PageMode::coalesce;
     EXPECT_EQ(system::Checkpoint::configHash(coalesce),
-              0x3eeb0755b7705702ULL);
+              0xee926f372bf8ce21ULL);
 
     // Shape knobs outside the pinned set still separate blobs.
     system::MachineConfig base =
@@ -447,17 +447,17 @@ TEST(Checkpoint, GoldenBlobHashes)
     // Checkpoint::formatVersion or says which bytes moved.
     using system::PagingMode;
     EXPECT_EQ(fnv1a(reclaimedBlob(PagingMode::osdp, 'I')),
-              0x98fb1ed70b334c4aULL);
+              0x95f7b8ee37516aa1ULL);
     EXPECT_EQ(fnv1a(reclaimedBlob(PagingMode::hwdp, 'I')),
-              0x1a2823b7a5a3cca2ULL);
+              0xb25deb4cbfcfb22fULL);
     EXPECT_EQ(fnv1a(reclaimedBlob(PagingMode::swsmu, 'I')),
-              0x8e542e1fb0ae6edeULL);
+              0x8757069f69e4544eULL);
     EXPECT_EQ(fnv1a(reclaimedBlob(PagingMode::osdp, 'A')),
-              0xb2e7eed98f07dd01ULL);
+              0xe0fcd4db9b50cba4ULL);
     EXPECT_EQ(fnv1a(reclaimedBlob(PagingMode::hwdp, 'A')),
-              0xebf08f6fb6aa6ae0ULL);
+              0xd23a829ecff93277ULL);
     EXPECT_EQ(fnv1a(reclaimedBlob(PagingMode::swsmu, 'A')),
-              0xde23575183a4f990ULL);
+              0xcdc081854fdf34f0ULL);
 }
 
 TEST(Checkpoint, GoldenBlobSizesAndResaveIdentity)
@@ -471,12 +471,12 @@ TEST(Checkpoint, GoldenBlobSizesAndResaveIdentity)
         char wl;
         std::size_t bytes;
     };
-    for (const Pin &p : {Pin{PagingMode::osdp, 'I', 2521853},
-                         Pin{PagingMode::hwdp, 'I', 2473334},
-                         Pin{PagingMode::swsmu, 'I', 2524380},
-                         Pin{PagingMode::osdp, 'A', 1380520},
-                         Pin{PagingMode::hwdp, 'A', 1327735},
-                         Pin{PagingMode::swsmu, 'A', 1379893}}) {
+    for (const Pin &p : {Pin{PagingMode::osdp, 'I', 2516089},
+                         Pin{PagingMode::hwdp, 'I', 2468034},
+                         Pin{PagingMode::swsmu, 'I', 2520132},
+                         Pin{PagingMode::osdp, 'A', 1374692},
+                         Pin{PagingMode::hwdp, 'A', 1322479},
+                         Pin{PagingMode::swsmu, 'A', 1374517}}) {
         SCOPED_TRACE(scenarioName({p.mode, p.wl, 0.0}));
         const std::vector<std::uint8_t> blob = reclaimedBlob(p.mode, p.wl);
         EXPECT_EQ(blob.size(), p.bytes);
