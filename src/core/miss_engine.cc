@@ -98,9 +98,11 @@ MissEngine::complete(int slot, std::uint16_t status)
             return Completion::retry;
         }
         // Persistent error: bounce to the OS, which owns the recovery
-        // policy (Section IV-D). The frame goes back untouched.
+        // policy (Section IV-D). The frame goes back untouched, or to
+        // the kernel when a refill has filled the queue meanwhile.
         ++st.rejectedIoError;
-        e.fpq->push(e.pfn);
+        if (!e.fpq->push(e.pfn))
+            kernel.freePage(kernel.page(e.pfn));
         return Completion::bounce;
     }
 

@@ -141,6 +141,13 @@ FaultHandler::anonFault(CtxPtr c)
     k.scheduler().runPhases(
         c->t->core(), {&phases::pageAlloc, &phases::minorFaultFill},
         [this, c] {
+            // Another faulter on the same address mapped a frame while
+            // this one charged the fill phases: keep that one.
+            if (pte::isPresent(c->as->pageTable().readPte(c->vaddr))) {
+                k.physMem().free(c->pfn);
+                finish(c, true);
+                return;
+            }
             k.installPage(*c->as, *c->vma, c->vaddr, c->pfn, true);
             if (c->write)
                 k.page(c->pfn).dirty = true;
@@ -151,10 +158,8 @@ FaultHandler::anonFault(CtxPtr c)
 void
 FaultHandler::majorFault(CtxPtr c)
 {
-    File &file = *c->vma->file;
-    std::uint64_t idx = c->vma->fileIndexOf(c->vaddr);
-    std::uint64_t key = (static_cast<std::uint64_t>(file.id()) << 40) |
-                        idx;
+    std::uint64_t key =
+        fileKey(*c->vma->file, c->vma->fileIndexOf(c->vaddr));
     auto it = inflight.find(key);
     if (it != inflight.end()) {
         // Another thread is already reading this page: wait on it and
@@ -228,14 +233,19 @@ FaultHandler::unlockWindow(CtxPtr c)
 {
     File &file = *c->vma->file;
     std::uint64_t base = c->vma->fileIndexOf(c->hugeWin);
-    for (std::uint64_t i = 0; i < pmdLeafPages; ++i) {
-        auto it = inflight.find(fileKey(file, base + i));
-        if (it == inflight.end())
-            continue;
-        for (const CtxPtr &w : it->second)
-            k.scheduler().wake(w->t);
-        inflight.erase(it);
-    }
+    for (std::uint64_t i = 0; i < pmdLeafPages; ++i)
+        wakeWaiters(fileKey(file, base + i));
+}
+
+void
+FaultHandler::wakeWaiters(std::uint64_t key)
+{
+    auto it = inflight.find(key);
+    if (it == inflight.end())
+        return;
+    for (const CtxPtr &w : it->second)
+        k.scheduler().wake(w->t);
+    inflight.erase(it);
 }
 
 void
@@ -363,21 +373,19 @@ FaultHandler::ioFinished(CtxPtr c)
                 finish(c, false);
                 return;
             }
-            Page &pg = k.page(c->pfn);
-            k.installPage(*c->as, *c->vma, c->vaddr, c->pfn, true);
-            if (c->write)
-                pg.dirty = true;
-
-            // Release threads that piled up on the same page.
-            std::uint64_t key =
-                (static_cast<std::uint64_t>(c->vma->file->id()) << 40) |
-                c->vma->fileIndexOf(c->vaddr);
-            auto it = inflight.find(key);
-            if (it != inflight.end()) {
-                for (const CtxPtr &w : it->second)
-                    k.scheduler().wake(w->t);
-                inflight.erase(it);
+            // Another faulter's hardware or emulated miss may have
+            // installed the page during the read: keep that frame and
+            // give this one back.
+            if (pte::isPresent(c->as->pageTable().readPte(c->vaddr))) {
+                k.physMem().free(c->pfn);
+            } else {
+                k.installPage(*c->as, *c->vma, c->vaddr, c->pfn, true);
+                if (c->write)
+                    k.page(c->pfn).dirty = true;
             }
+            // Release threads that piled up on the same page.
+            wakeWaiters(
+                fileKey(*c->vma->file, c->vma->fileIndexOf(c->vaddr)));
             finish(c, false);
         });
 }
@@ -389,21 +397,12 @@ FaultHandler::oomKill(CtxPtr c, bool major)
         return false;
     ++k.statOomKills;
 
-    if (major && c->vma && c->vma->file) {
-        // This ctx owns the in-flight entry for its page (it got past
-        // majorFault's dedup). Wake the pile-up so each waiter retries
-        // the fault on its own — and faces the OOM killer itself if
-        // memory is still gone.
-        std::uint64_t key =
-            (static_cast<std::uint64_t>(c->vma->file->id()) << 40) |
-            c->vma->fileIndexOf(c->vaddr);
-        auto it = inflight.find(key);
-        if (it != inflight.end()) {
-            for (const CtxPtr &w : it->second)
-                k.scheduler().wake(w->t);
-            inflight.erase(it);
-        }
-    }
+    // This ctx owns the in-flight entry for its page (it got past
+    // majorFault's dedup). Wake the pile-up so each waiter retries the
+    // fault on its own — and faces the OOM killer itself if memory is
+    // still gone.
+    if (major && c->vma && c->vma->file)
+        wakeWaiters(fileKey(*c->vma->file, c->vma->fileIndexOf(c->vaddr)));
     // The faulting access never completes: the resume is dropped with
     // the thread already torn down by handleOom().
     return true;

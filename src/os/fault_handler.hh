@@ -103,6 +103,9 @@ class FaultHandler
     /** Wake waiters on and release all 512 keys of c->hugeWin. */
     void unlockWindow(CtxPtr c);
 
+    /** Wake the faulters waiting on @p key and release the key. */
+    void wakeWaiters(std::uint64_t key);
+
     /**
      * Allocation retries are exhausted: offer the thread an OOM kill.
      * Returns true when the thread absorbed it (the fault is dropped);

@@ -108,9 +108,11 @@ checkInvariants(system::System &sys)
     // ---- 2. Free-page-queue frames --------------------------------------
     // On a multi-socket machine every queue belongs to a socket, and
     // kpoold only donates home-socket frames to it.
+    std::unordered_set<Pfn> queued;
     auto checkFpq = [&](const core::FreePageQueue &q, unsigned idx,
                         unsigned home) {
         q.forEachPfn([&](Pfn pfn) {
+            queued.insert(pfn);
             std::string where =
                 "free page queue " + std::to_string(idx) + " frame " +
                 std::to_string(pfn);
@@ -189,7 +191,11 @@ checkInvariants(system::System &sys)
     // ---- 4. Frame flag composition --------------------------------------
     // The page cache indexes exactly the frames flagged inPageCache,
     // each under its own (file, index): a checkpoint stores only the
-    // flags and rebuilds the index from them.
+    // flags and rebuilds the index from them. With no event pending
+    // nothing holds a frame in flight, so an allocated frame that is
+    // neither mapped (section 1 reads 2 MB leaves as their 4 KB
+    // views), listed, cached nor queued has leaked.
+    const bool quiesced = sys.eventQueue().empty();
     std::uint64_t cached = 0;
     for (Pfn pfn = 0; pfn < kern.numFrames(); ++pfn) {
         const os::Page &pg = kern.page(pfn);
@@ -213,6 +219,10 @@ checkInvariants(system::System &sys)
             v.push_back(where + ": on an LRU list but not inUse");
         if (pg.inSmuQueue && pg.lruLinked)
             v.push_back(where + ": inSmuQueue and on an LRU list");
+        if (quiesced && pm.isAllocated(pfn) && !mapped.count(pfn) &&
+            !pg.lruLinked && !pg.inPageCache && !queued.count(pfn))
+            v.push_back(where + ": orphaned (allocated, but unmapped, "
+                                "off the LRU, uncached and unqueued)");
     }
     if (kern.pageCache().size() != cached)
         v.push_back("page cache holds " +

@@ -218,6 +218,9 @@ TEST(SoftwareSmu, MultiSocketInterceptorPassesOnAPresentEntry)
     }
     EXPECT_TRUE(sys.runUntilThreadsDone(seconds(30.0)));
     EXPECT_EQ(sys.totalAppOps(), 8u * 2000);
+    // The fallback fault that lost the race must not overwrite the
+    // installed entry: quiesced, no frame is left orphaned.
+    sys.quiesce();
     auto inv = hwdp::testing::checkInvariants(sys);
     EXPECT_TRUE(inv.empty()) << inv.front();
 }
