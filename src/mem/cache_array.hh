@@ -41,7 +41,7 @@
 #include <string>
 #include <vector>
 
-#if defined(__AVX2__)
+#if defined(__AVX512F__)
 // GCC's AVX-512 intrinsics pass _mm512_undefined_epi32() as the
 // masked-builtin pass-through argument, which -Wmaybe-uninitialized
 // flags once the intrinsics inline into our scans (GCC PR105593).
@@ -261,63 +261,6 @@ class CacheArray
             std::uint64_t best = _mm512_reduce_min_epu64(keys);
             return {static_cast<unsigned>(best & 63), false, best >> 6 == 0};
         }
-#elif defined(__AVX2__)
-        // Vector scan: eight tag compares in two 256-bit ops with no
-        // loop-carried chain, where the scalar scan serialises eight
-        // conditional moves. The victim argmin packs each way's
-        // (stamp << 6 | way) key into a 32-bit lane and min-reduces;
-        // keys are unique (the way bits break stamp ties exactly like
-        // the scalar strict-min), so the reduction picks the identical
-        // way. Keys need stamp_mask < 2^26 to fit a lane — true for
-        // any 8-way array up to 512 MB; larger falls to the scalar
-        // path below (the branch is loop-invariant and predicted).
-        if constexpr (W == 8) {
-            if (!(stamp_mask >> 26)) [[likely]] {
-                __m256i r0 = _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i *>(row));
-                __m256i r1 = _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i *>(row + 4));
-                __m256i vmask = _mm256_set1_epi64x(
-                    static_cast<long long>(tag_mask));
-                __m256i vwant =
-                    _mm256_set1_epi64x(static_cast<long long>(want));
-                __m256i e0 = _mm256_cmpeq_epi64(
-                    _mm256_and_si256(r0, vmask), vwant);
-                __m256i e1 = _mm256_cmpeq_epi64(
-                    _mm256_and_si256(r1, vmask), vwant);
-                unsigned m =
-                    static_cast<unsigned>(
-                        _mm256_movemask_pd(_mm256_castsi256_pd(e0))) |
-                    static_cast<unsigned>(
-                        _mm256_movemask_pd(_mm256_castsi256_pd(e1)))
-                        << 4;
-                if (m)
-                    return {static_cast<unsigned>(__builtin_ctz(m)), true,
-                            false};
-
-                // Miss: dword-interleave the two stamp vectors (even
-                // lanes = ways 0..3, odd lanes = ways 4..7), build the
-                // keys, min-reduce.
-                __m256i vstamp = _mm256_set1_epi64x(
-                    static_cast<long long>(stamp_mask));
-                __m256i s0 = _mm256_and_si256(r0, vstamp);
-                __m256i s1 = _mm256_and_si256(r1, vstamp);
-                __m256i inter = _mm256_blend_epi32(
-                    s0, _mm256_slli_epi64(s1, 32), 0xAA);
-                __m256i keys = _mm256_or_si256(
-                    _mm256_slli_epi32(inter, 6),
-                    _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7));
-                __m128i k = _mm_min_epu32(
-                    _mm256_castsi256_si128(keys),
-                    _mm256_extracti128_si256(keys, 1));
-                k = _mm_min_epu32(k, _mm_shuffle_epi32(k, 0x4e));
-                k = _mm_min_epu32(k, _mm_shuffle_epi32(k, 0xb1));
-                std::uint32_t best = static_cast<std::uint32_t>(
-                    _mm_cvtsi128_si32(k));
-                return {static_cast<unsigned>(best & 63), false,
-                        best >> 6 == 0};
-            }
-        }
 #endif
 
         std::uint64_t found = 0;
@@ -461,45 +404,7 @@ class CacheArray
             __builtin_prefetch(&row[8]);
             if (ways > 16)
                 __builtin_prefetch(&row[16]);
-            unsigned w = 0;
-#if defined(__AVX512F__)
-            // Eight tag compares per step; the first matching group
-            // yields the lowest matching way via the mask's trailing
-            // zeros, same as the scalar early-exit walk.
-            __m512i vmask512 =
-                _mm512_set1_epi64(static_cast<long long>(tag_mask));
-            __m512i vwant512 =
-                _mm512_set1_epi64(static_cast<long long>(want));
-            for (; w + 8 <= ways; w += 8) {
-                __m512i r = _mm512_loadu_si512(&row[w]);
-                __mmask8 m = _mm512_cmpeq_epi64_mask(
-                    _mm512_and_epi64(r, vmask512), vwant512);
-                if (m)
-                    return {w + static_cast<unsigned>(__builtin_ctz(m)),
-                            true, false};
-            }
-#endif
-#if defined(__AVX2__)
-            // Four tag compares per step; the first matching group
-            // yields the lowest matching way via the mask's trailing
-            // zeros, same as the scalar early-exit walk.
-            __m256i vmask =
-                _mm256_set1_epi64x(static_cast<long long>(tag_mask));
-            __m256i vwant =
-                _mm256_set1_epi64x(static_cast<long long>(want));
-            for (; w + 4 <= ways; w += 4) {
-                __m256i r = _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i *>(&row[w]));
-                __m256i e = _mm256_cmpeq_epi64(
-                    _mm256_and_si256(r, vmask), vwant);
-                int m = _mm256_movemask_pd(_mm256_castsi256_pd(e));
-                if (m)
-                    return {w + static_cast<unsigned>(
-                                    __builtin_ctz(static_cast<unsigned>(m))),
-                            true, false};
-            }
-#endif
-            for (; w < ways; ++w) {
+            for (unsigned w = 0; w < ways; ++w) {
                 if ((row[w] & tag_mask) == want)
                     return {w, true, false};
             }
