@@ -144,9 +144,8 @@ TEST(NumaServing, TwoSocketDumpExposesTheNumaCounters)
 
 TEST(NumaServing, FourSocketRoundRobinPlacementRunsConsistently)
 {
-    // Four sockets of two cores each run deterministically. Placement
-    // is first-touch (the round-robin policy this case once ran is
-    // gone); the name is kept for the test history.
+    // Four sockets of two cores each run deterministically under
+    // first-touch placement.
     auto cfg = baseConfig(system::PagingMode::hwdp, 4);
     cfg.nLogical = 8;
     cfg.nPhysical = 4;
