@@ -12,11 +12,11 @@ Kpted::serialize(sim::Serializer &s)
     s.check(guided, "kpted guided-scan flag");
 }
 
-Kpted::Kpted(os::Kernel &kernel, HwdpOsSupport &support, unsigned core,
-             Tick period, bool guided_scan)
+Kpted::Kpted(os::Kernel &kernel, unsigned core, Tick period,
+             bool guided_scan)
     : os::KThread("kpted", core, kernel.scheduler(), kernel.eventQueue(),
                   period),
-      kernel(kernel), support(support), guided(guided_scan),
+      kernel(kernel), guided(guided_scan),
       statSynced(stats(), "pages_synced",
                  "hardware-handled PTEs synced into OS metadata"),
       statVisited(stats(), "entries_visited", "page-table entries scanned"),
@@ -48,18 +48,10 @@ Kpted::scan(os::AddressSpace &as, VAddr lo, VAddr hi)
     return {synced, visited};
 }
 
-void
-Kpted::batch(std::function<void()> done)
+Tick
+Kpted::charge(unsigned on_core, std::uint64_t synced, std::uint64_t visited)
 {
-    std::uint64_t synced = 0;
-    std::uint64_t visited = 0;
-    for (const FastVma &fv : support.fastVmas()) {
-        auto [s, v] = scan(*fv.as, fv.vma->start, fv.vma->end);
-        synced += s;
-        visited += v;
-    }
-
-    unsigned phys = sched.physCoreOf(core());
+    unsigned phys = sched.physCoreOf(on_core);
     Tick dur = sched.kernelExec().runBatch(
         phys, os::phases::kptedScanEntry, visited);
     dur += sched.kernelExec().runBatch(phys, os::phases::kptedPerPage,
@@ -70,7 +62,28 @@ Kpted::batch(std::function<void()> done)
             phys, os::phases::shootdownIpi, crossSocketIpis);
         statIpis += crossSocketIpis;
     }
-    eq.postIn(dur, std::move(done), "kpted.batch");
+    return dur;
+}
+
+void
+Kpted::batch(std::function<void()> done)
+{
+    // The fast-mmap flag on the VMA is the one record of which areas
+    // kpted owns: an unmapped area has left its address space and a
+    // fork-reverted one has lost the flag, so neither is scanned.
+    std::uint64_t synced = 0;
+    std::uint64_t visited = 0;
+    for (const auto &as : kernel.addressSpaces()) {
+        for (const auto &vma : as->vmas()) {
+            if (!vma->fastMmap)
+                continue;
+            auto [s, v] = scan(*as, vma->start, vma->end);
+            synced += s;
+            visited += v;
+        }
+    }
+    eq.postIn(charge(core(), synced, visited), std::move(done),
+              "kpted.batch");
 }
 
 void
@@ -78,17 +91,8 @@ Kpted::syncRange(os::AddressSpace &as, VAddr lo, VAddr hi,
                  unsigned caller_core, std::function<void()> done)
 {
     auto [synced, visited] = scan(as, lo, hi);
-    unsigned phys = sched.physCoreOf(caller_core);
-    Tick dur = sched.kernelExec().runBatch(
-        phys, os::phases::kptedScanEntry, visited);
-    dur += sched.kernelExec().runBatch(phys, os::phases::kptedPerPage,
-                                       synced);
-    if (crossSocketIpis > 0 && synced > 0) {
-        dur += sched.kernelExec().runBatch(
-            phys, os::phases::shootdownIpi, crossSocketIpis);
-        statIpis += crossSocketIpis;
-    }
-    eq.postIn(dur, std::move(done), "kpted.syncRange");
+    eq.postIn(charge(caller_core, synced, visited), std::move(done),
+              "kpted.syncRange");
 }
 
 } // namespace hwdp::core

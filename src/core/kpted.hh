@@ -3,8 +3,9 @@
  * kpted: the background page-table-entry metadata-sync thread.
  *
  * Periodically (default one second in the paper; the period scales
- * with the simulated memory size) scans the page tables of fast-mmap
- * areas for PTEs with both present and LBA bits set — pages whose
+ * with the simulated memory size) scans the page tables of every VMA
+ * that carries the fast-mmap flag, in address-space order, for PTEs
+ * with both present and LBA bits set — pages whose
  * misses the hardware handled — and synchronises OS metadata for
  * them: LRU insertion, page-struct updates, reverse mapping, page
  * cache insertion; finally it clears the PTE's LBA bit (Section IV-C).
@@ -16,7 +17,7 @@
 #ifndef HWDP_CORE_KPTED_HH
 #define HWDP_CORE_KPTED_HH
 
-#include "core/fast_mmap.hh"
+#include "os/kernel.hh"
 #include "os/kthread.hh"
 
 namespace hwdp::core {
@@ -24,8 +25,8 @@ namespace hwdp::core {
 class Kpted : public os::KThread
 {
   public:
-    Kpted(os::Kernel &kernel, HwdpOsSupport &support, unsigned core,
-          Tick period, bool guided_scan = true);
+    Kpted(os::Kernel &kernel, unsigned core, Tick period,
+          bool guided_scan = true);
 
     void batch(std::function<void()> done) override;
 
@@ -53,7 +54,6 @@ class Kpted : public os::KThread
 
   private:
     os::Kernel &kernel;
-    HwdpOsSupport &support;
     bool guided;
     unsigned crossSocketIpis = 0;
     sim::Counter statSynced;
@@ -63,6 +63,14 @@ class Kpted : public os::KThread
     /** One scan pass over a range; returns (synced, visited). */
     std::pair<std::uint64_t, std::uint64_t>
     scan(os::AddressSpace &as, VAddr lo, VAddr hi);
+
+    /**
+     * Charge a pass over @p visited entries that synced @p synced
+     * pages on logical core @p on_core, plus the pass's shootdown
+     * round; returns the time it takes.
+     */
+    Tick charge(unsigned on_core, std::uint64_t synced,
+                std::uint64_t visited);
 };
 
 } // namespace hwdp::core

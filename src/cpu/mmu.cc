@@ -133,35 +133,45 @@ Mmu::releasePending(Pending *p)
     pendingFree = p;
 }
 
+Mmu::Translation
+Mmu::translate(os::AddressSpace &as, VAddr vaddr, bool is_write,
+               Tick &lat, Walker::Outcome &wo)
+{
+    // 1. TLB.
+    Tlb::Result tr = tlbUnit.lookup(vaddr);
+    if (tr.hit) {
+        lat = (tr.l1Hit ? Tick(0) : 4 * cyclePeriod) + // L2 STLB
+              dataAccess(vaddr, tr.pfn, is_write);
+        return Translation::tlbHit;
+    }
+
+    // 2. Page-table walk.
+    wo = walkUnit.walk(as, vaddr);
+    if (wo.kind != Walker::Classification::present)
+        return Translation::miss;
+    // The entry may be a wide translation (2 MB leaf or NAPOT range):
+    // the TLB caches its base at full reach, while the data access
+    // uses the exact covered frame. reach = 0 keeps the pre-huge-page
+    // behaviour bit for bit.
+    unsigned reach = os::pte::reachOf(wo.entry);
+    Pfn base = os::pte::pfnOf(wo.entry) >> reach << reach;
+    Pfn pfn = base + ((vaddr >> pageShift) & ((1ULL << reach) - 1));
+    tlbUnit.insert(vaddr, base, reach);
+    lat = wo.latency + dataAccess(vaddr, pfn, is_write);
+    return Translation::walked;
+}
+
 bool
 Mmu::access(os::Thread &t, os::AddressSpace &as, VAddr vaddr,
             bool is_write, Tick defer, AccessSink &sink, AccessInfo &out)
 {
     ++statAccesses;
 
-    // 1. TLB.
-    Tlb::Result tr = tlbUnit.lookup(vaddr);
-    if (tr.hit) {
+    Tick lat;
+    Walker::Outcome wo;
+    if (translate(as, vaddr, is_write, lat, wo) != Translation::miss) {
         out = AccessInfo{};
-        out.latency = (tr.l1Hit ? Tick(0) : 4 * cyclePeriod) + // L2 STLB
-                      dataAccess(vaddr, tr.pfn, is_write);
-        return true;
-    }
-
-    // 2. Page-table walk.
-    Walker::Outcome wo = walkUnit.walk(as, vaddr);
-    if (wo.kind == Walker::Classification::present) {
-        // The entry may be a wide translation (2 MB leaf or NAPOT
-        // range): the TLB caches its base at full reach, while the
-        // data access uses the exact covered frame. reach = 0 keeps
-        // the pre-huge-page behaviour bit for bit.
-        unsigned reach = os::pte::reachOf(wo.entry);
-        Pfn base = os::pte::pfnOf(wo.entry) >> reach << reach;
-        Pfn pfn =
-            base + ((vaddr >> pageShift) & ((1ULL << reach) - 1));
-        tlbUnit.insert(vaddr, base, reach);
-        out = AccessInfo{};
-        out.latency = wo.latency + dataAccess(vaddr, pfn, is_write);
+        out.latency = lat;
         return true;
     }
 
@@ -238,26 +248,19 @@ Mmu::retry(Pending *p)
     if (++p->attempts > 8)
         panic("mmu: access at ", p->vaddr, " not making progress");
 
-    Tlb::Result tr = tlbUnit.lookup(p->vaddr);
-    if (tr.hit) {
-        Tick lat = (tr.l1Hit ? Tick(0) : 4 * cyclePeriod) +
-                   dataAccess(p->vaddr, tr.pfn, p->write);
+    Tick lat;
+    Walker::Outcome wo;
+    switch (translate(*p->as, p->vaddr, p->write, lat, wo)) {
+      case Translation::tlbHit:
         complete(p, lat, "mmu.hit");
         return;
-    }
-
-    Walker::Outcome wo = walkUnit.walk(*p->as, p->vaddr);
-    if (wo.kind == Walker::Classification::present) {
-        unsigned reach = os::pte::reachOf(wo.entry);
-        Pfn base = os::pte::pfnOf(wo.entry) >> reach << reach;
-        Pfn pfn =
-            base + ((p->vaddr >> pageShift) & ((1ULL << reach) - 1));
-        tlbUnit.insert(p->vaddr, base, reach);
-        complete(p, wo.latency + dataAccess(p->vaddr, pfn, p->write),
-                 "mmu.walked");
+      case Translation::walked:
+        complete(p, lat, "mmu.walked");
+        return;
+      case Translation::miss:
+        startMiss(p, wo, 0);
         return;
     }
-    startMiss(p, wo, 0);
 }
 
 void

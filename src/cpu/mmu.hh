@@ -224,6 +224,17 @@ class Mmu : public sim::SimObject
     Pending *acquirePending();
     void releasePending(Pending *p);
 
+    enum class Translation { tlbHit, walked, miss };
+
+    /**
+     * The synchronous half of an access: a TLB hit, or a walk that
+     * finds a present PTE (filling the TLB), sets @p lat to the
+     * access latency including the data access. A miss leaves the
+     * walk's outcome in @p wo.
+     */
+    Translation translate(os::AddressSpace &as, VAddr vaddr,
+                          bool is_write, Tick &lat, Walker::Outcome &wo);
+
     /** Route a walk miss outcome (SMU request or OS exception). */
     void startMiss(Pending *p, const Walker::Outcome &out, Tick defer);
 

@@ -86,7 +86,6 @@ class ThreadContext : public os::Thread, public AccessSink
         onFinished = std::move(fn);
     }
 
-    os::AddressSpace &addressSpace() { return as; }
     Mmu &mmu() { return mmuRef; }
     workloads::Workload &workloadRef() { return workload; }
 

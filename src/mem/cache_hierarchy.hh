@@ -157,8 +157,6 @@ class CacheHierarchy
 
     const CacheParams &params() const { return prm; }
 
-    CacheArray &llcArray() { return llc; }
-
     /** Checkpoint every array and the per-mode miss counters. */
     void serialize(sim::Serializer &s);
 

@@ -108,24 +108,29 @@ PhysMem::rebuildWindowCounts()
 }
 
 Pfn
+PhysMem::popFree(unsigned s)
+{
+    auto &l = freeLists[s];
+    // Entries claimed out of the middle by allocContig are stale;
+    // freeCounts[s] > 0 guarantees a live one remains below.
+    while (allocated[l.back()])
+        l.pop_back();
+    Pfn pfn = l.back();
+    l.pop_back();
+    allocated[pfn] = true;
+    --freeCounts[s];
+    --windowFree[pfn >> pmdLeafShift];
+    ++allocs;
+    return pfn;
+}
+
+Pfn
 PhysMem::alloc(unsigned socket)
 {
     for (unsigned i = 0; i < nSockets; ++i) {
         unsigned s = (socket + i) % nSockets;
-        if (freeCounts[s] == 0)
-            continue;
-        auto &l = freeLists[s];
-        // Entries claimed out of the middle by allocContig are stale;
-        // freeCounts[s] > 0 guarantees a live one remains below.
-        while (allocated[l.back()])
-            l.pop_back();
-        Pfn pfn = l.back();
-        l.pop_back();
-        allocated[pfn] = true;
-        --freeCounts[s];
-        --windowFree[pfn >> pmdLeafShift];
-        ++allocs;
-        return pfn;
+        if (freeCounts[s] != 0)
+            return popFree(s);
     }
     ++failedAllocs;
     return invalidPfn;
@@ -134,20 +139,10 @@ PhysMem::alloc(unsigned socket)
 Pfn
 PhysMem::allocOnSocket(unsigned socket)
 {
-    if (freeCounts[socket] == 0) {
-        ++failedAllocs;
-        return invalidPfn;
-    }
-    auto &l = freeLists[socket];
-    while (allocated[l.back()])
-        l.pop_back();
-    Pfn pfn = l.back();
-    l.pop_back();
-    allocated[pfn] = true;
-    --freeCounts[socket];
-    --windowFree[pfn >> pmdLeafShift];
-    ++allocs;
-    return pfn;
+    if (freeCounts[socket] != 0)
+        return popFree(socket);
+    ++failedAllocs;
+    return invalidPfn;
 }
 
 Pfn

@@ -102,10 +102,6 @@ class PhysMem : public sim::SimObject
             n += c;
         return n;
     }
-    std::uint64_t freeFramesOn(unsigned socket) const
-    {
-        return freeCounts[socket];
-    }
     std::uint64_t allocatedFrames() const
     {
         return nFrames - reservedFrames - freeFrames();
@@ -144,6 +140,9 @@ class PhysMem : public sim::SimObject
     std::vector<std::uint16_t> windowFree;
 
     void rebuildWindowCounts();
+
+    /** Take the next live frame off socket @p s's non-empty list. */
+    Pfn popFree(unsigned s);
 
     sim::Counter allocs;
     sim::Counter frees;

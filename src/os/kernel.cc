@@ -22,9 +22,9 @@ Kernel::serialize(sim::Serializer &s)
     faults->serialize(s);
 
     // Per-frame metadata: pointers become (file id, asid) pairs the
-    // identically-booted restore target resolves back. Flag bit 3 is
-    // active-list membership, read from the LRU (restored above) on
-    // save and ignored on load. Only frames whose metadata differs
+    // identically-booted restore target resolves back. Flag bits 3
+    // and 4 are active-list and LRU membership, read from the LRU
+    // (restored above) on save and ignored on load. Only frames whose metadata differs
     // from a free frame's go out. The page cache is not written: it
     // indexes exactly the frames flagged inPageCache, each under its
     // own (file, index), and a load rebuilds it from them.
@@ -43,7 +43,8 @@ Kernel::serialize(sim::Serializer &s)
         s.io(pg.vaddr);
         auto flags = static_cast<std::uint8_t>(
             (pg.inUse << 0) | (pg.dirty << 1) | (pg.referenced << 2) |
-            (reclaim->lru().isActive(pg.pfn) << 3) | (pg.lruLinked << 4) |
+            (reclaim->lru().isActive(pg.pfn) << 3) |
+            (reclaim->lru().contains(pg.pfn) << 4) |
             (pg.inPageCache << 5) | (pg.underWriteback << 6) |
             (pg.inSmuQueue << 7));
         s.io(flags);
@@ -63,7 +64,6 @@ Kernel::serialize(sim::Serializer &s)
             pg.inUse = flags & (1 << 0);
             pg.dirty = flags & (1 << 1);
             pg.referenced = flags & (1 << 2);
-            pg.lruLinked = flags & (1 << 4);
             pg.inPageCache = flags & (1 << 5);
             pg.underWriteback = flags & (1 << 6);
             pg.inSmuQueue = flags & (1 << 7);
@@ -205,7 +205,7 @@ Kernel::attachDevice(ssd::SsdDevice *dev, BlockDeviceId bdev)
                   " attached twice");
     }
     unsigned idx = blk->attachDevice(dev);
-    attached.push_back(AttachedDevice{dev, bdev, idx});
+    attached.push_back(AttachedDevice{bdev, idx});
 }
 
 unsigned
@@ -214,16 +214,6 @@ Kernel::deviceIndexOf(BlockDeviceId bdev) const
     for (const auto &a : attached) {
         if (a.bdev == bdev)
             return a.blkIndex;
-    }
-    panic("kernel: unknown block device ", bdev.sid, ":", bdev.dev);
-}
-
-ssd::SsdDevice &
-Kernel::deviceOf(BlockDeviceId bdev)
-{
-    for (const auto &a : attached) {
-        if (a.bdev == bdev)
-            return *a.dev;
     }
     panic("kernel: unknown block device ", bdev.sid, ":", bdev.dev);
 }
@@ -251,27 +241,6 @@ Kernel::setShootdownFn(Rmap::ShootdownFn fn)
 }
 
 void
-Kernel::mmapFile(Thread &t, AddressSpace &as, File &file, bool fast_mmap,
-                 std::function<void(Vma *)> done)
-{
-    ++statMmapCalls;
-    Vma *vma = as.addVma(&file, 0, file.numPages(), fast_mmap,
-                         pte::writableBit | pte::userBit);
-
-    unsigned phys = sched->physCoreOf(t.core());
-    Tick dur = kernelExec->run(phys, phases::syscallEntryExit);
-
-    if (fast_mmap) {
-        std::uint64_t populated = populateFastVma(as, file, vma);
-        dur += kernelExec->runBatch(phys, phases::mmapSetupPerPage,
-                                    populated);
-    }
-
-    eq.postIn(dur, [done = std::move(done), vma] { done(vma); },
-                        "kernel.mmap");
-}
-
-std::uint64_t
 Kernel::populateFastVma(AddressSpace &as, File &file, Vma *vma)
 {
     file.markLbaAugmented();
@@ -294,9 +263,8 @@ Kernel::populateFastVma(AddressSpace &as, File &file, Vma *vma)
                     bdev.sid, bdev.dev,
                     lba.lbaOf(vma->filePageOffset + i), vma->prot);
             });
-        return n;
+        return;
     }
-    std::uint64_t populated = 0;
     for (std::uint64_t i = 0; i < n; ++i) {
         VAddr va = vma->start + i * pageSize;
         std::uint64_t idx = vma->filePageOffset + i;
@@ -314,9 +282,7 @@ Kernel::populateFastVma(AddressSpace &as, File &file, Vma *vma)
                 va, pte::makeLbaAugmented(bdev.sid, bdev.dev,
                                           lba.lbaOf(idx), vma->prot));
         }
-        ++populated;
     }
-    return populated;
 }
 
 Vma *
@@ -385,8 +351,6 @@ Kernel::munmapVma(Thread &t, AddressSpace &as, Vma *vma,
             });
         dur += kernelExec->runBatch(phys, phases::mmapSetupPerPage,
                                     touched);
-        if (hwdpHooks.vmaUnmapped)
-            hwdpHooks.vmaUnmapped(vma);
         as.removeVma(vma);
         eq.postIn(dur, done, "kernel.munmap");
     };
@@ -592,7 +556,7 @@ Kernel::syncHardwareHandledPte(AddressSpace &as, VAddr vaddr,
         pcache.insert(*vma->file, pg.index, pfn);
         pg.inPageCache = true;
     }
-    if (!pg.lruLinked)
+    if (!reclaim->lru().contains(pfn))
         reclaim->lru().insertInactive(pg);
     ref.write(pte::clearLbaBit(e));
     if (pteSyncFn)
@@ -683,7 +647,7 @@ Kernel::demoteHugePage(AddressSpace &as, VAddr vaddr)
         pg.tail = false;
         pg.headPfn = 0;
         // Tails become ordinary pages and must age like them.
-        if (!pg.lruLinked)
+        if (!reclaim->lru().contains(pg.pfn))
             reclaim->lru().insertInactive(pg);
     }
     ++statHugeSplits;
@@ -711,7 +675,7 @@ Kernel::reclaimHugeUnit(Page &head)
     shootdownRange(as, win, pmdLeafPages, false);
     for (std::uint64_t i = 0; i < pmdLeafPages; ++i) {
         Page &pg = page(base + i);
-        if (pg.lruLinked)
+        if (reclaim->lru().contains(pg.pfn))
             reclaim->lru().remove(pg);
         if (pg.inPageCache && pg.file)
             pcache.remove(*pg.file, pg.index);
@@ -767,10 +731,10 @@ Kernel::promoteWindowHuge(AddressSpace &as, Vma &vma, VAddr win)
         Page &pg = page(base + i);
         pg.tail = true;
         pg.headPfn = base;
-        if (pg.lruLinked)
+        if (reclaim->lru().contains(pg.pfn))
             reclaim->lru().remove(pg);
     }
-    if (!head.lruLinked)
+    if (!reclaim->lru().contains(base))
         reclaim->lru().insertInactive(head);
     pte::Entry leaf = pte::makeHugeLeaf(base, vma.prot);
     if (accessed)
@@ -849,7 +813,7 @@ Kernel::freePage(Page &pg)
 {
     if (!pg.inUse)
         panic("freePage: page ", pg.pfn, " not in use");
-    if (pg.lruLinked)
+    if (reclaim->lru().contains(pg.pfn))
         reclaim->lru().remove(pg);
     if (pg.inPageCache && pg.file)
         pcache.remove(*pg.file, pg.index);

@@ -96,7 +96,6 @@ class Kernel : public sim::SimObject
     /** Attach an SSD as block device @p bdev; wires the block layer. */
     void attachDevice(ssd::SsdDevice *dev, BlockDeviceId bdev);
     unsigned deviceIndexOf(BlockDeviceId bdev) const;
-    ssd::SsdDevice &deviceOf(BlockDeviceId bdev);
 
     // ---- NUMA placement ---------------------------------------------------
     /** Socket of a logical core under the equal contiguous split. */
@@ -134,19 +133,13 @@ class Kernel : public sim::SimObject
         return spaces;
     }
 
-    // ---- Syscalls (timed; @p done fires when the call returns) ----------
+    // ---- Mappings (boot time, untimed) ----------------------------------
     /**
      * mmap() a whole file. With @p fast_mmap the paper's new flag is
      * set: every PTE is populated at map time with either the resident
-     * frame (page-cache hit) or an LBA-augmented entry (Section IV-B).
-     */
-    void mmapFile(Thread &t, AddressSpace &as, File &file, bool fast_mmap,
-                  std::function<void(Vma *)> done);
-
-    /**
-     * Boot-time mmap: same state effects as mmapFile but untimed
-     * (used by the system builder to set a machine up before the
-     * measured run starts).
+     * frame (page-cache hit) or an LBA-augmented entry (Section IV-B),
+     * and kpted scans the area from then on. Untimed: the system
+     * builder sets a machine up before the measured run starts.
      */
     Vma *mmapFileSync(AddressSpace &as, File &file, bool fast_mmap);
 
@@ -159,6 +152,7 @@ class Kernel : public sim::SimObject
     Vma *mmapAnonSync(AddressSpace &as, std::uint64_t n_pages,
                       bool fast_mmap);
 
+    // ---- Syscalls (timed; @p done fires when the call returns) ----------
     /**
      * munmap() the VMA: synchronises HWDP metadata (via hooks), tears
      * down PTEs and releases the pages.
@@ -349,9 +343,6 @@ class Kernel : public sim::SimObject
                            std::function<void()>)> syncMetadata;
         /** Wait for outstanding SMU page misses (SMU barrier). */
         std::function<void(std::function<void()>)> smuBarrier;
-        /** A VMA is about to be destroyed; drop any references to it
-         *  (the fast-mmap registry kpted scans, in particular). */
-        std::function<void(Vma *)> vmaUnmapped;
     };
     void setHwdpHooks(HwdpHooks hooks) { hwdpHooks = std::move(hooks); }
 
@@ -409,7 +400,6 @@ class Kernel : public sim::SimObject
 
     struct AttachedDevice
     {
-        ssd::SsdDevice *dev;
         BlockDeviceId bdev;
         unsigned blkIndex;
     };
@@ -434,13 +424,13 @@ class Kernel : public sim::SimObject
             shootdownRangeFn(as, va, pages, delayable);
     }
 
-    /** PTE population for a fast-mmap area; returns pages touched. */
-    std::uint64_t populateFastVma(AddressSpace &as, File &file, Vma *vma);
+    /** PTE population for a fast-mmap area. */
+    void populateFastVma(AddressSpace &as, File &file, Vma *vma);
 
     sim::Counter statMajor;
     sim::Counter statMinor;
     sim::Counter statSmuFallback;
-    sim::Counter statMmapCalls;
+    sim::Counter statMmapCalls; ///< Never bumped: every mmap is boot-time.
     sim::Counter statMunmapCalls;
     sim::Counter statWalWrites;
     sim::Counter statOomKills;

@@ -2,11 +2,11 @@
  * @file
  * Per-frame OS metadata (the moral equivalent of struct page).
  *
- * Exactly the state the paper's control-plane work manipulates: LRU
- * membership, dirty/referenced bits, the page-cache identity
- * (file, index) and the reverse mapping back to the single virtual
- * mapping (the design reverts to OS paging on fork, so a page has at
- * most one mapping — Section V).
+ * Exactly the state the paper's control-plane work manipulates:
+ * dirty/referenced bits, the page-cache identity (file, index) and
+ * the reverse mapping back to the single virtual mapping (the design
+ * reverts to OS paging on fork, so a page has at most one mapping —
+ * Section V). LRU membership is not a field here: LruLists holds it.
  */
 
 #ifndef HWDP_OS_PAGE_HH
@@ -36,7 +36,6 @@ struct Page
     bool inUse = false;        ///< Frame allocated to someone.
     bool dirty = false;        ///< Needs writeback before reuse.
     bool referenced = false;   ///< Second-chance bit for the clock.
-    bool lruLinked = false;    ///< On an LRU list (which: LruLists).
     bool inPageCache = false;  ///< Indexed by the page cache.
     bool underWriteback = false;
     bool inSmuQueue = false;   ///< Donated to the SMU free page queue.

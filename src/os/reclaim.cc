@@ -74,10 +74,9 @@ LruLists::unlink(Pfn pfn)
 void
 LruLists::insert(Page &page, ListId id)
 {
-    if (page.lruLinked || contains(page.pfn))
+    if (contains(page.pfn))
         panic("lru: page ", page.pfn, " already linked");
     linkAfter(id, page.pfn, nil);
-    page.lruLinked = true;
 }
 
 void
@@ -98,7 +97,6 @@ LruLists::remove(Page &page)
     if (!contains(page.pfn))
         panic("lru: removing unlinked page ", page.pfn);
     unlink(page.pfn);
-    page.lruLinked = false;
 }
 
 Pfn
@@ -125,7 +123,7 @@ LruLists::popCandidate()
 void
 LruLists::secondChance(Page &page)
 {
-    if (page.lruLinked)
+    if (contains(page.pfn))
         panic("lru: second chance on a linked page");
     page.referenced = false;
     insert(page, activeList);
@@ -175,7 +173,6 @@ Reclaimer::shrink(unsigned core, std::uint64_t want,
             break;
         ++seen;
         Page &pg = kernel.page(pfn);
-        pg.lruLinked = false;
 
         if (!pg.inUse || pg.underWriteback || pg.inSmuQueue || pg.tail) {
             // Should not be on the LRU; tolerate and drop the link.
@@ -299,7 +296,7 @@ Reclaimer::reclaimHugeHead(Page &pg)
     if (any_dirty || kernel.hugeSplitForced()) {
         kernel.demoteHugePage(as, pg.vaddr);
         // demoteHugePage linked the tails; the head rejoins here.
-        if (!pg.lruLinked)
+        if (!lists.contains(pg.pfn))
             lists.insertInactive(pg);
         return 0;
     }

@@ -15,12 +15,6 @@ setQuiet(bool quiet)
     quietFlag = quiet;
 }
 
-bool
-isQuiet()
-{
-    return quietFlag;
-}
-
 namespace detail {
 
 void

@@ -99,7 +99,6 @@ inform(const Args &...args)
 
 /** Globally silence warn()/inform() (benches use this). */
 void setQuiet(bool quiet);
-bool isQuiet();
 
 } // namespace hwdp
 

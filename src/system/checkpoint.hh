@@ -59,12 +59,15 @@ class Checkpoint
     /** 'HDPC' little-endian. */
     static constexpr std::uint32_t magicWord = 0x43504448;
     /**
+     * v7: no "hwdpossupport" section. The addrspace sections already
+     * check every VMA's range and fast-mmap flag, and kpted scans the
+     * VMAs that carry the flag. v1-v6 blobs are rejected up front.
+     *
      * v6: the LRU lists write each frame as its 32-bit link index, the
      * multi-socket kernel section has no placement cursor (placement
      * is first-touch only), and the config hash no longer folds in
      * the reserved frames, PWC size, free-queue count or pollution
-     * switch, which are constants now. v1-v5 blobs are rejected up
-     * front.
+     * switch, which are constants now.
      *
      * v5: each fact once, and no empty records. The page cache has no
      * section (a load rebuilds it from the frames flagged
@@ -79,7 +82,7 @@ class Checkpoint
      * v2 added translation-reach state (compound-page metadata,
      * kcoalesced) with the page mode in the hash.
      */
-    static constexpr std::uint32_t formatVersion = 6;
+    static constexpr std::uint32_t formatVersion = 7;
 
     /**
      * Quiesce @p sys and serialize it into a blob. The caller resumes

@@ -9,6 +9,26 @@
 
 namespace hwdp::system {
 
+namespace {
+
+/** Barrier on engines[i..): each completes before the next starts. */
+void
+barrierChain(std::vector<core::MissEngine *> engines, std::size_t i,
+             std::function<void()> done)
+{
+    if (i == engines.size()) {
+        done();
+        return;
+    }
+    core::MissEngine *e = engines[i];
+    e->barrier([engines = std::move(engines), i,
+                done = std::move(done)]() mutable {
+        barrierChain(std::move(engines), i + 1, std::move(done));
+    });
+}
+
+} // namespace
+
 System::System(const MachineConfig &cfg_in) : cfg(cfg_in), rng(cfg.seed)
 {
     setQuiet(cfg.quiet);
@@ -124,8 +144,7 @@ System::System(const MachineConfig &cfg_in) : cfg(cfg_in), rng(cfg.seed)
     }
 
     if (cfg.mode != PagingMode::osdp) {
-        support = std::make_unique<core::HwdpOsSupport>(*kern);
-
+        std::vector<core::MissEngine *> engines; ///< In socket order.
         std::vector<core::FreePageQueue *> fpq_set;
         std::vector<unsigned> fpq_tags;
         if (cfg.mode == PagingMode::hwdp) {
@@ -140,7 +159,10 @@ System::System(const MachineConfig &cfg_in) : cfg(cfg_in), rng(cfg.seed)
                 // the faulting PTE's socket-id field, local or not.
                 for (auto &c : cores)
                     c->attachSmu(s, u);
-                support->attachSmu(u);
+                // An empty queue wakes kpoold early so it refills
+                // before the next miss where possible.
+                u->setQueueEmptyCallback([this] { kpooldThread->kick(); });
+                engines.push_back(&u->missEngine());
                 if (!tiers.empty())
                     u->missEngine().setTier(tiers[s].get(),
                                             s * cfg.nDevices);
@@ -163,7 +185,7 @@ System::System(const MachineConfig &cfg_in) : cfg(cfg_in), rng(cfg.seed)
                 for (unsigned d = 0; d < cfg.nDevices; ++d)
                     u->configureDevice(d,
                                        ssds[s * cfg.nDevices + d].get());
-                support->attachEngine(&u->missEngine());
+                engines.push_back(&u->missEngine());
                 if (!tiers.empty())
                     u->setTier(tiers[s].get(), s * cfg.nDevices);
                 fpq_set.push_back(&u->freePageQueue());
@@ -193,12 +215,10 @@ System::System(const MachineConfig &cfg_in) : cfg(cfg_in), rng(cfg.seed)
         }
 
         kptedThread = std::make_unique<core::Kpted>(
-            *kern, *support, cfg.kptedCore(), cfg.kptedPeriod,
-            cfg.kptedGuidedScan);
+            *kern, cfg.kptedCore(), cfg.kptedPeriod, cfg.kptedGuidedScan);
         if (cfg.sockets > 1)
             kptedThread->setCrossSocketIpis(cfg.sockets - 1);
         kern->scheduler().addThread(kptedThread.get());
-        support->attachKpted(kptedThread.get());
 
         kpooldThread = std::make_unique<core::Kpoold>(
             *kern, std::move(fpq_set), cfg.kpooldCore(),
@@ -207,7 +227,28 @@ System::System(const MachineConfig &cfg_in) : cfg(cfg_in), rng(cfg.seed)
             kpooldThread->setSocketTags(std::move(fpq_tags));
         if (cfg.kpooldEnabled)
             kern->scheduler().addThread(kpooldThread.get());
-        support->attachKpoold(kpooldThread.get());
+
+        // The kernel stays ignorant of the extension; these hooks are
+        // its HWDP OS support (Section IV-C). munmap and msync sync
+        // the range through kpted, and munmap first waits for every
+        // socket's engine — a miss in flight on any of them may still
+        // write the PTEs being torn down — chained in socket order so
+        // the completion sequence is deterministic. A fallback fault's
+        // device I/O overlaps a free-page-queue refill.
+        os::Kernel::HwdpHooks hooks;
+        hooks.syncMetadata = [this](os::AddressSpace &as, VAddr lo,
+                                    VAddr hi, unsigned core,
+                                    std::function<void()> done) {
+            kptedThread->syncRange(as, lo, hi, core, std::move(done));
+        };
+        hooks.smuBarrier = [engines = std::move(engines)](
+                               std::function<void()> done) {
+            barrierChain(engines, 0, std::move(done));
+        };
+        kern->setHwdpHooks(std::move(hooks));
+        kern->setRefillHook([this](unsigned core) {
+            kpooldThread->refillOverlapped(core);
+        });
     }
 
     // kcoalesced runs in every paging mode (it promotes whatever 4 KB
@@ -266,23 +307,11 @@ System::pwcShootdown(os::AddressSpace &as, VAddr va, bool sync_path)
     // Resolving the upper-entry addresses costs a host-side walk of
     // the page table; skip it when every walker's PWC is empty (the
     // common case — only cores that recently missed hold entries).
-    bool any = false;
-    for (auto &c : cores) {
-        if (!c->mmu().walker().pwcEmpty()) {
-            any = true;
-            break;
-        }
-    }
-    if (!any)
+    if (!anyPwcHeld(0, cfg.nLogical))
         return;
     os::WalkRefs refs = as.pageTable().walkRefs(va, false);
     if (cfg.sockets <= 1) {
-        for (auto &c : cores) {
-            if (refs.pud.valid())
-                c->mmu().walker().pwcInvalidate(refs.pud.addr);
-            if (refs.pmd.valid())
-                c->mmu().walker().pwcInvalidate(refs.pmd.addr);
-        }
+        dropPwc(refs, 0, cfg.nLogical);
         return;
     }
 
@@ -296,14 +325,7 @@ System::pwcShootdown(os::AddressSpace &as, VAddr va, bool sync_path)
         if (sync_path && sk.id != 0 && shootdownFaultHook)
             f = shootdownFaultHook(sk.id);
 
-        bool busy = false;
-        for (unsigned i = 0; i < sk.nCores; ++i) {
-            if (!cores[sk.firstCore + i]->mmu().walker().pwcEmpty()) {
-                busy = true;
-                break;
-            }
-        }
-        if (!busy)
+        if (!anyPwcHeld(sk.firstCore, sk.nCores))
             continue;
         ++sk.remoteShootdownsIn;
 
@@ -315,26 +337,33 @@ System::pwcShootdown(os::AddressSpace &as, VAddr va, bool sync_path)
             ++sk.shootdownsDelayed;
             unsigned first = sk.firstCore, n = sk.nCores;
             eq.postIn(
-                f.delay,
-                [this, refs, first, n] {
-                    for (unsigned i = 0; i < n; ++i) {
-                        auto &w = cores[first + i]->mmu().walker();
-                        if (refs.pud.valid())
-                            w.pwcInvalidate(refs.pud.addr);
-                        if (refs.pmd.valid())
-                            w.pwcInvalidate(refs.pmd.addr);
-                    }
-                },
+                f.delay, [this, refs, first, n] { dropPwc(refs, first, n); },
                 "numa.shootdown.delayed");
             continue;
         }
-        for (unsigned i = 0; i < sk.nCores; ++i) {
-            auto &w = cores[sk.firstCore + i]->mmu().walker();
-            if (refs.pud.valid())
-                w.pwcInvalidate(refs.pud.addr);
-            if (refs.pmd.valid())
-                w.pwcInvalidate(refs.pmd.addr);
-        }
+        dropPwc(refs, sk.firstCore, sk.nCores);
+    }
+}
+
+bool
+System::anyPwcHeld(unsigned first, unsigned n) const
+{
+    for (unsigned i = first; i < first + n; ++i) {
+        if (!cores[i]->mmu().walker().pwcEmpty())
+            return true;
+    }
+    return false;
+}
+
+void
+System::dropPwc(const os::WalkRefs &refs, unsigned first, unsigned n)
+{
+    for (unsigned i = first; i < first + n; ++i) {
+        auto &w = cores[i]->mmu().walker();
+        if (refs.pud.valid())
+            w.pwcInvalidate(refs.pud.addr);
+        if (refs.pmd.valid())
+            w.pwcInvalidate(refs.pmd.addr);
     }
 }
 
@@ -353,26 +382,12 @@ System::rangeShootdown(os::AddressSpace &as, VAddr va,
                         std::uint64_t n) {
         for (auto &c : cores)
             c->mmu().tlb().invalidateRange(base, n);
-        bool any = false;
-        for (auto &c : cores) {
-            if (!c->mmu().walker().pwcEmpty()) {
-                any = true;
-                break;
-            }
-        }
-        if (!any)
+        if (!anyPwcHeld(0, cfg.nLogical))
             return;
         // A wide range never spans a PMD (2 MB windows are aligned,
         // NAPOT windows are far smaller), so one walk resolves the
         // covering upper entries for the whole range.
-        os::WalkRefs refs = asp->pageTable().walkRefs(base, false);
-        for (auto &c : cores) {
-            auto &w = c->mmu().walker();
-            if (refs.pud.valid())
-                w.pwcInvalidate(refs.pud.addr);
-            if (refs.pmd.valid())
-                w.pwcInvalidate(refs.pmd.addr);
-        }
+        dropPwc(asp->pageTable().walkRefs(base, false), 0, cfg.nLogical);
     };
 
     if (delayable && wideShootdownHook) {
@@ -428,10 +443,8 @@ System::mapDataset(const std::string &name, std::uint64_t pages,
     mf.file = kern->fs().lookup(name);
     if (!mf.file)
         mf.file = createFile(name, pages, device);
-    bool fast = cfg.mode != PagingMode::osdp;
-    mf.vma = kern->mmapFileSync(*mf.as, *mf.file, fast);
-    if (fast && support)
-        support->registerFastVma(*mf.as, mf.vma);
+    mf.vma = kern->mmapFileSync(*mf.as, *mf.file,
+                                cfg.mode != PagingMode::osdp);
     return mf;
 }
 
@@ -440,10 +453,8 @@ System::mapAnon(std::uint64_t pages, os::AddressSpace *as)
 {
     MappedFile mf;
     mf.as = as ? as : kern->createAddressSpace();
-    bool fast = cfg.mode != PagingMode::osdp;
-    mf.vma = kern->mmapAnonSync(*mf.as, pages, fast);
-    if (fast && support)
-        support->registerFastVma(*mf.as, mf.vma);
+    mf.vma = kern->mmapAnonSync(*mf.as, pages,
+                                cfg.mode != PagingMode::osdp);
     return mf;
 }
 
@@ -596,8 +607,6 @@ System::serialize(sim::Serializer &s)
         u->serialize(s);
     for (auto &u : swSmus)
         u->serialize(s);
-    if (support)
-        support->serialize(s);
     if (kptedThread)
         kptedThread->serialize(s);
     if (kpooldThread)

@@ -4,7 +4,8 @@
  *
  * Owns the event queue, physical memory, caches, branch predictors,
  * the kernel, the SSD, the HWDP machinery appropriate to the
- * configured paging mode, the per-core MMUs and the workload threads.
+ * configured paging mode (and the kernel hooks that wire it in), the
+ * per-core MMUs and the workload threads.
  * Benches build a System per configuration, map a dataset, add
  * threads and run to completion.
  */
@@ -16,7 +17,6 @@
 #include <memory>
 #include <vector>
 
-#include "core/fast_mmap.hh"
 #include "core/kcoalesced.hh"
 #include "core/kpoold.hh"
 #include "core/kpted.hh"
@@ -46,7 +46,6 @@ class System
     os::Kernel &kernel() { return *kern; }
     mem::PhysMem &physMem() { return *pm; }
     mem::CacheHierarchy &caches() { return *hierarchy; }
-    std::vector<mem::BranchPredictor> &branchPredictors() { return bps; }
     ssd::SsdDevice &ssd() { return *ssds.front(); }
     cpu::Core &core(unsigned i) { return *cores.at(i); }
 
@@ -62,7 +61,6 @@ class System
     core::Kpoold *kpoold() { return kpooldThread.get(); }
     /** Non-null only when pageMode == coalesce. */
     core::Kcoalesced *kcoalesced() { return kcoalescedThread.get(); }
-    core::HwdpOsSupport *hwdpSupport() { return support.get(); }
     core::FreePageQueue *freePageQueue();
 
     // ---- Socket topology -------------------------------------------------
@@ -150,7 +148,7 @@ class System
 
     /**
      * Create and map a dataset file. Fast-mmap is used when the mode
-     * is not OSDP; the VMA is registered with the HWDP control plane.
+     * is not OSDP, and kpted scans the VMA from then on.
      * @param as Reuse an address space (threads of one process);
      *           nullptr creates one.
      */
@@ -287,7 +285,6 @@ class System
     std::vector<std::unique_ptr<core::Smu>> smuUnits;
     /** One per socket, index = socket id (swsmu mode only). */
     std::vector<std::unique_ptr<core::SoftwareSmu>> swSmus;
-    std::unique_ptr<core::HwdpOsSupport> support;
 
     /**
      * Topology view; built for every machine (size 1 at one socket).
@@ -329,6 +326,12 @@ class System
      */
     void rangeShootdown(os::AddressSpace &as, VAddr va,
                         std::uint64_t pages, bool delayable);
+
+    /** True when a walker of cores [first, first + n) holds PWC entries. */
+    bool anyPwcHeld(unsigned first, unsigned n) const;
+
+    /** Drop @p refs' PUD and PMD entries from cores [first, first + n). */
+    void dropPwc(const os::WalkRefs &refs, unsigned first, unsigned n);
 
   public:
     /** Transfer ownership of a workload to the system (lifetime). */

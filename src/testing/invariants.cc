@@ -213,14 +213,13 @@ checkInvariants(system::System &sys)
                                  ? std::string("nothing")
                                  : "frame " + std::to_string(in_cache)));
         }
-        if (pg.lruLinked != kern.reclaimer().lru().contains(pfn))
-            v.push_back(where + ": lruLinked disagrees with the LRU");
-        if (pg.lruLinked && !pg.inUse)
+        const bool listed = kern.reclaimer().lru().contains(pfn);
+        if (listed && !pg.inUse)
             v.push_back(where + ": on an LRU list but not inUse");
-        if (pg.inSmuQueue && pg.lruLinked)
+        if (pg.inSmuQueue && listed)
             v.push_back(where + ": inSmuQueue and on an LRU list");
         if (quiesced && pm.isAllocated(pfn) && !mapped.count(pfn) &&
-            !pg.lruLinked && !pg.inPageCache && !queued.count(pfn))
+            !listed && !pg.inPageCache && !queued.count(pfn))
             v.push_back(where + ": orphaned (allocated, but unmapped, "
                                 "off the LRU, uncached and unqueued)");
     }
@@ -265,7 +264,7 @@ checkInvariants(system::System &sys)
                             v.push_back(where +
                                         ": head frame metadata is not "
                                         "a compound head");
-                        if (!hp.lruLinked)
+                        if (!kern.reclaimer().lru().contains(head))
                             v.push_back(where +
                                         ": head frame off the LRU");
                         for (std::uint64_t i = 0; i < pmdLeafPages;
@@ -287,7 +286,8 @@ checkInvariants(system::System &sys)
                                             " not flagged as a tail");
                                 break;
                             }
-                            if (i > 0 && pg.lruLinked) {
+                            if (i > 0 &&
+                                kern.reclaimer().lru().contains(head + i)) {
                                 v.push_back(where + ": tail frame " +
                                             std::to_string(head + i) +
                                             " on an LRU list");

@@ -14,14 +14,13 @@
  *  3. The PMSHR holds no duplicate PTE addresses, its occupancy
  *     matches its valid entries, and the SMU's isolated NVMe queues
  *     never carry more commands than the PMSHR has entries in flight.
- *  4. Frame flags compose: inPageCache implies a file identity,
- *     lruLinked matches LRU membership and implies inUse, inSmuQueue
- *     excludes lruLinked. The page cache holds exactly the frames
- *     flagged inPageCache, each under its own (file, index). On a
- *     quiesced machine (empty event queue) no frame is orphaned:
- *     every allocated frame is mapped by a present PTE or a 2 MB
- *     leaf, on an LRU list, in the page cache or in a free page
- *     queue.
+ *  4. Frame flags compose: inPageCache implies a file identity, LRU
+ *     membership implies inUse, inSmuQueue excludes LRU membership.
+ *     The page cache holds exactly the frames flagged inPageCache,
+ *     each under its own (file, index). On a quiesced machine (empty
+ *     event queue) no frame is orphaned: every allocated frame is
+ *     mapped by a present PTE or a 2 MB leaf, on an LRU list, in the
+ *     page cache or in a free page queue.
  *  5. Socket topology is coherent (multi-socket machines): every PTE
  *     routes to an existing socket and carries its file's device
  *     socket id; free-page queues hold only home-socket frames;

@@ -106,7 +106,8 @@ walk(system::System &sys, const std::string &label, bool keep_pages)
                     ps.dirty = pg.dirty || isDirty(e);
                     ps.rmapOk =
                         pg.as == as.get() && pg.vaddr == va;
-                    ps.lruLinked = pg.lruLinked;
+                    ps.lruLinked =
+                        kern.reclaimer().lru().contains(pfnOf(e));
                     ps.inPageCache = pg.inPageCache;
                 }
                 fold(ms.stateHash, ast.asid);

@@ -23,7 +23,7 @@ class SpecLikeWorkload : public Workload
 {
   public:
     /**
-     * @param kernel One of specKernelNames().
+     * @param kernel One of kernelNames().
      * @param n_bursts Compute bursts to run (each ~5k instructions);
      *                 0 = unbounded.
      */

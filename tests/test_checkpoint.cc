@@ -245,11 +245,11 @@ TEST(Checkpoint, RejectsForeignStaleAndMisconfiguredBlobs)
         }
     }
 
-    // Version mismatch: a v5 blob, from before the LRU lists wrote
-    // 32-bit link indices.
+    // Version mismatch: a v6 blob, from before the fast-VMA list's
+    // section was dropped.
     {
         auto bad = blob;
-        bad[4] = 5; // version field follows the 4-byte magic
+        bad[4] = 6; // version field follows the 4-byte magic
         Machine b = boot(sc);
         try {
             system::Checkpoint::restore(*b.sys, bad);

@@ -118,7 +118,7 @@ TEST(AnonZeroFill, KptedSyncsAnonymousPages)
         EXPECT_FALSE(os::pte::needsMetadataSync(e)) << i;
         // Anonymous pages join the LRU but not the page cache.
         auto &pg = sys.kernel().page(os::pte::pfnOf(e));
-        EXPECT_TRUE(pg.lruLinked);
+        EXPECT_TRUE(sys.kernel().reclaimer().lru().contains(pg.pfn));
         EXPECT_FALSE(pg.inPageCache);
     }
 }

@@ -60,7 +60,7 @@ TEST(FaultHandler, MajorFaultInstallsPageAndCounts)
     ASSERT_TRUE(os::pte::isPresent(e));
     Pfn pfn = os::pte::pfnOf(e);
     EXPECT_TRUE(sys.kernel().page(pfn).inPageCache);
-    EXPECT_TRUE(sys.kernel().page(pfn).lruLinked);
+    EXPECT_TRUE(sys.kernel().reclaimer().lru().contains(pfn));
     EXPECT_EQ(sys.ssd().readsCompleted(), 1u);
 }
 

@@ -103,6 +103,7 @@ TEST(Behavior, MunmapWaitsForOutstandingMissesAndSyncs)
     ASSERT_TRUE(sys.runUntilThreadsDone(seconds(10.0)));
 
     // munmap with hardware-handled pages still unsynced.
+    ASSERT_TRUE(mf.vma->fastMmap);
     bool done = false;
     sys.kernel().munmapVma(*tc, *mf.as, mf.vma, [&] { done = true; });
     sys.eventQueue().run(sys.now() + seconds(1.0));
@@ -117,10 +118,15 @@ TEST(Behavior, MunmapWaitsForOutstandingMissesAndSyncs)
         }
     }
 
-    // The fast-mmap registry must have dropped the destroyed VMA, or
-    // kpted's next periodic scan would read freed memory.
-    ASSERT_NE(sys.hwdpSupport(), nullptr);
-    EXPECT_TRUE(sys.hwdpSupport()->fastVmas().empty());
+    // The destroyed VMA has left its address space, so kpted's next
+    // batch, which walks the address spaces, visits nothing.
+    EXPECT_TRUE(mf.as->vmas().empty());
+    std::uint64_t visited = sys.kpted()->entriesVisited();
+    bool batched = false;
+    sys.kpted()->batch([&] { batched = true; });
+    sys.eventQueue().run(sys.now() + milliseconds(1.0));
+    EXPECT_TRUE(batched);
+    EXPECT_EQ(sys.kpted()->entriesVisited(), visited);
 }
 
 TEST(Behavior, MsyncWritesBackDirtyPages)

@@ -103,7 +103,7 @@ TEST(Kernel, InstallPageSyncedWiresAllMetadata)
     Page &pg = k.page(pfn);
     EXPECT_TRUE(pg.inUse);
     EXPECT_TRUE(pg.inPageCache);
-    EXPECT_TRUE(pg.lruLinked);
+    EXPECT_TRUE(k.reclaimer().lru().contains(pfn));
     EXPECT_EQ(pg.as, mf.as);
     EXPECT_EQ(k.pageCache().lookup(*mf.file, 3), pfn);
     pte::Entry e = mf.as->pageTable().readPte(va);
@@ -129,7 +129,7 @@ TEST(Kernel, InstallHardwareHandledDefersMetadata)
     EXPECT_TRUE(pte::hasLbaBit(refs.pud.value()));
     Page &pg = k.page(pfn);
     EXPECT_FALSE(pg.inPageCache);
-    EXPECT_FALSE(pg.lruLinked);
+    EXPECT_FALSE(k.reclaimer().lru().contains(pfn));
     EXPECT_EQ(pg.as, nullptr);
     EXPECT_EQ(k.pageCache().lookup(*mf.file, 3), PageCache::noFrame);
 
@@ -137,7 +137,7 @@ TEST(Kernel, InstallHardwareHandledDefersMetadata)
     k.syncHardwareHandledPte(*mf.as, va, refs.pte);
     EXPECT_FALSE(pte::needsMetadataSync(refs.pte.value()));
     EXPECT_TRUE(pg.inPageCache);
-    EXPECT_TRUE(pg.lruLinked);
+    EXPECT_TRUE(k.reclaimer().lru().contains(pfn));
     EXPECT_EQ(pg.as, mf.as);
     EXPECT_EQ(k.pageCache().lookup(*mf.file, 3), pfn);
 }

@@ -29,6 +29,39 @@ tinyConfig()
     return cfg;
 }
 
+/** Reads pages [0, n) of one VMA once each, in order. */
+struct TouchPages : workloads::Workload
+{
+    const os::Vma *vma;
+    std::uint64_t n;
+    std::uint64_t touched = 0;
+
+    TouchPages(const os::Vma *v, std::uint64_t pages) : vma(v), n(pages) {}
+
+    workloads::Op
+    next(sim::Rng &) override
+    {
+        if (touched == n)
+            return workloads::Op::makeDone();
+        return workloads::Op::makeMem(vma->start + touched++ * pageSize,
+                                      false, true);
+    }
+    const char *label() const override { return "touch"; }
+};
+
+/** Resident pages among the first @p n of @p vma that await a sync. */
+std::uint64_t
+unsyncedPages(os::AddressSpace &as, const os::Vma &vma, std::uint64_t n)
+{
+    std::uint64_t unsynced = 0;
+    for (std::uint64_t i = 0; i < n; ++i) {
+        os::pte::Entry e = as.pageTable().readPte(vma.start + i * pageSize);
+        EXPECT_TRUE(os::pte::isPresent(e)) << "page " << i;
+        unsynced += os::pte::needsMetadataSync(e);
+    }
+    return unsynced;
+}
+
 } // namespace
 
 TEST(Kpoold, PrimeFillsTheQueue)
@@ -136,6 +169,44 @@ TEST(Kpted, SyncRangeServesMunmapBarrier)
             mf.as->pageTable().readPte(mf.vma->start + i * pageSize);
         EXPECT_FALSE(os::pte::needsMetadataSync(e));
     }
+}
+
+TEST(Kpted, SyncsAFastVmaMappedThroughTheKernel)
+{
+    // The fast-mmap flag is all kpted needs: a VMA mapped through the
+    // kernel, not System::mapDataset, is scanned like any other.
+    system::System sys(tinyConfig());
+    os::Kernel &k = sys.kernel();
+    os::AddressSpace *as = k.createAddressSpace();
+    os::Vma *vma = k.mmapFileSync(*as, *sys.createFile("f", 64), true);
+    auto *wl = sys.makeWorkload<TouchPages>(vma, 16);
+    sys.addThread(*wl, 0, *as);
+    ASSERT_TRUE(sys.runUntilThreadsDone(seconds(1.0)));
+    EXPECT_GT(sys.smu()->handled(), 0u);
+
+    sys.runFor(milliseconds(5.0)); // five kpted periods
+    EXPECT_EQ(unsyncedPages(*as, *vma, 16), 0u)
+        << "of 16 touched pages, these still await kpted";
+}
+
+TEST(Kpted, SkipsAVmaRevertedByFork)
+{
+    // fork() reverts the area to OS paging and clears its flag; from
+    // then on kpted has nothing of it to scan.
+    system::System sys(tinyConfig());
+    auto mf = sys.mapDataset("f", 64);
+    auto *wl = sys.makeWorkload<TouchPages>(mf.vma, 16);
+    sys.addThread(*wl, 0, *mf.as);
+    ASSERT_TRUE(sys.runUntilThreadsDone(seconds(1.0)));
+    sys.kernel().forkRevert(*mf.as);
+    ASSERT_FALSE(mf.vma->fastMmap);
+    EXPECT_EQ(unsyncedPages(*mf.as, *mf.vma, 16), 0u);
+
+    // The reverted VMA is the machine's only one.
+    std::uint64_t before = sys.kpted()->entriesVisited();
+    sys.runFor(milliseconds(5.0));
+    EXPECT_EQ(sys.kpted()->entriesVisited() - before, 0u)
+        << "entries of the reverted VMA visited";
 }
 
 TEST(Kpted, ChargesKptedCategory)

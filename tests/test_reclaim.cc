@@ -62,7 +62,6 @@ class RefLru
         auto it = where.find(page.pfn);
         it->second.list->erase(it->second.it);
         where.erase(it);
-        page.lruLinked = false;
     }
 
     Pfn
@@ -153,7 +152,6 @@ class RefLru
     {
         l.push_front(page.pfn);
         where[page.pfn] = Loc{&l, l.begin()};
-        page.lruLinked = true;
     }
 };
 
@@ -207,8 +205,8 @@ runLruDifferential(std::uint64_t seed)
             rng.chance(draining ? 0.7 : 0.1) ? 0 : 1 + rng.range(4);
         Pfn pfn = rng.range(nPfns);
         if (op == 0) {
-            // Pop, as the reclaimer does: the caller drops the link
-            // flag, and a referenced page gets its second chance.
+            // Pop, as the reclaimer does: a referenced page gets its
+            // second chance.
             if (oracle->inactiveCount() == 0 && oracle->activeCount() > 0) {
                 // This pop demotes a full or a partial batch first.
                 ++(oracle->activeCount() >= LruLists::demoteBatch
@@ -219,7 +217,6 @@ runLruDifferential(std::uint64_t seed)
             ASSERT_EQ(lru->popCandidate(), want);
             if (want != LruLists::invalidPfn) {
                 ++pops;
-                mine[want].lruLinked = ref[want].lruLinked = false;
                 if (rng.chance(0.3)) {
                     mine[want].referenced = ref[want].referenced = true;
                     lru->secondChance(mine[want]);
@@ -270,7 +267,6 @@ runLruDifferential(std::uint64_t seed)
         for (Pfn p = 0; p < nPfns; ++p) {
             ASSERT_EQ(lru->contains(p), oracle->contains(p)) << p;
             ASSERT_EQ(lru->isActive(p), oracle->isActive(p)) << p;
-            ASSERT_EQ(mine[p].lruLinked, ref[p].lruLinked) << p;
             ASSERT_EQ(mine[p].referenced, ref[p].referenced) << p;
         }
         ASSERT_EQ(blobOf(*lru), blobOf(*oracle));
@@ -338,7 +334,7 @@ TEST(LruLists, RemoveFromMiddle)
     lru.insertInactive(b);
     lru.insertInactive(c);
     lru.remove(b);
-    EXPECT_FALSE(b.lruLinked);
+    EXPECT_FALSE(lru.contains(2));
     EXPECT_EQ(lru.popCandidate(), 1u);
     EXPECT_EQ(lru.popCandidate(), 3u);
 }
@@ -364,7 +360,6 @@ TEST(LruLists, SecondChancePromotesToActive)
     Page a = mkPage(1);
     lru.insertInactive(a);
     Pfn p = lru.popCandidate();
-    a.lruLinked = false;
     a.referenced = true;
     lru.secondChance(a);
     EXPECT_FALSE(a.referenced);
@@ -397,19 +392,20 @@ TEST(Reclaim, InvariantsAuditLruMembership)
     ASSERT_TRUE(sys.runUntilThreadsDone(seconds(20.0)));
     EXPECT_TRUE(ht::checkInvariants(sys).empty());
 
-    // A frame on the LRU whose flag says otherwise is reported.
+    // A frame on the LRU that is also flagged as donated to a free
+    // page queue is reported.
     auto &k = sys.kernel();
     ASSERT_GT(k.reclaimer().lru().size(), 0u);
     Pfn pfn = 0;
     while (!k.reclaimer().lru().contains(pfn))
         ++pfn;
-    k.page(pfn).lruLinked = false;
+    k.page(pfn).inSmuQueue = true;
     auto v = ht::checkInvariants(sys);
     ASSERT_EQ(v.size(), 1u);
-    EXPECT_NE(v[0].find("lruLinked disagrees with the LRU"),
+    EXPECT_NE(v[0].find("inSmuQueue and on an LRU list"),
               std::string::npos)
         << v[0];
-    k.page(pfn).lruLinked = true;
+    k.page(pfn).inSmuQueue = false;
     EXPECT_TRUE(ht::checkInvariants(sys).empty());
 }
 
