@@ -447,17 +447,17 @@ TEST(Checkpoint, GoldenBlobHashes)
     // Checkpoint::formatVersion or says which bytes moved.
     using system::PagingMode;
     EXPECT_EQ(fnv1a(reclaimedBlob(PagingMode::osdp, 'I')),
-              0x95f7b8ee37516aa1ULL);
+              0x294e22143dea19faULL);
     EXPECT_EQ(fnv1a(reclaimedBlob(PagingMode::hwdp, 'I')),
-              0xb25deb4cbfcfb22fULL);
+              0xc2a09ff737331916ULL);
     EXPECT_EQ(fnv1a(reclaimedBlob(PagingMode::swsmu, 'I')),
-              0x8757069f69e4544eULL);
+              0x5bff58378bd1496bULL);
     EXPECT_EQ(fnv1a(reclaimedBlob(PagingMode::osdp, 'A')),
-              0xe0fcd4db9b50cba4ULL);
+              0xeb810d142a91dbb1ULL);
     EXPECT_EQ(fnv1a(reclaimedBlob(PagingMode::hwdp, 'A')),
-              0xd23a829ecff93277ULL);
+              0x228764770710cd1aULL);
     EXPECT_EQ(fnv1a(reclaimedBlob(PagingMode::swsmu, 'A')),
-              0xcdc081854fdf34f0ULL);
+              0x1c57169f68dfa8b1ULL);
 }
 
 TEST(Checkpoint, GoldenBlobSizesAndResaveIdentity)
@@ -472,11 +472,11 @@ TEST(Checkpoint, GoldenBlobSizesAndResaveIdentity)
         std::size_t bytes;
     };
     for (const Pin &p : {Pin{PagingMode::osdp, 'I', 2516089},
-                         Pin{PagingMode::hwdp, 'I', 2468034},
-                         Pin{PagingMode::swsmu, 'I', 2520132},
+                         Pin{PagingMode::hwdp, 'I', 2467998},
+                         Pin{PagingMode::swsmu, 'I', 2520096},
                          Pin{PagingMode::osdp, 'A', 1374692},
-                         Pin{PagingMode::hwdp, 'A', 1322479},
-                         Pin{PagingMode::swsmu, 'A', 1374517}}) {
+                         Pin{PagingMode::hwdp, 'A', 1322443},
+                         Pin{PagingMode::swsmu, 'A', 1374481}}) {
         SCOPED_TRACE(scenarioName({p.mode, p.wl, 0.0}));
         const std::vector<std::uint8_t> blob = reclaimedBlob(p.mode, p.wl);
         EXPECT_EQ(blob.size(), p.bytes);
