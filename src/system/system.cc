@@ -144,7 +144,7 @@ System::System(const MachineConfig &cfg_in) : cfg(cfg_in), rng(cfg.seed)
     }
 
     if (cfg.mode != PagingMode::osdp) {
-        std::vector<core::MissEngine *> engines; ///< In socket order.
+        std::vector<core::MissEngine *> engines; // In socket order.
         std::vector<core::FreePageQueue *> fpq_set;
         std::vector<unsigned> fpq_tags;
         if (cfg.mode == PagingMode::hwdp) {
